@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .linear_process import ModelSpecError, PiecewiseSpectralDensity, model_from_spec, model_to_spec
+from .linear_process import ModelSpecError, model_from_spec, model_to_spec
 from .simulator import SimulationPlan, ecdf, ks_distance, sample_cov_eigenvalues, simulate_matrix
 from .stieltjes import (
     DEFAULT_EPS_SCHEDULE,
@@ -32,7 +32,7 @@ from .stieltjes import (
     invert_to_density,
     lsd_cdf,
 )
-from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD, gamma_lsd
+from .toeplitz_lsd import AtomicLSD, gamma_lsd
 
 __all__ = ["main", "entry"]
 
@@ -229,7 +229,7 @@ def cmd_compare(args):
     model = _load_model(args)
     plan = _plan_from_args(args, model)
     cfg = _solver_config(args)
-    lsd = gamma_lsd(model if not isinstance(model, PiecewiseSpectralDensity) else model)
+    lsd = gamma_lsd(model)
     grid = default_grid(lsd, plan.y, size=args.grid, cfg=cfg)
     density = invert_to_density(lsd, plan.y, grid=grid, eps_schedule=_eps_schedule(args), cfg=cfg)
     theory = lambda x: lsd_cdf(density, x)

@@ -45,11 +45,10 @@ class ModelSpecError(ValueError):
 
 def _ar_roots_outside_unit_disk(ar):
     """True when all zeros of 1 + a_1 z + ... + a_p z^p lie outside |z| <= 1."""
-    coeffs = np.trim_zeros(np.asarray(ar, dtype=float), "b")
-    if coeffs.size == 0:
-        return True
-    roots = np.roots(np.concatenate([coeffs[::-1], [1.0]]))
-    return roots.size == 0 or float(np.min(np.abs(roots))) > 1.0
+    # their reciprocals are the zeros of z^p + a_1 z^(p-1) + ... + a_p, whose
+    # companion matrix stays finite however small a_p is
+    roots = np.roots(np.concatenate([[1.0], np.asarray(ar, dtype=float)]))
+    return roots.size == 0 or float(np.max(np.abs(roots))) < 1.0
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ unique map m from the upper half-plane to itself with
 where y is the limiting column/row ratio n/p.  This module solves that fixed
 point (general, atomic and Marchenko-Pastur specializations), cross-checks the
 ARMA(1,1) quartic form, and recovers the density via Stieltjes-Perron
-inversion with an epsilon extrapolation.
+inversion with an epsilon extrapolation.  The solver sees a limit law only as
+quadrature nodes and weights: its atoms, or the Szegő rule of a continuous law.
 """
 
 from __future__ import annotations
@@ -44,19 +45,20 @@ __all__ = [
 class SolverConfig:
     """Fixed-point solver settings.
 
-    ``tol`` bounds the final update |dm|; ``quad_tol`` is the stabilization
-    target for quadrature rules against an absolutely continuous limit law.
+    ``tol`` bounds the final update |dm|.  The quadrature size for a
+    continuous limit law is chosen per solve by :func:`solve_fixed_point`.
     """
 
     tol: float = 1e-12
     max_iter: int = 100_000
     newton: bool = True
-    quad_tol: float = 1e-10
-    quad_start_nodes: int = 257
-    quad_max_nodes: int = 4097
 
 
 _DEFAULT_CONFIG = SolverConfig()
+
+# first and largest sizes of the Szegő rule for a continuous limit law
+RULE_START_SIZE = 256
+RULE_MAX_SIZE = 8192
 
 # geometric offsets for the Stieltjes-Perron limit; the tail resolves the
 # steep distribution rise near zero when the support touches the origin (y = 1)
@@ -91,25 +93,16 @@ class StieltjesSolution:
             raise ValueError("Stieltjes transform must map into the upper half-plane")
 
 
-def _terms_atomic(lsd):
-    a = lsd.levels
-    w = lsd.weights
+def _terms(lam, W):
+    """T(m) = sum W lam / (1 + lam m) and its derivative over a quadrature rule."""
+    wl = W * lam
+    wl2 = wl * lam
 
     def T(m):
-        return np.sum(w * a / (1.0 + a * m))
+        return np.sum(wl / (1.0 + lam * m))
 
     def Tp(m):
-        return -np.sum(w * a * a / (1.0 + a * m) ** 2)
-
-    return T, Tp
-
-
-def _terms_rule(lam, W):
-    def T(m):
-        return np.sum(W * lam / (1.0 + lam * m))
-
-    def Tp(m):
-        return -np.sum(W * lam * lam / (1.0 + lam * m) ** 2)
+        return -np.sum(wl2 / (1.0 + lam * m) ** 2)
 
     return T, Tp
 
@@ -187,10 +180,12 @@ def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
     """Stieltjes transform m(z) of the limit law of p^{-1} X X^T.
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD or AbsContinuousLSD),
-    ``y`` the limiting n/p ratio, and z a point with Im z > 0.  For the
-    absolutely continuous case the integral term is evaluated on a cached
-    edge-desingularized Gauss-Legendre rule that is refined until the solved
-    value is stable.
+    ``y`` the limiting n/p ratio, and z a point with Im z > 0.  A continuous
+    law is solved on the Szegő rule ``lsd.rule(N)``, N doubling from
+    RULE_START_SIZE until the 2N rule moves the integral term T by at most
+    1e-9 (1 + |T|); the residual is the N-rule solution's defect on the 2N
+    rule, and a Newton step on the 2N rule ends the solve.  Near the real axis
+    larger rules are needed; the RULE_MAX_SIZE rule is the last.
     """
     cfg = cfg or _DEFAULT_CONFIG
     z = complex(z)
@@ -199,31 +194,39 @@ def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
     if not z.imag > 0.0:
         raise ValueError("z must lie in the upper half-plane")
     if isinstance(lsd, AtomicLSD):
-        T, Tp = _terms_atomic(lsd)
+        T, Tp = _terms(lsd.levels, lsd.weights)
         m, iterations = _iterate(T, Tp, y, z, cfg, initial)
         residual = abs(1.0 / m + z - y * T(m))
         return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations)
     if not isinstance(lsd, AbsContinuousLSD):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
 
-    size = lsd.base_rule_size(cfg.quad_tol, cfg.quad_start_nodes, cfg.quad_max_nodes)
+    size = RULE_START_SIZE
     iterations = 0
-    while True:
+    if initial is None:
+        # start from the law with all its mass at the mean level; -1/z sits
+        # among the rule's real poles -1/lam when z is near the real axis
         lam, W = lsd.rule(size)
-        T, Tp = _terms_rule(lam, W)
+        mean = W @ lam
+        initial = mp_stieltjes(y, z / mean) / mean
+    while True:
+        T, Tp = _terms(*lsd.rule(size))
         m, its = _iterate(T, Tp, y, z, cfg, initial)
         iterations += its
-        next_size = 2 * size - 1
-        if next_size > cfg.quad_max_nodes:
+        if 2 * size > RULE_MAX_SIZE:
             residual = abs(1.0 / m + z - y * T(m))
             break
-        lam2, W2 = lsd.rule(next_size)
-        T2, _ = _terms_rule(lam2, W2)
+        T2, Tp2 = _terms(*lsd.rule(2 * size))
         t2 = T2(m)
         residual = abs(1.0 / m + z - y * t2)
-        if abs(t2 - T(m)) <= max(cfg.quad_tol, 1e-9 * (1.0 + abs(t2))):
+        if abs(t2 - T(m)) <= 1e-9 * (1.0 + abs(t2)):
+            # the rule's error in T moves m by about y |m|^2 |t2 - T(m)|, far
+            # more than the check's tolerance when |m| is large
+            fine = m - (1.0 + m * z - y * m * t2) / (z - y * (t2 + m * Tp2(m)))
+            if fine.imag > 0.0:
+                m = fine
             break
-        size = next_size
+        size *= 2
         initial = m
     return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations)
 

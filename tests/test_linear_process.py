@@ -57,6 +57,7 @@ class TestMACoefficients:
         with pytest.raises(sp.ModelSpecError):
             sp.ARMAModel(ar=[-1.5])  # explosive
         sp.ARMAModel(ar=[-0.99])
+        sp.ARMAModel(ar=[-5e-324])  # subnormal: its root -1/a overflows
 
     def test_fractional_order_domain(self):
         with pytest.raises(sp.ModelSpecError):

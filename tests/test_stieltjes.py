@@ -1,8 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import specmp as sp
@@ -84,6 +87,34 @@ class TestSolveFixedPoint:
                 assert abs(m - sp.mp_stieltjes(y, z)) <= 1e-10
 
 
+class TestContinuousLaws:
+    def test_farima_with_ar_part(self):
+        lsd = sp.gamma_lsd(sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25))
+        y, z = 2.0, 1.0 + 0.1j
+        m = sp.solve_fixed_point(lsd, y, z).m
+        # residual on a rule far finer than any the solver builds
+        lam, W = lsd.rule(16384)
+        assert abs(1.0 / m + z - y * np.sum(W * lam / (1.0 + lam * m))) <= 1e-8
+
+    def test_large_m_relative_accuracy(self):
+        # near x = 0 at y = 1, |m| is about 100 and the rule's error in the
+        # integral term is amplified in m by y |m|^2
+        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        for z in (3.91e-4 + 6.25e-4j, 7.24e-5 + 6.25e-4j):
+            m = sp.solve_fixed_point(lsd, 1.0, z).m
+            assert abs(m) > 50.0
+            assert abs(m * sp.arma11_residual(0.5, 1.0, 1.0, z, m)) <= 1e-12
+
+    def test_no_warnings(self):
+        models = (sp.ARMAModel.arma11(0.5, 1.0), sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in models:
+                lsd = sp.gamma_lsd(model)
+                for z in (1.0 + 0.1j, 16.0 + 1e-3j, 40.0 + 1e-3j):
+                    sp.solve_fixed_point(lsd, 3.0, z)
+
+
 class TestMPClosedForm:
     def test_root_of_quadratic(self):
         for y in (0.5, 1.0, 3.0):
@@ -116,6 +147,23 @@ class TestARMA11Residual:
         z = 1.0 + 1j
         m = sp.mp_stieltjes(1.0, z)
         assert abs(sp.arma11_residual(0.0, 0.0, 1.0, z, m)) <= 1e-12
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        phi=st.floats(-0.9, 0.9),
+        theta=st.floats(-0.9, 0.9),
+        y=st.floats(0.2, 5.0),
+        re=st.floats(-0.1, 1.2),
+        log_im=st.floats(-3.0, 1.0),
+    )
+    def test_random_models_stay_upper_and_zero_quartic(self, phi, theta, y, re, log_im):
+        assume(abs(phi + theta) >= 0.05)
+        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta))
+        # Re z spans the limit law's support, with a margin on both sides
+        z = complex(re * lsd.support[1] * (1.0 + math.sqrt(y)) ** 2, 10.0**log_im)
+        m = sp.solve_fixed_point(lsd, y, z).m
+        assert m.imag > 0.0
+        assert abs(sp.arma11_residual(phi, theta, y, z, m)) <= 1e-6
 
     def test_rejects_non_solution(self):
         rng = np.random.default_rng(2)

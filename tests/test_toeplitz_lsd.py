@@ -195,6 +195,20 @@ class TestNormalizationAndSzego:
             lsd = sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta))
             assert abs(lsd.total_mass() - 1.0) <= 1e-6
 
+    def test_rule_moments_match_autocovariances(self):
+        # Szegő: sum W lam^k = (1/2pi) int f^k dw, which is 1, gamma(0) and
+        # sum_h gamma(h)^2 for k = 0, 1, 2
+        for phi, theta in ((0.5, 1.0), (-0.8, 0.4)):
+            model = sp.ARMAModel.arma11(phi, theta)
+            lsd = sp.gamma_lsd(model)
+            lam, W = lsd.rule(1024)
+            gam = sp.autocovariances(sp.ma_coefficients(model, 1000), 400)
+            assert abs(W.sum() - 1.0) <= 1e-10
+            assert abs(W @ lam - gam[0]) <= 1e-10
+            assert abs(W @ lam**2 - (gam[0] ** 2 + 2.0 * np.sum(gam[1:] ** 2))) <= 1e-10
+            lo, hi = lsd.support
+            assert lo <= lam.min() and lam.max() <= hi
+
     def test_szego_finite_size(self):
         model = sp.ARMAModel(ma=[0.5])
         coeffs = sp.ma_coefficients(model, 600)
