@@ -1,10 +1,16 @@
 """Monte Carlo simulation of sample covariance spectra for linear-process rows.
 
-Generates p x n data matrices whose rows are independent truncated linear
-processes X_{i,t} = sum_{j=0}^n c_j Z_{i,t-j} (truncation at lag n does not
-change the limit law), computes the eigenvalues of p^{-1} X X^T, and measures
-the distance between the empirical spectral distribution and a theoretical
-CDF.
+Generates p x n data matrices whose rows are independent linear processes
+X_{i,t} = sum_j c_j Z_{i,t-j} driven by innovations from time 1 - n on,
+computes the eigenvalues of p^{-1} X X^T, and measures the distance between
+the empirical spectral distribution and a theoretical CDF.
+
+The ARMA part is filtered by its exact recursion from zero state at time
+1 - n, so column t carries c_j up to lag t + n - 1.  It differs from the
+infinite sum by sum_{j >= t+n} c_j Z_{i,t-j}, of order |r|^{-n} for the AR
+root r nearest the unit circle.  A FARIMA model then applies its fractional
+kernel (1 - B)^{-d} truncated at lag n.  Neither truncation changes the limit
+law.
 
 p^{-1} X X^T has rank at most min(p, n) (min(p, n - 1) after centring), so
 when that bound is below p the smaller Gram matrix X^T X / p is eigensolved
@@ -19,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import lfilter
 
 from .linear_process import ARMAModel, FARIMAModel, ma_coefficients
 
@@ -41,11 +47,6 @@ _SQRT3 = math.sqrt(3.0)
 # eigenvalues of the (PSD up to roundoff) sample covariance below this are an
 # eigensolver failure rather than roundoff
 _EIG_CLAMP = -1e-9
-
-# kernels with at most this many (exactly) nonzero taps are convolved by exact
-# direct summation; longer kernels go through FFT, which the contract allows
-# as a roundoff-level optimization
-_DIRECT_TAP_LIMIT = 128
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,19 @@ def _row_innovations(seed, replicate, row, count, law):
 
 
 def simulate_matrix(plan, replicate=0, innovations=None):
-    """One p x n realization with truncated linear-process rows.
+    """One p x n realization with linear-process rows.
 
-    Draws the p x 2n innovation array (times 1-n .. n), convolves each row
-    with c_0..c_n and adds mu.  ``innovations`` is a test hook that bypasses
-    the generator with a given p x 2n array.  Deterministic given
-    (seed, replicate).
+    Draws the p x 2n innovation array (times 1-n .. n) and runs the ARMA
+    recursion over each row from zero state.  For a FARIMA model the result
+    is then convolved with (1 - B)^{-d} truncated at lag n, by a circular FFT
+    of length 2n: the kept columns n..2n-1 never wrap.  Those columns plus mu
+    are returned as a fresh array.  ``innovations`` is a test hook that
+    bypasses the generator with a given p x 2n array; it is never modified or
+    aliased.  Deterministic given (seed, replicate).
     """
     n = plan.n
-    kernel = ma_coefficients(plan.model, n).coeffs
+    model = plan.model
+    arma, d = (model.arma, model.d) if isinstance(model, FARIMAModel) else (model, 0.0)
     if innovations is None:
         Z = np.empty((plan.p, 2 * n))
         for i in range(plan.p):
@@ -132,16 +137,11 @@ def simulate_matrix(plan, replicate=0, innovations=None):
         Z = np.asarray(innovations, dtype=float)
         if Z.shape != (plan.p, 2 * n):
             raise ValueError(f"innovations must have shape {(plan.p, 2 * n)}")
-    taps = np.flatnonzero(kernel)
-    if taps.size <= _DIRECT_TAP_LIMIT:
-        X = np.zeros((plan.p, n))
-        for j in taps:
-            X += kernel[j] * Z[:, n - j : 2 * n - j]
-    else:
-        X = fftconvolve(Z, kernel[None, :], mode="valid", axes=1)
-    if plan.mu != 0.0:
-        X = X + plan.mu
-    return X
+    W = Z if arma.is_white_noise else lfilter((1.0, *arma.ma), (1.0, *arma.ar), Z, axis=1)
+    if d != 0.0:
+        h = ma_coefficients(FARIMAModel(ARMAModel(), d), n).coeffs
+        W = np.fft.irfft(np.fft.rfft(W, axis=1) * np.fft.rfft(h, 2 * n), 2 * n, axis=1)
+    return W[:, n:] + plan.mu
 
 
 def _helmert(X):

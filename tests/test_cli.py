@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import specmp
 from specmp.cli import main
 
 ARMA11 = '{"type":"arma","ar":[-0.5],"ma":[1]}'
@@ -23,6 +25,14 @@ PIECEWISE = json.dumps(
 
 def run(args):
     return main(args)
+
+
+def child_env(**extra):
+    # a child interpreter finds the specmp this test imported, whether it came
+    # from PYTHONPATH, pytest's pythonpath setting or an installed package
+    src = str(Path(specmp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 class TestGammaDensityCommand:
@@ -167,6 +177,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "specmp.cli", "gamma-density", "--model", WHITE, "--out", str(tmp_path / "m")],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "atom 1 1" in proc.stdout
@@ -175,11 +186,11 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "specmp.cli", "simulate", "--frobnicate"],
             capture_output=True,
+            env=child_env(),
         )
         assert proc.returncode == 2
 
     def test_threads_env_respected(self, tmp_path):
-        # the inherited environment keeps the PYTHONPATH that locates specmp
         for threads in ("2", "1"):
             proc = subprocess.run(
                 [
@@ -187,7 +198,7 @@ class TestEntryPoint:
                     "--p", "16", "--seed", "2", "--replicates", "3", "--out", str(tmp_path / f"t{threads}"),
                 ],
                 capture_output=True,
-                env={**os.environ, "SPECMP_THREADS": threads},
+                env=child_env(SPECMP_THREADS=threads),
             )
             assert proc.returncode == 0
         # threads change how replicates are scheduled, not what they contain

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specmp as sp
 
@@ -38,9 +40,32 @@ class TestSimulateMatrix:
         Z = np.zeros((2, 4))
         assert np.all(sp.simulate_matrix(plan, innovations=Z) == 5.0)
 
-    def test_fft_and_direct_paths_agree(self):
-        # FARIMA kernels take the FFT path; force the same computation through
-        # direct summation and compare
+    def test_result_does_not_alias_innovations(self):
+        # white noise with mu = 0 keeps the innovation block unchanged; the
+        # result must still be a fresh array
+        plan = sp.SimulationPlan(p=3, y=1.0, model=sp.ARMAModel(), seed=0)
+        Z = np.random.default_rng(2).standard_normal((3, 6))
+        before = Z.copy()
+        X = sp.simulate_matrix(plan, innovations=Z)
+        X[...] = 7.0
+        assert np.array_equal(Z, before)
+
+    def test_arma_recursion_equals_expansion_sum(self):
+        # the recursion starts from zero state at time 1-n: column t carries
+        # c_0..c_{t+n-1} of the full expansion
+        model = sp.ARMAModel.arma11(0.5, 1.0)
+        plan = sp.SimulationPlan(p=4, y=5.0, model=model, seed=0)
+        n = plan.n
+        Z = np.random.default_rng(3).standard_normal((4, 2 * n))
+        c = sp.ma_coefficients(model, 2 * n - 1).coeffs
+        direct = np.zeros((4, n))
+        for t in range(n):
+            for j in range(n + t + 1):
+                direct[:, t] += c[j] * Z[:, n + t - j]
+        np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-12)
+
+    def test_farima_fft_equals_truncated_kernel_sum(self):
+        # the circular FFT of length 2n equals the c_0..c_n sum on the kept columns
         model = sp.FARIMAModel(sp.ARMAModel(), -0.25)
         plan = sp.SimulationPlan(p=3, y=2.0, model=model, seed=9)
         n = plan.n
@@ -50,7 +75,25 @@ class TestSimulateMatrix:
         direct = np.zeros((3, n))
         for j in range(n + 1):
             direct += kernel[j] * Z[:, n - j : 2 * n - j]
-        np.testing.assert_allclose(X, direct, atol=1e-10)
+        np.testing.assert_allclose(X, direct, rtol=0, atol=1e-10)
+
+    def test_farima_with_ar_composes_recursion_and_kernel(self):
+        # ARMA part over the whole 2n window, then (1-B)^{-d} truncated at lag n
+        model = sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25)
+        plan = sp.SimulationPlan(p=3, y=4.0, model=model, seed=0)
+        n = plan.n
+        Z = np.random.default_rng(5).standard_normal((3, 2 * n))
+        a = sp.ma_coefficients(model.arma, 2 * n - 1).coeffs
+        h = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), model.d), n).coeffs
+        W = np.zeros((3, 2 * n))
+        for s in range(2 * n):
+            for j in range(s + 1):
+                W[:, s] += a[j] * Z[:, s - j]
+        direct = np.zeros((3, n))
+        for t in range(n):
+            for k in range(n + 1):
+                direct[:, t] += h[k] * W[:, n + t - k]
+        np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-10)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +160,32 @@ class TestSampleCovEigenvalues:
             rank = min(plan.n - center, plan.p)
             assert int((s.eigenvalues > 1e-9).sum()) <= rank
             assert round(sp.ecdf(s, 0.0) * plan.p) >= plan.p - rank
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        p=st.integers(1, 60),
+        ratio=st.floats(0.01, 3.0),
+        law=st.sampled_from(sp.INNOVATION_LAWS),
+        center=st.booleans(),
+        mu=st.sampled_from((0.0, 5.0)),
+        phi=st.floats(-0.9, 0.9),
+        theta=st.floats(-0.9, 0.9),
+        d=st.one_of(st.none(), st.floats(-0.45, 0.0)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_random_plans_trace_identity_and_rank_bound(self, p, ratio, law, center, mu, phi, theta, d, seed):
+        arma = sp.ARMAModel.arma11(phi, theta)
+        model = arma if d is None else sp.FARIMAModel(arma, d)
+        n = max(1, round(ratio * p))
+        plan = sp.SimulationPlan(p=p, y=n / p, model=model, law=law, mu=mu, center=center, seed=seed)
+        assert plan.n == n
+        X = sp.simulate_matrix(plan)
+        s = sp.sample_cov_eigenvalues(X, center=center)
+        if center:
+            X = X - X.mean(axis=1, keepdims=True)
+        trace = float(np.sum(X * X)) / p
+        assert abs(trace - s.eigenvalues.sum()) <= 1e-9 * trace
+        assert int((s.eigenvalues == 0.0).sum()) >= p - min(p, n - center)
 
     def test_centering_small_scale(self):
         # same innovations: centering a shifted matrix is a rank-one update
