@@ -64,8 +64,8 @@ class TestSimulateMatrix:
                 direct[:, t] += c[j] * Z[:, n + t - j]
         np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-12)
 
-    def test_farima_fft_equals_truncated_kernel_sum(self):
-        # the circular FFT of length 2n equals the c_0..c_n sum on the kept columns
+    def test_fft_and_direct_paths_agree(self):
+        # the circular FFT of length 2n equals the direct c_0..c_n sum on the kept columns
         model = sp.FARIMAModel(sp.ARMAModel(), -0.25)
         plan = sp.SimulationPlan(p=3, y=2.0, model=model, seed=9)
         n = plan.n
