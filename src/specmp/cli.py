@@ -9,7 +9,11 @@ Four subcommands produce CSV/JSON artifacts for external plotting:
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.  All output
 is deterministic given the configuration and seed.  SPECMP_THREADS caps the
-number of worker threads used for replicate runs.
+number of threads that run replicates side by side (default 1), and nothing
+else.  When replicates run one after another on the main thread, the rows of
+each matrix are spread over the CPUs (see ``simulate_matrix``); when they run
+side by side, each replicate fills its rows on its own thread.  The
+eigensolve's BLAS threads are OpenBLAS's own.
 """
 
 from __future__ import annotations
@@ -152,7 +156,7 @@ def _run_replicates(plan):
             # the trace check is of the centred matrix, whose spectrum is reported
             X = X - X.mean(axis=1, keepdims=True)
         spectrum = sample_cov_eigenvalues(X, center=plan.center)
-        trace = float(np.sum(X * X) / plan.p)
+        trace = float(np.vdot(X, X) / plan.p)
         return spectrum, trace
 
     workers = _worker_count()

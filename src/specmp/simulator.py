@@ -12,6 +12,11 @@ root r nearest the unit circle.  A FARIMA model then applies its fractional
 kernel (1 - B)^{-d} truncated at lag n.  Neither truncation changes the limit
 law.
 
+Rows are simulated in blocks of contiguous rows, on a thread pool sized from
+the CPUs the process may use when the rows are long enough for threads to pay
+(see ``simulate_matrix``).  Each row draws from its own (seed, replicate, row)
+substream, so the matrix does not depend on the number of worker threads.
+
 p^{-1} X X^T has rank at most min(p, n) (min(p, n - 1) after centring), so
 when that bound is below p the smaller Gram matrix X^T X / p is eigensolved
 and the structural null eigenvalues are reported as exact zeros: p - n of
@@ -22,6 +27,9 @@ the limit law.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,11 @@ __all__ = [
 INNOVATION_LAWS = ("normal", "rademacher", "uniform")
 
 _SQRT3 = math.sqrt(3.0)
+
+# rows are simulated in blocks of about this many samples
+_BLOCK_SAMPLES = 1 << 18
+# rows with fewer samples than this are simulated on the calling thread
+_MIN_PARALLEL_ROW = 2000
 
 # eigenvalues of the (PSD up to roundoff) sample covariance below this are an
 # eigensolver failure rather than roundoff
@@ -103,45 +116,108 @@ class EmpiricalSpectrum:
         return self.eigenvalues.size
 
 
-def _row_innovations(seed, replicate, row, count, law):
+def _row_innovations(seed, replicate, row, count, law, out=None):
     # counter-based substream per (seed, replicate, row): rows are reproducible
-    # independently and parallel generation is order-free
+    # independently and parallel generation is order-free.  ``count`` draws
+    # are written into ``out`` (a fresh array if None) with the same values
+    # the allocating forms standard_normal, integers(0, 2) * 2.0 - 1.0 and
+    # uniform(-sqrt 3, sqrt 3) return
+    if out is None:
+        out = np.empty(count)
     seq = np.random.SeedSequence(seed, spawn_key=(replicate, row))
     rng = np.random.Generator(np.random.Philox(seq))
     if law == "normal":
-        return rng.standard_normal(count)
-    if law == "rademacher":
-        return rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
-    return rng.uniform(-_SQRT3, _SQRT3, size=count)
+        rng.standard_normal(out=out)
+    elif law == "rademacher":
+        np.multiply(rng.integers(0, 2, size=count), 2.0, out=out)
+        out -= 1.0
+    else:
+        rng.random(out=out)
+        out *= 2.0 * _SQRT3
+        out -= _SQRT3
+    return out
+
+
+def _row_workers(row_length, law):
+    # Short rows are filled on the calling thread: their GIL-held set-up
+    # (SeedSequence and Philox, about 30 us a row) outweighs the GIL-free fill.
+    # Rademacher and uniform rows are too: their fills take under half the
+    # time of normal ones, and on a 2-core host a second thread left them
+    # 0.8-1.5x their one-thread time at 2n = 1000-16000.  A call from a
+    # thread other than the main one shares the CPUs with its sibling threads
+    # (the CLI's replicate threads), so it adds no threads of its own.
+    if law != "normal" or row_length < _MIN_PARALLEL_ROW:
+        return 1
+    if threading.current_thread() is not threading.main_thread():
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def simulate_matrix(plan, replicate=0, innovations=None):
     """One p x n realization with linear-process rows.
 
-    Draws the p x 2n innovation array (times 1-n .. n) and runs the ARMA
-    recursion over each row from zero state.  For a FARIMA model the result
-    is then convolved with (1 - B)^{-d} truncated at lag n, by a circular FFT
-    of length 2n: the kept columns n..2n-1 never wrap.  Those columns plus mu
-    are returned as a fresh array.  ``innovations`` is a test hook that
-    bypasses the generator with a given p x 2n array; it is never modified or
-    aliased.  Deterministic given (seed, replicate).
+    Each row is drawn over times 1-n .. n (2n samples) from its own
+    (seed, replicate, row) substream and run through the ARMA recursion from
+    zero state.  For a FARIMA model the result is then convolved with
+    (1 - B)^{-d} truncated at lag n, by a circular FFT of length 2n: the kept
+    columns n..2n-1 never wrap.  Those columns plus mu are returned as a fresh
+    array.  ``innovations`` is a test hook that bypasses the generator with a
+    given p x 2n array; it is never modified or aliased.
+
+    Rows are independent, so they are drawn, filtered and written into the
+    p x n result in contiguous blocks of about ``_BLOCK_SAMPLES`` samples; the
+    p x 2n innovation and filtered arrays are never built.  The blocks run on
+    a thread pool with one thread per CPU this process may use
+    (``os.sched_getaffinity``, else ``os.cpu_count``), since the draws,
+    ``lfilter`` and the FFT release the GIL.  Rows of fewer than
+    ``_MIN_PARALLEL_ROW`` samples and rows of Rademacher or uniform draws,
+    where threads did not pay, run on the calling thread; so does every call
+    made from a thread other than the main one, such as the CLI's replicate
+    threads.  Every row keeps its own substream and its own arithmetic, so
+    the result is deterministic given (seed, replicate) and does not depend
+    on the worker count.
     """
-    n = plan.n
+    p, n = plan.p, plan.n
     model = plan.model
     arma, d = (model.arma, model.d) if isinstance(model, FARIMAModel) else (model, 0.0)
-    if innovations is None:
-        Z = np.empty((plan.p, 2 * n))
-        for i in range(plan.p):
-            Z[i] = _row_innovations(plan.seed, replicate, i, 2 * n, plan.law)
-    else:
-        Z = np.asarray(innovations, dtype=float)
-        if Z.shape != (plan.p, 2 * n):
-            raise ValueError(f"innovations must have shape {(plan.p, 2 * n)}")
-    W = Z if arma.is_white_noise else lfilter((1.0, *arma.ma), (1.0, *arma.ar), Z, axis=1)
+    if innovations is not None:
+        innovations = np.asarray(innovations, dtype=float)
+        if innovations.shape != (p, 2 * n):
+            raise ValueError(f"innovations must have shape {(p, 2 * n)}")
+    # the kernel is built on the calling thread: worker threads call nothing
+    # of specmp's public API
+    kernel = None
     if d != 0.0:
-        h = ma_coefficients(FARIMAModel(ARMAModel(), d), n).coeffs
-        W = np.fft.irfft(np.fft.rfft(W, axis=1) * np.fft.rfft(h, 2 * n), 2 * n, axis=1)
-    return W[:, n:] + plan.mu
+        kernel = np.fft.rfft(ma_coefficients(FARIMAModel(ARMAModel(), d), n).coeffs, 2 * n)
+    X = np.empty((p, n))
+
+    def fill(lo, hi):
+        if innovations is None:
+            W = np.empty((hi - lo, 2 * n))
+            for i, row in enumerate(W, lo):
+                _row_innovations(plan.seed, replicate, i, 2 * n, plan.law, row)
+        else:
+            W = innovations[lo:hi]
+        if not arma.is_white_noise:
+            W = lfilter((1.0, *arma.ma), (1.0, *arma.ar), W, axis=1)
+        if kernel is not None:
+            W = np.fft.irfft(np.fft.rfft(W, axis=1) * kernel, 2 * n, axis=1)
+        np.add(W[:, n:], plan.mu, out=X[lo:hi])
+
+    step = max(1, _BLOCK_SAMPLES // (2 * n))
+    los = range(0, p, step)
+    his = [min(lo + step, p) for lo in los]
+    workers = min(_row_workers(2 * n, plan.law), len(los))
+    if workers == 1:
+        for lo, hi in zip(los, his):
+            fill(lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, los, his))
+    return X
 
 
 def _helmert(X):

@@ -1,11 +1,16 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 import specmp as sp
+import specmp.simulator as simulator
+from specmp.simulator import _row_innovations
 
 
 def two_sample_ks(a, b):
@@ -95,6 +100,75 @@ class TestSimulateMatrix:
                 direct[:, t] += h[k] * W[:, n + t - k]
         np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-10)
 
+    @staticmethod
+    def serial_reference(plan, replicate):
+        # row by row draws, then one lfilter and one FFT over the whole p x 2n array
+        n = plan.n
+        Z = np.array([_row_innovations(plan.seed, replicate, i, 2 * n, plan.law) for i in range(plan.p)])
+        model = plan.model
+        arma, d = (model.arma, model.d) if isinstance(model, sp.FARIMAModel) else (model, 0.0)
+        W = lfilter((1.0, *arma.ma), (1.0, *arma.ar), Z, axis=1)
+        if d != 0.0:
+            h = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), d), n).coeffs
+            W = np.fft.irfft(np.fft.rfft(W, axis=1) * np.fft.rfft(h, 2 * n), 2 * n, axis=1)
+        return W[:, n:] + plan.mu
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        p=st.integers(1, 40),
+        ratio=st.floats(0.05, 3.0),
+        block_rows=st.integers(1, 40),
+        law=st.sampled_from(sp.INNOVATION_LAWS),
+        replicate=st.integers(1, 5),
+        mu=st.sampled_from((-2.5, 5.0)),
+        phi=st.floats(-0.9, 0.9),
+        theta=st.floats(-0.9, 0.9),
+        d=st.one_of(st.none(), st.floats(-0.45, -0.01)),
+        seed=st.integers(0, 2**31),
+    )
+    def test_worker_count_invariance(self, p, ratio, block_rows, law, replicate, mu, phi, theta, d, seed):
+        # blocks of block_rows rows on 1, 2 or 3 threads give the serial matrix bit for bit
+        arma = sp.ARMAModel.arma11(phi, theta)
+        model = arma if d is None else sp.FARIMAModel(sp.ARMAModel(ar=[-phi]), d)
+        n = max(1, round(ratio * p))
+        plan = sp.SimulationPlan(p=p, y=n / p, model=model, law=law, mu=mu, seed=seed)
+        expected = self.serial_reference(plan, replicate)
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulator, "_BLOCK_SAMPLES", block_rows * 2 * n)
+                mp.setattr(simulator, "_row_workers", lambda row_length, law: workers)
+                assert np.array_equal(sp.simulate_matrix(plan, replicate=replicate), expected)
+
+    def test_row_worker_rule(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW - 1, "normal") == 1
+        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW, "normal") == cpus
+        for law in ("rademacher", "uniform"):
+            assert simulator._row_workers(10 * simulator._MIN_PARALLEL_ROW, law) == 1
+        # a call from another thread adds no threads of its own
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(simulator._row_workers(10**6, "normal")))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive() and seen == [1]
+
+    def test_public_calls_stay_on_calling_thread(self, monkeypatch):
+        # worker threads call nothing of specmp's public API: the kernel's
+        # ma_coefficients runs once, on the caller's thread
+        calls = []
+        original = simulator.ma_coefficients
+
+        def recording(*args):
+            calls.append(threading.current_thread())
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "ma_coefficients", recording)
+        monkeypatch.setattr(simulator, "_BLOCK_SAMPLES", 2 * 64)
+        monkeypatch.setattr(simulator, "_row_workers", lambda row_length, law: 2)
+        plan = sp.SimulationPlan(p=16, y=2.0, model=sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25), seed=0)
+        sp.simulate_matrix(plan)
+        assert calls == [threading.current_thread()]
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             sp.SimulationPlan(p=0, y=1.0, model=sp.ARMAModel())
@@ -107,6 +181,25 @@ class TestSimulateMatrix:
 
 
 class TestInnovationLaws:
+    def test_in_place_fill_matches_allocating_forms(self):
+        # the rows written in place equal the draws of the allocating forms bit for bit
+        def allocating(seed, replicate, row, count, law):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate, row))))
+            if law == "normal":
+                return rng.standard_normal(count)
+            if law == "rademacher":
+                return rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
+            return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=count)
+
+        for law in sp.INNOVATION_LAWS:
+            for count in (1, 2, 7, 1000, 4099):
+                block = np.full((3, count), np.nan)
+                for row in range(3):
+                    _row_innovations(11, 2, row, count, law, block[row])
+                    expected = allocating(11, 2, row, count, law)
+                    assert np.array_equal(block[row], expected)
+                    assert np.array_equal(_row_innovations(11, 2, row, count, law), expected)
+
     def test_moments(self):
         n = 200_000
         for law in sp.INNOVATION_LAWS:
