@@ -301,7 +301,9 @@ class SpectralDensity:
             B, A = self._rational(w)
             out = B / A
             if self._d != 0.0:
-                u = 2.0 - 2.0 * np.cos(w)
+                # u = 2 - 2 cos w as 4 sin^2(v/2), v = w reduced to [-pi, pi], so
+                # that u keeps its relative accuracy at w = 0 and w = 2*pi
+                u = 4.0 * np.sin(0.5 * (w - TWO_PI * np.round(w / TWO_PI))) ** 2
                 with np.errstate(divide="ignore"):
                     out = out * u ** (-self._d)
         return float(out) if scalar else out
@@ -318,14 +320,14 @@ class SpectralDensity:
             base = B / A
             out = (Bp * A - B * Ap) / (A * A)
             if self._d != 0.0:
-                u = 2.0 - 2.0 * np.cos(w)
+                v = w - TWO_PI * np.round(w / TWO_PI)
+                u = 4.0 * np.sin(0.5 * v) ** 2
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     frac = u ** (-self._d)
-                    fracp = -self._d * u ** (-self._d - 1.0) * (2.0 * np.sin(w))
+                    fracp = -self._d * u ** (-self._d - 1.0) * (2.0 * np.sin(v))
                     out = out * frac + base * fracp
-                # at u = 0 the fractional factor has a one-sided infinite slope
-                sign = 1.0 if self._d < 0 else -1.0
-                edge = np.where(np.asarray(w) < math.pi, sign * np.inf, -sign * np.inf)
+                # at w = 0 and 2*pi the fractional factor has one-sided infinite slopes
+                edge = np.where(w < math.pi, 1.0, -1.0) * math.copysign(math.inf, -self._d)
                 out = np.where(u == 0.0, edge, out)
         return float(out) if scalar else out
 

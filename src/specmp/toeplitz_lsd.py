@@ -6,11 +6,17 @@ absolutely continuous law with density
 
     g(lam) = (1/2*pi) * sum_{w: f(w) = lam} 1 / |f'(w)|
 
-on the range of f when f is smooth with almost-everywhere nonvanishing
-derivative, and a purely atomic law with weights |A_j| / (2*pi) when f is
-piecewise constant.  Density and distribution function come from level-set
-analysis; quadrature against the continuous law comes from Szegő's theorem, as
-a graded trapezoid rule in w pushed forward through f.
+and distribution function Leb{w : f(w) <= lam} / (2*pi) on the range of f when
+f is smooth with almost-everywhere nonvanishing derivative, and a purely atomic
+law with weights |A_j| / (2*pi) when f is piecewise constant.
+
+Density and distribution function come from the level sets of f: one
+vectorised bisection finds the stationary points of f, which split [0, 2*pi]
+into monotone branches, and then the root of f(w) = lam on every branch for a
+whole array of levels.  A level is tangential when it equals f at a stationary
+point inside the support; the density diverges there.  Quadrature against the
+continuous law comes from Szegő's theorem, as a graded trapezoid rule in w
+pushed forward through f.
 """
 
 from __future__ import annotations
@@ -22,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import toeplitz as _toeplitz
-from scipy.optimize import bisect as _bisect
-from scipy.optimize import brentq as _brentq
+from scipy.special import roots_legendre
 
 from .linear_process import (
     ARMAModel,
@@ -52,89 +57,105 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# levels whose level set contains a root with |f'| below this are a null set;
-# the density is flagged rather than trusted there
+# sign changes of f' are bracketed on GRID cells, doubled up to MAX_GRID
+GRID = 4096
+MAX_GRID = 2 ** 20
+# a level within LEVEL_RTOL * max(1, max |f|) of f at a breakpoint equals it
+LEVEL_RTOL = 1e-12
+# level-set roots with |f'| below this are flagged as tangential
 TANGENTIAL_TOL = 1e-8
 
 
 class TangentialRootWarning(UserWarning):
-    """A level-set root has (numerically) vanishing derivative."""
+    """A level equals the value of f at a stationary point: g diverges there."""
 
 
 _BREAKPOINT_CACHE = weakref.WeakKeyDictionary()
 
 
-def _scalar_fun(f):
-    return lambda w: float(f(w))
+def _bisect(fun, a, b, target):
+    """Solve fun(w) = target on aligned 1-d arrays of monotone brackets [a, b].
 
-
-def _scalar_deriv(f):
-    return lambda w: float(f.derivative(w))
+    fun lies below the target at ``a`` and above it at ``b`` (so a > b on a
+    falling branch), and is only called at midpoints: once per step on every
+    bracket still open, until each has collapsed to adjacent floats.  Returns b.
+    """
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    live = np.arange(a.size)
+    while True:
+        mid = 0.5 * (a[live] + b[live])
+        moving = (mid != a[live]) & (mid != b[live])
+        live, mid = live[moving], mid[moving]
+        if live.size == 0:
+            return b
+        below = np.asarray(fun(mid), dtype=float) < target[live]
+        a[live[below]] = mid[below]
+        b[live[~below]] = mid[~below]
 
 
 def _stationary_points(f, n):
-    """Zeros of f' on [0, 2*pi] located by sign changes on an n-cell grid."""
+    """0, 2*pi and the zeros of f', located by sign changes on an n-cell grid."""
     grid = np.linspace(0.0, TWO_PI, n + 1)
     fp = np.asarray(f.derivative(grid), dtype=float)
-    finite = np.isfinite(fp)
-    scale = float(np.max(np.abs(fp[finite]))) if finite.any() else 0.0
+    scale = np.max(np.abs(fp[np.isfinite(fp)]), initial=0.0)
     if scale == 0.0:
         return np.array([0.0, TWO_PI])
     sign = np.sign(fp)
     sign[np.abs(fp) < 1e-13 * scale] = 0.0
-    points = [0.0, TWO_PI]
-    points.extend(grid[1:-1][sign[1:-1] == 0.0])
-    deriv = _scalar_deriv(f)
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = fp[i], fp[i + 1]
-        span = b - a
-        # FARIMA derivatives diverge at the ends; step inward before bracketing
-        if not np.isfinite(fa):
-            a += 1e-12 * span
-            fa = deriv(a)
-        if not np.isfinite(fb):
-            b -= 1e-12 * span
-            fb = deriv(b)
-        if np.isfinite(fa) and np.isfinite(fb) and fa * fb < 0.0:
-            points.append(_brentq(deriv, a, b, xtol=1e-13))
-    points = np.array(sorted(points))
-    keep = np.concatenate([[True], np.diff(points) > 1e-10])
-    return points[keep]
+    cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    rise = (sign[cells] < 0.0).astype(int)
+    zeros = _bisect(f.derivative, grid[cells + 1 - rise], grid[cells + rise], np.zeros(cells.size))
+    points = np.sort(np.concatenate([[0.0, TWO_PI], grid[1:-1][sign[1:-1] == 0.0], zeros]))
+    return points[np.concatenate([[True], np.diff(points) > 1e-10])]
 
 
-def _monotone_breakpoints(f, n_grid=4096, max_grid=2 ** 20):
-    """Partition points of [0, 2*pi] between which f is monotone.
+def _breakpoints(f):
+    """(w, f(w), atol) at the points of [0, 2*pi] between which f is monotone.
 
-    The stationary points of f' are bracketed on a grid that is doubled until
-    the count stabilizes across two refinements (capped at ``max_grid``).
-    Results are cached per density instance.
+    The grid is doubled from GRID cells until the count of stationary points is
+    stable (at most MAX_GRID cells).  Cached per density instance.
     """
     cached = _BREAKPOINT_CACHE.get(f)
-    if cached is not None and cached[0] >= n_grid:
-        return cached[1]
-    n = max(int(n_grid), 16)
-    pts = _stationary_points(f, n)
-    while 2 * n <= max_grid:
-        finer = _stationary_points(f, 2 * n)
-        n *= 2
-        if finer.size == pts.size:
-            pts = finer
-            break
-        pts = finer
-    _BREAKPOINT_CACHE[f] = (n, pts)
-    return pts
+    if cached is None:
+        n, pts = GRID, _stationary_points(f, GRID)
+        while 2 * n <= MAX_GRID:
+            n *= 2
+            pts, coarse = _stationary_points(f, n), pts
+            if pts.size == coarse.size:
+                break
+        vals = np.asarray(f(pts), dtype=float)
+        atol = LEVEL_RTOL * max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]))))
+        cached = _BREAKPOINT_CACHE[f] = (pts, vals, atol)
+    return cached
 
 
-def support_bounds(f, n_grid=4096):
+def support_bounds(f):
     """Range (min f, max f) of the spectral density over [0, 2*pi]."""
-    bps = _monotone_breakpoints(f, n_grid)
-    vals = np.asarray(f(bps), dtype=float)
+    vals = _breakpoints(f)[1]
     return float(np.min(vals)), float(np.max(vals))
 
 
 def _is_degenerate(lo, hi):
     return hi - lo <= 1e-12 * max(1.0, abs(hi))
+
+
+def _branch_roots(f, levels):
+    """Roots of f(w) = level on each monotone branch of f (the last axis).
+
+    Returns (low, high, top, roots): the branch ends where f is least and
+    greatest, f at ``high``, and the root of each level on each branch whose
+    open range holds it, NaN on the others.
+    """
+    bps, vals, _ = _breakpoints(f)
+    rising = vals[1:] > vals[:-1]
+    low, high = np.where(rising, bps[:-1], bps[1:]), np.where(rising, bps[1:], bps[:-1])
+    top = np.maximum(vals[:-1], vals[1:])
+    lam = np.asarray(levels, dtype=float)[..., None]
+    inside = (np.minimum(vals[:-1], vals[1:]) < lam) & (lam < top)
+    roots = np.full(inside.shape, np.nan)
+    a, b, target = (np.broadcast_to(x, inside.shape)[inside] for x in (low, high, lam))
+    roots[inside] = _bisect(f, a, b, target)
+    return low, high, top, roots
 
 
 @dataclass(frozen=True)
@@ -150,104 +171,76 @@ class LevelSet:
         return bool(self.tangential.any())
 
 
-def level_set_roots(f, level, n_grid=4096, xtol=1e-12, tangential_tol=TANGENTIAL_TOL):
-    """All w in [0, 2*pi] with f(w) = level.
+def level_set_roots(f, level):
+    """All w in [0, 2*pi) with f(w) = level.
 
-    Each monotone piece of f is bracketed exactly and refined by bisection to
-    |dw| <= xtol.  Roots where |f'| < tangential_tol are flagged (not dropped);
-    they occur only at a null set of levels.  The endpoints 0 and 2*pi are
-    identified and reported once, at 0.
+    The root on each monotone branch whose open range holds the level, and
+    every breakpoint (0 or a stationary point; 2*pi is 0) where f is within
+    LEVEL_RTOL of it.  A root is tangential when |f'| < TANGENTIAL_TOL there:
+    in practice a stationary point, which only a null set of levels reaches.
     """
     level = float(level)
-    bps = _monotone_breakpoints(f, n_grid)
-    vals = np.asarray(f(bps), dtype=float)
-    finite = vals[np.isfinite(vals)]
-    scale = max(1.0, float(np.max(np.abs(finite))) if finite.size else 1.0, abs(level))
-    atol = 1e-12 * scale
-    fun = _scalar_fun(f)
-    g = lambda w: fun(w) - level
-
-    roots = list(bps[np.abs(vals - level) <= atol])
-    for i in range(bps.size - 1):
-        v0, v1 = vals[i] - level, vals[i + 1] - level
-        if abs(v0) <= atol or abs(v1) <= atol:
-            continue
-        if not (np.isfinite(v0) and np.isfinite(v1)):
-            a, b = bps[i], bps[i + 1]
-            span = b - a
-            if not np.isfinite(v0):
-                a += 1e-12 * span
-                v0 = g(a)
-            if not np.isfinite(v1):
-                b -= 1e-12 * span
-                v1 = g(b)
-            if v0 * v1 < 0.0:
-                roots.append(_bisect(g, a, b, xtol=xtol))
-            continue
-        if v0 * v1 < 0.0:
-            roots.append(_bisect(g, bps[i], bps[i + 1], xtol=xtol))
-
-    roots = np.array(sorted(roots))
-    if roots.size:
-        keep = np.concatenate([[True], np.diff(roots) > 1e-9])
-        roots = roots[keep]
-        if roots.size > 1 and roots[0] <= 1e-9 and TWO_PI - roots[-1] <= 1e-9:
-            roots = roots[:-1]
-        elif roots.size == 1 and TWO_PI - roots[-1] <= 1e-9:
-            roots = np.array([0.0])
-    derivs = np.asarray(f.derivative(roots), dtype=float) if roots.size else np.array([])
-    tangential = np.where(np.isfinite(derivs), np.abs(derivs) < tangential_tol, False)
+    bps, vals, atol = _breakpoints(f)
+    near = np.abs(vals - level) <= atol
+    roots = _branch_roots(f, level)[3]
+    # a branch ending at a breakpoint already listed as a root adds nothing
+    roots = roots[~near[:-1] & ~near[1:] & ~np.isnan(roots)]
+    roots = np.sort(np.concatenate([bps[:-1][near[:-1]], roots]))
+    tangential = np.abs(np.asarray(f.derivative(roots), dtype=float)) < TANGENTIAL_TOL
     return LevelSet(level=level, roots=roots, tangential=tangential)
 
 
-def gamma_density(f, level, n_grid=4096):
-    """Density of the Toeplitz eigenvalue limit at an interior level.
+def _density(f, levels):
+    """(1/2*pi) sum of 1/|f'| over the branch roots of each level."""
+    roots = _branch_roots(f, levels)[3]
+    inside = ~np.isnan(roots)
+    terms = np.zeros(roots.shape)
+    with np.errstate(divide="ignore"):
+        terms[inside] = 1.0 / np.abs(np.asarray(f.derivative(roots[inside]), dtype=float))
+    return terms.sum(axis=-1) / TWO_PI
 
-    Returns (1/2*pi) sum 1/|f'(w)| over the level set.  Tangential roots are
-    excluded from the sum and reported through a TangentialRootWarning: at such
-    levels the density diverges (integrably, at band edges).  Degenerate
-    (constant) densities are rejected; their limit law is atomic.
+
+def gamma_density(f, levels):
+    """Density of the Toeplitz eigenvalue limit at a level or array of levels.
+
+    (1/2*pi) times the sum of 1/|f'| over the roots on the monotone branches
+    whose open range holds the level.  Levels within LEVEL_RTOL of f at a
+    stationary point inside the support are tangential: g diverges there
+    (integrably), the stationary point is left out of the sum, and one
+    TangentialRootWarning per call counts them.  Levels outside the open
+    support, and constant densities (whose law is atomic), raise ValueError.
     """
-    lo, hi = support_bounds(f, n_grid)
+    lo, hi = support_bounds(f)
     if _is_degenerate(lo, hi):
         raise ValueError("constant spectral density: the limit law is atomic, not a density")
-    level = float(level)
-    if not (lo < level < hi):
-        raise ValueError(f"level {level} outside the open support ({lo}, {hi})")
-    ls = level_set_roots(f, level, n_grid)
-    if ls.any_tangential:
-        warnings.warn(
-            f"level {level} has a tangential level-set root; density diverges there",
-            TangentialRootWarning,
-            stacklevel=2,
-        )
-    regular = ls.roots[~ls.tangential]
-    if regular.size == 0:
-        return math.inf
-    derivs = np.abs(np.asarray(f.derivative(regular), dtype=float))
-    return float(np.sum(1.0 / derivs) / TWO_PI)
+    lam = np.asarray(levels, dtype=float)
+    outside = ~((lo < lam) & (lam < hi))
+    if outside.any():
+        raise ValueError(f"level {lam[outside][0]} outside the open support ({lo}, {hi})")
+    _, vals, atol = _breakpoints(f)
+    crit = vals[(lo + atol < vals) & (vals < hi - atol)]
+    flagged = np.count_nonzero(np.any(np.abs(lam[..., None] - crit) <= atol, axis=-1))
+    if flagged:
+        msg = f"{flagged} of {lam.size} levels equal f at a stationary point: g diverges there"
+        warnings.warn(msg, TangentialRootWarning, stacklevel=2)
+    out = _density(f, lam)
+    return float(out) if lam.ndim == 0 else out
 
 
-def gamma_cdf(f, level, n_grid=4096):
-    """Distribution function of the Toeplitz eigenvalue limit.
+def gamma_cdf(f, levels):
+    """Distribution function of the Toeplitz limit at a level or array of levels.
 
-    Computes Leb({w : f(w) <= level}) / (2*pi) from the level-set roots;
-    exactly 0 below the support and exactly 1 above it.
+    Leb({w : f(w) <= level}) / (2*pi), summed over the monotone branches:
+    |root - low end| on a branch that holds the level, the whole branch on one
+    below it; exactly 0 below the support and exactly 1 above it.
     """
-    level = float(level)
-    lo, hi = support_bounds(f, n_grid)
-    if level >= hi:
-        return 1.0
-    if level <= lo:
-        return 0.0
-    ls = level_set_roots(f, level, n_grid)
-    cuts = np.unique(np.concatenate([[0.0, TWO_PI], ls.roots]))
-    fun = _scalar_fun(f)
-    measure = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if fun(0.5 * (a + b)) <= level:
-            measure += b - a
-    return measure / TWO_PI
+    lo, hi = support_bounds(f)
+    lam = np.asarray(levels, dtype=float)
+    low, high, top, roots = _branch_roots(f, lam)
+    whole = np.where(top <= lam[..., None], np.abs(high - low), 0.0)
+    measure = np.where(np.isnan(roots), whole, np.abs(roots - low)).sum(axis=-1) / TWO_PI
+    out = np.where(lam >= hi, 1.0, np.where(lam <= lo, 0.0, measure))
+    return float(out) if lam.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -289,18 +282,15 @@ class AbsContinuousLSD:
 
     f: SpectralDensity
     support: tuple
-    n_grid: int = 4096
     _rules: dict = field(default_factory=dict, repr=False, compare=False)
 
     def density(self, levels):
-        """g evaluated pointwise (vectorized over a 1-d array of levels)."""
-        arr = np.asarray(levels, dtype=float)
-        if arr.ndim == 0:
-            return gamma_density(self.f, float(arr), self.n_grid)
-        return np.array([gamma_density(self.f, lam, self.n_grid) for lam in arr])
+        """g at a level or an array of levels (see :func:`gamma_density`)."""
+        return gamma_density(self.f, levels)
 
-    def cdf(self, level):
-        return gamma_cdf(self.f, level, self.n_grid)
+    def cdf(self, levels):
+        """H at a level or an array of levels (see :func:`gamma_cdf`)."""
+        return gamma_cdf(self.f, levels)
 
     def rule(self, size):
         """Szegő pushforward (nodes, weights) on a graded trapezoid grid.
@@ -321,18 +311,24 @@ class AbsContinuousLSD:
     def total_mass(self):
         """Quadrature of the level-set density g over the support.
 
-        An oracle independent of :meth:`rule`: Gauss-Legendre under
-        lam = lo + (hi - lo) sin^2(u), which removes the band-edge singularities,
-        doubled until the mass is stable to 1e-10 or reaches 4097 nodes.
+        An oracle independent of :meth:`rule`.  g is smooth between consecutive
+        critical values c0 < c1 of f (its values at the breakpoints), with at
+        most inverse-square-root peaks at them, so each such interval gets a
+        Gauss-Legendre rule under lam = c0 + (c1 - c0) sin^2(u), which removes
+        the peaks, doubled until the mass is stable to 1e-10 or reaches 4097
+        nodes.  No node is a tangential level, and none warns.
         """
-        lo, hi = self.support
-        size, prev = 257, None
+        _, vals, atol = _breakpoints(self.f)
+        crit = np.unique(vals)
+        crit = crit[np.concatenate([np.diff(crit) > atol, [True]])]
+        c0, width = crit[:-1, None], np.diff(crit)[:, None]
+        size, prev = 65, None
         while True:
-            x, w = np.polynomial.legendre.leggauss(size)
+            x, w = roots_legendre(size)
             u = (x + 1.0) * (math.pi / 4.0)
-            lam = lo + (hi - lo) * np.sin(u) ** 2
-            jac = (hi - lo) * np.sin(2.0 * u) * (math.pi / 4.0)
-            total = float(np.sum(w * jac * self.density(lam)))
+            lam = c0 + width * np.sin(u) ** 2
+            jac = width * np.sin(2.0 * u) * (math.pi / 4.0)
+            total = float(np.sum(w * jac * _density(self.f, lam)))
             if size >= 4097 or (prev is not None and abs(total - prev) <= 1e-10):
                 return total
             size, prev = 2 * size - 1, total
@@ -359,7 +355,7 @@ def atomic_lsd(density):
     return AtomicLSD(levels=levels, weights=weights)
 
 
-def gamma_lsd(model, n_grid=4096):
+def gamma_lsd(model):
     """Limit law of the autocovariance Toeplitz matrix for a model or density.
 
     Piecewise-constant and degenerate (constant) densities give an AtomicLSD;
@@ -371,11 +367,11 @@ def gamma_lsd(model, n_grid=4096):
         return atomic_lsd(f)
     if getattr(f, "_d", 0.0) > 0.0:
         raise ModelSpecError("limiting spectral distribution requires d < 0")
-    lo, hi = support_bounds(f, n_grid)
+    lo, hi = support_bounds(f)
     if _is_degenerate(lo, hi):
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
-    return AbsContinuousLSD(f=f, support=(lo, hi), n_grid=n_grid)
+    return AbsContinuousLSD(f=f, support=(lo, hi))
 
 
 def arma11_support(phi, theta):

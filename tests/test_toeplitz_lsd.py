@@ -1,12 +1,26 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import specmp as sp
 
 TWO_PI = 2.0 * math.pi
+
+FARIMA_AR = sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25)
+MA2 = sp.ARMAModel(ma=(1.0, 0.5))
+ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
+
+
+def cli_grid(lsd, n=512):
+    """The midpoint grid of the ``gamma-density`` command."""
+    lo, hi = lsd.support
+    return lo + (hi - lo) * (np.arange(n) + 0.5) / n
 
 
 class TestSupportBounds:
@@ -91,6 +105,54 @@ class TestGammaDensity:
         with pytest.warns(sp.TangentialRootWarning):
             val = sp.gamma_density(f, 0.25)
         assert 0.0 < val < math.inf
+
+    def test_one_tangential_warning_per_call(self):
+        lsd = sp.gamma_lsd(MA2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = lsd.density([0.25, 0.25, 0.5])
+        tangential = [w for w in caught if issubclass(w.category, sp.TangentialRootWarning)]
+        assert len(tangential) == 1
+        assert "2 of 3 levels" in str(tangential[0].message)
+        assert values[0] == values[1] and np.all(np.isfinite(values))
+        # the stationary point at w = pi is left out of the sum
+        level_set = sp.level_set_roots(lsd.f, 0.25)
+        regular = level_set.roots[~level_set.tangential]
+        assert regular.size == 2 and level_set.tangential.sum() == 1
+        expected = np.sum(1.0 / np.abs(lsd.f.derivative(regular))) / TWO_PI
+        assert abs(values[0] / expected - 1.0) <= 1e-12
+        # the minimum sits at an interior stationary point, but levels next to
+        # the outer support edges are ordinary band-edge levels
+        lo, hi = lsd.support
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lsd.density([lo * (1.0 + 1e-13), hi * (1.0 - 1e-13)])
+
+    def test_array_levels_match_scalar_calls(self):
+        f = sp.spectral_density(ARMA23)
+        lo, hi = sp.support_bounds(f)
+        lam = np.linspace(lo, hi, 14)[1:-1].reshape(3, 4)
+        dens, cdf = sp.gamma_density(f, lam), sp.gamma_cdf(f, lam)
+        assert dens.shape == cdf.shape == (3, 4)
+        assert np.array_equal(dens.ravel(), [sp.gamma_density(f, x) for x in lam.ravel()])
+        assert np.array_equal(cdf.ravel(), [sp.gamma_cdf(f, x) for x in lam.ravel()])
+        assert isinstance(sp.gamma_density(f, lam[0, 0]), float)
+        assert isinstance(sp.gamma_cdf(f, lam[0, 0]), float)
+
+    def test_cli_grid_relative_accuracy(self):
+        for phi, theta in ((0.5, 1.0), (-0.4, 0.8), (0.8, -0.4)):
+            lsd = sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta))
+            lam = cli_grid(lsd)
+            closed = np.array([sp.arma11_gamma_density(phi, theta, L) for L in lam])
+            assert np.max(np.abs(lsd.density(lam) / closed - 1.0)) <= 1e-12
+
+    def test_farima_closed_form(self):
+        # pure FARIMA d = -0.25: f = sqrt(2 |sin(w/2)|), so H(lam) is
+        # (2/pi) asin(lam^2/2) and g(lam) = 2 lam / (pi sqrt(1 - lam^4/4))
+        lsd = sp.gamma_lsd(sp.FARIMAModel(sp.ARMAModel(), -0.25))
+        lam = cli_grid(lsd)
+        exact = 2.0 * lam / (math.pi * np.sqrt(1.0 - lam**4 / 4.0))
+        assert np.max(np.abs(lsd.density(lam) / exact - 1.0)) <= 1e-9
 
     def test_closed_form_agreement_random_models(self):
         rng = np.random.default_rng(5)
@@ -191,9 +253,18 @@ class TestAtomicLSD:
 
 class TestNormalizationAndSzego:
     def test_total_mass_sample(self):
-        for phi, theta in ((0.5, 1.0), (-0.4, 0.8), (0.8, -0.4)):
-            lsd = sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta))
+        arma11 = [sp.ARMAModel.arma11(*pair) for pair in ((0.5, 1.0), (-0.4, 0.8), (0.8, -0.4))]
+        for model in arma11 + [FARIMA_AR, MA2, ARMA23]:
+            lsd = sp.gamma_lsd(model)
             assert abs(lsd.total_mass() - 1.0) <= 1e-6
+
+    def test_total_mass_farima_does_not_warn(self):
+        for model in (FARIMA_AR, sp.FARIMAModel(sp.ARMAModel(), -0.25)):
+            lsd = sp.gamma_lsd(model)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                lsd.total_mass()
+            assert caught == []
 
     def test_rule_moments_match_autocovariances(self):
         # Szegő: sum W lam^k = (1/2pi) int f^k dw, which is 1, gamma(0) and
@@ -209,13 +280,56 @@ class TestNormalizationAndSzego:
             lo, hi = lsd.support
             assert lo <= lam.min() and lam.max() <= hi
 
-    def test_szego_finite_size(self):
-        model = sp.ARMAModel(ma=[0.5])
-        coeffs = sp.ma_coefficients(model, 600)
-        G = sp.autocovariance_toeplitz(coeffs, 512)
-        eig = np.sort(np.linalg.eigvalsh(G))
+
+def _cos_poly(coeffs):
+    """Coefficients of z^K c(z) c(1/z), K = len(coeffs) - 1, lowest power first."""
+    c = np.asarray(coeffs, dtype=float)
+    return np.convolve(c, c[::-1])
+
+
+class TestExactARMALevelSets:
+    """Level sets of f = |theta(e^iw)|^2 / |phi(e^iw)|^2 are the arguments of the
+    unit-circle roots of z^K (theta(z) theta(1/z) - lam phi(z) phi(1/z)), with
+    phi(z) = 1 + sum ar_k z^k and theta(z) = 1 + sum ma_k z^k."""
+
+    # coefficients stay off 0 so that the polynomial's degree, and with it the
+    # conditioning of its roots, is that of the model
+    coef = st.floats(-0.9, 0.9).filter(lambda c: abs(c) >= 0.05)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(ar=st.lists(coef, max_size=2), ma=st.lists(coef, max_size=2), t=st.floats(0.02, 0.98))
+    def test_roots_and_cdf_match_polynomial(self, ar, ma, t):
+        try:
+            model = sp.ARMAModel(ar=ar, ma=ma)
+        except sp.ModelSpecError:
+            assume(False)
         f = sp.spectral_density(model)
-        theory = np.array([sp.gamma_cdf(f, lam) for lam in eig])
-        k = np.arange(1, eig.size + 1) / eig.size
-        ks = max(np.max(k - theory), np.max(theory - (k - 1.0 / eig.size)))
-        assert ks <= 0.05
+        phi, theta = np.array([1.0, *ar]), np.array([1.0, *ma])
+        # the sign convention: f is |theta/phi|^2 with phi(z) = 1 + sum ar_k z^k
+        w = np.linspace(0.0, TWO_PI, 4097)
+        z = np.exp(1j * w)
+        ratio = np.abs(np.polyval(theta[::-1], z) / np.polyval(phi[::-1], z)) ** 2
+        np.testing.assert_allclose(f(w), ratio, rtol=1e-9, atol=1e-12 * ratio.max())
+        lo, hi = ratio.min(), ratio.max()
+        assume(hi - lo > 0.05 * hi)
+        lam = lo + t * (hi - lo)
+        # keep away from the values of f at its stationary points (0, pi and
+        # the local extrema of the sampled f)
+        interior = (ratio[1:-1] - ratio[:-2]) * (ratio[2:] - ratio[1:-1]) <= 0.0
+        stationary = np.concatenate([ratio[[0, 2048]], ratio[1:-1][interior]])
+        assume(np.min(np.abs(stationary - lam)) > 0.02 * (hi - lo))
+
+        size = max(len(ar), len(ma)) + 1
+        pad = lambda c: np.pad(_cos_poly(c), size - c.size)
+        poly = pad(theta) - lam * pad(phi)
+        zeros = np.polynomial.polynomial.polyroots(poly)
+        on_circle = zeros[np.abs(np.abs(zeros) - 1.0) < 1e-6]
+        exact = np.sort(np.mod(np.angle(on_circle), TWO_PI))
+
+        roots = sp.level_set_roots(f, lam).roots
+        assert roots.size == exact.size > 0
+        np.testing.assert_allclose(roots, exact, rtol=0.0, atol=1e-9)
+        cuts = np.concatenate([[0.0], exact, [TWO_PI]])
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        measure = np.sum(np.diff(cuts)[f(mids) <= lam]) / TWO_PI
+        assert abs(sp.gamma_cdf(f, lam) - measure) <= 1e-10
