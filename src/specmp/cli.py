@@ -8,21 +8,17 @@ Four subcommands produce CSV/JSON artifacts for external plotting:
   compare         simulation against theory with a KS/pass-fail report
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.  All output
-is deterministic given the configuration and seed.  SPECMP_THREADS caps the
-number of threads that run replicates side by side (default 1), and nothing
-else.  When replicates run one after another on the main thread, the rows of
-each matrix are spread over the CPUs (see ``simulate_matrix``); when they run
-side by side, each replicate fills its rows on its own thread.  The
-eigensolve's BLAS threads are OpenBLAS's own.
+is deterministic given the configuration and seed.  Replicates run one after
+another; the rows of each matrix are spread over the CPUs (see
+``simulate_matrix``), and the eigensolve's BLAS threads are OpenBLAS's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -82,7 +78,10 @@ def _solver_config(args):
         kwargs["tol"] = args.tol
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
-    return SolverConfig(**kwargs) if kwargs else SolverConfig()
+    try:
+        return SolverConfig(**kwargs)
+    except ValueError as exc:
+        raise ModelSpecError(str(exc)) from exc
 
 
 def _eps_schedule(args):
@@ -94,23 +93,21 @@ def _eps_schedule(args):
     return values
 
 
-def _worker_count():
-    raw = os.environ.get("SPECMP_THREADS", "")
-    try:
-        count = int(raw)
-    except ValueError:
-        return 1
-    return max(1, count)
-
-
 def _require_y(args):
-    if not args.y > 0.0:
-        raise ModelSpecError("--y must be positive")
+    if not (args.y > 0.0 and math.isfinite(args.y)):
+        raise ModelSpecError("--y must be positive and finite")
     return args.y
+
+
+def _require_grid(args, least):
+    if args.grid < least:
+        raise ModelSpecError(f"--grid must be at least {least}")
+    return args.grid
 
 
 def cmd_gamma_density(args):
     model = _load_model(args)
+    n = _require_grid(args, 1)
     lsd = gamma_lsd(model)
     if isinstance(lsd, AtomicLSD):
         _write_csv(args.out + ".csv", ("level", "weight"), zip(lsd.levels, lsd.weights))
@@ -118,7 +115,6 @@ def cmd_gamma_density(args):
             print(f"atom {_fmt(level)} {_fmt(weight)}")
         return EXIT_OK
     lo, hi = lsd.support
-    n = args.grid
     lam = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     _write_csv(args.out + ".csv", ("lambda", "g_lambda"), zip(lam, lsd.density(lam)))
     print(f"{_fmt(lo)} {_fmt(hi)}")
@@ -129,8 +125,9 @@ def cmd_lsd_density(args):
     model = _load_model(args)
     y = _require_y(args)
     cfg = _solver_config(args)
+    size = _require_grid(args, 16)
     lsd = gamma_lsd(model)
-    grid = default_grid(lsd, y, size=args.grid, cfg=cfg)
+    grid = default_grid(lsd, y, size=size)
     density = invert_to_density(lsd, y, grid=grid, eps_schedule=_eps_schedule(args), cfg=cfg)
     _write_csv(args.out + ".csv", ("x", "p_x"), zip(density.grid, density.values))
     _write_json(
@@ -151,6 +148,7 @@ def cmd_lsd_density(args):
 
 def _run_replicates(plan):
     def one(k):
+        # X goes out of scope on return, before the next replicate draws its own
         X = simulate_matrix(plan, replicate=k)
         if plan.center:
             # the trace check is of the centred matrix, whose spectrum is reported
@@ -159,14 +157,7 @@ def _run_replicates(plan):
         trace = float(np.vdot(X, X) / plan.p)
         return spectrum, trace
 
-    workers = _worker_count()
-    indices = range(plan.replicates)
-    if workers > 1 and plan.replicates > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(k) for k in indices]
-    return results
+    return [one(k) for k in range(plan.replicates)]
 
 
 def _plan_from_args(args, model):
@@ -233,8 +224,9 @@ def cmd_compare(args):
     model = _load_model(args)
     plan = _plan_from_args(args, model)
     cfg = _solver_config(args)
+    size = _require_grid(args, 16)
     lsd = gamma_lsd(model)
-    grid = default_grid(lsd, plan.y, size=args.grid, cfg=cfg)
+    grid = default_grid(lsd, plan.y, size=size)
     density = invert_to_density(lsd, plan.y, grid=grid, eps_schedule=_eps_schedule(args), cfg=cfg)
     theory = lambda x: lsd_cdf(density, x)
 

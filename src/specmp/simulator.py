@@ -144,8 +144,8 @@ def _row_workers(row_length, law):
     # Rademacher and uniform rows are too: their fills take under half the
     # time of normal ones, and on a 2-core host a second thread left them
     # 0.8-1.5x their one-thread time at 2n = 1000-16000.  A call from a
-    # thread other than the main one shares the CPUs with its sibling threads
-    # (the CLI's replicate threads), so it adds no threads of its own.
+    # thread other than the main one adds no threads of its own: the caller's
+    # other threads may already be using the CPUs.
     if law != "normal" or row_length < _MIN_PARALLEL_ROW:
         return 1
     if threading.current_thread() is not threading.main_thread():

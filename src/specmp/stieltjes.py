@@ -7,10 +7,11 @@ unique map m from the upper half-plane to itself with
              eigenvalue limit law,
 
 where y is the limiting column/row ratio n/p.  This module solves that fixed
-point (general, atomic and Marchenko-Pastur specializations), cross-checks the
-ARMA(1,1) quartic form, and recovers the density via Stieltjes-Perron
-inversion with an epsilon extrapolation.  The solver sees a limit law only as
-quadrature nodes and weights: its atoms, or the Szegő rule of a continuous law.
+point, gives the Marchenko-Pastur closed form and the ARMA(1,1) quartic as
+oracles, locates the upper support edge, and recovers the density via
+Stieltjes-Perron inversion with an epsilon extrapolation.  The solver and the
+edge see a limit law only as quadrature nodes and weights, ``lsd.rule(N)``:
+its atoms, or the Szegő rule of a continuous law.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD
+from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD, _bisect
 
 __all__ = [
     "SolverConfig",
@@ -51,7 +52,12 @@ class SolverConfig:
 
     tol: float = 1e-12
     max_iter: int = 100_000
-    newton: bool = True
+
+    def __post_init__(self):
+        if not (self.tol > 0.0 and math.isfinite(self.tol)):
+            raise ValueError("tol must be positive and finite")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 _DEFAULT_CONFIG = SolverConfig()
@@ -94,85 +100,63 @@ class StieltjesSolution:
 
 
 def _terms(lam, W):
-    """T(m) = sum W lam / (1 + lam m) and its derivative over a quadrature rule."""
-    wl = W * lam
+    """(T, T') at m in one pass over a rule: T(m) = sum W lam / (1 + lam m)."""
+    wl = (W * lam).astype(complex)
     wl2 = wl * lam
 
-    def T(m):
-        return np.sum(wl / (1.0 + lam * m))
+    def TTp(m):
+        q = 1.0 / (1.0 + lam * m)
+        return q @ wl, -(q * q) @ wl2
 
-    def Tp(m):
-        return -np.sum(wl2 / (1.0 + lam * m) ** 2)
-
-    return T, Tp
+    return TTp
 
 
-def _iterate(T, Tp, y, z, cfg, initial=None):
-    """Damped fixed point m <- 1/(-z + y T(m)) with guarded Newton and Aitken.
+def _iterate(TTp, y, z, cfg, m):
+    """Guarded Newton on M(m) = 1 + m z - y m T(m), falling back to a damped step.
 
     The map G(m) = 1/(-z + y T(m)) is a holomorphic self-map of the upper
     half-plane with the Stieltjes value as its unique interior fixed point, so
-    the damped iteration (beta = 1/2, which turns rotation-dominant multipliers
-    into contractions) converges from anywhere.  Near the real axis the linear
-    rate degrades like 1 - O(Im z), so a Newton step on the cleared equation
-    M(m) = 1 + m z - y m T(m) is attempted each sweep, and the damped orbit is
-    Aitken-extrapolated.  Both accelerators are accepted only when they lower
-    the hyperbolic displacement |G(m) - m|^2 / (Im m Im G(m)); that merit is
+    the damped iteration m <- (m + G(m))/2 (which turns rotation-dominant
+    multipliers into contractions) converges from anywhere.  Near the real axis
+    its linear rate degrades like 1 - O(Im z), so each sweep first tries a
+    Newton step, halved up to ten times, and accepts it only when it lowers the
+    hyperbolic displacement |G(m) - m|^2 / (Im m Im G(m)); that merit is
     non-increasing along the exact orbit, diverges at the boundary (which is
     where the cleared equation hides spurious roots), and vanishes only at the
-    fixed point, so acceleration can never be trapped away from the answer.
+    fixed point, so Newton can never be trapped away from the answer.  Returns
+    (m, sweeps, T(m)).
     """
-    m = initial if (initial is not None and initial.imag > 0.0) else -1.0 / z
 
-    def displacement(mm):
-        g = 1.0 / (-z + y * T(mm))
+    def state(mm):
+        t, tp = TTp(mm)
+        g = 1.0 / (-z + y * t)
         if not (g.imag > 0.0 and cmath.isfinite(g)):
-            return None, math.inf
-        return g, abs(g - mm) ** 2 / (mm.imag * g.imag)
+            return None, math.inf, t, tp
+        return g, abs(g - mm) ** 2 / (mm.imag * g.imag), t, tp
 
-    g, cur = displacement(m)
-    tail = []
+    g, cur, t, tp = state(m)
     for it in range(1, cfg.max_iter + 1):
-        if cfg.newton:
-            t = T(m)
-            dM = z - y * (t + m * Tp(m))
-            if dM != 0.0 and cmath.isfinite(dM):
-                step = -(1.0 + m * z - y * m * t) / dM
-                scale = 1.0
-                accepted = False
-                for _ in range(10):
-                    cand = m + scale * step
-                    if cand.imag > 0.0 and cmath.isfinite(cand):
-                        gc, rc = displacement(cand)
-                        if rc < cur:
-                            if abs(cand - m) <= cfg.tol * (1.0 + abs(cand)):
-                                return cand, it
-                            m, g, cur = cand, gc, rc
-                            accepted = True
-                            break
-                    scale *= 0.5
-                if accepted:
-                    tail.clear()
-                    continue
-        if g is None:
-            # analytically impossible; reachable only through quadrature noise
-            raise ConvergenceError("iterate left the upper half-plane", z, m, cur, it)
-        nxt = 0.5 * (m + g)
-        if abs(nxt - m) <= cfg.tol * (1.0 + abs(nxt)):
-            return nxt, it
-        tail.append(m)
-        if len(tail) >= 3:
-            d1 = tail[-2] - tail[-3]
-            d2 = tail[-1] - tail[-2]
-            if d2 != d1:
-                acc = tail[-3] - d1 * d1 / (d2 - d1)
-                if acc.imag > 0.0 and cmath.isfinite(acc):
-                    ga, ra = displacement(acc)
-                    if ra < cur:
-                        nxt = acc
-                        tail.clear()
-        m = nxt
-        g, cur = displacement(m)
+        nxt = None
+        dM = z - y * (t + m * tp)
+        if dM != 0.0 and cmath.isfinite(dM):
+            step = -(1.0 + m * z - y * m * t) / dM
+            for k in range(10):
+                cand = m + 0.5**k * step
+                if cand.imag > 0.0 and cmath.isfinite(cand):
+                    cs = state(cand)
+                    if cs[1] < cur:
+                        nxt = cand
+                        break
+        if nxt is None:
+            if g is None:
+                # analytically impossible; reachable only through quadrature noise
+                raise ConvergenceError("iterate left the upper half-plane", z, m, cur, it)
+            nxt = 0.5 * (m + g)
+            cs = state(nxt)
+        done = abs(nxt - m) <= cfg.tol * (1.0 + abs(nxt))
+        m, (g, cur, t, tp) = nxt, cs
+        if done:
+            return m, it, t
     raise ConvergenceError("no convergence", z, m, cur, cfg.max_iter)
 
 
@@ -180,12 +164,15 @@ def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
     """Stieltjes transform m(z) of the limit law of p^{-1} X X^T.
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD or AbsContinuousLSD),
-    ``y`` the limiting n/p ratio, and z a point with Im z > 0.  A continuous
-    law is solved on the Szegő rule ``lsd.rule(N)``, N doubling from
-    RULE_START_SIZE until the 2N rule moves the integral term T by at most
-    1e-9 (1 + |T|); the residual is the N-rule solution's defect on the 2N
-    rule, and a Newton step on the 2N rule ends the solve.  Near the real axis
-    larger rules are needed; the RULE_MAX_SIZE rule is the last.
+    ``y`` the limiting n/p ratio, and z a point with Im z > 0.  The law is
+    solved on its rule ``lsd.rule(N)``: the Szegő rule of a continuous law, or
+    the atoms, which are exact at every N.  N doubles from RULE_START_SIZE
+    until the 2N rule moves the integral term T by at most 1e-9 (1 + |T|); the
+    residual is the N-rule solution's defect on the 2N rule, and a Newton step
+    on the 2N rule ends the solve.  Near the real axis larger rules are needed;
+    the RULE_MAX_SIZE rule is the last.  Without a usable ``initial`` the
+    solve starts from the law with all its mass at the mean level, which is
+    exact for a single atom.
     """
     cfg = cfg or _DEFAULT_CONFIG
     z = complex(z)
@@ -193,41 +180,34 @@ def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
         raise ValueError("aspect ratio y must be positive and finite")
     if not z.imag > 0.0:
         raise ValueError("z must lie in the upper half-plane")
-    if isinstance(lsd, AtomicLSD):
-        T, Tp = _terms(lsd.levels, lsd.weights)
-        m, iterations = _iterate(T, Tp, y, z, cfg, initial)
-        residual = abs(1.0 / m + z - y * T(m))
-        return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations)
-    if not isinstance(lsd, AbsContinuousLSD):
+    if not isinstance(lsd, (AtomicLSD, AbsContinuousLSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
 
     size = RULE_START_SIZE
-    iterations = 0
-    if initial is None:
-        # start from the law with all its mass at the mean level; -1/z sits
-        # among the rule's real poles -1/lam when z is near the real axis
-        lam, W = lsd.rule(size)
+    lam, W = lsd.rule(size)
+    m = initial
+    if m is None or not m.imag > 0.0:
+        # -1/z sits among the rule's real poles -1/lam when z is near the real axis
         mean = W @ lam
-        initial = mp_stieltjes(y, z / mean) / mean
+        m = mp_stieltjes(y, z / mean) / mean
+    iterations = 0
     while True:
-        T, Tp = _terms(*lsd.rule(size))
-        m, its = _iterate(T, Tp, y, z, cfg, initial)
+        m, its, t = _iterate(_terms(lam, W), y, z, cfg, m)
         iterations += its
         if 2 * size > RULE_MAX_SIZE:
-            residual = abs(1.0 / m + z - y * T(m))
+            residual = abs(1.0 / m + z - y * t)
             break
-        T2, Tp2 = _terms(*lsd.rule(2 * size))
-        t2 = T2(m)
+        size *= 2
+        lam, W = lsd.rule(size)
+        t2, tp2 = _terms(lam, W)(m)
         residual = abs(1.0 / m + z - y * t2)
-        if abs(t2 - T(m)) <= 1e-9 * (1.0 + abs(t2)):
-            # the rule's error in T moves m by about y |m|^2 |t2 - T(m)|, far
+        if abs(t2 - t) <= 1e-9 * (1.0 + abs(t2)):
+            # the rule's error in T moves m by about y |m|^2 |t2 - t|, far
             # more than the check's tolerance when |m| is large
-            fine = m - (1.0 + m * z - y * m * t2) / (z - y * (t2 + m * Tp2(m)))
+            fine = m - (1.0 + m * z - y * m * t2) / (z - y * (t2 + m * tp2))
             if fine.imag > 0.0:
                 m = fine
             break
-        size *= 2
-        initial = m
     return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations)
 
 
@@ -371,7 +351,7 @@ def invert_to_density(lsd, y, grid=None, eps_schedule=DEFAULT_EPS_SCHEDULE, cfg=
     if not eps or eps[-1] <= 0.0:
         raise ValueError("eps schedule must contain positive values")
     if grid is None:
-        grid = default_grid(lsd, y, cfg=cfg)
+        grid = default_grid(lsd, y)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0.0:
         raise ValueError("grid must be strictly increasing with positive entries")
@@ -420,40 +400,38 @@ def lsd_cdf(density, x):
     return float(out) if xq.ndim == 0 else out
 
 
-def estimate_support_upper(lsd, y, cfg=None, threshold=1e-5):
-    """Upper edge of the limit law, located where the inverted density dies.
+def estimate_support_upper(lsd, y):
+    """Upper edge of the support of the limit law (Silverstein & Choi 1995).
 
-    Scans downward from a conservative ceiling and returns the first point
-    where the extrapolated density exceeds ``threshold``, padded by one cell.
+    On real m in (-1/max lam, 0) the inverse x(m) = -1/m + y T(m) of the
+    transform has the edge as its minimum.  There x'(m) = 1/m^2
+    - y sum W lam^2 / (1 + lam m)^2 rises from -inf to +inf, so one bisection
+    on the nodes of ``lsd.rule(RULE_MAX_SIZE)`` finds it.
     """
-    cfg = cfg or _DEFAULT_CONFIG
-    if isinstance(lsd, AtomicLSD):
-        top = float(lsd.levels.max())
-    else:
-        top = float(lsd.support[1])
-    ceiling = 1.1 * top * (1.0 + math.sqrt(2.0 * max(y, 1.0))) ** 2
-    xs = np.linspace(ceiling, ceiling / 64.0, 64)
-    eps = (1e-2, 5e-3, 2.5e-3)
-    warm = {}
-    for i, x in enumerate(xs):
-        p, _, _ = _density_point(lsd, y, float(x), list(eps), cfg, warm)
-        if p > threshold:
-            pad = (xs[0] - xs[1]) if i == 0 else (xs[i - 1] - xs[i])
-            return float(x + pad)
-    return float(xs[-1])
+    if not (y > 0.0 and math.isfinite(y)):
+        raise ValueError("aspect ratio y must be positive and finite")
+    lam, W = lsd.rule(RULE_MAX_SIZE)
+    wl = W * lam
+
+    def slope(m):
+        return 1.0 / m**2 - y * np.sum(wl * lam / (1.0 + np.outer(m, lam)) ** 2, axis=1)
+
+    m = float(_bisect(slope, [-1.0 / lam.max()], [0.0], np.zeros(1))[0])
+    return -1.0 / m + y * float(np.sum(wl / (1.0 + lam * m)))
 
 
-def default_grid(lsd, y, size=512, cfg=None):
+def default_grid(lsd, y, size=512):
     """Density grid: geometric near zero, then linear out past the support.
 
     The geometric head resolves the inverse-square-root lower edge that occurs
     when the support touches zero (y = 1); its start scales with the support so
-    the mass below the grid is negligible.
+    the mass below the grid is negligible.  The grid ends 5% past the upper
+    edge of the support.
     """
-    hi = 1.05 * estimate_support_upper(lsd, y, cfg=cfg)
     size = int(size)
     if size < 16:
         raise ValueError("grid size must be at least 16")
+    hi = 1.05 * estimate_support_upper(lsd, y)
     n_geo = max(32, size // 4)
     split = 0.05 * hi
     geo = np.geomspace(1e-8 * hi, split, n_geo, endpoint=False)

@@ -268,6 +268,14 @@ class AtomicLSD:
     def atoms(self):
         return list(zip(self.levels.tolist(), self.weights.tolist()))
 
+    @property
+    def support(self):
+        return float(self.levels[0]), float(self.levels[-1])
+
+    def rule(self, size):
+        """The atoms as (nodes, weights): a rule that is exact at every size."""
+        return self.levels, self.weights
+
 
 @dataclass
 class AbsContinuousLSD:

@@ -99,6 +99,24 @@ class TestLsdDensityCommand:
         assert code == 3
         assert "x=" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lsd-density", "--model", WHITE, "--y", "inf"],
+            ["lsd-density", "--model", WHITE, "--y", "1", "--grid", "4"],
+            ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--grid", "4"],
+            ["gamma-density", "--model", ARMA11, "--grid", "0"],
+            ["lsd-density", "--model", WHITE, "--y", "1", "--tol", "-1"],
+            ["lsd-density", "--model", WHITE, "--y", "1", "--tol", "nan"],
+            ["lsd-density", "--model", WHITE, "--y", "1", "--max-iter", "0"],
+        ],
+    )
+    def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):
+        code = run(argv + ["--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.iterdir())
+
 
 class TestSimulateCommand:
     def test_smoke_and_trace(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 import specmp as sp
 
@@ -79,6 +80,15 @@ class TestSolveFixedPoint:
         for eps in (1.0, 1e-1, 1e-2, 1e-3, 1e-4):
             m = sp.solve_fixed_point(MP_ATOM, 1.0, complex(2.0, eps)).m
             assert m.imag > 0
+
+    def test_single_atom_cold_start_is_exact(self):
+        # the mean-level Marchenko-Pastur start is the answer for one atom
+        for y in (0.5, 1.0, 3.0):
+            edge = (1.0 + math.sqrt(y)) ** 2
+            for z in (1j, 2.0 + 0.1j, -0.5 + 0.03j, complex(edge, 1e-3), complex(0.5 * edge, 1e-3)):
+                sol = sp.solve_fixed_point(MP_ATOM, y, z)
+                assert abs(sol.m - sp.mp_stieltjes(y, z)) <= 1e-12
+                assert sol.iterations <= 2
 
     def test_atomic_specialization_equals_mp(self):
         for y in (0.5, 1.0, 3.0):
@@ -235,3 +245,19 @@ class TestSupportEstimate:
     def test_mp_edge_detected(self):
         hi = sp.estimate_support_upper(MP_ATOM, 1.0)
         assert 3.9 <= hi <= 4.6
+
+    @pytest.mark.parametrize("y", [0.2, 1.0, 3.0, 10.0])
+    def test_mp_edge_exact(self, y):
+        hi = sp.estimate_support_upper(MP_ATOM, y)
+        assert abs(hi / (1.0 + math.sqrt(y)) ** 2 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("y", [0.2, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("phi, theta", [(0.5, 1.0), (-0.4, 0.8), (0.8, -0.4)])
+    def test_arma11_edge_matches_quartic(self, phi, theta, y):
+        # on real m the quartic's closed form gives x(m) = -1/m + y T(m), whose
+        # minimum on (-1/lam_max, 0) is the edge (Silverstein & Choi 1995)
+        lam_max = sp.arma11_support(phi, theta)[1]
+        x = lambda m: -sp.arma11_residual(phi, theta, y, 0.0, m).real
+        oracle = minimize_scalar(x, bounds=(-1.0 / lam_max, 0.0), method="bounded", options={"xatol": 1e-12})
+        hi = sp.estimate_support_upper(sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta)), y)
+        assert abs(hi / oracle.fun - 1.0) <= 1e-12
