@@ -6,6 +6,13 @@ its autocovariance Toeplitz matrix (``gamma_lsd``); that limit feeds the
 fixed-point equation for the Stieltjes transform of the sample-covariance
 limit law (``solve_fixed_point``), which is inverted to a density
 (``invert_to_density``); simulations check the result (``simulator``).
+
+Importing ``specmp`` (and ``specmp.cli``) loads NumPy and the standard library
+only.  SciPy is imported where it is used: ``scipy.signal.lfilter`` on the
+first simulation of a model with a non-white ARMA part (``simulate_matrix``),
+``scipy.interpolate.CubicSpline`` for tabulated densities
+(``SpectralDensity.from_table``), and ``scipy.special.roots_legendre`` in the
+``AbsContinuousLSD.total_mass`` oracle.
 """
 
 from .linear_process import (

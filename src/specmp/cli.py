@@ -11,6 +11,10 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.  All output
 is deterministic given the configuration and seed.  Replicates run one after
 another; the rows of each matrix are spread over the CPUs (see
 ``simulate_matrix``), and the eigensolve's BLAS threads are OpenBLAS's own.
+
+Importing this module loads NumPy only, so ``gamma-density`` and
+``lsd-density`` never load SciPy; ``simulate`` and ``compare`` load
+``scipy.signal`` on their first matrix with a non-white ARMA part.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "ModelSpecError",
@@ -273,6 +272,8 @@ class SpectralDensity:
         sets, nonvanishing derivative a.e.) are not verified for tabulated
         densities.
         """
+        from scipy.interpolate import CubicSpline
+
         omega = np.asarray(omega, dtype=float)
         values = np.asarray(values, dtype=float)
         if omega.ndim != 1 or omega.size < 4 or np.any(np.diff(omega) <= 0):

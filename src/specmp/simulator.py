@@ -33,7 +33,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .linear_process import ARMAModel, FARIMAModel, ma_coefficients
 
@@ -175,10 +174,14 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     ``lfilter`` and the FFT release the GIL.  Rows of fewer than
     ``_MIN_PARALLEL_ROW`` samples and rows of Rademacher or uniform draws,
     where threads did not pay, run on the calling thread; so does every call
-    made from a thread other than the main one, such as the CLI's replicate
-    threads.  Every row keeps its own substream and its own arithmetic, so
-    the result is deterministic given (seed, replicate) and does not depend
-    on the worker count.
+    made from a thread other than the main one.  Every row keeps its own
+    substream and its own arithmetic, so the result is deterministic given
+    (seed, replicate) and does not depend on the worker count.
+
+    ``scipy.signal.lfilter`` is imported here, on the calling thread before
+    any worker starts, and only when the ARMA part is not white noise; this
+    is the one place a simulation loads SciPy, and ``import specmp`` loads
+    NumPy only.
     """
     p, n = plan.p, plan.n
     model = plan.model
@@ -187,8 +190,11 @@ def simulate_matrix(plan, replicate=0, innovations=None):
         innovations = np.asarray(innovations, dtype=float)
         if innovations.shape != (p, 2 * n):
             raise ValueError(f"innovations must have shape {(p, 2 * n)}")
-    # the kernel is built on the calling thread: worker threads call nothing
-    # of specmp's public API
+    # the filter and the kernel are set up on the calling thread: worker
+    # threads import nothing and call nothing of specmp's public API
+    lfilter = None
+    if not arma.is_white_noise:
+        from scipy.signal import lfilter
     kernel = None
     if d != 0.0:
         kernel = np.fft.rfft(ma_coefficients(FARIMAModel(ARMAModel(), d), n).coeffs, 2 * n)
@@ -201,7 +207,7 @@ def simulate_matrix(plan, replicate=0, innovations=None):
                 _row_innovations(plan.seed, replicate, i, 2 * n, plan.law, row)
         else:
             W = innovations[lo:hi]
-        if not arma.is_white_noise:
+        if lfilter is not None:
             W = lfilter((1.0, *arma.ma), (1.0, *arma.ar), W, axis=1)
         if kernel is not None:
             W = np.fft.irfft(np.fft.rfft(W, axis=1) * kernel, 2 * n, axis=1)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD, _bisect
 
@@ -394,7 +393,7 @@ def lsd_cdf(density, x):
         lg = -density.left_grid[::-1]
         lv = density.left_values[::-1]
         eff = eff + np.interp(g, lg, lv, left=float(lv[0]), right=0.0)
-    cum = cumulative_trapezoid(eff, g, initial=0.0)
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(g) * (eff[1:] + eff[:-1]) / 2.0)))
     xq = np.asarray(x, dtype=float)
     out = density.mass_at_zero + np.interp(xq, g, cum)
     return float(out) if xq.ndim == 0 else out

@@ -27,8 +27,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz as _toeplitz
-from scipy.special import roots_legendre
 
 from .linear_process import (
     ARMAModel,
@@ -326,6 +324,8 @@ class AbsContinuousLSD:
         the peaks, doubled until the mass is stable to 1e-10 or reaches 4097
         nodes.  No node is a tangential level, and none warns.
         """
+        from scipy.special import roots_legendre
+
         _, vals, atol = _breakpoints(self.f)
         crit = np.unique(vals)
         crit = crit[np.concatenate([np.diff(crit) > atol, [True]])]
@@ -419,4 +419,5 @@ def autocovariance_toeplitz(coeffs, size):
         raise ValueError("size must be at least 1")
     if size - 1 > coeffs.horizon:
         raise ValueError("stored expansion too short for requested matrix size")
-    return _toeplitz(autocovariances(coeffs, size - 1))
+    i = np.arange(size)
+    return autocovariances(coeffs, size - 1)[np.abs(i[:, None] - i)]

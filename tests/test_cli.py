@@ -208,17 +208,50 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
-    def test_threads_env_respected(self, tmp_path):
-        for threads in ("2", "1"):
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_simulate_bytes_independent_of_cpus(self, tmp_path):
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("needs two CPUs to compare against one")
+        one = {min(cpus)}
+        # 2n = 3200 normal samples a row reach the row pool: 2 blocks of 81 rows
+        args = [
+            sys.executable, "-m", "specmp.cli", "simulate", "--model", ARMA11, "--y", "10",
+            "--p", "160", "--seed", "2", "--replicates", "2",
+        ]
+        for name, preexec in (("all", None), ("one", lambda: os.sched_setaffinity(0, one))):
             proc = subprocess.run(
-                [
-                    sys.executable, "-m", "specmp.cli", "simulate", "--model", WHITE, "--y", "1",
-                    "--p", "16", "--seed", "2", "--replicates", "3", "--out", str(tmp_path / f"t{threads}"),
-                ],
+                args + ["--out", str(tmp_path / name)],
                 capture_output=True,
-                env=child_env(SPECMP_THREADS=threads),
+                env=child_env(),
+                preexec_fn=preexec,
+                timeout=300,
             )
-            assert proc.returncode == 0
-        # threads change how replicates are scheduled, not what they contain
-        for k in range(3):
-            assert (tmp_path / f"t2_rep{k}.csv").read_bytes() == (tmp_path / f"t1_rep{k}.csv").read_bytes()
+            assert proc.returncode == 0, proc.stderr
+        # the CPU count changes how row blocks are scheduled, not what they contain
+        for k in range(2):
+            assert (tmp_path / f"all_rep{k}.csv").read_bytes() == (tmp_path / f"one_rep{k}.csv").read_bytes()
+
+    def test_numpy_only_import(self, tmp_path):
+        # SciPy loads only where it is used: lfilter for a non-white ARMA part
+        script = f"""
+import json, sys
+import specmp, specmp.cli
+out = sys.argv[1]
+for argv in (
+    ["gamma-density", "--model", {ARMA11!r}, "--out", out + "/g"],
+    ["lsd-density", "--model", {ARMA11!r}, "--y", "3", "--grid", "64", "--out", out + "/l"],
+    ["simulate", "--model", {WHITE!r}, "--y", "1", "--p", "16", "--out", out + "/w"],
+):
+    assert specmp.cli.main(argv) == 0
+print("scipy:", json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+assert specmp.cli.main(["simulate", "--model", {ARMA11!r}, "--y", "1", "--p", "16", "--out", out + "/a"]) == 0
+print("scipy:", json.dumps("scipy.signal" in sys.modules))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, env=child_env(), timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = (json.loads(line[7:]) for line in proc.stdout.splitlines() if line.startswith("scipy: "))
+        assert before == []
+        assert after is True

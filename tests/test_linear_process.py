@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 import specmp as sp
 
@@ -94,6 +95,13 @@ class TestAutocovariance:
             c = sp.ma_coefficients(model, 400)
             G = sp.autocovariance_toeplitz(c, 20)
             assert np.linalg.eigvalsh(G).min() >= -1e-10
+
+    def test_toeplitz_matches_scipy_bitwise(self):
+        for model in (sp.ARMAModel(), sp.ARMAModel.arma11(0.5, 1.0), sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25)):
+            c = sp.ma_coefficients(model, 400)
+            for size in (1, 2, 7, 300):
+                G = sp.autocovariance_toeplitz(c, size)
+                assert np.array_equal(G, toeplitz(sp.autocovariances(c, size - 1)))
 
 
 class TestSpectralDensity:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import minimize_scalar
 
 import specmp as sp
@@ -239,6 +239,20 @@ class TestLsdCDF:
             dens = sp.invert_to_density(MP_ATOM, y)
             total = sp.lsd_cdf(dens, dens.grid[-1])
             assert 0.997 <= total <= 1.003
+
+    def test_trapezoid_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(5)
+        for size in (2, 3, 17, 512):
+            grid = np.cumsum(rng.uniform(1e-3, 1.0, size))
+            values = rng.exponential(size=size)
+            dens = sp.LimitingDensity(grid=grid, values=values, mass_at_zero=0.0, y=1.0)
+            assert np.array_equal(sp.lsd_cdf(dens, grid), cumulative_trapezoid(values, grid, initial=0.0))
+        # a solved table: the spill-over below the grid folded onto its low end
+        dens = sp.invert_to_density(sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), 3.0, grid=np.linspace(0.5, 50.0, 64))
+        g = dens.grid
+        lv = dens.left_values[::-1]
+        eff = dens.values + np.interp(g, -dens.left_grid[::-1], lv, left=float(lv[0]), right=0.0)
+        assert np.array_equal(sp.lsd_cdf(dens, g), dens.mass_at_zero + cumulative_trapezoid(eff, g, initial=0.0))
 
 
 class TestSupportEstimate:
