@@ -29,7 +29,6 @@ import numpy as np
 from .linear_process import ModelSpecError, model_from_spec, model_to_spec
 from .simulator import SimulationPlan, ecdf, ks_distance, sample_cov_eigenvalues, simulate_matrix
 from .stieltjes import (
-    DEFAULT_EPS_SCHEDULE,
     ConvergenceError,
     SolverConfig,
     default_grid,
@@ -78,23 +77,12 @@ def _load_model(args):
 
 def _solver_config(args):
     kwargs = {}
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
         raise ModelSpecError(str(exc)) from exc
-
-
-def _eps_schedule(args):
-    if getattr(args, "eps_schedule", None) is None:
-        return DEFAULT_EPS_SCHEDULE
-    values = tuple(float(v) for v in args.eps_schedule.split(","))
-    if not values or any(v <= 0 for v in values):
-        raise ModelSpecError("--eps-schedule needs positive comma-separated values")
-    return values
 
 
 def _require_y(args):
@@ -132,7 +120,7 @@ def cmd_lsd_density(args):
     size = _require_grid(args, 16)
     lsd = gamma_lsd(model)
     grid = default_grid(lsd, y, size=size)
-    density = invert_to_density(lsd, y, grid=grid, eps_schedule=_eps_schedule(args), cfg=cfg)
+    density = invert_to_density(lsd, y, grid=grid, cfg=cfg)
     _write_csv(args.out + ".csv", ("x", "p_x"), zip(density.grid, density.values))
     _write_json(
         args.out + ".json",
@@ -143,7 +131,7 @@ def cmd_lsd_density(args):
             "solver": {
                 "iterations": density.iterations,
                 "max_residual": density.max_residual,
-                "eps_schedule": list(_eps_schedule(args)),
+                "offset": density.offset,
             },
         },
     )
@@ -231,7 +219,7 @@ def cmd_compare(args):
     size = _require_grid(args, 16)
     lsd = gamma_lsd(model)
     grid = default_grid(lsd, plan.y, size=size)
-    density = invert_to_density(lsd, plan.y, grid=grid, eps_schedule=_eps_schedule(args), cfg=cfg)
+    density = invert_to_density(lsd, plan.y, grid=grid, cfg=cfg)
     theory = lambda x: lsd_cdf(density, x)
 
     results = _run_replicates(plan)
@@ -279,9 +267,7 @@ def _add_model_args(sub):
 
 
 def _add_solver_args(sub):
-    sub.add_argument("--tol", type=float, default=None, help="solver update tolerance")
     sub.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
-    sub.add_argument("--eps-schedule", default=None, help="inversion offsets, e.g. 1e-2,5e-3,2.5e-3")
 
 
 def _add_sim_args(sub):

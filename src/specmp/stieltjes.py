@@ -9,9 +9,9 @@ unique map m from the upper half-plane to itself with
 where y is the limiting column/row ratio n/p.  This module solves that fixed
 point, gives the Marchenko-Pastur closed form and the ARMA(1,1) quartic as
 oracles, locates the upper support edge, and recovers the density via
-Stieltjes-Perron inversion with an epsilon extrapolation.  The solver and the
-edge see a limit law only as quadrature nodes and weights, ``lsd.rule(N)``:
-its atoms, or the Szegő rule of a continuous law.
+Stieltjes-Perron inversion at one small offset above the real axis.  The
+solver and the edge see a limit law only as quadrature nodes and weights,
+``lsd.rule(N)``: its atoms, or the Szegő rule of a continuous law.
 """
 
 from __future__ import annotations
@@ -45,16 +45,14 @@ __all__ = [
 class SolverConfig:
     """Fixed-point solver settings.
 
-    ``tol`` bounds the final update |dm|.  The quadrature size for a
-    continuous limit law is chosen per solve by :func:`solve_fixed_point`.
+    ``max_iter`` caps the sweeps of one solve; the final update |dm| is bounded
+    by UPDATE_TOL.  The quadrature size for a continuous limit law is chosen
+    per solve by :func:`solve_fixed_point`.
     """
 
-    tol: float = 1e-12
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -65,9 +63,18 @@ _DEFAULT_CONFIG = SolverConfig()
 RULE_START_SIZE = 256
 RULE_MAX_SIZE = 8192
 
-# geometric offsets for the Stieltjes-Perron limit; the tail resolves the
-# steep distribution rise near zero when the support touches the origin (y = 1)
-DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4)
+# a solve stops when the update |dm| is at most UPDATE_TOL (1 + |m|)
+UPDATE_TOL = 1e-12
+
+# height of the Stieltjes-Perron inversion above the real axis, relative to
+# the top of the grid.  The bias it leaves scales with it: on the 512-point
+# Marchenko-Pastur tables it is at most 1e-6 relative (3e-5 at y = 1) 1e-3
+# inside the edges, and larger only at the few points within a few offsets of
+# a hard edge at zero.  Smaller offsets make solves near the axis slow or fail
+# where H reaches 0 and y is near 1: at 1e-10 FARIMA d = -0.25 at y = 0.9
+# takes 2.1 s instead of 0.3 s, and at 1e-12 it and ARMA(1,1) at y = 1 do not
+# converge.
+OFFSET = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -152,7 +159,7 @@ def _iterate(TTp, y, z, cfg, m):
                 raise ConvergenceError("iterate left the upper half-plane", z, m, cur, it)
             nxt = 0.5 * (m + g)
             cs = state(nxt)
-        done = abs(nxt - m) <= cfg.tol * (1.0 + abs(nxt))
+        done = abs(nxt - m) <= UPDATE_TOL * (1.0 + abs(nxt))
         m, (g, cur, t, tp) = nxt, cs
         if done:
             return m, it, t
@@ -237,15 +244,10 @@ def mp_density(y, x):
     """Marchenko-Pastur density sqrt((x+ - x)(x - x-)) / (2 pi x) on its bulk."""
     lo, hi = mp_support(y)
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    inside = (x > lo) & (x < hi) & (x > 0)
-    out = np.zeros_like(x, dtype=float)
-    xi = x[inside] if not scalar else (np.array([float(x)]) if inside else np.array([]))
-    vals = np.sqrt((hi - xi) * (xi - lo)) / (2.0 * math.pi * xi)
-    if scalar:
-        return float(vals[0]) if vals.size else 0.0
-    out[inside] = vals
-    return out
+    # points off the bulk evaluate at the upper edge, where the density is 0
+    xi = np.where((x > lo) & (x < hi) & (x > 0), x, hi)
+    out = np.sqrt((hi - xi) * (xi - lo)) / (2.0 * math.pi * xi)
+    return float(out) if out.ndim == 0 else out
 
 
 def arma11_residual(phi, theta, y, z, m):
@@ -276,104 +278,64 @@ def arma11_residual(phi, theta, y, z, m):
 class LimitingDensity:
     """Tabulated limit density of p^{-1} X X^T plus the point mass at zero.
 
-    ``left_grid``/``left_values`` hold the small spill-over of the epsilon
-    smoothing below the grid; they are consumed by :func:`lsd_cdf` so that
-    total mass is conserved, and are not part of the density proper.
+    ``values`` is (1/pi) Im m(x + i offset) on ``grid`` with the point mass
+    removed; ``offset`` is the absolute height above the real axis.
     """
 
     grid: np.ndarray
     values: np.ndarray
     mass_at_zero: float
     y: float
-    left_grid: np.ndarray | None = None
-    left_values: np.ndarray | None = None
+    offset: float = 0.0
     iterations: int = 0
     max_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("grid", "values", "left_grid", "left_values"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name in ("grid", "values"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-def _extrapolate_to_zero(eps, vals):
-    # Lagrange polynomial through (eps_i, vals_i), evaluated at eps = 0
-    total = 0.0
-    for i, (ei, vi) in enumerate(zip(eps, vals)):
-        term = vi
-        for j, ej in enumerate(eps):
-            if j != i:
-                term *= ej / (ej - ei)
-        total += term
-    return total
-
-
-def _density_point(lsd, y, x, eps, cfg, warm):
-    """Richardson-extrapolated (1/pi) Im m_ac(x + i eps) over the schedule."""
-    atom = max(0.0, 1.0 - y)
-    vals = []
-    m0 = warm.get("m")
-    iterations = 0
-    residual = 0.0
-    for e in eps:
-        z = complex(x, e)
-        try:
-            sol = solve_fixed_point(lsd, y, z, cfg, initial=m0)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"inversion failed at x={x}", z, exc.m, exc.residual, exc.iterations
-            ) from exc
-        m0 = sol.m
-        if e == eps[0]:
-            warm["m"] = sol.m
-        m_ac = sol.m + atom / z if atom else sol.m
-        vals.append(m_ac.imag / math.pi)
-        iterations += sol.iterations
-        residual = max(residual, sol.residual)
-    return _extrapolate_to_zero(eps, vals), iterations, residual
-
-
-def invert_to_density(lsd, y, grid=None, eps_schedule=DEFAULT_EPS_SCHEDULE, cfg=None):
+def invert_to_density(lsd, y, grid=None, cfg=None):
     """Stieltjes-Perron inversion: density of the limit law on a grid.
 
-    p(x) is obtained as (1/pi) Im m(x + i eps) extrapolated to eps -> 0 over
-    the schedule, after subtracting the known point mass max(0, 1 - y)/(-z) at
-    the origin.  A small internal extension below the grid captures smoothing
-    spill-over for mass bookkeeping in :func:`lsd_cdf`.  Solver failures
-    propagate as ConvergenceError tagged with the offending x.
+    p(x) is (1/pi) Im m(x + i delta), clipped at 0, after the known point mass
+    max(0, 1 - y)/(-z) at the origin is subtracted; delta = OFFSET * grid[-1].
+    One solve per grid point, each warm-started from the previous point's m.
+    Solver failures propagate as ConvergenceError tagged with the offending x.
     """
     cfg = cfg or _DEFAULT_CONFIG
-    eps = sorted({float(e) for e in eps_schedule}, reverse=True)
-    if not eps or eps[-1] <= 0.0:
-        raise ValueError("eps schedule must contain positive values")
     if grid is None:
         grid = default_grid(lsd, y)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0.0:
         raise ValueError("grid must be strictly increasing with positive entries")
 
-    left = -np.geomspace(grid[0], max(0.15 * grid[-1], 4.0 * grid[0]), 40)[::-1]
-    xs = np.concatenate([left, grid])
-    vals = np.empty(xs.size)
-    warm = {}
+    delta = OFFSET * float(grid[-1])
+    atom = max(0.0, 1.0 - y)
+    vals = np.empty(grid.size)
+    m = None
     iterations = 0
     max_residual = 0.0
-    for i, x in enumerate(xs):
-        vals[i], its, res = _density_point(lsd, y, float(x), eps, cfg, warm)
-        iterations += its
-        max_residual = max(max_residual, res)
-    vals = np.clip(vals, 0.0, None)
-    nl = left.size
+    for i, x in enumerate(grid):
+        z = complex(x, delta)
+        try:
+            sol = solve_fixed_point(lsd, y, z, cfg, initial=m)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"inversion failed at x={float(x)}", z, exc.m, exc.residual, exc.iterations
+            ) from exc
+        m = sol.m
+        vals[i] = (m + atom / z).imag / math.pi
+        iterations += sol.iterations
+        max_residual = max(max_residual, sol.residual)
     return LimitingDensity(
         grid=grid,
-        values=vals[nl:],
-        mass_at_zero=max(0.0, 1.0 - y),
+        values=np.clip(vals, 0.0, None),
+        mass_at_zero=atom,
         y=y,
-        left_grid=xs[:nl],
-        left_values=vals[:nl],
+        offset=delta,
         iterations=iterations,
         max_residual=max_residual,
     )
@@ -382,20 +344,17 @@ def invert_to_density(lsd, y, grid=None, eps_schedule=DEFAULT_EPS_SCHEDULE, cfg=
 def lsd_cdf(density, x):
     """Distribution function of a tabulated limit density.
 
-    Adds the point mass at zero to the trapezoidal accumulation of the density;
-    the epsilon-smoothing spill-over recorded below the grid is folded back
-    onto the low end so total mass is conserved.  Monotone nondecreasing and
-    approximately 1 at the top of the grid.
+    The point mass at zero, plus 2 x0 p(x0) for the mass below the first grid
+    point x0 (exact for a c x^{-1/2} hard edge, negligible below a soft edge),
+    plus the trapezoidal accumulation of the density; linear between 0 and x0.
+    Monotone nondecreasing and approximately 1 at the top of the grid.
     """
     g = density.grid
-    eff = np.array(density.values, dtype=float)
-    if density.left_grid is not None and density.left_grid.size:
-        lg = -density.left_grid[::-1]
-        lv = density.left_values[::-1]
-        eff = eff + np.interp(g, lg, lv, left=float(lv[0]), right=0.0)
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(g) * (eff[1:] + eff[:-1]) / 2.0)))
+    v = density.values
+    cum = np.concatenate(([0.0], np.cumsum(np.diff(g) * (v[1:] + v[:-1]) / 2.0)))
+    tail = 2.0 * g[0] * v[0]
     xq = np.asarray(x, dtype=float)
-    out = density.mass_at_zero + np.interp(xq, g, cum)
+    out = density.mass_at_zero + np.interp(xq, np.concatenate(([0.0], g)), np.concatenate(([0.0], tail + cum)))
     return float(out) if xq.ndim == 0 else out
 
 

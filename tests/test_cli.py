@@ -80,6 +80,10 @@ class TestLsdDensityCommand:
         assert meta["y"] == 1.0
         assert meta["mass_at_zero"] == 0.0
         assert meta["solver"]["iterations"] > 0
+        assert meta["solver"]["offset"] > 0.0
+        assert "eps_schedule" not in meta["solver"]
+        args = ["lsd-density", "--model", WHITE, "--y", "1", "--eps-schedule", "1e-2", "--out", str(tmp_path / "e")]
+        assert run(args) == 2
 
     def test_mass_at_zero_recorded(self, tmp_path):
         out = tmp_path / "half"
@@ -106,8 +110,6 @@ class TestLsdDensityCommand:
             ["lsd-density", "--model", WHITE, "--y", "1", "--grid", "4"],
             ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--grid", "4"],
             ["gamma-density", "--model", ARMA11, "--grid", "0"],
-            ["lsd-density", "--model", WHITE, "--y", "1", "--tol", "-1"],
-            ["lsd-density", "--model", WHITE, "--y", "1", "--tol", "nan"],
             ["lsd-density", "--model", WHITE, "--y", "1", "--max-iter", "0"],
         ],
     )

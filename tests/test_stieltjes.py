@@ -205,14 +205,53 @@ class TestInversion:
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([1.0, 2.0]), eps_schedule=())
 
     def test_nonconvergence_reports_offending_x(self):
         cfg = sp.SolverConfig(max_iter=2)
         with pytest.raises(sp.ConvergenceError) as err:
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([1.0, 2.0]), cfg=cfg)
         assert "x=" in str(err.value)
+
+    def test_one_solve_per_grid_point(self, monkeypatch):
+        calls = []
+        solve = sp.stieltjes.solve_fixed_point
+
+        def counted(lsd, y, z, *args, **kwargs):
+            calls.append(z)
+            return solve(lsd, y, z, *args, **kwargs)
+
+        monkeypatch.setattr(sp.stieltjes, "solve_fixed_point", counted)
+        grid = sp.default_grid(MP_ATOM, 1.0)
+        dens = sp.invert_to_density(MP_ATOM, 1.0, grid=grid)
+        assert len(calls) == grid.size == 512
+        assert dens.offset == sp.stieltjes.OFFSET * grid[-1]
+        assert all(z.imag == dens.offset for z in calls)
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
+    def test_mp_closed_form_on_default_grid(self, y):
+        dens = sp.invert_to_density(MP_ATOM, y)
+        g, lo, hi = dens.grid, *sp.mp_support(y)
+        exact = sp.mp_density(y, g)
+        # away from the few points within a few offsets of a hard edge at 0,
+        # and from the square-root edges, where the offset smooths the most
+        keep = (g >= 1e-6 * g[-1]) & (g >= lo * (1.0 + 1e-3)) & (g <= hi * (1.0 - 1e-3))
+        assert keep.sum() > 200
+        assert np.max(np.abs(dens.values[keep] / exact[keep] - 1.0)) <= 1e-4
+        if y == 1.0:
+            # x = 4 sin^2 t turns the y = 1 density into (4/pi) cos^2 t dt
+            t = np.arcsin(np.sqrt(np.minimum(g, 4.0)) / 2.0)
+            oracle = 2.0 / math.pi * (t + np.sin(t) * np.cos(t))
+            assert np.max(np.abs(sp.lsd_cdf(dens, g) - oracle)) <= 3e-4
+
+    def test_split_support(self):
+        # levels 1 and 2 at y = 0.01: two bulks, around 1 and around 2
+        lsd = sp.AtomicLSD(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+        dens = sp.invert_to_density(lsd, 0.01)
+        assert np.all(np.isfinite(dens.values)) and np.all(dens.values >= 0.0)
+        assert abs(sp.lsd_cdf(dens, dens.grid[-1]) - 1.0) <= 1e-3
+        gap = (dens.grid > 1.45) & (dens.grid < 1.55)
+        assert gap.any()
+        assert dens.values[gap].max() <= 1e-6
 
 
 class TestLsdCDF:
@@ -246,13 +285,13 @@ class TestLsdCDF:
             grid = np.cumsum(rng.uniform(1e-3, 1.0, size))
             values = rng.exponential(size=size)
             dens = sp.LimitingDensity(grid=grid, values=values, mass_at_zero=0.0, y=1.0)
-            assert np.array_equal(sp.lsd_cdf(dens, grid), cumulative_trapezoid(values, grid, initial=0.0))
-        # a solved table: the spill-over below the grid folded onto its low end
+            tail = 2.0 * grid[0] * values[0]
+            assert np.array_equal(sp.lsd_cdf(dens, grid), tail + cumulative_trapezoid(values, grid, initial=0.0))
+        # a solved table
         dens = sp.invert_to_density(sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), 3.0, grid=np.linspace(0.5, 50.0, 64))
-        g = dens.grid
-        lv = dens.left_values[::-1]
-        eff = dens.values + np.interp(g, -dens.left_grid[::-1], lv, left=float(lv[0]), right=0.0)
-        assert np.array_equal(sp.lsd_cdf(dens, g), dens.mass_at_zero + cumulative_trapezoid(eff, g, initial=0.0))
+        g, v = dens.grid, dens.values
+        expect = dens.mass_at_zero + (2.0 * g[0] * v[0] + cumulative_trapezoid(v, g, initial=0.0))
+        assert np.array_equal(sp.lsd_cdf(dens, g), expect)
 
 
 class TestSupportEstimate:
