@@ -110,6 +110,8 @@ class TestLsdDensityCommand:
             ["lsd-density", "--model", WHITE, "--y", "1", "--grid", "4"],
             ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--grid", "4"],
             ["gamma-density", "--model", ARMA11, "--grid", "0"],
+            ["lsd-density", "--model", WHITE, "--y", "nan"],
+            ["lsd-density", "--model", WHITE, "--y", "1", "--max-iter", "-1"],
             ["lsd-density", "--model", WHITE, "--y", "1", "--max-iter", "0"],
         ],
     )
