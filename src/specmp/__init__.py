@@ -44,7 +44,6 @@ from .simulator import (
 from .stieltjes import (
     ConvergenceError,
     LimitingDensity,
-    SolverConfig,
     StieltjesSolution,
     arma11_residual,
     default_grid,

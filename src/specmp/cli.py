@@ -27,14 +27,8 @@ import sys
 import numpy as np
 
 from .linear_process import ModelSpecError, model_from_spec, model_to_spec
-from .simulator import SimulationPlan, ecdf, ks_distance, sample_cov_eigenvalues, simulate_matrix
-from .stieltjes import (
-    ConvergenceError,
-    SolverConfig,
-    default_grid,
-    invert_to_density,
-    lsd_cdf,
-)
+from .simulator import SimulationPlan, histogram, ks_distance, sample_cov_eigenvalues, simulate_matrix
+from .stieltjes import GRID_MIN_SIZE, ConvergenceError, default_grid, invert_to_density, lsd_cdf
 from .toeplitz_lsd import AtomicLSD, gamma_lsd
 
 __all__ = ["main", "entry"]
@@ -75,16 +69,6 @@ def _load_model(args):
     raise ModelSpecError("a model is required (--model or --model-file)")
 
 
-def _solver_config(args):
-    kwargs = {}
-    if getattr(args, "max_iter", None) is not None:
-        kwargs["max_iter"] = args.max_iter
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ModelSpecError(str(exc)) from exc
-
-
 def _require_y(args):
     if not (args.y > 0.0 and math.isfinite(args.y)):
         raise ModelSpecError("--y must be positive and finite")
@@ -116,11 +100,10 @@ def cmd_gamma_density(args):
 def cmd_lsd_density(args):
     model = _load_model(args)
     y = _require_y(args)
-    cfg = _solver_config(args)
-    size = _require_grid(args, 16)
+    size = _require_grid(args, GRID_MIN_SIZE)
     lsd = gamma_lsd(model)
     grid = default_grid(lsd, y, size=size)
-    density = invert_to_density(lsd, y, grid=grid, cfg=cfg)
+    density = invert_to_density(lsd, y, grid=grid)
     _write_csv(args.out + ".csv", ("x", "p_x"), zip(density.grid, density.values))
     _write_json(
         args.out + ".json",
@@ -215,11 +198,10 @@ def _plan_payload(plan):
 def cmd_compare(args):
     model = _load_model(args)
     plan = _plan_from_args(args, model)
-    cfg = _solver_config(args)
-    size = _require_grid(args, 16)
+    size = _require_grid(args, GRID_MIN_SIZE)
     lsd = gamma_lsd(model)
     grid = default_grid(lsd, plan.y, size=size)
-    density = invert_to_density(lsd, plan.y, grid=grid, cfg=cfg)
+    density = invert_to_density(lsd, plan.y, grid=grid)
     theory = lambda x: lsd_cdf(density, x)
 
     results = _run_replicates(plan)
@@ -249,25 +231,16 @@ def cmd_compare(args):
 
 def _histogram_l1(spectrum, density):
     # total-variation style distance between binned ESD mass and theory mass
-    vals = spectrum.eigenvalues
-    positive = vals[vals > 1e-9]
-    hi = float(density.grid[-1])
-    edges = np.linspace(0.0, max(hi, float(vals.max(initial=1.0))), 61)
-    counts, _ = np.histogram(positive, bins=edges)
-    emp_mass = counts / vals.size
-    emp_zero = 1.0 - positive.size / vals.size
-    theory_cdf = lsd_cdf(density, edges)
-    theory_mass = np.diff(theory_cdf)
+    hi = max(float(density.grid[-1]), float(spectrum.eigenvalues.max(initial=1.0)))
+    edges, dens, emp_zero = histogram(spectrum, 60, lo=0.0, hi=hi, separate_zero_atom=True)
+    emp_mass = dens * np.diff(edges)
+    theory_mass = np.diff(lsd_cdf(density, edges))
     return float(abs(emp_zero - density.mass_at_zero) + np.abs(emp_mass - theory_mass).sum())
 
 
 def _add_model_args(sub):
     sub.add_argument("--model", help="model spec JSON (inline)")
     sub.add_argument("--model-file", help="path to a model spec JSON file")
-
-
-def _add_solver_args(sub):
-    sub.add_argument("--max-iter", type=int, default=None, help="solver iteration cap")
 
 
 def _add_sim_args(sub):
@@ -296,7 +269,6 @@ def build_parser():
     _add_model_args(l)
     l.add_argument("--y", type=float, required=True, help="aspect ratio n/p")
     l.add_argument("--grid", type=int, default=512)
-    _add_solver_args(l)
     l.add_argument("--out", required=True)
     l.set_defaults(func=cmd_lsd_density)
 
@@ -312,7 +284,6 @@ def build_parser():
     c.add_argument("--y", type=float, required=True)
     _add_sim_args(c)
     c.add_argument("--grid", type=int, default=512)
-    _add_solver_args(c)
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_compare)
     return parser

@@ -87,6 +87,8 @@ class SimulationPlan:
             raise ValueError("p must be at least 1")
         if not (self.y > 0.0 and math.isfinite(self.y)):
             raise ValueError("y must be positive and finite")
+        if not math.isfinite(self.mu):
+            raise ValueError("mu must be finite")
         if self.law not in INNOVATION_LAWS:
             raise ValueError(f"law must be one of {INNOVATION_LAWS}")
         if self.replicates < 1:

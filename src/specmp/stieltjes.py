@@ -25,7 +25,6 @@ import numpy as np
 from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD, _bisect
 
 __all__ = [
-    "SolverConfig",
     "StieltjesSolution",
     "ConvergenceError",
     "LimitingDensity",
@@ -41,30 +40,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Fixed-point solver settings.
-
-    ``max_iter`` caps the sweeps of one solve; the final update |dm| is bounded
-    by UPDATE_TOL.  The quadrature size for a continuous limit law is chosen
-    per solve by :func:`solve_fixed_point`.
-    """
-
-    max_iter: int = 100_000
-
-    def __post_init__(self):
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-_DEFAULT_CONFIG = SolverConfig()
-
 # first and largest sizes of the Szegő rule for a continuous limit law
 RULE_START_SIZE = 256
 RULE_MAX_SIZE = 8192
 
-# a solve stops when the update |dm| is at most UPDATE_TOL (1 + |m|)
+# a solve stops when the update |dm| is at most UPDATE_TOL (1 + |m|), after at
+# most MAX_ITER sweeps on one rule
 UPDATE_TOL = 1e-12
+MAX_ITER = 100_000
+
+# smallest size of a default density grid
+GRID_MIN_SIZE = 16
 
 # height of the Stieltjes-Perron inversion above the real axis, relative to
 # the top of the grid.  The bias it leaves scales with it: on the 512-point
@@ -117,7 +103,7 @@ def _terms(lam, W):
     return TTp
 
 
-def _iterate(TTp, y, z, cfg, m):
+def _iterate(TTp, y, z, m):
     """Guarded Newton on M(m) = 1 + m z - y m T(m), falling back to a damped step.
 
     The map G(m) = 1/(-z + y T(m)) is a holomorphic self-map of the upper
@@ -129,8 +115,8 @@ def _iterate(TTp, y, z, cfg, m):
     hyperbolic displacement |G(m) - m|^2 / (Im m Im G(m)); that merit is
     non-increasing along the exact orbit, diverges at the boundary (which is
     where the cleared equation hides spurious roots), and vanishes only at the
-    fixed point, so Newton can never be trapped away from the answer.  Returns
-    (m, sweeps, T(m)).
+    fixed point, so Newton can never be trapped away from the answer.  At most
+    MAX_ITER sweeps; returns (m, sweeps, T(m)).
     """
 
     def state(mm):
@@ -141,7 +127,7 @@ def _iterate(TTp, y, z, cfg, m):
         return g, abs(g - mm) ** 2 / (mm.imag * g.imag), t, tp
 
     g, cur, t, tp = state(m)
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         nxt = None
         dM = z - y * (t + m * tp)
         if dM != 0.0 and cmath.isfinite(dM):
@@ -163,10 +149,10 @@ def _iterate(TTp, y, z, cfg, m):
         m, (g, cur, t, tp) = nxt, cs
         if done:
             return m, it, t
-    raise ConvergenceError("no convergence", z, m, cur, cfg.max_iter)
+    raise ConvergenceError("no convergence", z, m, cur, MAX_ITER)
 
 
-def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
+def solve_fixed_point(lsd, y, z, initial=None):
     """Stieltjes transform m(z) of the limit law of p^{-1} X X^T.
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD or AbsContinuousLSD),
@@ -176,11 +162,10 @@ def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
     until the 2N rule moves the integral term T by at most 1e-9 (1 + |T|); the
     residual is the N-rule solution's defect on the 2N rule, and a Newton step
     on the 2N rule ends the solve.  Near the real axis larger rules are needed;
-    the RULE_MAX_SIZE rule is the last.  Without a usable ``initial`` the
-    solve starts from the law with all its mass at the mean level, which is
-    exact for a single atom.
+    the RULE_MAX_SIZE rule is the last.  MAX_ITER caps the sweeps on one rule.
+    Without a usable ``initial`` the solve starts from the law with all its
+    mass at the mean level, which is exact for a single atom.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
@@ -198,7 +183,7 @@ def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
         m = mp_stieltjes(y, z / mean) / mean
     iterations = 0
     while True:
-        m, its, t = _iterate(_terms(lam, W), y, z, cfg, m)
+        m, its, t = _iterate(_terms(lam, W), y, z, m)
         iterations += its
         if 2 * size > RULE_MAX_SIZE:
             residual = abs(1.0 / m + z - y * t)
@@ -219,8 +204,8 @@ def solve_fixed_point(lsd, y, z, cfg=None, initial=None):
 
 def mp_support(y):
     """Support endpoints (1 -+ sqrt(y))^2 of the Marchenko-Pastur bulk."""
-    if not y > 0.0:
-        raise ValueError("y must be positive")
+    if not (y > 0.0 and math.isfinite(y)):
+        raise ValueError("aspect ratio y must be positive and finite")
     r = math.sqrt(y)
     return (1.0 - r) ** 2, (1.0 + r) ** 2
 
@@ -297,7 +282,7 @@ class LimitingDensity:
             object.__setattr__(self, name, arr)
 
 
-def invert_to_density(lsd, y, grid=None, cfg=None):
+def invert_to_density(lsd, y, grid=None):
     """Stieltjes-Perron inversion: density of the limit law on a grid.
 
     p(x) is (1/pi) Im m(x + i delta), clipped at 0, after the known point mass
@@ -305,7 +290,6 @@ def invert_to_density(lsd, y, grid=None, cfg=None):
     One solve per grid point, each warm-started from the previous point's m.
     Solver failures propagate as ConvergenceError tagged with the offending x.
     """
-    cfg = cfg or _DEFAULT_CONFIG
     if grid is None:
         grid = default_grid(lsd, y)
     grid = np.asarray(grid, dtype=float)
@@ -321,7 +305,7 @@ def invert_to_density(lsd, y, grid=None, cfg=None):
     for i, x in enumerate(grid):
         z = complex(x, delta)
         try:
-            sol = solve_fixed_point(lsd, y, z, cfg, initial=m)
+            sol = solve_fixed_point(lsd, y, z, initial=m)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"inversion failed at x={float(x)}", z, exc.m, exc.residual, exc.iterations
@@ -344,17 +328,19 @@ def invert_to_density(lsd, y, grid=None, cfg=None):
 def lsd_cdf(density, x):
     """Distribution function of a tabulated limit density.
 
-    The point mass at zero, plus 2 x0 p(x0) for the mass below the first grid
-    point x0 (exact for a c x^{-1/2} hard edge, negligible below a soft edge),
-    plus the trapezoidal accumulation of the density; linear between 0 and x0.
-    Monotone nondecreasing and approximately 1 at the top of the grid.
+    Zero below zero; at zero the point mass, plus 2 x0 p(x0) for the mass below
+    the first grid point x0 (exact for a c x^{-1/2} hard edge, negligible below
+    a soft edge), plus the trapezoidal accumulation of the density; linear
+    between 0 and x0.  Monotone nondecreasing and approximately 1 at the top of
+    the grid.
     """
     g = density.grid
     v = density.values
     cum = np.concatenate(([0.0], np.cumsum(np.diff(g) * (v[1:] + v[:-1]) / 2.0)))
     tail = 2.0 * g[0] * v[0]
     xq = np.asarray(x, dtype=float)
-    out = density.mass_at_zero + np.interp(xq, np.concatenate(([0.0], g)), np.concatenate(([0.0], tail + cum)))
+    above = density.mass_at_zero + np.interp(xq, np.concatenate(([0.0], g)), np.concatenate(([0.0], tail + cum)))
+    out = np.where(xq < 0.0, 0.0, above)
     return float(out) if xq.ndim == 0 else out
 
 
@@ -362,24 +348,26 @@ def estimate_support_upper(lsd, y):
     """Upper edge of the support of the limit law (Silverstein & Choi 1995).
 
     On real m in (-1/max lam, 0) the inverse x(m) = -1/m + y T(m) of the
-    transform has the edge as its minimum.  There x'(m) = 1/m^2
-    - y sum W lam^2 / (1 + lam m)^2 rises from -inf to +inf, so one bisection
-    on the nodes of ``lsd.rule(RULE_MAX_SIZE)`` finds it.
+    transform has the edge as its minimum.  There x'(m) = 1/m^2 + y T'(m)
+    rises from -inf to +inf, so one bisection on the nodes of
+    ``lsd.rule(RULE_MAX_SIZE)`` finds it.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
     lam, W = lsd.rule(RULE_MAX_SIZE)
-    wl = W * lam
+    TTp = _terms(lam, W)
 
     def slope(m):
-        return 1.0 / m**2 - y * np.sum(wl * lam / (1.0 + np.outer(m, lam)) ** 2, axis=1)
+        # _bisect passes the one bracket's midpoint as a length-1 array
+        return 1.0 / m**2 + y * TTp(m[0])[1].real
 
     m = float(_bisect(slope, [-1.0 / lam.max()], [0.0], np.zeros(1))[0])
-    return -1.0 / m + y * float(np.sum(wl / (1.0 + lam * m)))
+    return float(-1.0 / m + y * TTp(m)[0].real)
 
 
 def default_grid(lsd, y, size=512):
-    """Density grid: geometric near zero, then linear out past the support.
+    """Density grid of ``size`` points: geometric near zero, then linear out
+    past the support.
 
     The geometric head resolves the inverse-square-root lower edge that occurs
     when the support touches zero (y = 1); its start scales with the support so
@@ -387,10 +375,10 @@ def default_grid(lsd, y, size=512):
     edge of the support.
     """
     size = int(size)
-    if size < 16:
-        raise ValueError("grid size must be at least 16")
+    if size < GRID_MIN_SIZE:
+        raise ValueError(f"grid size must be at least {GRID_MIN_SIZE}")
     hi = 1.05 * estimate_support_upper(lsd, y)
-    n_geo = max(32, size // 4)
+    n_geo = min(max(32, size // 4), size // 2)
     split = 0.05 * hi
     geo = np.geomspace(1e-8 * hi, split, n_geo, endpoint=False)
     lin = np.linspace(split, hi, size - n_geo)

@@ -90,15 +90,22 @@ class TestLsdDensityCommand:
         assert run(["lsd-density", "--model", WHITE, "--y", "0.5", "--grid", "96", "--out", str(out)]) == 0
         assert json.loads((tmp_path / "half.json").read_text())["mass_at_zero"] == 0.5
 
+    @pytest.mark.parametrize("size", [16, 31])
+    def test_small_grid(self, size, tmp_path):
+        args = ["lsd-density", "--model", WHITE, "--y", "1", "--grid", str(size)]
+        assert run(args + ["--out", str(tmp_path / "s")]) == 0
+        rows = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert len(rows) == size
+        assert float(rows[-1].split(",")[0]) == pytest.approx(4.2, rel=1e-12)
+
     def test_invalid_y_exits_2(self, tmp_path, capsys):
         code = run(["lsd-density", "--model", WHITE, "--y", "0", "--out", str(tmp_path / "x")])
         capsys.readouterr()
         assert code == 2
 
-    def test_nonconvergence_exits_3(self, tmp_path, capsys):
-        code = run(
-            ["lsd-density", "--model", WHITE, "--y", "1", "--max-iter", "2", "--out", str(tmp_path / "x")]
-        )
+    def test_nonconvergence_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(specmp.stieltjes, "MAX_ITER", 2)
+        code = run(["lsd-density", "--model", WHITE, "--y", "1", "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert code == 3
         assert "x=" in err
@@ -111,8 +118,8 @@ class TestLsdDensityCommand:
             ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--grid", "4"],
             ["gamma-density", "--model", ARMA11, "--grid", "0"],
             ["lsd-density", "--model", WHITE, "--y", "nan"],
-            ["lsd-density", "--model", WHITE, "--y", "1", "--max-iter", "-1"],
-            ["lsd-density", "--model", WHITE, "--y", "1", "--max-iter", "0"],
+            ["simulate", "--model", WHITE, "--y", "1", "--p", "16", "--mu", "nan"],
+            ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--mu", "inf"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):

@@ -179,6 +179,11 @@ class TestSimulateMatrix:
         with pytest.raises(ValueError):
             sp.SimulationPlan(p=4, y=1.0, model="not a model")
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_plan_rejects_nonfinite_mu(self, mu):
+        with pytest.raises(ValueError):
+            sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), mu=mu)
+
 
 class TestInnovationLaws:
     def test_in_place_fill_matches_allocating_forms(self):

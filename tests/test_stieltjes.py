@@ -139,6 +139,11 @@ class TestMPClosedForm:
             approx = sp.mp_stieltjes(1.0, complex(x, 1e-8)).imag / math.pi
             assert abs(approx - mp_pdf(1.0, x)) <= 1e-4
 
+    @pytest.mark.parametrize("y", [0.0, -1.0, math.inf, math.nan])
+    def test_support_rejects_bad_y(self, y):
+        with pytest.raises(ValueError):
+            sp.mp_support(y)
+
     def test_density_helper_matches(self):
         xs = np.linspace(0.05, 4.5, 50)
         np.testing.assert_allclose(
@@ -206,10 +211,10 @@ class TestInversion:
         with pytest.raises(ValueError):
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([2.0, 1.0]))
 
-    def test_nonconvergence_reports_offending_x(self):
-        cfg = sp.SolverConfig(max_iter=2)
+    def test_nonconvergence_reports_offending_x(self, monkeypatch):
+        monkeypatch.setattr(sp.stieltjes, "MAX_ITER", 2)
         with pytest.raises(sp.ConvergenceError) as err:
-            sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([1.0, 2.0]), cfg=cfg)
+            sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([1.0, 2.0]))
         assert "x=" in str(err.value)
 
     def test_one_solve_per_grid_point(self, monkeypatch):
@@ -254,11 +259,37 @@ class TestInversion:
         assert dens.values[gap].max() <= 1e-6
 
 
+class TestDefaultGrid:
+    @pytest.mark.parametrize("size", [16, 31, 32, 39, 64])
+    def test_size_points_ending_past_the_edge(self, size):
+        grid = sp.default_grid(MP_ATOM, 1.0, size=size)
+        assert grid.size == size
+        assert grid[0] > 0.0 and np.all(np.diff(grid) > 0.0)
+        assert grid[-1] == 1.05 * sp.estimate_support_upper(MP_ATOM, 1.0)
+
+    @pytest.mark.parametrize("size", [64, 100, 512])
+    def test_large_sizes_keep_their_layout(self, size):
+        # a geometric head of max(32, size // 4) points, then a linear run
+        grid = sp.default_grid(MP_ATOM, 1.0, size=size)
+        hi, n_geo = grid[-1], max(32, size // 4)
+        head = np.geomspace(1e-8 * hi, 0.05 * hi, n_geo, endpoint=False)
+        assert np.array_equal(grid, np.concatenate([head, np.linspace(0.05 * hi, hi, size - n_geo)]))
+
+    def test_minimum_size(self):
+        with pytest.raises(ValueError):
+            sp.default_grid(MP_ATOM, 1.0, size=sp.stieltjes.GRID_MIN_SIZE - 1)
+
+
 class TestLsdCDF:
     def test_zero_point_is_atom_mass(self):
         for y in (0.5, 1.0):
             dens = sp.invert_to_density(MP_ATOM, y)
             assert sp.lsd_cdf(dens, 0.0) == max(0.0, 1.0 - y)
+
+    def test_zero_below_zero(self):
+        dens = sp.invert_to_density(MP_ATOM, 0.5, grid=np.linspace(0.01, 3.5, 64))
+        assert sp.lsd_cdf(dens, -1.0) == 0.0
+        assert np.array_equal(sp.lsd_cdf(dens, np.array([-1.0, -1e-300, 0.0])), [0.0, 0.0, 0.5])
 
     def test_mp_unit_mass_and_interior_value(self):
         dens = sp.invert_to_density(MP_ATOM, 1.0)
