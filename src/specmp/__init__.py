@@ -8,24 +8,19 @@ limit law (``solve_fixed_point``), which is inverted to a density
 (``invert_to_density``); simulations check the result (``simulator``).
 
 Importing ``specmp`` (and ``specmp.cli``) loads NumPy and the standard library
-only.  SciPy is imported where it is used: ``scipy.signal.lfilter`` on the
+only.  SciPy is imported at its two use sites: ``scipy.signal.lfilter`` on the
 first simulation of a model with a non-white ARMA part (``simulate_matrix``),
-``scipy.interpolate.CubicSpline`` for tabulated densities
-(``SpectralDensity.from_table``), and ``scipy.special.roots_legendre`` in the
-``AbsContinuousLSD.total_mass`` oracle.
+and ``scipy.special.roots_legendre`` in the ``AbsContinuousLSD.total_mass``
+oracle.
 """
 
 from .linear_process import (
     ARMAModel,
-    DecayReport,
     FARIMAModel,
-    MACoefficients,
     ModelSpecError,
     PiecewiseSpectralDensity,
     SpectralDensity,
-    autocovariance,
     autocovariances,
-    decay_check,
     ma_coefficients,
     model_from_spec,
     model_to_spec,
@@ -35,7 +30,6 @@ from .simulator import (
     INNOVATION_LAWS,
     EmpiricalSpectrum,
     SimulationPlan,
-    ecdf,
     histogram,
     ks_distance,
     sample_cov_eigenvalues,
@@ -58,7 +52,6 @@ from .stieltjes import (
 from .toeplitz_lsd import (
     AbsContinuousLSD,
     AtomicLSD,
-    LevelSet,
     TangentialRootWarning,
     arma11_gamma_density,
     arma11_support,
@@ -67,7 +60,6 @@ from .toeplitz_lsd import (
     gamma_cdf,
     gamma_density,
     gamma_lsd,
-    level_set_roots,
     support_bounds,
 )
 

@@ -27,7 +27,9 @@ import sys
 import numpy as np
 
 from .linear_process import ModelSpecError, model_from_spec, model_to_spec
-from .simulator import SimulationPlan, histogram, ks_distance, sample_cov_eigenvalues, simulate_matrix
+from .simulator import (
+    INNOVATION_LAWS, SimulationPlan, histogram, ks_distance, sample_cov_eigenvalues, simulate_matrix
+)
 from .stieltjes import GRID_MIN_SIZE, ConvergenceError, default_grid, invert_to_density, lsd_cdf
 from .toeplitz_lsd import AtomicLSD, gamma_lsd
 
@@ -247,7 +249,7 @@ def _add_sim_args(sub):
     sub.add_argument("--p", type=int, required=True, help="matrix rows (dimension)")
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
     sub.add_argument("--replicates", type=int, default=1)
-    sub.add_argument("--law", choices=["normal", "rademacher", "uniform"], default="normal")
+    sub.add_argument("--law", choices=INNOVATION_LAWS, default="normal")
     sub.add_argument("--mu", type=float, default=0.0, help="mean shift added to every entry")
     sub.add_argument("--center", action="store_true", help="subtract the empirical column mean")
 

@@ -1,11 +1,12 @@
-"""ARMA and FARIMA linear-process models with exact spectral densities.
+"""ARMA, FARIMA and piecewise-constant spectral models.
 
 A causal linear process X_t = sum_{j>=0} c_j Z_{t-j} is described either by an
 ARMA difference equation or by a fractionally differenced ARMA (FARIMA) model.
-This module exposes the moving-average expansion c_j, the autocovariance
-function gamma(h) = sum_j c_j c_{j+|h|}, and closed-form spectral densities
-with analytic derivatives.  Nothing here is estimated from data; models are
-specified by their coefficients.
+This module exposes the truncated moving-average expansion c_0..c_J, the
+autocovariances gamma(h) = sum_j c_j c_{j+h} it gives, and closed-form
+spectral densities with analytic derivatives; a piecewise-constant density is
+a model in its own right.  Nothing here is estimated from data or fitted:
+models are specified by their coefficients.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -22,15 +22,11 @@ __all__ = [
     "ModelSpecError",
     "ARMAModel",
     "FARIMAModel",
-    "MACoefficients",
-    "DecayReport",
     "SpectralDensity",
     "PiecewiseSpectralDensity",
     "ma_coefficients",
-    "autocovariance",
     "autocovariances",
     "spectral_density",
-    "decay_check",
     "model_from_spec",
     "model_to_spec",
 ]
@@ -112,40 +108,6 @@ class FARIMAModel:
             )
 
 
-@dataclass(frozen=True)
-class MACoefficients:
-    """Truncated moving-average expansion c_0..c_J with a fitted decay bound.
-
-    The stored constants certify |c_j| <= decay_constant * (j+1)^(-1-decay_exponent)
-    pointwise over the stored range; ``d`` records the fractional order when the
-    expansion came from a FARIMA model.
-    """
-
-    coeffs: np.ndarray
-    decay_constant: float
-    decay_exponent: float
-    d: float | None = None
-
-    def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.coeffs, dtype=float))
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def horizon(self):
-        return self.coeffs.size - 1
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Outcome of checking the polynomial decay bound on stored coefficients."""
-
-    passed: bool
-    first_violation: int | None
-    k1: float | None = None
-    k2: float | None = None
-
-
 def _arma_expansion(model, horizon):
     # power series of b(z)/a(z): c_j = b_j - sum_k a_k c_{j-k}
     c = np.zeros(horizon + 1)
@@ -174,10 +136,8 @@ def _fractional_coeffs(d, horizon):
 def ma_coefficients(model, horizon):
     """Moving-average expansion c_0..c_J of an ARMA or FARIMA model.
 
-    For FARIMA the ARMA expansion is convolved with the series of (1-z)^(-d).
-    The returned object carries fitted (C, delta) for the decay bound
-    |c_j| <= C (j+1)^(-1-delta): delta = -d when d < 0 (the natural rate),
-    otherwise delta = 1 with C fitted pointwise over the stored range.
+    Returns the J + 1 coefficients as a read-only array.  For FARIMA the ARMA
+    expansion is convolved with the series of (1-z)^(-d).
     """
     horizon = int(horizon)
     if horizon < 1:
@@ -186,32 +146,20 @@ def ma_coefficients(model, horizon):
         coeffs = _arma_expansion(model.arma, horizon)
         if model.d != 0.0:
             coeffs = np.convolve(coeffs, _fractional_coeffs(model.d, horizon))[: horizon + 1]
-        d = model.d
     elif isinstance(model, ARMAModel):
         coeffs = _arma_expansion(model, horizon)
-        d = None
     else:
         raise TypeError(f"unsupported model type {type(model).__name__}")
-    delta = -d if (d is not None and d < 0.0) else 1.0
-    j = np.arange(coeffs.size, dtype=float)
-    C = float(np.max(np.abs(coeffs) * (j + 1.0) ** (1.0 + delta)))
-    return MACoefficients(coeffs=coeffs, decay_constant=C, decay_exponent=delta, d=d)
-
-
-def autocovariance(coeffs, lag):
-    """gamma(h) = sum_{j=0}^{J-|h|} c_j c_{j+|h|} from a truncated expansion."""
-    h = abs(int(lag))
-    c = coeffs.coeffs
-    if h > c.size - 1:
-        raise ValueError(f"lag {h} exceeds stored horizon {c.size - 1}")
-    if h == 0:
-        return float(c @ c)
-    return float(c[:-h] @ c[h:])
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def autocovariances(coeffs, max_lag):
-    """gamma(0..max_lag) as an array."""
-    return np.array([autocovariance(coeffs, h) for h in range(int(max_lag) + 1)])
+    """gamma(0..max_lag), gamma(h) = sum_{j=0}^{J-h} c_j c_{j+h}, from c_0..c_J."""
+    c = np.asarray(coeffs, dtype=float)
+    if max_lag > c.size - 1:
+        raise ValueError(f"lag {max_lag} exceeds stored horizon {c.size - 1}")
+    return np.correlate(c, c, "full")[c.size - 1 : c.size + int(max_lag)]
 
 
 def _poly_autocorr(poly):
@@ -235,58 +183,29 @@ def _cospoly_deriv(r, w):
 
 
 class SpectralDensity:
-    """Spectral density f on [0, 2*pi] with an exact analytic derivative.
+    """Spectral density f of an ARMA or FARIMA model on [0, 2*pi].
 
-    ``kind`` is one of "rational-ARMA", "FARIMA" or "tabulated".  Instances are
-    immutable in practice and safe to share across threads.  Rational kinds are
-    evaluated from the closed form |b(e^{iw})/a(e^{iw})|^2 (times the fractional
-    factor (2 - 2 cos w)^(-d) for FARIMA); no Fourier truncation is involved.
+    f is evaluated, with its exact analytic derivative, from the closed form
+    |b(e^{iw})/a(e^{iw})|^2, times the fractional factor (2 - 2 cos w)^(-d)
+    for FARIMA; no Fourier truncation is involved.  Instances are immutable
+    in practice and safe to share across threads.
     """
 
-    def __init__(self, kind, num, den, d=0.0, spline=None):
-        self.kind = kind
+    def __init__(self, num, den, d=0.0):
         self._num = num
         self._den = den
         self._d = float(d)
-        self._spline = spline
-        self._spline_deriv = spline.derivative() if spline is not None else None
 
     @classmethod
     def from_arma(cls, model):
         num = _poly_autocorr(np.concatenate([[1.0], model.ma]))
         den = _poly_autocorr(np.concatenate([[1.0], model.ar]))
-        return cls("rational-ARMA", num, den)
+        return cls(num, den)
 
     @classmethod
     def from_farima(cls, model):
-        if model.d == 0.0:
-            return cls.from_arma(model.arma)
         base = cls.from_arma(model.arma)
-        return cls("FARIMA", base._num, base._den, d=model.d)
-
-    @classmethod
-    def from_table(cls, omega, values):
-        """Interpolated density from samples on [0, 2*pi]; caller's risk.
-
-        The level-set assumptions behind the limiting theory (finite level
-        sets, nonvanishing derivative a.e.) are not verified for tabulated
-        densities.
-        """
-        from scipy.interpolate import CubicSpline
-
-        omega = np.asarray(omega, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if omega.ndim != 1 or omega.size < 4 or np.any(np.diff(omega) <= 0):
-            raise ModelSpecError("omega grid must be increasing with at least 4 points")
-        if omega[0] != 0.0 or abs(omega[-1] - TWO_PI) > 1e-9:
-            raise ModelSpecError("omega grid must span [0, 2*pi]")
-        if np.any(values < 0):
-            raise ModelSpecError("spectral density values must be nonnegative")
-        bc = "periodic" if abs(values[0] - values[-1]) < 1e-12 else "not-a-knot"
-        if bc == "periodic":
-            values = values.copy()
-            values[-1] = values[0]
-        return cls("tabulated", None, None, spline=CubicSpline(omega, values, bc_type=bc))
+        return cls(base._num, base._den, d=model.d)
 
     def _rational(self, w):
         B = _cospoly_val(self._num, w)
@@ -296,40 +215,34 @@ class SpectralDensity:
     def __call__(self, omega):
         w = np.asarray(omega, dtype=float)
         scalar = w.ndim == 0
-        if self._spline is not None:
-            out = np.asarray(self._spline(w), dtype=float)
-        else:
-            B, A = self._rational(w)
-            out = B / A
-            if self._d != 0.0:
-                # u = 2 - 2 cos w as 4 sin^2(v/2), v = w reduced to [-pi, pi], so
-                # that u keeps its relative accuracy at w = 0 and w = 2*pi
-                u = 4.0 * np.sin(0.5 * (w - TWO_PI * np.round(w / TWO_PI))) ** 2
-                with np.errstate(divide="ignore"):
-                    out = out * u ** (-self._d)
+        B, A = self._rational(w)
+        out = B / A
+        if self._d != 0.0:
+            # u = 2 - 2 cos w as 4 sin^2(v/2), v = w reduced to [-pi, pi], so
+            # that u keeps its relative accuracy at w = 0 and w = 2*pi
+            u = 4.0 * np.sin(0.5 * (w - TWO_PI * np.round(w / TWO_PI))) ** 2
+            with np.errstate(divide="ignore"):
+                out = out * u ** (-self._d)
         return float(out) if scalar else out
 
     def derivative(self, omega):
         w = np.asarray(omega, dtype=float)
         scalar = w.ndim == 0
-        if self._spline is not None:
-            out = np.asarray(self._spline_deriv(w), dtype=float)
-        else:
-            B, A = self._rational(w)
-            Bp = _cospoly_deriv(self._num, w)
-            Ap = _cospoly_deriv(self._den, w)
-            base = B / A
-            out = (Bp * A - B * Ap) / (A * A)
-            if self._d != 0.0:
-                v = w - TWO_PI * np.round(w / TWO_PI)
-                u = 4.0 * np.sin(0.5 * v) ** 2
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    frac = u ** (-self._d)
-                    fracp = -self._d * u ** (-self._d - 1.0) * (2.0 * np.sin(v))
-                    out = out * frac + base * fracp
-                # at w = 0 and 2*pi the fractional factor has one-sided infinite slopes
-                edge = np.where(w < math.pi, 1.0, -1.0) * math.copysign(math.inf, -self._d)
-                out = np.where(u == 0.0, edge, out)
+        B, A = self._rational(w)
+        Bp = _cospoly_deriv(self._num, w)
+        Ap = _cospoly_deriv(self._den, w)
+        base = B / A
+        out = (Bp * A - B * Ap) / (A * A)
+        if self._d != 0.0:
+            v = w - TWO_PI * np.round(w / TWO_PI)
+            u = 4.0 * np.sin(0.5 * v) ** 2
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                frac = u ** (-self._d)
+                fracp = -self._d * u ** (-self._d - 1.0) * (2.0 * np.sin(v))
+                out = out * frac + base * fracp
+            # at w = 0 and 2*pi the fractional factor has one-sided infinite slopes
+            edge = np.where(w < math.pi, 1.0, -1.0) * math.copysign(math.inf, -self._d)
+            out = np.where(u == 0.0, edge, out)
         return float(out) if scalar else out
 
 
@@ -343,7 +256,6 @@ class PiecewiseSpectralDensity:
     """
 
     pieces: tuple
-    kind: ClassVar[str] = "piecewise-constant"
 
     def __post_init__(self):
         try:
@@ -385,26 +297,6 @@ def spectral_density(model):
     if isinstance(model, ARMAModel):
         return SpectralDensity.from_arma(model)
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def decay_check(coeffs):
-    """Verify |c_j| <= C (j+1)^(-1-delta) pointwise over the stored range.
-
-    Returns a report rather than raising; ``first_violation`` is the smallest
-    offending index.  For fractional models the report also carries the
-    empirical envelope constants k1, k2 = min/max of c_j (j+1)^(1-d) over
-    j >= 1 (note c_j < 0 for j >= 1 when d < 0 and the ARMA part is trivial).
-    """
-    c = coeffs.coeffs
-    j = np.arange(c.size, dtype=float)
-    bound = coeffs.decay_constant * (j + 1.0) ** (-1.0 - coeffs.decay_exponent)
-    ok = np.abs(c) <= bound * (1.0 + 1e-12)
-    first = None if bool(ok.all()) else int(np.argmin(ok))
-    k1 = k2 = None
-    if coeffs.d is not None and c.size > 1:
-        ratio = c[1:] * (j[1:] + 1.0) ** (1.0 - coeffs.d)
-        k1, k2 = float(ratio.min()), float(ratio.max())
-    return DecayReport(passed=first is None, first_violation=first, k1=k1, k2=k2)
 
 
 def model_from_spec(spec):

@@ -42,7 +42,6 @@ __all__ = [
     "EmpiricalSpectrum",
     "simulate_matrix",
     "sample_cov_eigenvalues",
-    "ecdf",
     "ks_distance",
     "histogram",
 ]
@@ -93,6 +92,8 @@ class SimulationPlan:
             raise ValueError(f"law must be one of {INNOVATION_LAWS}")
         if self.replicates < 1:
             raise ValueError("replicates must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.n < 1:
             raise ValueError("y * p rounds below one column")
 
@@ -199,7 +200,7 @@ def simulate_matrix(plan, replicate=0, innovations=None):
         from scipy.signal import lfilter
     kernel = None
     if d != 0.0:
-        kernel = np.fft.rfft(ma_coefficients(FARIMAModel(ARMAModel(), d), n).coeffs, 2 * n)
+        kernel = np.fft.rfft(ma_coefficients(FARIMAModel(ARMAModel(), d), n), 2 * n)
     X = np.empty((p, n))
 
     def fill(lo, hi):
@@ -271,14 +272,6 @@ def sample_cov_eigenvalues(X, center=False):
     if m < p:
         vals = np.concatenate([np.zeros(p - m), vals])
     return EmpiricalSpectrum(vals)
-
-
-def ecdf(spectrum, x):
-    """Fraction of eigenvalues <= x (right-continuous step function)."""
-    vals = spectrum.eigenvalues
-    xq = np.asarray(x, dtype=float)
-    out = np.searchsorted(vals, xq, side="right") / vals.size
-    return float(out) if xq.ndim == 0 else out
 
 
 def ks_distance(spectrum, cdf):

@@ -326,7 +326,7 @@ def invert_to_density(lsd, y, grid=None):
 
 
 def lsd_cdf(density, x):
-    """Distribution function of a tabulated limit density.
+    """Distribution function of a limit density given on a grid.
 
     Zero below zero; at zero the point mass, plus 2 x0 p(x0) for the mass below
     the first grid point x0 (exact for a c x^{-1/2} hard edge, negligible below

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linear_process import (
-    ARMAModel,
     ModelSpecError,
     PiecewiseSpectralDensity,
     SpectralDensity,
@@ -39,11 +38,9 @@ from .linear_process import (
 
 __all__ = [
     "TangentialRootWarning",
-    "LevelSet",
     "AtomicLSD",
     "AbsContinuousLSD",
     "support_bounds",
-    "level_set_roots",
     "gamma_density",
     "gamma_cdf",
     "atomic_lsd",
@@ -60,8 +57,6 @@ GRID = 4096
 MAX_GRID = 2 ** 20
 # a level within LEVEL_RTOL * max(1, max |f|) of f at a breakpoint equals it
 LEVEL_RTOL = 1e-12
-# level-set roots with |f'| below this are flagged as tangential
-TANGENTIAL_TOL = 1e-8
 
 
 class TangentialRootWarning(UserWarning):
@@ -154,38 +149,6 @@ def _branch_roots(f, levels):
     a, b, target = (np.broadcast_to(x, inside.shape)[inside] for x in (low, high, lam))
     roots[inside] = _bisect(f, a, b, target)
     return low, high, top, roots
-
-
-@dataclass(frozen=True)
-class LevelSet:
-    """Solutions of f(w) = level on [0, 2*pi], with tangency flags."""
-
-    level: float
-    roots: np.ndarray
-    tangential: np.ndarray
-
-    @property
-    def any_tangential(self):
-        return bool(self.tangential.any())
-
-
-def level_set_roots(f, level):
-    """All w in [0, 2*pi) with f(w) = level.
-
-    The root on each monotone branch whose open range holds the level, and
-    every breakpoint (0 or a stationary point; 2*pi is 0) where f is within
-    LEVEL_RTOL of it.  A root is tangential when |f'| < TANGENTIAL_TOL there:
-    in practice a stationary point, which only a null set of levels reaches.
-    """
-    level = float(level)
-    bps, vals, atol = _breakpoints(f)
-    near = np.abs(vals - level) <= atol
-    roots = _branch_roots(f, level)[3]
-    # a branch ending at a breakpoint already listed as a root adds nothing
-    roots = roots[~near[:-1] & ~near[1:] & ~np.isnan(roots)]
-    roots = np.sort(np.concatenate([bps[:-1][near[:-1]], roots]))
-    tangential = np.abs(np.asarray(f.derivative(roots), dtype=float)) < TANGENTIAL_TOL
-    return LevelSet(level=level, roots=roots, tangential=tangential)
 
 
 def _density(f, levels):
@@ -364,13 +327,13 @@ def atomic_lsd(density):
 
 
 def gamma_lsd(model):
-    """Limit law of the autocovariance Toeplitz matrix for a model or density.
+    """Limit law of the autocovariance Toeplitz matrix of a model.
 
     Piecewise-constant and degenerate (constant) densities give an AtomicLSD;
     everything else gives an AbsContinuousLSD.  FARIMA models require d < 0
     here (d > 0 breaks the summability the theory needs).
     """
-    f = model if isinstance(model, SpectralDensity) else spectral_density(model)
+    f = spectral_density(model)
     if isinstance(f, PiecewiseSpectralDensity):
         return atomic_lsd(f)
     if getattr(f, "_d", 0.0) > 0.0:
@@ -414,10 +377,8 @@ def arma11_gamma_density(phi, theta, lam):
 
 
 def autocovariance_toeplitz(coeffs, size):
-    """The n x n autocovariance Toeplitz matrix (gamma(i - j))."""
+    """The n x n matrix (gamma(i - j)) from an MA expansion c_0..c_J, J >= n - 1."""
     if size < 1:
         raise ValueError("size must be at least 1")
-    if size - 1 > coeffs.horizon:
-        raise ValueError("stored expansion too short for requested matrix size")
     i = np.arange(size)
     return autocovariances(coeffs, size - 1)[np.abs(i[:, None] - i)]

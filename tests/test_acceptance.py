@@ -21,6 +21,10 @@ def report(num, name, detail):
     print(f"ACCEPTANCE {num:>2} {name}: PASS ({detail})")
 
 
+def esd_cdf(spectrum, x):
+    return np.searchsorted(spectrum.eigenvalues, x, side="right") / spectrum.p
+
+
 def mp_pdf(y, x):
     lo, hi = (1.0 - math.sqrt(y)) ** 2, (1.0 + math.sqrt(y)) ** 2
     if not lo < x < hi:
@@ -164,7 +168,7 @@ def test_07_centering_invariance():
     sa = sp.sample_cov_eigenvalues(sp.simulate_matrix(shifted), center=True)
     sb = sp.sample_cov_eigenvalues(sp.simulate_matrix(plain), center=False)
     grid = np.union1d(sa.eigenvalues, sb.eigenvalues)
-    ks = float(np.max(np.abs(sp.ecdf(sa, grid) - sp.ecdf(sb, grid))))
+    ks = float(np.max(np.abs(esd_cdf(sa, grid) - esd_cdf(sb, grid))))
     assert ks <= 0.02
     report(7, "centering invariance", f"two-sample KS = {ks:.4f}")
 
@@ -173,7 +177,7 @@ def test_08_farima_coefficient_envelope():
     d = -0.25
     coeffs = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), d), 10_000)
     j = np.arange(1, 10_001, dtype=float)
-    ratio = np.abs(coeffs.coeffs[1:]) * (j + 1.0) ** (1.0 - d)
+    ratio = np.abs(coeffs[1:]) * (j + 1.0) ** (1.0 - d)
     spread = float(ratio.max() / ratio.min())
     assert np.all(np.isfinite(ratio)) and ratio.min() > 0.0
     assert spread <= 10.0

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specmp
 from specmp.cli import main
@@ -120,6 +125,8 @@ class TestLsdDensityCommand:
             ["lsd-density", "--model", WHITE, "--y", "nan"],
             ["simulate", "--model", WHITE, "--y", "1", "--p", "16", "--mu", "nan"],
             ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--mu", "inf"],
+            ["simulate", "--model", WHITE, "--y", "1", "--p", "16", "--seed", "-1"],
+            ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--seed", "-1"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):
@@ -127,6 +134,81 @@ class TestLsdDensityCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())
+
+
+def _stationary(spec):
+    try:
+        specmp.model_from_spec(spec)
+    except specmp.ModelSpecError:
+        return False
+    return True
+
+
+_coefs = st.lists(st.floats(-0.9, 0.9), max_size=2)
+_arma = st.builds(lambda ar, ma: {"type": "arma", "ar": ar, "ma": ma}, _coefs, _coefs).filter(_stationary)
+_farima = st.builds(
+    lambda arma, d: {**arma, "type": "farima", "d": d},
+    _arma,
+    st.floats(-0.5, 0.0, exclude_min=True, exclude_max=True),
+)
+_piecewise = st.builds(
+    lambda cuts, levels: {
+        "type": "piecewise",
+        "pieces": [
+            {"lo": lo, "hi": hi, "alpha": a}
+            for lo, hi, a in zip([0.0, *sorted(cuts)], [*sorted(cuts), 2.0 * math.pi], levels)
+        ],
+    },
+    st.lists(st.floats(0.01, 2.0 * math.pi - 0.01), max_size=4, unique=True),
+    st.lists(st.floats(0.1, 10.0), min_size=5, max_size=5),
+)
+_malformed = st.one_of(
+    st.sampled_from(['{"type":"arma","ar":[-0.5', '{"type":"mystery"}', '{"type":"farima"}', "[1,2]"]),
+    st.text(max_size=12),
+)
+_model = st.one_of(st.one_of(_arma, _farima, _piecewise).map(json.dumps), _malformed)
+_y = st.floats(0.25, 4.0).map(repr)
+_runs = st.tuples(
+    st.builds(
+        lambda p, seed, y: ["simulate", "--p", str(p), "--seed", str(seed), "--y", y],
+        st.integers(1, 16),
+        st.one_of(st.integers(-3, -1), st.integers(0, 2**32)),
+        _y,
+    ),
+    st.just(["gamma-density"]),
+    st.builds(lambda y: ["lsd-density", "--grid", "16", "--y", y], _y),
+)
+
+
+def _numbers(text):
+    # every number in a JSON document, or in the data rows of a CSV table
+    if not text.lstrip().startswith("{"):
+        return [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+    found = []
+    keep = lambda s: found.append(float(s))
+    json.loads(text, parse_float=keep, parse_int=keep, parse_constant=keep)
+    return found
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(runs=_runs, model=_model)
+def test_exit_code_contract(runs, model):
+    # whatever the model and range of the inputs, each command returns 0, 2
+    # or 3 with no traceback; a failed run says why and writes nothing, and a
+    # successful one writes finite numbers only
+    for argv in runs:
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, f"--model={model}", "--out", os.path.join(out, "r")])
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in err.getvalue()
+            if code != 0:
+                assert "error:" in err.getvalue() or "numerical failure:" in err.getvalue()
+                assert os.listdir(out) == []
+            for name in os.listdir(out):
+                values = _numbers(Path(out, name).read_text())
+                assert values and all(math.isfinite(v) for v in values), name
 
 
 class TestSimulateCommand:

@@ -25,28 +25,41 @@ def poly_div_series(num, den, order):
 class TestMACoefficients:
     def test_white_noise_identity(self):
         c = sp.ma_coefficients(sp.ARMAModel(), 3)
-        np.testing.assert_array_equal(c.coeffs, [1.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(c, [1.0, 0.0, 0.0, 0.0])
+        assert not c.flags.writeable
 
     def test_arma11_long_division(self):
         c = sp.ma_coefficients(sp.ARMAModel.arma11(0.5, 1.0), 3)
         oracle = poly_div_series([1.0, 1.0], [1.0, -0.5], 3)
-        np.testing.assert_allclose(c.coeffs, oracle, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(c.coeffs, [1.0, 1.5, 0.75, 0.375], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c, oracle, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(c, [1.0, 1.5, 0.75, 0.375], rtol=0, atol=1e-15)
 
     def test_fractional_product_formula(self):
         d = -0.25
         c = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), d), 2)
-        np.testing.assert_allclose(c.coeffs, [1.0, d, d * (d + 1.0) / 2.0], rtol=0, atol=1e-16)
+        np.testing.assert_allclose(c, [1.0, d, d * (d + 1.0) / 2.0], rtol=0, atol=1e-16)
+
+    def test_farima_envelope(self):
+        # psi_j = Gamma(j + d) / (Gamma(d) Gamma(j + 1)), negative for j >= 1
+        # when d < 0, and psi_j Gamma(d) j^(1-d) = 1 + d(d-1)/(2j) + O(j^-2)
+        j = np.arange(1, 10_001)
+        for d in (-0.45, -0.25, -0.05):
+            psi = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), d), 10_000)
+            exact = -np.exp([math.lgamma(k + d) - math.lgamma(d) - math.lgamma(k + 1.0) for k in j])
+            assert psi[0] == 1.0
+            np.testing.assert_allclose(psi[1:], exact, rtol=1e-9, atol=0.0)
+            ratio = psi[1:] * math.gamma(d) * j ** (1.0 - d)
+            assert np.all(np.abs(ratio - 1.0) <= abs(d * (d - 1.0)) / j)
 
     def test_farima_convolves_arma_part(self):
         d = -0.3
         model = sp.FARIMAModel(sp.ARMAModel.arma11(0.4, 0.2), d)
         c = sp.ma_coefficients(model, 6)
-        arma = sp.ma_coefficients(model.arma, 6).coeffs
+        arma = sp.ma_coefficients(model.arma, 6)
         frac = np.ones(7)
         for j in range(1, 7):
             frac[j] = frac[j - 1] * (j - 1 + d) / j
-        np.testing.assert_allclose(c.coeffs, np.convolve(arma, frac)[:7], atol=1e-15)
+        np.testing.assert_allclose(c, np.convolve(arma, frac)[:7], atol=1e-15)
 
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -72,23 +85,24 @@ class TestMACoefficients:
 class TestAutocovariance:
     def test_ma1_by_hand(self):
         c = sp.ma_coefficients(sp.ARMAModel(ma=[1.0]), 5)
-        assert sp.autocovariance(c, 0) == 2.0
-        assert sp.autocovariance(c, 1) == 1.0
-        assert sp.autocovariance(c, 2) == 0.0
-        assert sp.autocovariance(c, -1) == 1.0
+        np.testing.assert_array_equal(sp.autocovariances(c, 2), [2.0, 1.0, 0.0])
 
     def test_ar1_geometric_series(self):
+        # gamma(h) = phi^h / (1 - phi^2) for phi = 1/2
         c = sp.ma_coefficients(sp.ARMAModel.arma11(0.5, 0.0), 200)
-        assert abs(sp.autocovariance(c, 0) - 4.0 / 3.0) <= 1e-12
+        expected = 0.5 ** np.arange(11) * 4.0 / 3.0
+        np.testing.assert_allclose(sp.autocovariances(c, 10), expected, rtol=0, atol=1e-12)
 
     def test_white_noise_variance(self):
         c = sp.ma_coefficients(sp.ARMAModel(), 3)
-        assert sp.autocovariance(c, 0) == 1.0
+        np.testing.assert_array_equal(sp.autocovariances(c, 3), [1.0, 0.0, 0.0, 0.0])
 
     def test_lag_beyond_horizon(self):
         c = sp.ma_coefficients(sp.ARMAModel(), 3)
         with pytest.raises(ValueError):
-            sp.autocovariance(c, 4)
+            sp.autocovariances(c, 4)
+        with pytest.raises(ValueError):
+            sp.autocovariance_toeplitz(c, 5)
 
     def test_positive_semidefinite_toeplitz(self):
         for model in (sp.ARMAModel(ma=[1.0]), sp.ARMAModel.arma11(0.5, 1.0)):
@@ -181,42 +195,6 @@ class TestSpectralDensity:
             f = sp.spectral_density(model)
             fd = (f(w + hstep) - f(w - hstep)) / (2.0 * hstep)
             assert np.max(np.abs(f.derivative(w) - fd)) <= 1e-5
-
-    def test_tabulated_matches_source(self):
-        f = sp.spectral_density(sp.ARMAModel(ma=[0.5]))
-        w = np.linspace(0.0, TWO_PI, 257)
-        tab = sp.SpectralDensity.from_table(w, f(w))
-        probe = np.linspace(0.2, TWO_PI - 0.2, 64)
-        assert np.max(np.abs(tab(probe) - f(probe))) < 1e-6
-        assert tab.kind == "tabulated"
-
-
-class TestDecayCheck:
-    def test_white_noise_constants(self):
-        c = sp.ma_coefficients(sp.ARMAModel(), 10)
-        assert (c.decay_constant, c.decay_exponent) == (1.0, 1.0)
-        assert sp.decay_check(c).passed
-
-    def test_arma11_fitted_bound(self):
-        c = sp.ma_coefficients(sp.ARMAModel.arma11(0.5, 1.0), 100)
-        report = sp.decay_check(c)
-        assert report.passed and report.first_violation is None
-        assert report.k1 is None
-
-    def test_violation_reported(self):
-        bad = sp.MACoefficients(
-            coeffs=np.ones(4), decay_constant=1.0, decay_exponent=0.5
-        )
-        report = sp.decay_check(bad)
-        assert not report.passed
-        assert report.first_violation == 1
-
-    def test_farima_envelope(self):
-        model = sp.FARIMAModel(sp.ARMAModel(), -0.25)
-        report = sp.decay_check(sp.ma_coefficients(model, 2000))
-        assert report.passed
-        # c_j < 0 for j >= 1 when d < 0, so the envelope is negative
-        assert report.k1 < report.k2 < 0.0
 
 
 class TestModelSpecJSON:

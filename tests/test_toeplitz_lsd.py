@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import specmp as sp
+from specmp.toeplitz_lsd import _branch_roots, _breakpoints
 
 TWO_PI = 2.0 * math.pi
 
 FARIMA_AR = sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25)
 MA2 = sp.ARMAModel(ma=(1.0, 0.5))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
+
+
+def branch_roots(f, level):
+    """Sorted roots of f(w) = level on the monotone branches that hold it."""
+    roots = _branch_roots(f, level)[3]
+    return np.sort(roots[~np.isnan(roots)])
 
 
 def cli_grid(lsd, n=512):
@@ -51,29 +58,32 @@ class TestSupportBounds:
 class TestLevelSetRoots:
     def test_ma1_interior_level(self):
         f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))  # f = 2 + 2 cos w
-        ls = sp.level_set_roots(f, 2.0)
-        np.testing.assert_allclose(ls.roots, [math.pi / 2.0, 3.0 * math.pi / 2.0], atol=1e-10)
-        assert not ls.any_tangential
+        roots = branch_roots(f, 2.0)
+        np.testing.assert_allclose(roots, [math.pi / 2.0, 3.0 * math.pi / 2.0], atol=1e-10)
+        np.testing.assert_allclose(np.abs(f.derivative(roots)), [2.0, 2.0], rtol=1e-12)
 
     def test_ma1_boundary_extremum(self):
+        # the maximum 4 is f at the breakpoint w = 0, a stationary point that
+        # no branch holds in its open range
         f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
-        ls = sp.level_set_roots(f, 4.0)
-        np.testing.assert_allclose(ls.roots, [0.0], atol=1e-10)
-        assert list(ls.tangential) == [True]
+        bps, vals, _ = _breakpoints(f)
+        assert bps[0] == 0.0 and abs(vals[0] - 4.0) <= 1e-10
+        assert f.derivative(0.0) == 0.0
+        assert branch_roots(f, 4.0).size == 0
+        assert sp.gamma_cdf(f, 4.0) == 1.0
 
     def test_ar1_arccos_oracle(self):
         f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
         # f(w) = 1 at cos w = 1/4
-        ls = sp.level_set_roots(f, 1.0)
         w0 = math.acos(0.25)
-        np.testing.assert_allclose(ls.roots, [w0, TWO_PI - w0], atol=1e-10)
+        np.testing.assert_allclose(branch_roots(f, 1.0), [w0, TWO_PI - w0], atol=1e-10)
 
     def test_roots_satisfy_level_equation(self):
         f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 1.0))
         for lam in (0.5, 2.0, 9.0, 15.0):
-            ls = sp.level_set_roots(f, lam)
-            assert ls.roots.size > 0
-            assert np.max(np.abs(f(ls.roots) - lam)) <= 1e-9
+            roots = branch_roots(f, lam)
+            assert roots.size > 0
+            assert np.max(np.abs(f(roots) - lam)) <= 1e-9
 
 
 class TestGammaDensity:
@@ -115,11 +125,9 @@ class TestGammaDensity:
         assert len(tangential) == 1
         assert "2 of 3 levels" in str(tangential[0].message)
         assert values[0] == values[1] and np.all(np.isfinite(values))
-        # the stationary point at w = pi is left out of the sum
-        level_set = sp.level_set_roots(lsd.f, 0.25)
-        regular = level_set.roots[~level_set.tangential]
-        assert regular.size == 2 and level_set.tangential.sum() == 1
-        expected = np.sum(1.0 / np.abs(lsd.f.derivative(regular))) / TWO_PI
+        # f = 1.25 + 3 cos w + 2 cos^2 w: the stationary point w = pi is left
+        # out of the sum, and the regular roots 2pi/3, 4pi/3 have |f'| = sqrt(3)/2
+        expected = 2.0 / (math.pi * math.sqrt(3.0))
         assert abs(values[0] / expected - 1.0) <= 1e-12
         # the minimum sits at an interior stationary point, but levels next to
         # the outer support edges are ordinary band-edge levels
@@ -326,7 +334,7 @@ class TestExactARMALevelSets:
         on_circle = zeros[np.abs(np.abs(zeros) - 1.0) < 1e-6]
         exact = np.sort(np.mod(np.angle(on_circle), TWO_PI))
 
-        roots = sp.level_set_roots(f, lam).roots
+        roots = branch_roots(f, lam)
         assert roots.size == exact.size > 0
         np.testing.assert_allclose(roots, exact, rtol=0.0, atol=1e-9)
         cuts = np.concatenate([[0.0], exact, [TWO_PI]])
