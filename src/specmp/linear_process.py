@@ -2,11 +2,12 @@
 
 A causal linear process X_t = sum_{j>=0} c_j Z_{t-j} is described either by an
 ARMA difference equation or by a fractionally differenced ARMA (FARIMA) model.
-This module exposes the truncated moving-average expansion c_0..c_J, the
-autocovariances gamma(h) = sum_j c_j c_{j+h} it gives, and closed-form
-spectral densities with analytic derivatives; a piecewise-constant density is
-a model in its own right.  Nothing here is estimated from data or fitted:
-models are specified by their coefficients.
+This module exposes the truncated moving-average expansion c_0..c_J and the
+autocovariances gamma(h) = sum_j c_j c_{j+h} it gives.  ``SpectralDensity``
+evaluates the closed-form density of either model, and its derivative, from
+the autocovariances of (1, ma) and (1, ar); a piecewise-constant density is a
+model in its own right.  Models take numbers, not text, as coefficients, with
+(1 + sum |c_k|)^2 finite; nothing here is estimated from data or fitted.
 """
 
 from __future__ import annotations
@@ -38,6 +39,17 @@ class ModelSpecError(ValueError):
     """A model specification violates a constructor invariant."""
 
 
+def _reals(values, name):
+    # text is refused: float() would read "0.5", and "12" would iterate as 1, 2
+    try:
+        values = (values,) if isinstance(values, (str, bytes)) else tuple(values)
+        if any(isinstance(v, (str, bytes)) for v in values):
+            raise TypeError(f"got text {values!r}")
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ModelSpecError(f"{name} must be numeric: {exc}") from exc
+
+
 def _ar_roots_outside_unit_disk(ar):
     """True when all zeros of 1 + a_1 z + ... + a_p z^p lie outside |z| <= 1."""
     # their reciprocals are the zeros of z^p + a_1 z^(p-1) + ... + a_p, whose
@@ -60,10 +72,13 @@ class ARMAModel:
     ma: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "ar", tuple(float(a) for a in self.ar))
-        object.__setattr__(self, "ma", tuple(float(b) for b in self.ma))
-        if not all(math.isfinite(v) for v in self.ar + self.ma):
-            raise ModelSpecError("ARMA coefficients must be finite")
+        for name in ("ar", "ma"):
+            coeffs = _reals(getattr(self, name), name)
+            # (1 + sum |c_k|)^2 bounds |theta|^2, |phi|^2 and their cosine coefficients
+            bound = 1.0 + sum(map(abs, coeffs))
+            if not math.isfinite(bound * bound):
+                raise ModelSpecError(f"{name} coefficients must be finite, with (1 + sum |c_k|)^2 finite")
+            object.__setattr__(self, name, coeffs)
         if not _ar_roots_outside_unit_disk(self.ar):
             raise ModelSpecError(
                 "autoregressive polynomial must have all zeros outside the closed unit disk"
@@ -94,7 +109,7 @@ class FARIMAModel:
     d: float
 
     def __post_init__(self):
-        object.__setattr__(self, "d", float(self.d))
+        object.__setattr__(self, "d", _reals((self.d,), "d")[0])
         if not isinstance(self.arma, ARMAModel):
             raise ModelSpecError("FARIMAModel.arma must be an ARMAModel")
         if not (-0.5 < self.d < 0.5):
@@ -162,88 +177,65 @@ def autocovariances(coeffs, max_lag):
     return np.correlate(c, c, "full")[c.size - 1 : c.size + int(max_lag)]
 
 
-def _poly_autocorr(poly):
-    # |poly(e^{iw})|^2 = r_0 + 2 sum_h r_h cos(h w) with r_h = sum_k p_k p_{k+h}
-    arr = np.asarray(poly, dtype=float)
-    return np.array([arr[: arr.size - h] @ arr[h:] for h in range(arr.size)])
-
-
-def _cospoly_val(r, w):
-    if r.size == 1:
-        return np.full_like(w, r[0], dtype=float)
+def _cosine_sum(r, w, slope=False):
+    # r_0 + 2 sum_h r_h cos(h w), or its slope -2 sum_h h r_h sin(h w); with no
+    # harmonics the empty matmul gives exactly r_0 and 0
     h = np.arange(1.0, r.size)
+    if slope:
+        return -2.0 * (np.sin(np.multiply.outer(w, h)) @ (h * r[1:]))
     return r[0] + 2.0 * (np.cos(np.multiply.outer(w, h)) @ r[1:])
-
-
-def _cospoly_deriv(r, w):
-    if r.size == 1:
-        return np.zeros_like(w, dtype=float)
-    h = np.arange(1.0, r.size)
-    return -2.0 * (np.sin(np.multiply.outer(w, h)) @ (h * r[1:]))
 
 
 class SpectralDensity:
     """Spectral density f of an ARMA or FARIMA model on [0, 2*pi].
 
-    f is evaluated, with its exact analytic derivative, from the closed form
-    |b(e^{iw})/a(e^{iw})|^2, times the fractional factor (2 - 2 cos w)^(-d)
-    for FARIMA; no Fourier truncation is involved.  Instances are immutable
-    in practice and safe to share across threads.
+    f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 * (2 - 2 cos w)^(-d), with d = 0
+    for ARMA, and f' come from one evaluator of the closed form; no Fourier
+    truncation is involved.  |theta|^2 and |phi|^2 are cosine sums
+    r_0 + 2 sum_h r_h cos(h w) whose coefficients are the autocovariances of
+    (1, ma) and (1, ar).  That form is kept because it is exact where the
+    cosines are: for theta(z) = 1 + z it gives f(pi) = 0 exactly (complex
+    arithmetic leaves about 7e-33), and f'(0) = 0.  Each sum has an absolute
+    error of about eps * r_0, so f loses relative accuracy where |phi|^2 is
+    small, at sharp AR peaks: up to 2e-11 for ar = (0.80078125, -0.1953125)
+    near pi.  Instances are immutable in practice and safe to share across
+    threads.
     """
 
-    def __init__(self, num, den, d=0.0):
-        self._num = num
-        self._den = den
-        self._d = float(d)
+    def __init__(self, model):
+        arma, self.d = (model.arma, model.d) if isinstance(model, FARIMAModel) else (model, 0.0)
+        if not isinstance(arma, ARMAModel):
+            raise TypeError(f"unsupported model type {type(model).__name__}")
+        self._num = autocovariances((1.0, *arma.ma), len(arma.ma))
+        self._den = autocovariances((1.0, *arma.ar), len(arma.ar))
 
-    @classmethod
-    def from_arma(cls, model):
-        num = _poly_autocorr(np.concatenate([[1.0], model.ma]))
-        den = _poly_autocorr(np.concatenate([[1.0], model.ar]))
-        return cls(num, den)
-
-    @classmethod
-    def from_farima(cls, model):
-        base = cls.from_arma(model.arma)
-        return cls(base._num, base._den, d=model.d)
-
-    def _rational(self, w):
-        B = _cospoly_val(self._num, w)
-        A = _cospoly_val(self._den, w)
-        return B, A
-
-    def __call__(self, omega):
+    def _evaluate(self, omega, slope):
+        # f = (B / A) u^(-d) and f' = ((B' A - B A') / A^2) u^(-d) + (B / A) (u^(-d))'
         w = np.asarray(omega, dtype=float)
-        scalar = w.ndim == 0
-        B, A = self._rational(w)
-        out = B / A
-        if self._d != 0.0:
+        B, A = _cosine_sum(self._num, w), _cosine_sum(self._den, w)
+        out = ratio = B / A
+        if slope:
+            Bp, Ap = _cosine_sum(self._num, w, slope=True), _cosine_sum(self._den, w, slope=True)
+            out = (Bp * A - B * Ap) / (A * A)
+        if self.d != 0.0:
             # u = 2 - 2 cos w as 4 sin^2(v/2), v = w reduced to [-pi, pi], so
             # that u keeps its relative accuracy at w = 0 and w = 2*pi
-            u = 4.0 * np.sin(0.5 * (w - TWO_PI * np.round(w / TWO_PI))) ** 2
-            with np.errstate(divide="ignore"):
-                out = out * u ** (-self._d)
-        return float(out) if scalar else out
-
-    def derivative(self, omega):
-        w = np.asarray(omega, dtype=float)
-        scalar = w.ndim == 0
-        B, A = self._rational(w)
-        Bp = _cospoly_deriv(self._num, w)
-        Ap = _cospoly_deriv(self._den, w)
-        base = B / A
-        out = (Bp * A - B * Ap) / (A * A)
-        if self._d != 0.0:
             v = w - TWO_PI * np.round(w / TWO_PI)
             u = 4.0 * np.sin(0.5 * v) ** 2
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                frac = u ** (-self._d)
-                fracp = -self._d * u ** (-self._d - 1.0) * (2.0 * np.sin(v))
-                out = out * frac + base * fracp
-            # at w = 0 and 2*pi the fractional factor has one-sided infinite slopes
-            edge = np.where(w < math.pi, 1.0, -1.0) * math.copysign(math.inf, -self._d)
-            out = np.where(u == 0.0, edge, out)
-        return float(out) if scalar else out
+                out = out * u ** (-self.d)
+                if slope:
+                    out = out + ratio * (-self.d * u ** (-self.d - 1.0) * (2.0 * np.sin(v)))
+                    # at w = 0 and 2*pi the factor has one-sided infinite slopes
+                    edge = np.where(w < math.pi, 1.0, -1.0) * math.copysign(math.inf, -self.d)
+                    out = np.where(u == 0.0, edge, out)
+        return float(out) if w.ndim == 0 else out
+
+    def __call__(self, omega):
+        return self._evaluate(omega, slope=False)
+
+    def derivative(self, omega):
+        return self._evaluate(omega, slope=True)
 
 
 @dataclass(frozen=True)
@@ -290,13 +282,7 @@ class PiecewiseSpectralDensity:
 
 def spectral_density(model):
     """Exact spectral density of a model, with analytic derivative."""
-    if isinstance(model, PiecewiseSpectralDensity):
-        return model
-    if isinstance(model, FARIMAModel):
-        return SpectralDensity.from_farima(model)
-    if isinstance(model, ARMAModel):
-        return SpectralDensity.from_arma(model)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model if isinstance(model, PiecewiseSpectralDensity) else SpectralDensity(model)
 
 
 def model_from_spec(spec):
@@ -320,17 +306,12 @@ def model_from_spec(spec):
         if kind == "farima":
             if "d" not in spec:
                 raise ModelSpecError("farima spec requires 'd'")
-            return FARIMAModel(
-                arma=ARMAModel(ar=spec.get("ar", ()), ma=spec.get("ma", ())),
-                d=spec["d"],
-            )
+            return FARIMAModel(model_from_spec({**spec, "type": "arma"}), spec["d"])
         if kind == "piecewise":
             pieces = spec.get("pieces")
             if not isinstance(pieces, list):
                 raise ModelSpecError("piecewise spec requires a 'pieces' list")
-            return PiecewiseSpectralDensity(
-                tuple((p["lo"], p["hi"], p["alpha"]) for p in pieces)
-            )
+            return PiecewiseSpectralDensity(tuple((p["lo"], p["hi"], p["alpha"]) for p in pieces))
     except (KeyError, TypeError) as exc:
         raise ModelSpecError(f"malformed model spec: {exc}") from exc
     raise ModelSpecError(f"unknown model type {kind!r}")
@@ -341,12 +322,7 @@ def model_to_spec(model):
     if isinstance(model, ARMAModel):
         return {"type": "arma", "ar": list(model.ar), "ma": list(model.ma)}
     if isinstance(model, FARIMAModel):
-        return {
-            "type": "farima",
-            "ar": list(model.arma.ar),
-            "ma": list(model.arma.ma),
-            "d": model.d,
-        }
+        return {**model_to_spec(model.arma), "type": "farima", "d": model.d}
     if isinstance(model, PiecewiseSpectralDensity):
         return {
             "type": "piecewise",

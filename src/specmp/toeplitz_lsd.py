@@ -336,7 +336,7 @@ def gamma_lsd(model):
     f = spectral_density(model)
     if isinstance(f, PiecewiseSpectralDensity):
         return atomic_lsd(f)
-    if getattr(f, "_d", 0.0) > 0.0:
+    if f.d > 0.0:
         raise ModelSpecError("limiting spectral distribution requires d < 0")
     lo, hi = support_bounds(f)
     if _is_degenerate(lo, hi):

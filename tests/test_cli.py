@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import specmp
 from specmp.cli import main
+from specmp.simulator import INNOVATION_LAWS
 
 ARMA11 = '{"type":"arma","ar":[-0.5],"ma":[1]}'
 WHITE = '{"type":"arma"}'
@@ -127,6 +128,12 @@ class TestLsdDensityCommand:
             ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--mu", "inf"],
             ["simulate", "--model", WHITE, "--y", "1", "--p", "16", "--seed", "-1"],
             ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--seed", "-1"],
+            ["gamma-density", "--model", '{"type":"arma","ar":"0.5"}'],
+            ["lsd-density", "--model", '{"type":"farima","d":"x"}', "--y", "1"],
+            ["simulate", "--model", '{"type":"arma","ma":"12"}', "--y", "1", "--p", "16"],
+            ["gamma-density", "--model", '{"type":"arma","ma":[1e200]}'],
+            ["lsd-density", "--model", '{"type":"arma","ma":[1e200]}', "--y", "1"],
+            ["simulate", "--model", '{"type":"arma","ma":[1e200]}', "--y", "1", "--p", "16"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):
@@ -144,7 +151,7 @@ def _stationary(spec):
     return True
 
 
-_coefs = st.lists(st.floats(-0.9, 0.9), max_size=2)
+_coefs = st.lists(st.floats(-0.9, 0.9), max_size=3)
 _arma = st.builds(lambda ar, ma: {"type": "arma", "ar": ar, "ma": ma}, _coefs, _coefs).filter(_stationary)
 _farima = st.builds(
     lambda arma, d: {**arma, "type": "farima", "d": d},
@@ -163,20 +170,37 @@ _piecewise = st.builds(
     st.lists(st.floats(0.1, 10.0), min_size=5, max_size=5),
 )
 _malformed = st.one_of(
-    st.sampled_from(['{"type":"arma","ar":[-0.5', '{"type":"mystery"}', '{"type":"farima"}', "[1,2]"]),
+    st.sampled_from(
+        [
+            '{"type":"arma","ar":[-0.5', '{"type":"mystery"}', '{"type":"farima"}', "[1,2]",
+            '{"type":"arma","ar":"0.5"}', '{"type":"farima","d":"x"}', '{"type":"arma","ma":"12"}',
+            '{"type":"arma","ma":[1e200]}',
+        ]
+    ),
     st.text(max_size=12),
 )
 _model = st.one_of(st.one_of(_arma, _farima, _piecewise).map(json.dumps), _malformed)
 _y = st.floats(0.25, 4.0).map(repr)
+_grid = st.integers(16, 40).map(str)
+
+
+def _sim(p, seed):
+    return st.builds(lambda p, seed, y: ["--p", str(p), "--seed", str(seed), "--y", y], p, seed, _y)
+
+
 _runs = st.tuples(
-    st.builds(
-        lambda p, seed, y: ["simulate", "--p", str(p), "--seed", str(seed), "--y", y],
-        st.integers(1, 16),
-        st.one_of(st.integers(-3, -1), st.integers(0, 2**32)),
-        _y,
+    _sim(st.integers(1, 16), st.one_of(st.integers(-3, -1), st.integers(0, 2**32))).map(
+        lambda sim: ["simulate", *sim]
     ),
     st.just(["gamma-density"]),
-    st.builds(lambda y: ["lsd-density", "--grid", "16", "--y", y], _y),
+    st.builds(lambda grid, y: ["lsd-density", "--grid", grid, "--y", y], _grid, _y),
+    # a valid plan, so that compare reaches the theory for every model it can simulate
+    st.builds(
+        lambda sim, law, grid: ["compare", *sim, "--law", law, "--grid", grid],
+        _sim(st.integers(2, 16), st.integers(0, 2**32)),
+        st.sampled_from(INNOVATION_LAWS),
+        _grid,
+    ),
 )
 
 
@@ -195,7 +219,7 @@ def _numbers(text):
 def test_exit_code_contract(runs, model):
     # whatever the model and range of the inputs, each command returns 0, 2
     # or 3 with no traceback; a failed run says why and writes nothing, and a
-    # successful one writes finite numbers only
+    # successful one writes finite numbers only, with no negative density
     for argv in runs:
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as out:
@@ -209,6 +233,8 @@ def test_exit_code_contract(runs, model):
             for name in os.listdir(out):
                 values = _numbers(Path(out, name).read_text())
                 assert values and all(math.isfinite(v) for v in values), name
+                if argv[0] == "lsd-density" and name.endswith(".csv"):
+                    assert min(values[1::2]) >= 0.0, name
 
 
 class TestSimulateCommand:

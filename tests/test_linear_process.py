@@ -129,7 +129,7 @@ class TestSpectralDensity:
         f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
         assert abs(f(math.pi / 2.0) - 2.0) < 1e-14
 
-    def test_arma11_matches_rational_form(self):
+    def test_arma11_matches_closed_form(self):
         phi, theta = 0.5, 1.0
         f = sp.spectral_density(sp.ARMAModel.arma11(phi, theta))
         w = np.linspace(0.1, TWO_PI - 0.1, 50)
@@ -188,6 +188,7 @@ class TestSpectralDensity:
             sp.ARMAModel.arma11(0.5, 1.0),
             sp.ARMAModel(ar=[-0.5, 0.2], ma=[0.4]),
             sp.FARIMAModel(sp.ARMAModel(), -0.25),
+            sp.FARIMAModel(sp.ARMAModel(ar=[-0.5]), -0.25),
         ]
         w = rng.uniform(0.1, TWO_PI - 0.1, 100)
         hstep = 1e-6
@@ -195,6 +196,36 @@ class TestSpectralDensity:
             f = sp.spectral_density(model)
             fd = (f(w + hstep) - f(w - hstep)) / (2.0 * hstep)
             assert np.max(np.abs(f.derivative(w) - fd)) <= 1e-5
+
+    def test_shape_contract(self):
+        # a 0-d input gives a float and an array its own shape, with the
+        # values of the flattened call
+        w = np.linspace(0.0, TWO_PI, 12).reshape(3, 4)
+        for model in (
+            sp.ARMAModel(),
+            sp.ARMAModel(ar=[-0.5, 0.2], ma=[0.4, -0.3, 0.25]),
+            sp.FARIMAModel(sp.ARMAModel(), -0.25),
+            sp.FARIMAModel(sp.ARMAModel(ar=[-0.5]), -0.25),
+        ):
+            f = sp.spectral_density(model)
+            for fun in (f, f.derivative):
+                assert type(fun(1.0)) is float and type(fun(np.float64(0.0))) is float
+                assert fun(w).shape == (3, 4)
+                np.testing.assert_allclose(fun(w).ravel(), fun(w.ravel()), rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(fun(w[1, 2]), fun(w)[1, 2], rtol=1e-15, atol=0.0)
+
+    def test_farima_with_ar_edge_slopes(self):
+        f = sp.spectral_density(sp.FARIMAModel(sp.ARMAModel(ar=[-0.5]), -0.25))
+        assert f.d == -0.25
+        assert f(0.0) == 0.0 and f(TWO_PI) == 0.0
+        assert f.derivative(0.0) == math.inf
+        assert f.derivative(TWO_PI) == -math.inf
+        assert np.all(np.isfinite(f.derivative(np.linspace(1e-3, TWO_PI - 1e-3, 101))))
+
+    def test_rejects_non_models(self):
+        with pytest.raises(TypeError):
+            sp.SpectralDensity(sp.PiecewiseSpectralDensity(((0.0, TWO_PI, 1.0),)))
+        assert sp.SpectralDensity(sp.ARMAModel()).d == 0.0
 
 
 class TestModelSpecJSON:
@@ -219,9 +250,33 @@ class TestModelSpecJSON:
             '{"type":"farima"}',
             '{"type":"piecewise","pieces":[{"lo":0,"hi":1,"alpha":1}]}',
             "[1,2,3]",
+            '{"type":"arma","ar":"0.5"}',
+            '{"type":"farima","d":"x"}',
+            '{"type":"arma","ma":"12"}',
+            '{"type":"arma","ma":[null]}',
+            '{"type":"farima","d":1' + "0" * 400 + "}",
         ):
             with pytest.raises(sp.ModelSpecError):
                 sp.model_from_spec(bad)
+
+    def test_text_coefficients_rejected(self):
+        for kwargs in ({"ar": "0.5"}, {"ma": "12"}, {"ma": b"12"}, {"ma": [1.0, "2"]}):
+            with pytest.raises(sp.ModelSpecError):
+                sp.ARMAModel(**kwargs)
+        for d in ("-0.25", b"x", None):
+            with pytest.raises(sp.ModelSpecError):
+                sp.FARIMAModel(sp.ARMAModel(), d)
+        assert sp.ARMAModel(ma=(b for b in (1, 2))).ma == (1.0, 2.0)
+
+    def test_coefficients_bounded(self):
+        # (1 + sum |c_k|)^2 must be finite: it bounds |theta|^2, |phi|^2 and
+        # every cosine coefficient of f
+        for ma in ([1e200], [1e154, 1e154], [math.inf], [math.nan]):
+            with pytest.raises(sp.ModelSpecError):
+                sp.ARMAModel(ma=ma)
+        with pytest.raises(sp.ModelSpecError):
+            sp.ARMAModel(ar=[1e200])
+        assert sp.ARMAModel(ma=[1e154]).ma == (1e154,)
 
     def test_piecewise_partition_enforced(self):
         with pytest.raises(sp.ModelSpecError):
