@@ -192,30 +192,31 @@ class SpectralDensity:
     f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 * (2 - 2 cos w)^(-d), with d = 0
     for ARMA, and f' come from one evaluator of the closed form; no Fourier
     truncation is involved.  |theta|^2 and |phi|^2 are cosine sums
-    r_0 + 2 sum_h r_h cos(h w) whose coefficients are the autocovariances of
-    (1, ma) and (1, ar).  That form is kept because it is exact where the
-    cosines are: for theta(z) = 1 + z it gives f(pi) = 0 exactly (complex
-    arithmetic leaves about 7e-33), and f'(0) = 0.  Each sum has an absolute
-    error of about eps * r_0, so f loses relative accuracy where |phi|^2 is
-    small, at sharp AR peaks: up to 2e-11 for ar = (0.80078125, -0.1953125)
-    near pi.  Instances are immutable in practice and safe to share across
-    threads.
+    r_0 + 2 sum_h r_h cos(h w) whose coefficients, the read-only arrays
+    ``ma_acov`` and ``ar_acov``, are the autocovariances of (1, ma) and
+    (1, ar).  That form is kept because it is exact where the cosines are: for
+    theta(z) = 1 + z it gives f(pi) = 0 exactly (complex arithmetic leaves
+    about 7e-33), and f'(0) = 0.  Each sum has an absolute error of about
+    eps * r_0, so f loses relative accuracy where |phi|^2 is small, at sharp
+    AR peaks: up to 2e-11 for ar = (0.80078125, -0.1953125) near pi.
+    Instances are immutable in practice and safe to share across threads.
     """
 
     def __init__(self, model):
         arma, self.d = (model.arma, model.d) if isinstance(model, FARIMAModel) else (model, 0.0)
         if not isinstance(arma, ARMAModel):
             raise TypeError(f"unsupported model type {type(model).__name__}")
-        self._num = autocovariances((1.0, *arma.ma), len(arma.ma))
-        self._den = autocovariances((1.0, *arma.ar), len(arma.ar))
+        self.ma_acov, self.ar_acov = (autocovariances((1.0, *c), len(c)) for c in (arma.ma, arma.ar))
+        self.ma_acov.setflags(write=False)
+        self.ar_acov.setflags(write=False)
 
     def _evaluate(self, omega, slope):
         # f = (B / A) u^(-d) and f' = ((B' A - B A') / A^2) u^(-d) + (B / A) (u^(-d))'
         w = np.asarray(omega, dtype=float)
-        B, A = _cosine_sum(self._num, w), _cosine_sum(self._den, w)
+        B, A = _cosine_sum(self.ma_acov, w), _cosine_sum(self.ar_acov, w)
         out = ratio = B / A
         if slope:
-            Bp, Ap = _cosine_sum(self._num, w, slope=True), _cosine_sum(self._den, w, slope=True)
+            Bp, Ap = _cosine_sum(self.ma_acov, w, slope=True), _cosine_sum(self.ar_acov, w, slope=True)
             out = (Bp * A - B * Ap) / (A * A)
         if self.d != 0.0:
             # u = 2 - 2 cos w as 4 sin^2(v/2), v = w reduced to [-pi, pi], so

@@ -10,13 +10,14 @@ and distribution function Leb{w : f(w) <= lam} / (2*pi) on the range of f when
 f is smooth with almost-everywhere nonvanishing derivative, and a purely atomic
 law with weights |A_j| / (2*pi) when f is piecewise constant.
 
-Density and distribution function come from the level sets of f: one
-vectorised bisection finds the stationary points of f, which split [0, 2*pi]
-into monotone branches, and then the root of f(w) = lam on every branch for a
-whole array of levels.  A level is tangential when it equals f at a stationary
-point inside the support; the density diverges there.  Quadrature against the
-continuous law comes from Szegő's theorem, as a graded trapezoid rule in w
-pushed forward through f.
+Density and distribution function come from the level sets of f.  Its
+stationary points, 0, pi, 2*pi and the arccosines of the real roots in (-1, 1)
+of one Chebyshev polynomial in cos w, split [0, 2*pi] into monotone branches;
+one vectorised bisection then finds the root of f(w) = lam on every branch for
+a whole array of levels.  A level is tangential when it equals f at a
+stationary point inside the support; the density diverges there.  Quadrature
+against the continuous law comes from Szegő's theorem, as a graded trapezoid
+rule in w pushed forward through f.
 """
 
 from __future__ import annotations
@@ -27,13 +28,10 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .linear_process import (
-    ModelSpecError,
-    PiecewiseSpectralDensity,
-    SpectralDensity,
-    autocovariances,
-    spectral_density,
+    ModelSpecError, PiecewiseSpectralDensity, SpectralDensity, autocovariances, spectral_density
 )
 
 __all__ = [
@@ -52,9 +50,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# sign changes of f' are bracketed on GRID cells, doubled up to MAX_GRID
-GRID = 4096
-MAX_GRID = 2 ** 20
 # a level within LEVEL_RTOL * max(1, max |f|) of f at a breakpoint equals it
 LEVEL_RTOL = 1e-12
 
@@ -86,36 +81,27 @@ def _bisect(fun, a, b, target):
         b[live[~below]] = mid[~below]
 
 
-def _stationary_points(f, n):
-    """0, 2*pi and the zeros of f', located by sign changes on an n-cell grid."""
-    grid = np.linspace(0.0, TWO_PI, n + 1)
-    fp = np.asarray(f.derivative(grid), dtype=float)
-    scale = np.max(np.abs(fp[np.isfinite(fp)]), initial=0.0)
-    if scale == 0.0:
-        return np.array([0.0, TWO_PI])
-    sign = np.sign(fp)
-    sign[np.abs(fp) < 1e-13 * scale] = 0.0
-    cells = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
-    rise = (sign[cells] < 0.0).astype(int)
-    zeros = _bisect(f.derivative, grid[cells + 1 - rise], grid[cells + rise], np.zeros(cells.size))
-    points = np.sort(np.concatenate([[0.0, TWO_PI], grid[1:-1][sign[1:-1] == 0.0], zeros]))
-    return points[np.concatenate([[True], np.diff(points) > 1e-10])]
-
-
 def _breakpoints(f):
     """(w, f(w), atol) at the points of [0, 2*pi] between which f is monotone.
 
-    The grid is doubled from GRID cells until the count of stationary points is
-    stable (at most MAX_GRID cells).  Cached per density instance.
+    With x = cos w and u = 2 - 2x, f'(w) = -sin w * u^(-d-1) * Q(x) / A(x)^2,
+    where B and A are |theta|^2 and |phi|^2 as Chebyshev series in x and
+    Q = (B' A - B A') u + 2d B A.  So the breakpoints are 0, pi and 2*pi (f is
+    even about pi), and arccos x and 2*pi - arccos x for every real root x of Q
+    in (-1, 1).  Cached per density instance.
     """
     cached = _BREAKPOINT_CACHE.get(f)
     if cached is None:
-        n, pts = GRID, _stationary_points(f, GRID)
-        while 2 * n <= MAX_GRID:
-            n *= 2
-            pts, coarse = _stationary_points(f, n), pts
-            if pts.size == coarse.size:
-                break
+        # [r_0, 2 r_1, ...] / r_0: the roots of Q ignore scale, and r_0 >= |r_h| keeps Q finite
+        B, A = (np.concatenate([[1.0], 2.0 * r[1:] / r[0]]) for r in (f.ma_acov, f.ar_acov))
+        Q = cheb.chebsub(cheb.chebmul(cheb.chebder(B), A), cheb.chebmul(B, cheb.chebder(A)))
+        if f.d != 0.0:
+            Q = cheb.chebadd(cheb.chebmul(Q, [2.0, -2.0]), 2.0 * f.d * cheb.chebmul(B, A))
+        # top coefficients at rounding level (they cancel when p = q) would give
+        # roots of huge norm and spoil the accuracy of the others
+        x = cheb.chebroots(cheb.chebtrim(Q, 1e-14 * np.max(np.abs(Q))))
+        t = np.arccos(x.real[(np.abs(x.imag) <= 1e-9) & (np.abs(x.real) < 1.0)])
+        pts = np.sort(np.concatenate([[0.0, math.pi, TWO_PI], t, TWO_PI - t]))
         vals = np.asarray(f(pts), dtype=float)
         atol = LEVEL_RTOL * max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]))))
         cached = _BREAKPOINT_CACHE[f] = (pts, vals, atol)
@@ -331,7 +317,8 @@ def gamma_lsd(model):
 
     Piecewise-constant and degenerate (constant) densities give an AtomicLSD;
     everything else gives an AbsContinuousLSD.  FARIMA models require d < 0
-    here (d > 0 breaks the summability the theory needs).
+    here (d > 0 breaks the summability the theory needs), and (max f)^2 must
+    be finite; both raise ModelSpecError otherwise.
     """
     f = spectral_density(model)
     if isinstance(f, PiecewiseSpectralDensity):
@@ -339,6 +326,8 @@ def gamma_lsd(model):
     if f.d > 0.0:
         raise ModelSpecError("limiting spectral distribution requires d < 0")
     lo, hi = support_bounds(f)
+    if not math.isfinite(hi * hi):
+        raise ModelSpecError(f"spectral density too large: (max f)^2 overflows at max f = {hi:.3g}")
     if _is_degenerate(lo, hi):
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))

@@ -134,6 +134,10 @@ class TestLsdDensityCommand:
             ["gamma-density", "--model", '{"type":"arma","ma":[1e200]}'],
             ["lsd-density", "--model", '{"type":"arma","ma":[1e200]}', "--y", "1"],
             ["simulate", "--model", '{"type":"arma","ma":[1e200]}', "--y", "1", "--p", "16"],
+            ["gamma-density", "--model", '{"type":"arma","ma":[1e150,1e150]}'],
+            ["lsd-density", "--model", '{"type":"arma","ma":[1e150,1e150]}', "--y", "1"],
+            ["gamma-density", "--model", '{"type":"arma","ma":[1e154]}'],
+            ["lsd-density", "--model", '{"type":"arma","ma":[1e154]}', "--y", "1"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):
@@ -141,6 +145,31 @@ class TestLsdDensityCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not list(tmp_path.iterdir())
+
+
+class TestModelFile:
+    def test_same_bytes_as_inline(self, tmp_path, capsys):
+        spec = tmp_path / "model.json"
+        spec.write_text(ARMA11)
+        assert run(["gamma-density", "--model-file", str(spec), "--out", str(tmp_path / "f")]) == 0
+        from_file = capsys.readouterr().out
+        assert run(["gamma-density", "--model", ARMA11, "--out", str(tmp_path / "m")]) == 0
+        assert capsys.readouterr().out == from_file
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--model", ARMA11, "--model-file", "model.json"], [], ["--model-file", "missing.json"]],
+        ids=["both", "neither", "missing-file"],
+    )
+    def test_misused_flags_exit_2(self, flags, tmp_path, capsys):
+        (tmp_path / "model.json").write_text(ARMA11)
+        out = tmp_path / "out"
+        out.mkdir()
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        assert run(["gamma-density", *flags, "--out", str(out / "r")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(out.iterdir())
 
 
 def _stationary(spec):
@@ -174,22 +203,31 @@ _malformed = st.one_of(
         [
             '{"type":"arma","ar":[-0.5', '{"type":"mystery"}', '{"type":"farima"}', "[1,2]",
             '{"type":"arma","ar":"0.5"}', '{"type":"farima","d":"x"}', '{"type":"arma","ma":"12"}',
-            '{"type":"arma","ma":[1e200]}',
+            '{"type":"arma","ma":[1e200]}', '{"type":"arma","ma":[1e150,1e150]}', '{"type":"arma","ma":[1e154]}',
         ]
     ),
     st.text(max_size=12),
 )
-_model = st.one_of(st.one_of(_arma, _farima, _piecewise).map(json.dumps), _malformed)
 _y = st.floats(0.25, 4.0).map(repr)
 _grid = st.integers(16, 40).map(str)
+
+
+def _mostly(valid, invalid):
+    # valid in about four examples of five; one_of would give each branch an
+    # equal share, and valid is also the simplest choice, where Hypothesis starts
+    return st.integers(0, 4).flatmap(lambda k: invalid if k == 4 else valid)
 
 
 def _sim(p, seed):
     return st.builds(lambda p, seed, y: ["--p", str(p), "--seed", str(seed), "--y", y], p, seed, _y)
 
 
+# stationary models and valid plans in most examples, so that most simulate
+# runs build a matrix; the others fail validation and must exit 2
+_model = _mostly(st.one_of(_arma, _farima).map(json.dumps), st.one_of(_piecewise.map(json.dumps), _malformed))
+_plan = _sim(st.integers(2, 16), st.integers(0, 2**32))
 _runs = st.tuples(
-    _sim(st.integers(1, 16), st.one_of(st.integers(-3, -1), st.integers(0, 2**32))).map(
+    _mostly(_plan, _sim(st.just(1), st.integers(0, 2**32)) | _sim(st.integers(2, 16), st.integers(-3, -1))).map(
         lambda sim: ["simulate", *sim]
     ),
     st.just(["gamma-density"]),
@@ -197,7 +235,7 @@ _runs = st.tuples(
     # a valid plan, so that compare reaches the theory for every model it can simulate
     st.builds(
         lambda sim, law, grid: ["compare", *sim, "--law", law, "--grid", grid],
-        _sim(st.integers(2, 16), st.integers(0, 2**32)),
+        _plan,
         st.sampled_from(INNOVATION_LAWS),
         _grid,
     ),

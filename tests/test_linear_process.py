@@ -227,6 +227,40 @@ class TestSpectralDensity:
             sp.SpectralDensity(sp.PiecewiseSpectralDensity(((0.0, TWO_PI, 1.0),)))
         assert sp.SpectralDensity(sp.ARMAModel()).d == 0.0
 
+    def test_public_cosine_coefficients(self):
+        # |1 + e^{iw}|^2 = 2 + 2 cos w and |1 - 0.5 e^{iw}|^2 = 1.25 - cos w
+        f = sp.SpectralDensity(sp.FARIMAModel(sp.ARMAModel.arma11(0.5, 1.0), -0.25))
+        assert f.ma_acov.tolist() == [2.0, 1.0] and f.ar_acov.tolist() == [1.25, -0.5]
+        assert f.d == -0.25
+        for coeffs in (f.ma_acov, f.ar_acov):
+            with pytest.raises(ValueError):
+                coeffs[0] = 0.0
+
+
+class TestPiecewiseSpectralDensity:
+    # given out of order: the constructor sorts the pieces by their left edge
+    f = sp.PiecewiseSpectralDensity(((math.pi, TWO_PI, 2.0), (0.0, 1.0, 3.0), (1.0, math.pi, 0.5)))
+
+    def test_level_on_each_piece(self):
+        assert [self.f(w) for w in (0.5, 2.0, 4.0)] == [3.0, 0.5, 2.0]
+        assert isinstance(self.f(0.5), float)
+
+    def test_half_open_edges(self):
+        # [lo, hi): an edge belongs to the piece that it opens
+        assert self.f(0.0) == 3.0
+        assert self.f(1.0) == 0.5 and self.f(np.nextafter(1.0, 0.0)) == 3.0
+        assert self.f(math.pi) == 2.0 and self.f(np.nextafter(math.pi, 0.0)) == 0.5
+
+    def test_last_piece_covers_two_pi(self):
+        assert self.f(TWO_PI) == 2.0
+
+    def test_array_keeps_shape(self):
+        w = np.array([[0.0, 1.0, 2.0], [math.pi, 5.0, TWO_PI]])
+        out = self.f(w)
+        assert out.shape == (2, 3)
+        assert out.tolist() == [[3.0, 0.5, 0.5], [2.0, 2.0, 2.0]]
+        assert self.f(w[:, :, None]).shape == (2, 3, 1)
+
 
 class TestModelSpecJSON:
     def test_round_trips(self):

@@ -16,6 +16,8 @@ TWO_PI = 2.0 * math.pi
 FARIMA_AR = sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25)
 MA2 = sp.ARMAModel(ma=(1.0, 0.5))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
+# a sharp AR(2) peak: |phi|^2 falls to 1.3e-8 of its mean at w = 0.807
+SHARP_AR2 = sp.ARMAModel(ar=(-1.3826202528951597, 0.9996872602874478))
 
 
 def branch_roots(f, level):
@@ -56,6 +58,42 @@ class TestSupportBounds:
 
 
 class TestLevelSetRoots:
+    def test_sharp_ar2_breakpoints(self):
+        # f = 1 / A(cos w) with A quadratic: one stationary point inside (0, pi)
+        bps, vals, _ = _breakpoints(sp.spectral_density(SHARP_AR2))
+        assert bps.size == 5
+        assert bps[0] == 0.0 and bps[2] == math.pi and bps[4] == TWO_PI
+        assert bps[3] == TWO_PI - bps[1]
+        assert min(vals[1], vals[3]) > 1e6 > max(vals[0], vals[2])
+
+    def test_complex_roots_are_not_breakpoints(self):
+        # Q has the real roots -0.1226 and 0.5544 and a complex pair with real
+        # part -0.2159 in (-1, 1): f has an extremum at each breakpoint only
+        f = sp.spectral_density(sp.ARMAModel(ar=(0.0, 0.5), ma=(0.0, 0.0, 0.5)))
+        bps = _breakpoints(f)[0]
+        assert bps.size == 7
+        inner = bps[1:-1]
+        assert np.all(f.derivative(inner - 1e-6) * f.derivative(inner + 1e-6) < 0.0)
+
+    # stationary AR parts from reflection coefficients |k| < 1 (Schur-Cohn)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        refl=st.lists(st.floats(-0.99, 0.99), max_size=3),
+        ma=st.lists(st.floats(-1.5, 1.5), max_size=3),
+        d=st.one_of(st.just(0.0), st.floats(-0.45, -0.01)),
+    )
+    def test_derivative_keeps_sign_on_each_branch(self, refl, ma, d):
+        ar = np.array([1.0])
+        for k in refl:
+            ar = np.append(ar, 0.0) + k * np.append(ar, 0.0)[::-1]
+        model = sp.ARMAModel(ar=ar[1:], ma=ma)
+        f = sp.spectral_density(sp.FARIMAModel(model, d) if d else model)
+        bps = _breakpoints(f)[0]
+        w = bps[:-1, None] + np.diff(bps)[:, None] * np.linspace(0.0, 1.0, 66)[1:-1]
+        slope = f.derivative(w)
+        tol = 1e-12 * np.max(np.abs(slope))
+        assert np.all((slope.min(axis=1) >= -tol) | (slope.max(axis=1) <= tol))
+
     def test_ma1_interior_level(self):
         f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))  # f = 2 + 2 cos w
         roots = branch_roots(f, 2.0)
@@ -262,7 +300,7 @@ class TestAtomicLSD:
 class TestNormalizationAndSzego:
     def test_total_mass_sample(self):
         arma11 = [sp.ARMAModel.arma11(*pair) for pair in ((0.5, 1.0), (-0.4, 0.8), (0.8, -0.4))]
-        for model in arma11 + [FARIMA_AR, MA2, ARMA23]:
+        for model in arma11 + [FARIMA_AR, MA2, ARMA23, SHARP_AR2]:
             lsd = sp.gamma_lsd(model)
             assert abs(lsd.total_mass() - 1.0) <= 1e-6
 
