@@ -245,17 +245,19 @@ def sample_cov_eigenvalues(X, center=False):
     m = n (or n - 1 when centred) columns left, the m x m Gram matrix
     X^T X / p is eigensolved when m < p and its spectrum padded with p - m
     exact zeros: p - n null eigenvalues, or p - n + 1 when centred.
-    Otherwise the p x p matrix X X^T / p is eigensolved.  Roundoff-negative
-    eigenvalues within 1e-9 of zero are clamped; anything lower is surfaced
-    as an eigensolver failure.
+    Otherwise the p x p matrix X X^T / p is eigensolved.  NumPy forms either
+    Gram matrix of a contiguous X with a symmetric rank-k update, so it is
+    exactly symmetric, and the eigensolver reads only its lower triangle.
+    Roundoff-negative eigenvalues within 1e-9 of zero are clamped; anything
+    lower is surfaced as an eigensolver failure.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     p = X.shape[0]
     if center:
         X = _helmert(X - X.mean(axis=1, keepdims=True))
     m = X.shape[1]
     S = X.T @ X if m < p else X @ X.T
-    S = (S + S.T) / (2.0 * p)
+    S /= p
     try:
         vals = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:

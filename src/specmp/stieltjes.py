@@ -92,13 +92,22 @@ class StieltjesSolution:
 
 
 def _terms(lam, W):
-    """(T, T') at m in one pass over a rule: T(m) = sum W lam / (1 + lam m)."""
-    wl = (W * lam).astype(complex)
+    """(T, T') at m in one pass over a rule: T(m) = sum W lam / (1 + lam m).
+
+    The nodes are cast to complex once per rule; each evaluation then builds
+    1/(1 + lam m) and its square in place, in one complex array.
+    """
+    lamc = lam.astype(complex)
+    wl = W * lamc
     wl2 = wl * lam
 
     def TTp(m):
-        q = 1.0 / (1.0 + lam * m)
-        return q @ wl, -(q * q) @ wl2
+        q = lamc * m
+        q += 1.0
+        np.reciprocal(q, out=q)
+        t = q @ wl
+        q *= q
+        return t, -(q @ wl2)
 
     return TTp
 
@@ -115,8 +124,11 @@ def _iterate(TTp, y, z, m):
     hyperbolic displacement |G(m) - m|^2 / (Im m Im G(m)); that merit is
     non-increasing along the exact orbit, diverges at the boundary (which is
     where the cleared equation hides spurious roots), and vanishes only at the
-    fixed point, so Newton can never be trapped away from the answer.  At most
-    MAX_ITER sweeps; returns (m, sweeps, T(m)).
+    fixed point, so Newton can never be trapped away from the answer.  The
+    merit has a rounding floor, though, below which no candidate lowers it; a
+    full Newton step that already meets the stopping rule |dm| <= UPDATE_TOL
+    (1 + |m|) is therefore taken without the merit test, and ends the solve.
+    At most MAX_ITER sweeps; returns (m, sweeps, T(m)).
     """
 
     def state(mm):
@@ -136,7 +148,7 @@ def _iterate(TTp, y, z, m):
                 cand = m + 0.5**k * step
                 if cand.imag > 0.0 and cmath.isfinite(cand):
                     cs = state(cand)
-                    if cs[1] < cur:
+                    if cs[1] < cur or (k == 0 and abs(step) <= UPDATE_TOL * (1.0 + abs(cand))):
                         nxt = cand
                         break
         if nxt is None:

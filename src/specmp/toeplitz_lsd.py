@@ -102,7 +102,9 @@ def _breakpoints(f):
         x = cheb.chebroots(cheb.chebtrim(Q, 1e-14 * np.max(np.abs(Q))))
         t = np.arccos(x.real[(np.abs(x.imag) <= 1e-9) & (np.abs(x.real) < 1.0)])
         pts = np.sort(np.concatenate([[0.0, math.pi, TWO_PI], t, TWO_PI - t]))
-        vals = np.asarray(f(pts), dtype=float)
+        # |phi|^2 can round to 0 at a peak; gamma_lsd refuses the inf it gives
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.asarray(f(pts), dtype=float)
         atol = LEVEL_RTOL * max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]))))
         cached = _BREAKPOINT_CACHE[f] = (pts, vals, atol)
     return cached
@@ -317,8 +319,10 @@ def gamma_lsd(model):
 
     Piecewise-constant and degenerate (constant) densities give an AtomicLSD;
     everything else gives an AbsContinuousLSD.  FARIMA models require d < 0
-    here (d > 0 breaks the summability the theory needs), and (max f)^2 must
-    be finite; both raise ModelSpecError otherwise.
+    here (d > 0 breaks the summability the theory needs), (max f)^2 must be
+    finite, and min f must not be negative beyond rounding (|phi|^2 rounds to
+    <= 0 at an AR root within about 1e-7 of the unit circle); each raises
+    ModelSpecError otherwise.
     """
     f = spectral_density(model)
     if isinstance(f, PiecewiseSpectralDensity):
@@ -328,6 +332,8 @@ def gamma_lsd(model):
     lo, hi = support_bounds(f)
     if not math.isfinite(hi * hi):
         raise ModelSpecError(f"spectral density too large: (max f)^2 overflows at max f = {hi:.3g}")
+    if lo < -LEVEL_RTOL * max(1.0, hi):
+        raise ModelSpecError(f"spectral density negative: min f = {lo:.3g}, from |phi|^2 rounding to <= 0")
     if _is_degenerate(lo, hi):
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))

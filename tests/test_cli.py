@@ -28,6 +28,16 @@ PIECEWISE = json.dumps(
     }
 )
 
+# AR roots so near the unit circle that |phi|^2 rounds to < 0 (f < 0) or to 0 (f = inf) at the peak
+NEGATIVE_F = json.dumps(
+    {
+        "type": "arma",
+        "ar": [0.9935212290463952, -0.9939139301270936, -0.9996072978804833],
+        "ma": [-0.23927213182136864, 0.9841467518903655],
+    }
+)
+INFINITE_F = json.dumps({"type": "arma", "ar": [-0.8946377354927975, -0.895280022166188, 0.999357707428716]})
+
 
 def run(args):
     return main(args)
@@ -138,6 +148,10 @@ class TestLsdDensityCommand:
             ["lsd-density", "--model", '{"type":"arma","ma":[1e150,1e150]}', "--y", "1"],
             ["gamma-density", "--model", '{"type":"arma","ma":[1e154]}'],
             ["lsd-density", "--model", '{"type":"arma","ma":[1e154]}', "--y", "1"],
+            ["gamma-density", "--model", NEGATIVE_F],
+            ["lsd-density", "--model", NEGATIVE_F, "--y", "1"],
+            ["gamma-density", "--model", INFINITE_F],
+            ["lsd-density", "--model", INFINITE_F, "--y", "1"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):

@@ -289,6 +289,22 @@ class TestSampleCovEigenvalues:
         assert abs(trace - s.eigenvalues.sum()) <= 1e-9 * trace
         assert int((s.eigenvalues == 0.0).sum()) >= p - min(p, n - center)
 
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
+    def test_gram_is_exactly_symmetric(self, y, center):
+        # the spectrum is eigvalsh of the explicitly symmetrised Gram matrix,
+        # bit for bit, for both orientations and for a non-contiguous view
+        plan = sp.SimulationPlan(p=120, y=y, model=sp.ARMAModel.arma11(0.5, 1.0), seed=4, mu=1.0, center=center)
+        X = sp.simulate_matrix(plan)
+        for view in (X, np.asfortranarray(X), X[::2, ::3]):
+            A = np.ascontiguousarray(view)
+            A = simulator._helmert(A - A.mean(axis=1, keepdims=True)) if center else A
+            S = A.T @ A if A.shape[1] < A.shape[0] else A @ A.T
+            ref = np.clip(np.linalg.eigvalsh((S + S.T) / (2.0 * A.shape[0])), 0.0, None)
+            vals = sp.sample_cov_eigenvalues(view, center=center).eigenvalues
+            np.testing.assert_array_equal(vals[vals.size - ref.size :], ref)
+            assert not vals[: vals.size - ref.size].any()
+
     def test_centering_small_scale(self):
         # same innovations: centering a shifted matrix is a rank-one update
         model = sp.ARMAModel(ma=[1.0])

@@ -22,6 +22,24 @@ def quadratic_mp_root(y, z):
     return complex(upper[0])
 
 
+def count_evaluations(monkeypatch):
+    # counts every (T, T') evaluation the solver makes
+    evals = [0]
+    terms = sp.stieltjes._terms
+
+    def counted(lam, W):
+        TTp = terms(lam, W)
+
+        def wrapped(m):
+            evals[0] += 1
+            return TTp(m)
+
+        return wrapped
+
+    monkeypatch.setattr(sp.stieltjes, "_terms", counted)
+    return evals
+
+
 def mp_pdf(y, x):
     lo, hi = (1.0 - math.sqrt(y)) ** 2, (1.0 + math.sqrt(y)) ** 2
     if not lo < x < hi:
@@ -81,14 +99,38 @@ class TestSolveFixedPoint:
             m = sp.solve_fixed_point(MP_ATOM, 1.0, complex(2.0, eps)).m
             assert m.imag > 0
 
-    def test_single_atom_cold_start_is_exact(self):
-        # the mean-level Marchenko-Pastur start is the answer for one atom
+    def test_single_atom_cold_start_is_exact(self, monkeypatch):
+        # the mean-level Marchenko-Pastur start is the answer for one atom:
+        # one evaluation at the start, one at the first Newton candidate (whose
+        # step is below the stopping tolerance) and one on the doubled rule
+        evals = count_evaluations(monkeypatch)
         for y in (0.5, 1.0, 3.0):
             edge = (1.0 + math.sqrt(y)) ** 2
             for z in (1j, 2.0 + 0.1j, -0.5 + 0.03j, complex(edge, 1e-3), complex(0.5 * edge, 1e-3)):
+                evals[0] = 0
                 sol = sp.solve_fixed_point(MP_ATOM, y, z)
                 assert abs(sol.m - sp.mp_stieltjes(y, z)) <= 1e-12
                 assert sol.iterations <= 2
+                assert evals[0] <= 3, (y, z)
+
+    @pytest.mark.parametrize(
+        "lsd",
+        [MP_ATOM, sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))],
+        ids=["mp", "arma11"],
+    )
+    def test_warm_start_at_the_solution_ends_in_one_sweep(self, lsd, monkeypatch):
+        # at the fixed point the hyperbolic merit sits at its rounding floor,
+        # so no halving can lower it; the sub-tolerance Newton step ends the solve.
+        # These points are far enough from the axis that the first rule holds.
+        evals = count_evaluations(monkeypatch)
+        for y in (0.5, 1.0, 3.0):
+            for z in (1j, 2.0 + 0.1j, -0.5 + 0.03j, 3.0 + 0.3j):
+                exact = sp.solve_fixed_point(lsd, y, z).m
+                evals[0] = 0
+                sol = sp.solve_fixed_point(lsd, y, z, initial=exact)
+                assert sol.iterations == 1, (y, z)
+                assert evals[0] <= 3, (y, z)
+                assert abs(sol.m - exact) <= 1e-12 * abs(exact)
 
     def test_atomic_specialization_equals_mp(self):
         for y in (0.5, 1.0, 3.0):

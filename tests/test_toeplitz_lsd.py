@@ -56,6 +56,20 @@ class TestSupportBounds:
         assert lo == 0.0
         assert abs(hi - 2.0 ** 0.5) <= 1e-10
 
+    def test_negative_minimum_refused_beyond_rounding(self):
+        # |phi|^2 rounds below 0 at the peak of an AR root 1e-7 from the unit circle
+        near_unit = sp.ARMAModel(
+            ar=(0.9935212290463952, -0.9939139301270936, -0.9996072978804833),
+            ma=(-0.23927213182136864, 0.9841467518903655),
+        )
+        assert sp.support_bounds(sp.spectral_density(near_unit))[0] < -1e15
+        with pytest.raises(sp.ModelSpecError, match="negative"):
+            sp.gamma_lsd(near_unit)
+        # unit-circle MA zeros: f = 0 there, which rounds to about -7e-15
+        zeros_on_circle = sp.ARMAModel(ma=(2.701267095229019, 2.701267095229019, 1.0))
+        assert -1e-13 < sp.support_bounds(sp.spectral_density(zeros_on_circle))[0] < 0.0
+        assert isinstance(sp.gamma_lsd(zeros_on_circle), sp.AbsContinuousLSD)
+
 
 class TestLevelSetRoots:
     def test_sharp_ar2_breakpoints(self):
