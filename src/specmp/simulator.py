@@ -280,13 +280,16 @@ def ks_distance(spectrum, cdf):
     """Kolmogorov-Smirnov distance between the ESD and a CDF callable.
 
     The supremum is attained at eigenvalue jump points; both one-sided gaps
-    (before and after each jump) are examined.
+    are examined: the ESD after each jump against F there, and the ESD before
+    it against F's left limit, taken one ulp below, so that an atom of F (the
+    mass 1 - y at zero when y < 1) meets the jump that matches it.
     """
     lam = spectrum.eigenvalues
     F = np.asarray(cdf(lam), dtype=float)
+    F_left = np.asarray(cdf(np.nextafter(lam, -np.inf)), dtype=float)
     k = np.arange(1, lam.size + 1, dtype=float)
     upper = np.max(k / lam.size - F)
-    lower = np.max(F - (k - 1.0) / lam.size)
+    lower = np.max(F_left - (k - 1.0) / lam.size)
     return float(max(upper, lower))
 
 

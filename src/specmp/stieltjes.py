@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,12 +92,26 @@ class StieltjesSolution:
             raise ValueError("Stieltjes transform must map into the upper half-plane")
 
 
+# the (T, T') evaluator of each live rule, by id of its node array, with a weak
+# reference to the weights it was built for (laws may share a node array); an
+# entry leaves when its nodes are freed, so it lives no longer than its rule
+_EVALUATORS = {}
+
+
 def _terms(lam, W):
     """(T, T') at m in one pass over a rule: T(m) = sum W lam / (1 + lam m).
 
-    The nodes are cast to complex once per rule; each evaluation then builds
-    1/(1 + lam m) and its square in place, in one complex array.
+    The evaluator is built once per rule and kept as long as the rule's node
+    array lives, so the complex casts of the nodes and weights are made once
+    per rule.  It is reentrant: each evaluation builds 1/(1 + lam m) and its
+    square in place in a complex array of its own, so threads can share it.
+    T and T' are returned as Python complex numbers.  The rule's arrays must
+    not change.
     """
+    key = id(lam)
+    cached = _EVALUATORS.get(key)
+    if cached is not None and cached[0]() is W:
+        return cached[1]
     lamc = lam.astype(complex)
     wl = W * lamc
     wl2 = wl * lam
@@ -105,10 +120,13 @@ def _terms(lam, W):
         q = lamc * m
         q += 1.0
         np.reciprocal(q, out=q)
-        t = q @ wl
+        t = complex(q.dot(wl))
         q *= q
-        return t, -(q @ wl2)
+        return t, -complex(q.dot(wl2))
 
+    if cached is None:
+        weakref.finalize(lam, _EVALUATORS.pop, key, None)
+    _EVALUATORS[key] = (weakref.ref(W), TTp)
     return TTp
 
 
@@ -128,7 +146,8 @@ def _iterate(TTp, y, z, m):
     merit has a rounding floor, though, below which no candidate lowers it; a
     full Newton step that already meets the stopping rule |dm| <= UPDATE_TOL
     (1 + |m|) is therefore taken without the merit test, and ends the solve.
-    At most MAX_ITER sweeps; returns (m, sweeps, T(m)).
+    The sweep runs on Python scalars.  At most MAX_ITER sweeps; returns
+    (m, sweeps, T(m)).
     """
 
     def state(mm):
@@ -136,7 +155,10 @@ def _iterate(TTp, y, z, m):
         g = 1.0 / (-z + y * t)
         if not (g.imag > 0.0 and cmath.isfinite(g)):
             return None, math.inf, t, tp
-        return g, abs(g - mm) ** 2 / (mm.imag * g.imag), t, tp
+        # abs(d) ** 2 / (Im m Im g) would raise on Python floats where the
+        # square overflows or the product underflows; this form gives inf
+        d = g - mm
+        return g, (d.real * d.real + d.imag * d.imag) / mm.imag / g.imag, t, tp
 
     g, cur, t, tp = state(m)
     for it in range(1, MAX_ITER + 1):
@@ -174,9 +196,13 @@ def solve_fixed_point(lsd, y, z, initial=None):
     until the 2N rule moves the integral term T by at most 1e-9 (1 + |T|); the
     residual is the N-rule solution's defect on the 2N rule, and a Newton step
     on the 2N rule ends the solve.  Near the real axis larger rules are needed;
-    the RULE_MAX_SIZE rule is the last.  MAX_ITER caps the sweeps on one rule.
-    Without a usable ``initial`` the solve starts from the law with all its
-    mass at the mean level, which is exact for a single atom.
+    the RULE_MAX_SIZE rule is the last.  A rule whose 2N rule is the same pair
+    of arrays is exact, and the solve stops on it without the doubling check;
+    there, as on the last rule, the residual is the defect on the solve's own
+    rule.  MAX_ITER caps the sweeps on one rule.  Without a usable ``initial``
+    the solve starts from the law with all its mass at the mean level, which
+    is exact for a single atom.  ``m`` is a Python complex and ``residual`` a
+    Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
@@ -185,23 +211,27 @@ def solve_fixed_point(lsd, y, z, initial=None):
         raise ValueError("z must lie in the upper half-plane")
     if not isinstance(lsd, (AtomicLSD, AbsContinuousLSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
+    y = float(y)
 
     size = RULE_START_SIZE
     lam, W = lsd.rule(size)
-    m = initial
-    if m is None or not m.imag > 0.0:
+    if initial is None or not initial.imag > 0.0:
         # -1/z sits among the rule's real poles -1/lam when z is near the real axis
-        mean = W @ lam
+        mean = float(W.dot(lam))
         m = mp_stieltjes(y, z / mean) / mean
+    else:
+        m = complex(initial)
     iterations = 0
     while True:
         m, its, t = _iterate(_terms(lam, W), y, z, m)
         iterations += its
-        if 2 * size > RULE_MAX_SIZE:
+        finer = lsd.rule(2 * size) if 2 * size <= RULE_MAX_SIZE else (lam, W)
+        if finer[0] is lam and finer[1] is W:
+            # the last rule, or an exact one: the residual is on its own rule
             residual = abs(1.0 / m + z - y * t)
             break
         size *= 2
-        lam, W = lsd.rule(size)
+        lam, W = finer
         t2, tp2 = _terms(lam, W)(m)
         residual = abs(1.0 / m + z - y * t2)
         if abs(t2 - t) <= 1e-9 * (1.0 + abs(t2)):

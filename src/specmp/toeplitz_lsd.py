@@ -257,11 +257,14 @@ class AbsContinuousLSD:
         the size-N grid is every other node of the 2N grid.  For analytic f the
         error falls geometrically.  The grading is flat to third order at w = 0,
         so a FARIMA cusp |w|^(2|d|) leaves an error of order N^-(3 + 6|d|).
+        Both arrays are read-only.
         """
         cached = self._rules.get(size)
         if cached is None:
             u = TWO_PI * np.arange(1, size) / size
             cached = (np.asarray(self.f(u - np.sin(u)), dtype=float), (1.0 - np.cos(u)) / size)
+            for arr in cached:
+                arr.setflags(write=False)
             self._rules[size] = cached
         return cached
 

@@ -353,6 +353,16 @@ class TestCompareCommand:
         assert report["pass"] is True
         assert report["ks_max"] <= 0.05
 
+    def test_scale_aware_pass_below_y_one(self, tmp_path):
+        # at y < 1 the law has the atom 1 - y at zero, met by exact zero eigenvalues
+        out = tmp_path / "half"
+        code = run(["compare", "--model", WHITE, "--y", "0.5", "--p", "1000", "--out", str(out)])
+        assert code == 0
+        report = json.loads((tmp_path / "half.json").read_text())
+        assert report["mass_at_zero"] == 0.5
+        assert report["pass"] is True
+        assert report["ks_max"] <= 0.05
+
     def test_idempotent_reports(self, tmp_path):
         args = ["compare", "--model", WHITE, "--y", "1", "--p", "64", "--seed", "9", "--grid", "128"]
         assert run(args + ["--out", str(tmp_path / "r1")]) == 0

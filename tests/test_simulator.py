@@ -333,6 +333,16 @@ class TestECDFAndKS:
         s = sp.EmpiricalSpectrum(quantiles)
         assert sp.ks_distance(s, lambda x: np.clip(x, 0.0, 1.0)) <= 0.5 / p + 1e-12
 
+    def test_ks_atom_at_zero(self):
+        # half the mass at an atom at zero, as the limit law has at y = 0.5: the
+        # ESD jumps at the atom together with F, so the perfect sample of the
+        # law scores the quantile floor, not the atom
+        p = 1000
+        sample = np.concatenate([np.zeros(p // 2), (np.arange(1, p // 2 + 1) - 0.5) / (p // 2)])
+        s = sp.EmpiricalSpectrum(sample)
+        cdf = lambda x: np.where(x < 0.0, 0.0, 0.5 + 0.5 * np.clip(x, 0.0, 1.0))
+        assert sp.ks_distance(s, cdf) <= 0.5 / p + 1e-12
+
     def test_law_invariance(self):
         model = sp.ARMAModel(ma=[0.5])
         dens = sp.invert_to_density(sp.gamma_lsd(model), 1.0)
