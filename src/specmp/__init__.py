@@ -8,9 +8,8 @@ limit law (``solve_fixed_point``), which is inverted to a density
 (``invert_to_density``); simulations check the result (``simulator``).
 
 Importing ``specmp`` (and ``specmp.cli``) loads NumPy and the standard library
-only.  SciPy is imported at its two use sites: ``scipy.signal.lfilter`` on the
-first simulation of a model with a non-white ARMA part (``simulate_matrix``),
-and ``scipy.special.roots_legendre`` in the ``AbsContinuousLSD.total_mass``
+only, and so does every simulation.  SciPy is imported at its one use site:
+``scipy.special.roots_legendre`` in the ``AbsContinuousLSD.total_mass``
 oracle.
 """
 

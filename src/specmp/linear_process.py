@@ -91,10 +91,6 @@ class ARMAModel:
         ma = (float(theta),) if theta else ()
         return cls(ar=ar, ma=ma)
 
-    @property
-    def is_white_noise(self):
-        return not any(self.ar) and not any(self.ma)
-
 
 @dataclass(frozen=True)
 class FARIMAModel:

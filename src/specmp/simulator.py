@@ -1,16 +1,16 @@
 """Monte Carlo simulation of sample covariance spectra for linear-process rows.
 
 Generates p x n data matrices whose rows are independent linear processes
-X_{i,t} = sum_j c_j Z_{i,t-j} driven by innovations from time 1 - n on,
-computes the eigenvalues of p^{-1} X X^T, and measures the distance between
-the empirical spectral distribution and a theoretical CDF.
+X_{i,t} = sum_j c_j Z_{i,t-j}, computes the eigenvalues of p^{-1} X X^T, and
+measures the distance between the empirical spectral distribution and a
+theoretical CDF.
 
-The ARMA part is filtered by its exact recursion from zero state at time
-1 - n, so column t carries c_j up to lag t + n - 1.  It differs from the
-infinite sum by sum_{j >= t+n} c_j Z_{i,t-j}, of order |r|^{-n} for the AR
-root r nearest the unit circle.  A FARIMA model then applies its fractional
-kernel (1 - B)^{-d} truncated at lag n.  Neither truncation changes the limit
-law.
+Each row is the model's MA(infinity) expansion cut at lag K: the smallest
+K <= n whose tail sum_{K<j<=n} c_j^2 is at most u^2 sum_{j<=n} c_j^2, with
+u = 2^-53.  Every column carries the same lags c_0..c_K, so the columns are
+stationary.  Where K < n the dropped lags move a row by less than rounding;
+models whose expansion decays slower (FARIMA, AR roots near the unit circle)
+are cut at lag n.  Neither cut changes the limit law.
 
 Rows are simulated in blocks of contiguous rows, on a thread pool sized from
 the CPUs the process may use when the rows are long enough for threads to pay
@@ -54,6 +54,8 @@ _SQRT3 = math.sqrt(3.0)
 _BLOCK_SAMPLES = 1 << 18
 # rows with fewer samples than this are simulated on the calling thread
 _MIN_PARALLEL_ROW = 2000
+# u^2, u = 2^-53: a kernel tail with at most this share of the energy is cut
+_TAIL_ENERGY = 2.0**-106
 
 # eigenvalues of the (PSD up to roundoff) sample covariance below this are an
 # eigensolver failure rather than roundoff
@@ -142,12 +144,12 @@ def _row_innovations(seed, replicate, row, count, law, out=None):
 
 def _row_workers(row_length, law):
     # Short rows are filled on the calling thread: their GIL-held set-up
-    # (SeedSequence and Philox, about 30 us a row) outweighs the GIL-free fill.
-    # Rademacher and uniform rows are too: their fills take under half the
-    # time of normal ones, and on a 2-core host a second thread left them
-    # 0.8-1.5x their one-thread time at 2n = 1000-16000.  A call from a
-    # thread other than the main one adds no threads of its own: the caller's
-    # other threads may already be using the CPUs.
+    # (SeedSequence and Philox, about 30 us a row) outweighs the GIL-free fill
+    # and FFT.  Rademacher and uniform rows are too: their fills take under
+    # half the time of normal ones, and on a 2-core host a second thread left
+    # them 0.8-1.5x their one-thread time at rows of 1000-16000 samples.  A
+    # call from a thread other than the main one adds no threads of its own:
+    # the caller's other threads may already be using the CPUs.
     if law != "normal" or row_length < _MIN_PARALLEL_ROW:
         return 1
     if threading.current_thread() is not threading.main_thread():
@@ -158,68 +160,83 @@ def _row_workers(row_length, law):
         return os.cpu_count() or 1
 
 
+def _truncated_kernel(model, n):
+    # c_0..c_K of the model's MA(infinity) expansion, for the smallest K <= n
+    # with sum_{K<j<=n} c_j^2 <= u^2 sum_{j<=n} c_j^2
+    c = ma_coefficients(model, n)
+    # tails[j] = sum_{j<=i<=n} c_i^2, scaled by max |c_i| >= c_0 = 1 so no square overflows
+    tails = np.cumsum((c[::-1] / np.abs(c).max()) ** 2)[::-1]
+    K = int(np.argmax(np.append(tails[1:], 0.0) <= _TAIL_ENERGY * tails[0]))
+    return c[: K + 1]
+
+
+def _fft_length(length):
+    # the smallest 2^a 3^b 5^c >= length, where pocketfft is fastest
+    size = length
+    while True:
+        rest = size
+        for factor in (2, 3, 5):
+            while rest % factor == 0:
+                rest //= factor
+        if rest == 1:
+            return size
+        size += 1
+
+
 def simulate_matrix(plan, replicate=0, innovations=None):
     """One p x n realization with linear-process rows.
 
-    Each row is drawn over times 1-n .. n (2n samples) from its own
-    (seed, replicate, row) substream and run through the ARMA recursion from
-    zero state.  For a FARIMA model the result is then convolved with
-    (1 - B)^{-d} truncated at lag n, by a circular FFT of length 2n: the kept
-    columns n..2n-1 never wrap.  Those columns plus mu are returned as a fresh
-    array.  ``innovations`` is a test hook that bypasses the generator with a
-    given p x 2n array; it is never modified or aliased.
+    Column t of row i is sum_{j<=K} c_j Z_{i,t-j}, the model's MA(infinity)
+    expansion cut at lag K (see the module docstring).  Each row draws its
+    L = n + K innovations from its own (seed, replicate, row) substream and is
+    convolved with c_0..c_K by one circular FFT of length N >= L, the smallest
+    2^a 3^b 5^c; the kept columns K..L-1 never wrap.  White noise has K = 0
+    and no FFT.  Those columns plus mu are returned as a fresh array.
+    ``innovations`` is a test hook that bypasses the generator with a given
+    p x 2n array, of which the last L columns are read; it is never modified
+    or aliased.
 
-    Rows are independent, so they are drawn, filtered and written into the
-    p x n result in contiguous blocks of about ``_BLOCK_SAMPLES`` samples; the
-    p x 2n innovation and filtered arrays are never built.  The blocks run on
-    a thread pool with one thread per CPU this process may use
-    (``os.sched_getaffinity``, else ``os.cpu_count``), since the draws,
-    ``lfilter`` and the FFT release the GIL.  Rows of fewer than
-    ``_MIN_PARALLEL_ROW`` samples and rows of Rademacher or uniform draws,
-    where threads did not pay, run on the calling thread; so does every call
-    made from a thread other than the main one.  Every row keeps its own
-    substream and its own arithmetic, so the result is deterministic given
-    (seed, replicate) and does not depend on the worker count.
-
-    ``scipy.signal.lfilter`` is imported here, on the calling thread before
-    any worker starts, and only when the ARMA part is not white noise; this
-    is the one place a simulation loads SciPy, and ``import specmp`` loads
-    NumPy only.
+    The kernel comes from one ``ma_coefficients`` call on the calling thread:
+    worker threads call nothing of specmp's public API.  Rows are
+    independent, so they are drawn, filtered and written into the p x n result
+    in contiguous blocks of about ``_BLOCK_SAMPLES`` samples; the p x L
+    innovation and filtered arrays are never built.  The blocks run on a
+    thread pool with one thread per CPU this process may use
+    (``os.sched_getaffinity``, else ``os.cpu_count``), since the draws and
+    the FFT release the GIL.  Rows of fewer than ``_MIN_PARALLEL_ROW``
+    samples and rows of Rademacher or uniform draws, where threads did not
+    pay, run on the calling thread; so does every call made from a thread
+    other than the main one.  Every row keeps its own substream and its own
+    arithmetic, so the result is deterministic given (seed, replicate) and
+    does not depend on the worker count.  A simulation loads NumPy only.
     """
     p, n = plan.p, plan.n
-    model = plan.model
-    arma, d = (model.arma, model.d) if isinstance(model, FARIMAModel) else (model, 0.0)
     if innovations is not None:
         innovations = np.asarray(innovations, dtype=float)
         if innovations.shape != (p, 2 * n):
             raise ValueError(f"innovations must have shape {(p, 2 * n)}")
-    # the filter and the kernel are set up on the calling thread: worker
-    # threads import nothing and call nothing of specmp's public API
-    lfilter = None
-    if not arma.is_white_noise:
-        from scipy.signal import lfilter
-    kernel = None
-    if d != 0.0:
-        kernel = np.fft.rfft(ma_coefficients(FARIMAModel(ARMAModel(), d), n), 2 * n)
+    c = _truncated_kernel(plan.model, n)
+    K = c.size - 1
+    L = n + K
+    N = _fft_length(L)
+    kernel = np.fft.rfft(c, N) if K else None
     X = np.empty((p, n))
 
     def fill(lo, hi):
         if innovations is None:
-            W = np.empty((hi - lo, 2 * n))
+            W = np.empty((hi - lo, L))
             for i, row in enumerate(W, lo):
-                _row_innovations(plan.seed, replicate, i, 2 * n, plan.law, row)
+                _row_innovations(plan.seed, replicate, i, L, plan.law, row)
         else:
-            W = innovations[lo:hi]
-        if lfilter is not None:
-            W = lfilter((1.0, *arma.ma), (1.0, *arma.ar), W, axis=1)
+            W = innovations[lo:hi, 2 * n - L :]
         if kernel is not None:
-            W = np.fft.irfft(np.fft.rfft(W, axis=1) * kernel, 2 * n, axis=1)
-        np.add(W[:, n:], plan.mu, out=X[lo:hi])
+            W = np.fft.irfft(np.fft.rfft(W, N, axis=1) * kernel, N, axis=1)
+        np.add(W[:, K:L], plan.mu, out=X[lo:hi])
 
-    step = max(1, _BLOCK_SAMPLES // (2 * n))
+    step = max(1, _BLOCK_SAMPLES // L)
     los = range(0, p, step)
     his = [min(lo + step, p) for lo in los]
-    workers = min(_row_workers(2 * n, plan.law), len(los))
+    workers = min(_row_workers(L, plan.law), len(los))
     if workers == 1:
         for lo, hi in zip(los, his):
             fill(lo, hi)

@@ -1,6 +1,7 @@
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -60,21 +61,21 @@ class TestSimulateMatrix:
         assert np.array_equal(Z, before)
 
     def test_arma_recursion_equals_expansion_sum(self):
-        # the recursion starts from zero state at time 1-n: column t carries
-        # c_0..c_{t+n-1} of the full expansion
+        # column t carries c_0..c_K: the cap K = n at n = 20, K = 53 < n at n = 120
         model = sp.ARMAModel.arma11(0.5, 1.0)
-        plan = sp.SimulationPlan(p=4, y=5.0, model=model, seed=0)
-        n = plan.n
-        Z = np.random.default_rng(3).standard_normal((4, 2 * n))
-        c = sp.ma_coefficients(model, 2 * n - 1)
-        direct = np.zeros((4, n))
-        for t in range(n):
-            for j in range(n + t + 1):
-                direct[:, t] += c[j] * Z[:, n + t - j]
-        np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-12)
+        for y in (5.0, 30.0):
+            plan = sp.SimulationPlan(p=4, y=y, model=model, seed=0)
+            n = plan.n
+            Z = np.random.default_rng(3).standard_normal((4, 2 * n))
+            c = sp.ma_coefficients(model, n)[: min(n, 53) + 1]
+            direct = np.zeros((4, n))
+            for t in range(n):
+                for j in range(c.size):
+                    direct[:, t] += c[j] * Z[:, n + t - j]
+            np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-12)
 
     def test_fft_and_direct_paths_agree(self):
-        # the circular FFT of length 2n equals the direct c_0..c_n sum on the kept columns
+        # the circular FFT equals the direct c_0..c_n sum on the kept columns
         model = sp.FARIMAModel(sp.ARMAModel(), -0.25)
         plan = sp.SimulationPlan(p=3, y=2.0, model=model, seed=9)
         n = plan.n
@@ -87,35 +88,105 @@ class TestSimulateMatrix:
         np.testing.assert_allclose(X, direct, rtol=0, atol=1e-10)
 
     def test_farima_with_ar_composes_recursion_and_kernel(self):
-        # ARMA part over the whole 2n window, then (1-B)^{-d} truncated at lag n
+        # the full expansion of the ARMA part times (1-B)^{-d}, cut at lag K = n
         model = sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25)
         plan = sp.SimulationPlan(p=3, y=4.0, model=model, seed=0)
         n = plan.n
         Z = np.random.default_rng(5).standard_normal((3, 2 * n))
-        a = sp.ma_coefficients(model.arma, 2 * n - 1)
+        a = sp.ma_coefficients(model.arma, n)
         h = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), model.d), n)
-        W = np.zeros((3, 2 * n))
-        for s in range(2 * n):
-            for j in range(s + 1):
-                W[:, s] += a[j] * Z[:, s - j]
+        c = np.array([sum(a[i] * h[j - i] for i in range(j + 1)) for j in range(n + 1)])
         direct = np.zeros((3, n))
         for t in range(n):
-            for k in range(n + 1):
-                direct[:, t] += h[k] * W[:, n + t - k]
+            for j in range(n + 1):
+                direct[:, t] += c[j] * Z[:, n + t - j]
         np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "model, lag",
+        [
+            (sp.ARMAModel(), 0),
+            (sp.ARMAModel(ma=[1.0]), 1),
+            (sp.ARMAModel.arma11(0.5, 1.0), 53),
+            (sp.ARMAModel(ar=[0.6, -0.3], ma=[0.4, 0.2, -0.1]), 467),
+            (sp.FARIMAModel(sp.ARMAModel(), -0.25), 1000),
+            (sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25), 1000),
+            (sp.ARMAModel.arma11(0.98, 0.0), 1000),
+        ],
+        ids=["white", "ma1", "arma11", "arma23", "farima", "farima-ar", "ar1-0.98"],
+    )
+    def test_truncation_lag(self, model, lag):
+        # K is the smallest lag whose tail energy is at most u^2 of the total, capped at n
+        c = simulator._truncated_kernel(model, 1000)
+        assert c.size - 1 == lag
+        full = sp.ma_coefficients(model, 1000)
+        assert np.array_equal(c, full[: lag + 1])
+        energy = np.sum(full**2)
+        assert np.sum(full[lag + 1 :] ** 2) <= 2.0**-106 * energy
+        if lag:
+            assert np.sum(full[lag:] ** 2) > 2.0**-106 * energy
+
+    def test_fft_length_is_smallest_5_smooth(self):
+        smooth = sorted(2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6))
+        for length in range(1, 5000):
+            assert simulator._fft_length(length) == next(s for s in smooth if s >= length)
+
+    @pytest.mark.parametrize(
+        "model",
+        [sp.ARMAModel(), sp.ARMAModel(ma=[1.0]), sp.ARMAModel.arma11(0.5, 1.0), sp.FARIMAModel(sp.ARMAModel(), -0.25)],
+        ids=["white", "ma1", "arma11", "farima"],
+    )
+    def test_each_row_draws_n_plus_k(self, model, monkeypatch):
+        counts = []
+        original = simulator._row_innovations
+
+        def counting(seed, replicate, row, count, law, out=None):
+            counts.append((row, count))
+            return original(seed, replicate, row, count, law, out)
+
+        monkeypatch.setattr(simulator, "_row_innovations", counting)
+        plan = sp.SimulationPlan(p=5, y=40.0, model=model, seed=1)
+        sp.simulate_matrix(plan)
+        L = plan.n + simulator._truncated_kernel(model, plan.n).size - 1
+        assert sorted(counts) == [(row, L) for row in range(5)]
+
+    @pytest.mark.parametrize(
+        "model",
+        [sp.ARMAModel(ma=[1.0]), sp.ARMAModel.arma11(0.5, 1.0), sp.ARMAModel(ar=[0.6, -0.3], ma=[0.4, 0.2, -0.1])],
+        ids=["ma1", "arma11", "arma23"],
+    )
+    def test_equals_zero_state_recursion_when_n_exceeds_k(self, model):
+        # the zero-state recursion over 2n samples carries lags up to t + n - 1;
+        # the lags beyond K move no entry by more than rounding
+        plan = sp.SimulationPlan(p=6, y=100.0, model=model, seed=0)
+        n = plan.n
+        assert n >= simulator._truncated_kernel(model, n).size - 1
+        Z = np.random.default_rng(6).standard_normal((6, 2 * n))
+        recursion = lfilter((1.0, *model.ma), (1.0, *model.ar), Z, axis=1)[:, n:]
+        np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), recursion, rtol=0, atol=1e-12)
+
+    def test_long_memory_model_warns_once(self):
+        # the warning for d > 0 comes from building the model, not from simulating it
+        with pytest.warns(UserWarning):
+            model = sp.FARIMAModel(sp.ARMAModel(), 0.25)
+        plan = sp.SimulationPlan(p=4, y=2.0, model=model, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sp.simulate_matrix(plan)
+            sp.simulate_matrix(plan, replicate=1)
+        assert not [w for w in caught if issubclass(w.category, UserWarning)]
 
     @staticmethod
     def serial_reference(plan, replicate):
-        # row by row draws, then one lfilter and one FFT over the whole p x 2n array
+        # row by row draws of n + K samples, then one FFT over the whole p x (n + K) array
         n = plan.n
-        Z = np.array([_row_innovations(plan.seed, replicate, i, 2 * n, plan.law) for i in range(plan.p)])
-        model = plan.model
-        arma, d = (model.arma, model.d) if isinstance(model, sp.FARIMAModel) else (model, 0.0)
-        W = lfilter((1.0, *arma.ma), (1.0, *arma.ar), Z, axis=1)
-        if d != 0.0:
-            h = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), d), n)
-            W = np.fft.irfft(np.fft.rfft(W, axis=1) * np.fft.rfft(h, 2 * n), 2 * n, axis=1)
-        return W[:, n:] + plan.mu
+        c = simulator._truncated_kernel(plan.model, n)
+        K, L = c.size - 1, n + c.size - 1
+        W = np.array([_row_innovations(plan.seed, replicate, i, L, plan.law) for i in range(plan.p)])
+        if K:
+            N = simulator._fft_length(L)
+            W = np.fft.irfft(np.fft.rfft(W, N, axis=1) * np.fft.rfft(c, N), N, axis=1)
+        return W[:, K:L] + plan.mu
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
@@ -137,9 +208,10 @@ class TestSimulateMatrix:
         n = max(1, round(ratio * p))
         plan = sp.SimulationPlan(p=p, y=n / p, model=model, law=law, mu=mu, seed=seed)
         expected = self.serial_reference(plan, replicate)
+        row_length = n + simulator._truncated_kernel(model, n).size - 1
         for workers in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(simulator, "_BLOCK_SAMPLES", block_rows * 2 * n)
+                mp.setattr(simulator, "_BLOCK_SAMPLES", block_rows * row_length)
                 mp.setattr(simulator, "_row_workers", lambda row_length, law: workers)
                 assert np.array_equal(sp.simulate_matrix(plan, replicate=replicate), expected)
 
