@@ -16,6 +16,11 @@ Rows are simulated in blocks of contiguous rows, on a thread pool sized from
 the CPUs the process may use when the rows are long enough for threads to pay
 (see ``simulate_matrix``).  Each row draws from its own (seed, replicate, row)
 substream, so the matrix does not depend on the number of worker threads.
+The substream is Philox(SeedSequence(seed, spawn_key=(replicate, row))) at
+counter 0.  Philox is counter-based (Salmon et al., SC'11), so a substream is
+its 128-bit key: the keys of all rows are derived in one vectorised pass of
+SeedSequence's hash, and each block resets one Philox to the next row's key
+instead of building a SeedSequence and a generator per row.
 
 p^{-1} X X^T has rank at most min(p, n) (min(p, n - 1) after centring), so
 when that bound is below p the smaller Gram matrix X^T X / p is eigensolved
@@ -50,12 +55,24 @@ INNOVATION_LAWS = ("normal", "rademacher", "uniform")
 
 _SQRT3 = math.sqrt(3.0)
 
-# rows are simulated in blocks of about this many samples
-_BLOCK_SAMPLES = 1 << 18
-# rows with fewer samples than this are simulated on the calling thread
-_MIN_PARALLEL_ROW = 2000
+# rows are simulated in blocks of about this many samples.  A block in flight
+# holds about 3x its bytes (draws, spectrum, filtered rows) on each worker
+# thread: the three-model `specmp simulate` cycle at p = 1000 peaked at
+# 100-106 MB RSS with 2^18-sample blocks, 88-89 MB with 2^16 and 82 MB on one
+# thread, for 2-10% more simulate_matrix time than with 2^18
+_BLOCK_SAMPLES = 1 << 16
+# rows with fewer samples than this, by innovation law, are simulated on the
+# calling thread (see _row_workers)
+_MIN_PARALLEL_ROW = {"normal": 1000, "uniform": 2000, "rademacher": 5000}
 # u^2, u = 2^-53: a kernel tail with at most this share of the energy is cut
 _TAIL_ENERGY = 2.0**-106
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 # eigenvalues of the (PSD up to roundoff) sample covariance below this are an
 # eigensolver failure rather than roundoff
@@ -120,37 +137,81 @@ class EmpiricalSpectrum:
         return self.eigenvalues.size
 
 
-def _row_innovations(seed, replicate, row, count, law, out=None):
-    # counter-based substream per (seed, replicate, row): rows are reproducible
-    # independently and parallel generation is order-free.  ``count`` draws
-    # are written into ``out`` (a fresh array if None) with the same values
-    # the allocating forms standard_normal, integers(0, 2) * 2.0 - 1.0 and
-    # uniform(-sqrt 3, sqrt 3) return
-    if out is None:
-        out = np.empty(count)
-    seq = np.random.SeedSequence(seed, spawn_key=(replicate, row))
-    rng = np.random.Generator(np.random.Philox(seq))
+def _words(value):
+    # the 32-bit words SeedSequence splits a nonnegative integer into
+    return max(1, -(-int(value).bit_length() // 32))
+
+
+def _row_keys(seed, replicate, p):
+    # p x 2 uint64: row i holds the key of
+    # Philox(SeedSequence(seed, spawn_key=(replicate, i))), for all rows in one
+    # pass.  The row's word is the last entropy word that SeedSequence mixes
+    # into its 4-word pool, so it is mixed here into the pool of
+    # SeedSequence(seed, spawn_key=(replicate,)), with the hash constant
+    # advanced past the 4 + 12 hashmix calls over the pool and the 4 calls
+    # for each entropy word beyond the fourth (run entropy is padded to 4
+    # words); generate_state(2, uint64)'s output hash follows.  Constants are
+    # NumPy's; the scalar arithmetic is on Python ints masked to 32 bits and
+    # the vector arithmetic wraps in uint32 arrays.
+    pool = np.random.SeedSequence(seed, spawn_key=(replicate,)).pool
+    calls = 16 + 4 * (max(_words(seed), 4) - 4 + _words(replicate))
+    hash_a = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
+    hash_b = _INIT_B
+    rows = np.arange(p, dtype=np.uint32)
+    words = np.empty((4, p), dtype=np.uint64)
+    for i, word in enumerate(pool):
+        # mix(pool[i], hashmix(row))
+        value = rows ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value *= hash_a
+        value ^= value >> _XSHIFT
+        value *= _MIX_MULT_R
+        value = (_MIX_MULT_L * int(word) & _MASK32) - value
+        value ^= value >> _XSHIFT
+        # generate_state's hash of output word i
+        value ^= hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value *= hash_b
+        value ^= value >> _XSHIFT
+        words[i] = value
+    return (words[0::2] | words[1::2] << 32).T
+
+
+def _draw_row(rng, fresh, key, law, out):
+    # restarts rng's Philox at ``fresh`` (counter 0, empty buffer) under
+    # ``key`` and fills ``out`` with the values the allocating forms
+    # standard_normal, integers(0, 2) * 2.0 - 1.0 and uniform(-sqrt 3, sqrt 3)
+    # return
+    fresh["state"]["key"] = key
+    rng.bit_generator.state = fresh
     if law == "normal":
         rng.standard_normal(out=out)
     elif law == "rademacher":
-        np.multiply(rng.integers(0, 2, size=count), 2.0, out=out)
+        np.multiply(rng.integers(0, 2, size=out.size), 2.0, out=out)
         out -= 1.0
     else:
         rng.random(out=out)
         out *= 2.0 * _SQRT3
         out -= _SQRT3
-    return out
 
 
 def _row_workers(row_length, law):
-    # Short rows are filled on the calling thread: their GIL-held set-up
-    # (SeedSequence and Philox, about 30 us a row) outweighs the GIL-free fill
-    # and FFT.  Rademacher and uniform rows are too: their fills take under
-    # half the time of normal ones, and on a 2-core host a second thread left
-    # them 0.8-1.5x their one-thread time at rows of 1000-16000 samples.  A
-    # call from a thread other than the main one adds no threads of its own:
-    # the caller's other threads may already be using the CPUs.
-    if law != "normal" or row_length < _MIN_PARALLEL_ROW:
+    # Rows shorter than _MIN_PARALLEL_ROW[law] are filled on the calling
+    # thread.  A row's GIL-held work (a Philox state reset and the draw and
+    # arithmetic calls) costs a few us whatever its length, while the draws
+    # and the FFT release the GIL, so threads pay only past a length that
+    # differs by law.  2-thread over 1-thread time of simulate_matrix on a
+    # 2-core host, white noise and ARMA(1,1) rows, p = 1000 (fewer at
+    # L >= 5000), medians of 15 interleaved runs:
+    # - normal: 0.94 at L = 501, 0.70-0.73 at L = 1001, 0.61-0.72 at
+    #   L = 1501-16000;
+    # - uniform: 1.29 at L = 1001 (white noise), 0.65-0.83 at L = 2000-16000;
+    # - Rademacher, white noise: 1.58 at L = 1001, 1.12-1.33 at L = 2000-3053,
+    #   1.00-1.09 at L = 5000, 0.75-0.87 at L = 8000-16000; with the ARMA(1,1)
+    #   FFT: 0.97 at L = 2000, 0.83 at L = 3053, 0.60-0.68 at L = 5000-16000.
+    # A call from a thread other than the main one adds no threads of its
+    # own: the caller's other threads may already be using the CPUs.
+    if row_length < _MIN_PARALLEL_ROW[law]:
         return 1
     if threading.current_thread() is not threading.main_thread():
         return 1
@@ -196,17 +257,21 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     p x 2n array, of which the last L columns are read; it is never modified
     or aliased.
 
-    The kernel comes from one ``ma_coefficients`` call on the calling thread:
-    worker threads call nothing of specmp's public API.  Rows are
+    The kernel comes from one ``ma_coefficients`` call on the calling thread,
+    and so do the Philox keys of all p rows, from one vectorised pass
+    (``_row_keys``): worker threads call nothing of specmp's public API.
+    Each block builds one Philox generator and resets its state to each of
+    its rows' keys in turn, at counter 0 with an empty buffer, which is the
+    state of a Philox built from that row's SeedSequence.  Rows are
     independent, so they are drawn, filtered and written into the p x n result
     in contiguous blocks of about ``_BLOCK_SAMPLES`` samples; the p x L
     innovation and filtered arrays are never built.  The blocks run on a
     thread pool with one thread per CPU this process may use
     (``os.sched_getaffinity``, else ``os.cpu_count``), since the draws and
-    the FFT release the GIL.  Rows of fewer than ``_MIN_PARALLEL_ROW``
-    samples and rows of Rademacher or uniform draws, where threads did not
-    pay, run on the calling thread; so does every call made from a thread
-    other than the main one.  Every row keeps its own substream and its own
+    the FFT release the GIL.  Rows shorter than ``_MIN_PARALLEL_ROW`` of
+    their law (1000 normal, 2000 uniform, 5000 Rademacher samples), where
+    threads did not pay, run on the calling thread; so does every call made
+    from a thread other than the main one.  Every row keeps its own substream and its own
     arithmetic, so the result is deterministic given (seed, replicate) and
     does not depend on the worker count.  A simulation loads NumPy only.
     """
@@ -220,13 +285,16 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     L = n + K
     N = _fft_length(L)
     kernel = np.fft.rfft(c, N) if K else None
+    keys = _row_keys(plan.seed, replicate, p) if innovations is None else None
     X = np.empty((p, n))
 
     def fill(lo, hi):
         if innovations is None:
             W = np.empty((hi - lo, L))
-            for i, row in enumerate(W, lo):
-                _row_innovations(plan.seed, replicate, i, L, plan.law, row)
+            rng = np.random.Generator(np.random.Philox(key=keys[lo]))
+            fresh = rng.bit_generator.state
+            for key, row in zip(keys[lo:hi], W):
+                _draw_row(rng, fresh, key, plan.law, row)
         else:
             W = innovations[lo:hi, 2 * n - L :]
         if kernel is not None:

@@ -330,7 +330,10 @@ def invert_to_density(lsd, y, grid=None):
     p(x) is (1/pi) Im m(x + i delta), clipped at 0, after the known point mass
     max(0, 1 - y)/(-z) at the origin is subtracted; delta = OFFSET * grid[-1].
     One solve per grid point, each warm-started from the previous point's m.
-    Solver failures propagate as ConvergenceError tagged with the offending x.
+    The solves run under one ``np.errstate(all="ignore")``: a NaN or
+    overflow (at extreme y, say) is caught by the solver's finiteness checks
+    and surfaces as the ConvergenceError, not as a NumPy warning.  Solver
+    failures propagate as ConvergenceError tagged with the offending x.
     """
     if grid is None:
         grid = default_grid(lsd, y)
@@ -344,18 +347,19 @@ def invert_to_density(lsd, y, grid=None):
     m = None
     iterations = 0
     max_residual = 0.0
-    for i, x in enumerate(grid):
-        z = complex(x, delta)
-        try:
-            sol = solve_fixed_point(lsd, y, z, initial=m)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"inversion failed at x={float(x)}", z, exc.m, exc.residual, exc.iterations
-            ) from exc
-        m = sol.m
-        vals[i] = (m + atom / z).imag / math.pi
-        iterations += sol.iterations
-        max_residual = max(max_residual, sol.residual)
+    with np.errstate(all="ignore"):
+        for i, x in enumerate(grid):
+            z = complex(x, delta)
+            try:
+                sol = solve_fixed_point(lsd, y, z, initial=m)
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"inversion failed at x={float(x)}", z, exc.m, exc.residual, exc.iterations
+                ) from exc
+            m = sol.m
+            vals[i] = (m + atom / z).imag / math.pi
+            iterations += sol.iterations
+            max_residual = max(max_residual, sol.residual)
     return LimitingDensity(
         grid=grid,
         values=np.clip(vals, 0.0, None),

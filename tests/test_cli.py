@@ -389,13 +389,36 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lsd-density", "--model", WHITE, "--y", "1e300", "--grid", "16"],
+            ["lsd-density", "--model", ARMA11, "--y", "1e300", "--grid", "16"],
+            ["compare", "--model", WHITE, "--y", "1e300", "--p", "2"],
+        ],
+        ids=["lsd-density-white", "lsd-density-arma11", "compare-white"],
+    )
+    def test_extreme_y_exits_3_under_warnings_as_errors(self, argv, tmp_path):
+        # the inversion's NaNs at y = 1e300 surface as the typed failure, not as
+        # a RuntimeWarning that -W error turns into exit 1
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "specmp.cli", *argv, "--out", str(tmp_path / "x")],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=300,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical failure" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_simulate_bytes_independent_of_cpus(self, tmp_path):
         cpus = os.sched_getaffinity(0)
         if len(cpus) < 2:
             pytest.skip("needs two CPUs to compare against one")
         one = {min(cpus)}
-        # n + K = 2080 + 53 normal samples a row reach the row pool: blocks of 122 and 38 rows
+        # n + K = 2080 + 53 normal samples a row reach the row pool: five blocks of 30 rows and one of 10
         args = [
             sys.executable, "-m", "specmp.cli", "simulate", "--model", ARMA11, "--y", "13",
             "--p", "160", "--seed", "2", "--replicates", "2",

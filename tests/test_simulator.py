@@ -11,7 +11,20 @@ from scipy.signal import lfilter
 
 import specmp as sp
 import specmp.simulator as simulator
-from specmp.simulator import _row_innovations
+
+
+def reference_row(seed, replicate, row, count, law):
+    # row's draws straight from NumPy's SeedSequence, Philox and allocating forms
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate, row))))
+    if law == "normal":
+        return rng.standard_normal(count)
+    if law == "rademacher":
+        return rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
+    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=count)
+
+
+def reference_key(seed, replicate, row):
+    return np.random.SeedSequence(seed, spawn_key=(replicate, row)).generate_state(2, np.uint64)
 
 
 def esd_cdf(spectrum, x):
@@ -137,18 +150,21 @@ class TestSimulateMatrix:
         ids=["white", "ma1", "arma11", "farima"],
     )
     def test_each_row_draws_n_plus_k(self, model, monkeypatch):
+        # rows are told apart by their Philox keys, taken from NumPy's SeedSequence
         counts = []
-        original = simulator._row_innovations
+        original = simulator._draw_row
 
-        def counting(seed, replicate, row, count, law, out=None):
-            counts.append((row, count))
-            return original(seed, replicate, row, count, law, out)
+        def counting(rng, fresh, key, law, out):
+            counts.append((tuple(int(word) for word in key), out.size))
+            return original(rng, fresh, key, law, out)
 
-        monkeypatch.setattr(simulator, "_row_innovations", counting)
+        monkeypatch.setattr(simulator, "_draw_row", counting)
         plan = sp.SimulationPlan(p=5, y=40.0, model=model, seed=1)
         sp.simulate_matrix(plan)
         L = plan.n + simulator._truncated_kernel(model, plan.n).size - 1
-        assert sorted(counts) == [(row, L) for row in range(5)]
+        keys = [tuple(int(word) for word in reference_key(1, 0, row)) for row in range(5)]
+        assert len(set(keys)) == 5
+        assert sorted(counts) == sorted((key, L) for key in keys)
 
     @pytest.mark.parametrize(
         "model",
@@ -182,7 +198,7 @@ class TestSimulateMatrix:
         n = plan.n
         c = simulator._truncated_kernel(plan.model, n)
         K, L = c.size - 1, n + c.size - 1
-        W = np.array([_row_innovations(plan.seed, replicate, i, L, plan.law) for i in range(plan.p)])
+        W = np.array([reference_row(plan.seed, replicate, i, L, plan.law) for i in range(plan.p)])
         if K:
             N = simulator._fft_length(L)
             W = np.fft.irfft(np.fft.rfft(W, N, axis=1) * np.fft.rfft(c, N), N, axis=1)
@@ -217,10 +233,11 @@ class TestSimulateMatrix:
 
     def test_row_worker_rule(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW - 1, "normal") == 1
-        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW, "normal") == cpus
-        for law in ("rademacher", "uniform"):
-            assert simulator._row_workers(10 * simulator._MIN_PARALLEL_ROW, law) == 1
+        # rows shorter than their law's threshold stay on the calling thread
+        assert simulator._MIN_PARALLEL_ROW == {"normal": 1000, "uniform": 2000, "rademacher": 5000}
+        for law, threshold in simulator._MIN_PARALLEL_ROW.items():
+            assert simulator._row_workers(threshold - 1, law) == 1
+            assert simulator._row_workers(threshold, law) == cpus
         # a call from another thread adds no threads of its own
         seen = []
         thread = threading.Thread(target=lambda: seen.append(simulator._row_workers(10**6, "normal")))
@@ -263,31 +280,35 @@ class TestSimulateMatrix:
 
 class TestInnovationLaws:
     def test_in_place_fill_matches_allocating_forms(self):
-        # the rows written in place equal the draws of the allocating forms bit for bit
-        def allocating(seed, replicate, row, count, law):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate, row))))
-            if law == "normal":
-                return rng.standard_normal(count)
-            if law == "rademacher":
-                return rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
-            return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=count)
-
+        # white-noise rows written in place by one reset generator per block
+        # equal the draws of the allocating forms on a fresh generator bit for bit
         for law in sp.INNOVATION_LAWS:
             for count in (1, 2, 7, 1000, 4099):
-                block = np.full((3, count), np.nan)
+                plan = sp.SimulationPlan(p=3, y=count / 3.0, model=sp.ARMAModel(), law=law, seed=11)
+                block = sp.simulate_matrix(plan, replicate=2)
                 for row in range(3):
-                    _row_innovations(11, 2, row, count, law, block[row])
-                    expected = allocating(11, 2, row, count, law)
-                    assert np.array_equal(block[row], expected)
-                    assert np.array_equal(_row_innovations(11, 2, row, count, law), expected)
+                    assert np.array_equal(block[row], reference_row(11, 2, row, count, law))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**200), st.sampled_from((2**128 - 1, 2**128))),
+        replicate=st.one_of(st.integers(0, 2**40), st.sampled_from((2**32 - 1, 2**32))),
+        p=st.integers(1, 5000),
+        fraction=st.floats(0.0, 1.0),
+    )
+    def test_row_keys_match_seed_sequence(self, seed, replicate, p, fraction):
+        # the vectorised keys are SeedSequence(seed, spawn_key=(replicate, row)).generate_state(2, uint64)
+        keys = simulator._row_keys(seed, replicate, p)
+        assert keys.shape == (p, 2) and keys.dtype == np.uint64
+        for row in {0, int(fraction * (p - 1)), p - 1}:
+            assert np.array_equal(keys[row], reference_key(seed, replicate, row))
 
     def test_moments(self):
         n = 200_000
         for law in sp.INNOVATION_LAWS:
-            plan = sp.SimulationPlan(p=1, y=float(n) / 2.0, model=sp.ARMAModel(), law=law, seed=5)
-            from specmp.simulator import _row_innovations
-
-            z = _row_innovations(5, 0, 0, n, law)
+            plan = sp.SimulationPlan(p=1, y=float(n), model=sp.ARMAModel(), law=law, seed=5)
+            z = sp.simulate_matrix(plan)[0]
+            assert np.array_equal(z, reference_row(5, 0, 0, n, law))
             se_mean = 1.0 / math.sqrt(n)
             assert abs(z.mean()) <= 3.0 * se_mean
             fourth = np.mean(z**4)
@@ -296,9 +317,9 @@ class TestInnovationLaws:
             assert np.isfinite(fourth)
 
     def test_rademacher_support(self):
-        from specmp.simulator import _row_innovations
-
-        z = _row_innovations(0, 0, 0, 1000, "rademacher")
+        plan = sp.SimulationPlan(p=1, y=1000.0, model=sp.ARMAModel(), law="rademacher", seed=0)
+        z = sp.simulate_matrix(plan)[0]
+        assert np.array_equal(z, reference_row(0, 0, 0, 1000, "rademacher"))
         assert set(np.unique(z)) == {-1.0, 1.0}
 
 
