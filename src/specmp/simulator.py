@@ -61,9 +61,8 @@ _SQRT3 = math.sqrt(3.0)
 # 100-106 MB RSS with 2^18-sample blocks, 88-89 MB with 2^16 and 82 MB on one
 # thread, for 2-10% more simulate_matrix time than with 2^18
 _BLOCK_SAMPLES = 1 << 16
-# rows with fewer samples than this, by innovation law, are simulated on the
-# calling thread (see _row_workers)
-_MIN_PARALLEL_ROW = {"normal": 1000, "uniform": 2000, "rademacher": 5000}
+# rows with fewer samples than this are simulated on the calling thread
+_MIN_PARALLEL_ROW = 2000
 # u^2, u = 2^-53: a kernel tail with at most this share of the energy is cut
 _TAIL_ENERGY = 2.0**-106
 
@@ -196,22 +195,26 @@ def _draw_row(rng, fresh, key, law, out):
 
 
 def _row_workers(row_length, law):
-    # Rows shorter than _MIN_PARALLEL_ROW[law] are filled on the calling
-    # thread.  A row's GIL-held work (a Philox state reset and the draw and
-    # arithmetic calls) costs a few us whatever its length, while the draws
-    # and the FFT release the GIL, so threads pay only past a length that
-    # differs by law.  2-thread over 1-thread time of simulate_matrix on a
-    # 2-core host, white noise and ARMA(1,1) rows, p = 1000 (fewer at
-    # L >= 5000), medians of 15 interleaved runs:
-    # - normal: 0.94 at L = 501, 0.70-0.73 at L = 1001, 0.61-0.72 at
-    #   L = 1501-16000;
-    # - uniform: 1.29 at L = 1001 (white noise), 0.65-0.83 at L = 2000-16000;
-    # - Rademacher, white noise: 1.58 at L = 1001, 1.12-1.33 at L = 2000-3053,
-    #   1.00-1.09 at L = 5000, 0.75-0.87 at L = 8000-16000; with the ARMA(1,1)
-    #   FFT: 0.97 at L = 2000, 0.83 at L = 3053, 0.60-0.68 at L = 5000-16000.
+    # Rows of fewer than _MIN_PARALLEL_ROW samples, and Rademacher and uniform
+    # rows of any length, are filled on the calling thread.  A row's GIL-held
+    # work (a Philox state reset and the draw calls, a few us) is serial
+    # whatever the worker count, while the draws and the FFT release the GIL.
+    # 2-thread over 1-thread time of simulate_matrix at p = 1000 on a 2-core
+    # host, medians of 15 interleaved runs, white noise / ARMA(1,1) rows of L
+    # samples:
+    # - normal: 1.24 / 1.07 at L = 501, 1.00 / 0.76 at 1001, 0.67 / 0.74 at
+    #   2000, 0.63 / 0.61 at 3053;
+    # - Rademacher: 1.58 / 1.19 at 501, 1.73 / 1.11 at 1001, 1.34 / 0.81 at
+    #   2000, 1.13 / 0.77 at 3053;
+    # - uniform: 1.53 / 1.16 at 501, 1.25 / 0.91 at 1001, 0.88 / 0.67 at
+    #   2000, 0.81 / 0.67 at 3053.
+    # Threads would also pay for filtered normal rows from about 1000 samples
+    # and for filtered uniform and Rademacher rows from about 2000; the rule
+    # stays until a perfbench workload has rows on each side of a new
+    # threshold.
     # A call from a thread other than the main one adds no threads of its
     # own: the caller's other threads may already be using the CPUs.
-    if row_length < _MIN_PARALLEL_ROW[law]:
+    if law != "normal" or row_length < _MIN_PARALLEL_ROW:
         return 1
     if threading.current_thread() is not threading.main_thread():
         return 1
@@ -268,10 +271,10 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     innovation and filtered arrays are never built.  The blocks run on a
     thread pool with one thread per CPU this process may use
     (``os.sched_getaffinity``, else ``os.cpu_count``), since the draws and
-    the FFT release the GIL.  Rows shorter than ``_MIN_PARALLEL_ROW`` of
-    their law (1000 normal, 2000 uniform, 5000 Rademacher samples), where
-    threads did not pay, run on the calling thread; so does every call made
-    from a thread other than the main one.  Every row keeps its own substream and its own
+    the FFT release the GIL.  Rows of fewer than ``_MIN_PARALLEL_ROW``
+    samples and rows of Rademacher or uniform draws, where threads did not
+    pay, run on the calling thread; so does every call made from a thread
+    other than the main one.  Every row keeps its own substream and its own
     arithmetic, so the result is deterministic given (seed, replicate) and
     does not depend on the worker count.  A simulation loads NumPy only.
     """

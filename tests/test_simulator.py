@@ -233,11 +233,10 @@ class TestSimulateMatrix:
 
     def test_row_worker_rule(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        # rows shorter than their law's threshold stay on the calling thread
-        assert simulator._MIN_PARALLEL_ROW == {"normal": 1000, "uniform": 2000, "rademacher": 5000}
-        for law, threshold in simulator._MIN_PARALLEL_ROW.items():
-            assert simulator._row_workers(threshold - 1, law) == 1
-            assert simulator._row_workers(threshold, law) == cpus
+        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW - 1, "normal") == 1
+        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW, "normal") == cpus
+        for law in ("rademacher", "uniform"):
+            assert simulator._row_workers(10 * simulator._MIN_PARALLEL_ROW, law) == 1
         # a call from another thread adds no threads of its own
         seen = []
         thread = threading.Thread(target=lambda: seen.append(simulator._row_workers(10**6, "normal")))
