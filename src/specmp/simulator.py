@@ -14,13 +14,12 @@ are cut at lag n.  Neither cut changes the limit law.
 
 Rows are simulated in blocks of contiguous rows, on a thread pool sized from
 the CPUs the process may use when the rows are long enough for threads to pay
-(see ``simulate_matrix``).  Each row draws from its own (seed, replicate, row)
-substream, so the matrix does not depend on the number of worker threads.
-The substream is Philox(SeedSequence(seed, spawn_key=(replicate, row))) at
-counter 0.  Philox is counter-based (Salmon et al., SC'11), so a substream is
-its 128-bit key: the keys of all rows are derived in one vectorised pass of
-SeedSequence's hash, and each block resets one Philox to the next row's key
-instead of building a SeedSequence and a generator per row.
+(see ``simulate_matrix``).  Row i of replicate r draws from its own stream,
+Philox(SeedSequence(seed, spawn_key=(r,))).jumped(i), so the matrix does not
+depend on the number of worker threads.  Philox is counter-based (Salmon et
+al., SC'11): under the replicate's one key, ``jumped(i)`` starts row i at
+counter word 2 = i with an empty buffer, 2^128 counter steps from its
+neighbours, and disjoint counter ranges are independent streams.
 
 p^{-1} X X^T has rank at most min(p, n) (min(p, n - 1) after centring), so
 when that bound is below p the smaller Gram matrix X^T X / p is eigensolved
@@ -32,6 +31,7 @@ the limit law.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -66,13 +66,6 @@ _MIN_PARALLEL_ROW = 2000
 # u^2, u = 2^-53: a kernel tail with at most this share of the energy is cut
 _TAIL_ENERGY = 2.0**-106
 
-# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-
 # eigenvalues of the (PSD up to roundoff) sample covariance below this are an
 # eigensolver failure rather than roundoff
 _EIG_CLAMP = -1e-9
@@ -84,8 +77,9 @@ class SimulationPlan:
 
     Innovations have mean 0, unit variance and finite fourth moment under all
     three laws.  ``mu`` shifts every entry; ``center`` subtracts the empirical
-    column mean before forming the covariance.  Replicates draw independent
-    counter-based substreams, so results do not depend on execution order.
+    column mean before forming the covariance; ``p``, ``seed`` and
+    ``replicates`` are integers.  Rows draw the Philox streams defined in the
+    module docstring, so results do not depend on execution order.
     """
 
     p: int
@@ -100,6 +94,11 @@ class SimulationPlan:
     def __post_init__(self):
         if not isinstance(self.model, (ARMAModel, FARIMAModel)):
             raise ValueError("plan model must be an ARMAModel or FARIMAModel")
+        for name in ("p", "seed", "replicates"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.p < 1:
             raise ValueError("p must be at least 1")
         if not (self.y > 0.0 and math.isfinite(self.y)):
@@ -136,58 +135,19 @@ class EmpiricalSpectrum:
         return self.eigenvalues.size
 
 
-def _words(value):
-    # the 32-bit words SeedSequence splits a nonnegative integer into
-    return max(1, -(-int(value).bit_length() // 32))
-
-
-def _row_keys(seed, replicate, p):
-    # p x 2 uint64: row i holds the key of
-    # Philox(SeedSequence(seed, spawn_key=(replicate, i))), for all rows in one
-    # pass.  The row's word is the last entropy word that SeedSequence mixes
-    # into its 4-word pool, so it is mixed here into the pool of
-    # SeedSequence(seed, spawn_key=(replicate,)), with the hash constant
-    # advanced past the 4 + 12 hashmix calls over the pool and the 4 calls
-    # for each entropy word beyond the fourth (run entropy is padded to 4
-    # words); generate_state(2, uint64)'s output hash follows.  Constants are
-    # NumPy's; the scalar arithmetic is on Python ints masked to 32 bits and
-    # the vector arithmetic wraps in uint32 arrays.
-    pool = np.random.SeedSequence(seed, spawn_key=(replicate,)).pool
-    calls = 16 + 4 * (max(_words(seed), 4) - 4 + _words(replicate))
-    hash_a = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
-    hash_b = _INIT_B
-    rows = np.arange(p, dtype=np.uint32)
-    words = np.empty((4, p), dtype=np.uint64)
-    for i, word in enumerate(pool):
-        # mix(pool[i], hashmix(row))
-        value = rows ^ hash_a
-        hash_a = hash_a * _MULT_A & _MASK32
-        value *= hash_a
-        value ^= value >> _XSHIFT
-        value *= _MIX_MULT_R
-        value = (_MIX_MULT_L * int(word) & _MASK32) - value
-        value ^= value >> _XSHIFT
-        # generate_state's hash of output word i
-        value ^= hash_b
-        hash_b = hash_b * _MULT_B & _MASK32
-        value *= hash_b
-        value ^= value >> _XSHIFT
-        words[i] = value
-    return (words[0::2] | words[1::2] << 32).T
-
-
-def _draw_row(rng, fresh, key, law, out):
-    # restarts rng's Philox at ``fresh`` (counter 0, empty buffer) under
-    # ``key`` and fills ``out`` with the values the allocating forms
-    # standard_normal, integers(0, 2) * 2.0 - 1.0 and uniform(-sqrt 3, sqrt 3)
-    # return
-    fresh["state"]["key"] = key
+def _draw_row(rng, fresh, row, law, out):
+    # restarts rng's Philox at row ``row``'s stream (see the module docstring)
+    # and fills ``out`` with standard_normal, sign(random - 1/2) or
+    # uniform(-sqrt 3, sqrt 3) draws; random() is k / 2^53, below 1/2 exactly
+    # when k < 2^52, so both signs have probability 1/2
+    fresh["state"]["counter"][2] = row
     rng.bit_generator.state = fresh
     if law == "normal":
         rng.standard_normal(out=out)
     elif law == "rademacher":
-        np.multiply(rng.integers(0, 2, size=out.size), 2.0, out=out)
-        out -= 1.0
+        rng.random(out=out)
+        out -= 0.5
+        np.copysign(1.0, out, out=out)
     else:
         rng.random(out=out)
         out *= 2.0 * _SQRT3
@@ -252,7 +212,7 @@ def simulate_matrix(plan, replicate=0, innovations=None):
 
     Column t of row i is sum_{j<=K} c_j Z_{i,t-j}, the model's MA(infinity)
     expansion cut at lag K (see the module docstring).  Each row draws its
-    L = n + K innovations from its own (seed, replicate, row) substream and is
+    L = n + K innovations from its own stream (see the module docstring) and is
     convolved with c_0..c_K by one circular FFT of length N >= L, the smallest
     2^a 3^b 5^c; the kept columns K..L-1 never wrap.  White noise has K = 0
     and no FFT.  Those columns plus mu are returned as a fresh array.
@@ -261,11 +221,10 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     or aliased.
 
     The kernel comes from one ``ma_coefficients`` call on the calling thread,
-    and so do the Philox keys of all p rows, from one vectorised pass
-    (``_row_keys``): worker threads call nothing of specmp's public API.
-    Each block builds one Philox generator and resets its state to each of
-    its rows' keys in turn, at counter 0 with an empty buffer, which is the
-    state of a Philox built from that row's SeedSequence.  Rows are
+    and so does the replicate's Philox key, from ``SeedSequence(plan.seed,
+    spawn_key=(replicate,))``: worker threads call nothing of specmp's public
+    API.  Each block builds one Philox generator under that key and resets
+    its state to each of its rows' streams in turn.  Rows are
     independent, so they are drawn, filtered and written into the p x n result
     in contiguous blocks of about ``_BLOCK_SAMPLES`` samples; the p x L
     innovation and filtered arrays are never built.  The blocks run on a
@@ -274,7 +233,7 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     the FFT release the GIL.  Rows of fewer than ``_MIN_PARALLEL_ROW``
     samples and rows of Rademacher or uniform draws, where threads did not
     pay, run on the calling thread; so does every call made from a thread
-    other than the main one.  Every row keeps its own substream and its own
+    other than the main one.  Every row keeps its own stream and its own
     arithmetic, so the result is deterministic given (seed, replicate) and
     does not depend on the worker count.  A simulation loads NumPy only.
     """
@@ -288,16 +247,16 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     L = n + K
     N = _fft_length(L)
     kernel = np.fft.rfft(c, N) if K else None
-    keys = _row_keys(plan.seed, replicate, p) if innovations is None else None
+    key = np.random.SeedSequence(plan.seed, spawn_key=(replicate,)).generate_state(2, np.uint64)
     X = np.empty((p, n))
 
     def fill(lo, hi):
         if innovations is None:
             W = np.empty((hi - lo, L))
-            rng = np.random.Generator(np.random.Philox(key=keys[lo]))
+            rng = np.random.Generator(np.random.Philox(key=key))
             fresh = rng.bit_generator.state
-            for key, row in zip(keys[lo:hi], W):
-                _draw_row(rng, fresh, key, plan.law, row)
+            for row, out in enumerate(W, lo):
+                _draw_row(rng, fresh, row, plan.law, out)
         else:
             W = innovations[lo:hi, 2 * n - L :]
         if kernel is not None:

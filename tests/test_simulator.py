@@ -14,17 +14,13 @@ import specmp.simulator as simulator
 
 
 def reference_row(seed, replicate, row, count, law):
-    # row's draws straight from NumPy's SeedSequence, Philox and allocating forms
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate, row))))
+    # row's draws straight from NumPy's SeedSequence, Philox.jumped and allocating forms
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate,))).jumped(row))
     if law == "normal":
         return rng.standard_normal(count)
     if law == "rademacher":
-        return rng.integers(0, 2, size=count).astype(float) * 2.0 - 1.0
+        return np.where(rng.random(count) < 0.5, -1.0, 1.0)
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=count)
-
-
-def reference_key(seed, replicate, row):
-    return np.random.SeedSequence(seed, spawn_key=(replicate, row)).generate_state(2, np.uint64)
 
 
 def esd_cdf(spectrum, x):
@@ -150,21 +146,19 @@ class TestSimulateMatrix:
         ids=["white", "ma1", "arma11", "farima"],
     )
     def test_each_row_draws_n_plus_k(self, model, monkeypatch):
-        # rows are told apart by their Philox keys, taken from NumPy's SeedSequence
+        # rows are told apart by their indices, the counter words of their streams
         counts = []
         original = simulator._draw_row
 
-        def counting(rng, fresh, key, law, out):
-            counts.append((tuple(int(word) for word in key), out.size))
-            return original(rng, fresh, key, law, out)
+        def counting(rng, fresh, row, law, out):
+            counts.append((row, out.size))
+            return original(rng, fresh, row, law, out)
 
         monkeypatch.setattr(simulator, "_draw_row", counting)
         plan = sp.SimulationPlan(p=5, y=40.0, model=model, seed=1)
         sp.simulate_matrix(plan)
         L = plan.n + simulator._truncated_kernel(model, plan.n).size - 1
-        keys = [tuple(int(word) for word in reference_key(1, 0, row)) for row in range(5)]
-        assert len(set(keys)) == 5
-        assert sorted(counts) == sorted((key, L) for key in keys)
+        assert sorted(counts) == [(row, L) for row in range(5)]
 
     @pytest.mark.parametrize(
         "model",
@@ -270,6 +264,9 @@ class TestSimulateMatrix:
             sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), law="cauchy")
         with pytest.raises(ValueError):
             sp.SimulationPlan(p=4, y=1.0, model="not a model")
+        for field in ({"p": 4.5}, {"p": 4, "seed": 1.5}, {"p": 4, "replicates": 2.5}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                sp.SimulationPlan(y=1.0, model=sp.ARMAModel(), **field)
 
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_plan_rejects_nonfinite_mu(self, mu):
@@ -280,7 +277,7 @@ class TestSimulateMatrix:
 class TestInnovationLaws:
     def test_in_place_fill_matches_allocating_forms(self):
         # white-noise rows written in place by one reset generator per block
-        # equal the draws of the allocating forms on a fresh generator bit for bit
+        # equal the reference draws of a fresh jumped generator bit for bit
         for law in sp.INNOVATION_LAWS:
             for count in (1, 2, 7, 1000, 4099):
                 plan = sp.SimulationPlan(p=3, y=count / 3.0, model=sp.ARMAModel(), law=law, seed=11)
@@ -294,13 +291,16 @@ class TestInnovationLaws:
         replicate=st.one_of(st.integers(0, 2**40), st.sampled_from((2**32 - 1, 2**32))),
         p=st.integers(1, 5000),
         fraction=st.floats(0.0, 1.0),
+        law=st.sampled_from(sp.INNOVATION_LAWS),
     )
-    def test_row_keys_match_seed_sequence(self, seed, replicate, p, fraction):
-        # the vectorised keys are SeedSequence(seed, spawn_key=(replicate, row)).generate_state(2, uint64)
-        keys = simulator._row_keys(seed, replicate, p)
-        assert keys.shape == (p, 2) and keys.dtype == np.uint64
+    def test_rows_match_jumped_streams(self, seed, replicate, p, fraction, law):
+        # row i of replicate r is Philox(SeedSequence(seed, spawn_key=(r,))).jumped(i),
+        # for seeds longer than SeedSequence's pool and replicates of several words
+        plan = sp.SimulationPlan(p=p, y=3.0 / p, model=sp.ARMAModel(), law=law, seed=seed)
+        X = sp.simulate_matrix(plan, replicate=replicate)
+        assert X.shape == (p, 3)
         for row in {0, int(fraction * (p - 1)), p - 1}:
-            assert np.array_equal(keys[row], reference_key(seed, replicate, row))
+            assert np.array_equal(X[row], reference_row(seed, replicate, row, 3, law))
 
     def test_moments(self):
         n = 200_000
