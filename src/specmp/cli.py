@@ -9,8 +9,8 @@ Four subcommands produce CSV/JSON artifacts for external plotting:
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.  All output
 is deterministic given the configuration and seed.  Replicates run one after
-another; the rows of each matrix are spread over the CPUs (see
-``simulate_matrix``), and the eigensolve's BLAS threads are OpenBLAS's own.
+another and each matrix is simulated on the calling thread (see
+``simulate_matrix``); the eigensolve's BLAS threads are OpenBLAS's own.
 
 Importing this module loads NumPy only, and no subcommand loads SciPy.
 """
@@ -122,17 +122,12 @@ def cmd_lsd_density(args):
 
 
 def _run_replicates(plan):
-    def one(k):
-        # X goes out of scope on return, before the next replicate draws its own
-        X = simulate_matrix(plan, replicate=k)
-        if plan.center:
-            # the trace check is of the centred matrix, whose spectrum is reported
-            X = X - X.mean(axis=1, keepdims=True)
-        spectrum = sample_cov_eigenvalues(X, center=plan.center)
-        trace = float(np.vdot(X, X) / plan.p)
-        return spectrum, trace
-
-    return [one(k) for k in range(plan.replicates)]
+    # each matrix is handed over without a name, so sample_cov_eigenvalues can
+    # free it before the eigensolve; the spectrum carries the trace to check
+    return [
+        sample_cov_eigenvalues(simulate_matrix(plan, replicate=k), center=plan.center)
+        for k in range(plan.replicates)
+    ]
 
 
 def _plan_from_args(args, model):
@@ -158,9 +153,10 @@ def cmd_simulate(args):
     plan = _plan_from_args(args, model)
     results = _run_replicates(plan)
     replicates = []
-    for k, (spectrum, trace) in enumerate(results):
+    for k, spectrum in enumerate(results):
         path = f"{args.out}_rep{k}.csv"
         _write_csv(path, ("eigenvalue",), ((v,) for v in spectrum.eigenvalues))
+        trace = spectrum.trace
         eig_sum = float(spectrum.eigenvalues.sum())
         replicates.append(
             {
@@ -206,10 +202,10 @@ def cmd_compare(args):
 
     results = _run_replicates(plan)
     per_replicate = []
-    for spectrum, trace in results:
+    for spectrum in results:
         ks = ks_distance(spectrum, theory)
         hist_l1 = _histogram_l1(spectrum, density)
-        per_replicate.append({"ks": ks, "hist_l1": hist_l1, "trace": trace})
+        per_replicate.append({"ks": ks, "hist_l1": hist_l1, "trace": spectrum.trace})
     ks_values = [r["ks"] for r in per_replicate]
     scale_aware = plan.p >= _SCALE_AWARE_MIN_P
     passed = bool(max(ks_values) <= _KS_THRESHOLD) if scale_aware else None

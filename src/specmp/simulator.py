@@ -12,14 +12,13 @@ stationary.  Where K < n the dropped lags move a row by less than rounding;
 models whose expansion decays slower (FARIMA, AR roots near the unit circle)
 are cut at lag n.  Neither cut changes the limit law.
 
-Rows are simulated in blocks of contiguous rows, on a thread pool sized from
-the CPUs the process may use when the rows are long enough for threads to pay
-(see ``simulate_matrix``).  Row i of replicate r draws from its own stream,
+Rows are simulated on the calling thread in blocks of contiguous rows (see
+``simulate_matrix``).  Row i of replicate r draws from its own stream,
 Philox(SeedSequence(seed, spawn_key=(r,))).jumped(i), so the matrix does not
-depend on the number of worker threads.  Philox is counter-based (Salmon et
-al., SC'11): under the replicate's one key, ``jumped(i)`` starts row i at
-counter word 2 = i with an empty buffer, 2^128 counter steps from its
-neighbours, and disjoint counter ranges are independent streams.
+depend on the block size.  Philox is counter-based (Salmon et al., SC'11):
+under the replicate's one key, ``jumped(i)`` starts row i at counter word
+2 = i with an empty buffer, 2^128 counter steps from its neighbours, and
+disjoint counter ranges are independent streams.
 
 p^{-1} X X^T has rank at most min(p, n) (min(p, n - 1) after centring), so
 when that bound is below p the smaller Gram matrix X^T X / p is eigensolved
@@ -32,9 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +52,12 @@ INNOVATION_LAWS = ("normal", "rademacher", "uniform")
 _SQRT3 = math.sqrt(3.0)
 
 # rows are simulated in blocks of about this many samples.  A block in flight
-# holds about 3x its bytes (draws, spectrum, filtered rows) on each worker
-# thread: the three-model `specmp simulate` cycle at p = 1000 peaked at
-# 100-106 MB RSS with 2^18-sample blocks, 88-89 MB with 2^16 and 82 MB on one
-# thread, for 2-10% more simulate_matrix time than with 2^18
+# holds about 3x its bytes (draws, spectrum, filtered rows): simulate_matrix
+# of ARMA(1,1) at p = 1000, y = 3 peaked at 61 MB RSS with 2^16-sample blocks,
+# 67 MB with 2^18 and 91 MB with 2^20, for no measurable change in its time.
+# The three-model `specmp simulate` cycle at p = 1000 peaks at 77.5 MB, in the
+# eigensolve, with any block of 2^14 to 2^18 samples
 _BLOCK_SAMPLES = 1 << 16
-# rows with fewer samples than this are simulated on the calling thread
-_MIN_PARALLEL_ROW = 2000
 # u^2, u = 2^-53: a kernel tail with at most this share of the energy is cut
 _TAIL_ENERGY = 2.0**-106
 
@@ -121,9 +116,15 @@ class SimulationPlan:
 
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
-    """Sorted eigenvalues of one simulated p^{-1} X X^T realization."""
+    """Sorted eigenvalues of one simulated p^{-1} X X^T realization.
+
+    ``trace`` is tr(X X^T) / p of the (centred) X the eigenvalues came from,
+    as ``sample_cov_eigenvalues`` measured it; None when the spectrum was
+    built from eigenvalues alone.
+    """
 
     eigenvalues: np.ndarray
+    trace: float | None = None
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -152,36 +153,6 @@ def _draw_row(rng, fresh, row, law, out):
         rng.random(out=out)
         out *= 2.0 * _SQRT3
         out -= _SQRT3
-
-
-def _row_workers(row_length, law):
-    # Rows of fewer than _MIN_PARALLEL_ROW samples, and Rademacher and uniform
-    # rows of any length, are filled on the calling thread.  A row's GIL-held
-    # work (a Philox state reset and the draw calls, a few us) is serial
-    # whatever the worker count, while the draws and the FFT release the GIL.
-    # 2-thread over 1-thread time of simulate_matrix at p = 1000 on a 2-core
-    # host, medians of 15 interleaved runs, white noise / ARMA(1,1) rows of L
-    # samples:
-    # - normal: 1.24 / 1.07 at L = 501, 1.00 / 0.76 at 1001, 0.67 / 0.74 at
-    #   2000, 0.63 / 0.61 at 3053;
-    # - Rademacher: 1.58 / 1.19 at 501, 1.73 / 1.11 at 1001, 1.34 / 0.81 at
-    #   2000, 1.13 / 0.77 at 3053;
-    # - uniform: 1.53 / 1.16 at 501, 1.25 / 0.91 at 1001, 0.88 / 0.67 at
-    #   2000, 0.81 / 0.67 at 3053.
-    # Threads would also pay for filtered normal rows from about 1000 samples
-    # and for filtered uniform and Rademacher rows from about 2000; the rule
-    # stays until a perfbench workload has rows on each side of a new
-    # threshold.
-    # A call from a thread other than the main one adds no threads of its
-    # own: the caller's other threads may already be using the CPUs.
-    if law != "normal" or row_length < _MIN_PARALLEL_ROW:
-        return 1
-    if threading.current_thread() is not threading.main_thread():
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _truncated_kernel(model, n):
@@ -220,23 +191,23 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     p x 2n array, of which the last L columns are read; it is never modified
     or aliased.
 
-    The kernel comes from one ``ma_coefficients`` call on the calling thread,
-    and so does the replicate's Philox key, from ``SeedSequence(plan.seed,
-    spawn_key=(replicate,))``: worker threads call nothing of specmp's public
-    API.  Each block builds one Philox generator under that key and resets
-    its state to each of its rows' streams in turn.  Rows are
+    Everything runs on the calling thread.  The kernel comes from one
+    ``ma_coefficients`` call and the replicate's Philox key from
+    ``SeedSequence(plan.seed, spawn_key=(replicate,))``; one Philox generator
+    under that key is reset to each row's stream in turn.  Rows are
     independent, so they are drawn, filtered and written into the p x n result
     in contiguous blocks of about ``_BLOCK_SAMPLES`` samples; the p x L
-    innovation and filtered arrays are never built.  The blocks run on a
-    thread pool with one thread per CPU this process may use
-    (``os.sched_getaffinity``, else ``os.cpu_count``), since the draws and
-    the FFT release the GIL.  Rows of fewer than ``_MIN_PARALLEL_ROW``
-    samples and rows of Rademacher or uniform draws, where threads did not
-    pay, run on the calling thread; so does every call made from a thread
-    other than the main one.  Every row keeps its own stream and its own
-    arithmetic, so the result is deterministic given (seed, replicate) and
-    does not depend on the worker count.  A simulation loads NumPy only.
+    innovation and filtered arrays are never built.  Every row keeps its own
+    stream and its own arithmetic, so the result is deterministic given
+    (seed, replicate) and does not depend on the block size.  ``replicate``
+    is a nonnegative integer.  A simulation loads NumPy only.
     """
+    try:
+        replicate = operator.index(replicate)
+    except TypeError:
+        raise ValueError("replicate must be an integer") from None
+    if replicate < 0:
+        raise ValueError("replicate must be nonnegative")
     p, n = plan.p, plan.n
     if innovations is not None:
         innovations = np.asarray(innovations, dtype=float)
@@ -248,13 +219,14 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     N = _fft_length(L)
     kernel = np.fft.rfft(c, N) if K else None
     key = np.random.SeedSequence(plan.seed, spawn_key=(replicate,)).generate_state(2, np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    fresh = rng.bit_generator.state
     X = np.empty((p, n))
-
-    def fill(lo, hi):
+    step = max(1, _BLOCK_SAMPLES // L)
+    for lo in range(0, p, step):
+        hi = min(lo + step, p)
         if innovations is None:
             W = np.empty((hi - lo, L))
-            rng = np.random.Generator(np.random.Philox(key=key))
-            fresh = rng.bit_generator.state
             for row, out in enumerate(W, lo):
                 _draw_row(rng, fresh, row, plan.law, out)
         else:
@@ -262,17 +234,6 @@ def simulate_matrix(plan, replicate=0, innovations=None):
         if kernel is not None:
             W = np.fft.irfft(np.fft.rfft(W, N, axis=1) * kernel, N, axis=1)
         np.add(W[:, K:L], plan.mu, out=X[lo:hi])
-
-    step = max(1, _BLOCK_SAMPLES // L)
-    los = range(0, p, step)
-    his = [min(lo + step, p) for lo in los]
-    workers = min(_row_workers(L, plan.law), len(los))
-    if workers == 1:
-        for lo, hi in zip(los, his):
-            fill(lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, los, his))
     return X
 
 
@@ -297,13 +258,24 @@ def sample_cov_eigenvalues(X, center=False):
     exactly symmetric, and the eigensolver reads only its lower triangle.
     Roundoff-negative eigenvalues within 1e-9 of zero are clamped; anything
     lower is surfaced as an eigensolver failure.
+
+    The result's ``trace`` is ``np.vdot(X, X) / p`` of the (centred) X, taken
+    before the Helmert step, so a caller can check it against the eigenvalue
+    sum.  X is released once its Gram matrix is formed: when the caller
+    passes the only reference, as in ``sample_cov_eigenvalues(simulate_matrix(
+    plan))`` on CPython 3.11 or later, the p x n matrix is freed before the
+    eigensolver copies the Gram matrix.
     """
     X = np.ascontiguousarray(X, dtype=float)
     p = X.shape[0]
     if center:
-        X = _helmert(X - X.mean(axis=1, keepdims=True))
+        X = X - X.mean(axis=1, keepdims=True)
+    trace = float(np.vdot(X, X) / p)
+    if center:
+        X = _helmert(X)
     m = X.shape[1]
     S = X.T @ X if m < p else X @ X.T
+    del X
     S /= p
     try:
         vals = np.linalg.eigvalsh(S)
@@ -320,7 +292,7 @@ def sample_cov_eigenvalues(X, center=False):
     vals = np.clip(vals, 0.0, None)
     if m < p:
         vals = np.concatenate([np.zeros(p - m), vals])
-    return EmpiricalSpectrum(vals)
+    return EmpiricalSpectrum(vals, trace)
 
 
 def ks_distance(spectrum, cdf):

@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -321,6 +323,33 @@ class TestSimulateCommand:
         assert run(args + ["--out", str(b)]) == 0
         assert (tmp_path / "a_rep0.csv").read_bytes() == (tmp_path / "b_rep0.csv").read_bytes()
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 the caller's frame keeps a reference to a call's arguments until it returns",
+    )
+    def test_matrix_freed_before_eigensolve(self, tmp_path, monkeypatch):
+        # each simulated matrix is dead by the time its Gram matrix is eigensolved
+        matrices, alive = [], []
+        simulate, eigvalsh = specmp.cli.simulate_matrix, np.linalg.eigvalsh
+
+        def recording_simulate(*args, **kwargs):
+            X = simulate(*args, **kwargs)
+            matrices.append(weakref.ref(X))
+            return X
+
+        def checking_eigvalsh(S):
+            alive.append([ref() is not None for ref in matrices])
+            return eigvalsh(S)
+
+        monkeypatch.setattr(specmp.cli, "simulate_matrix", recording_simulate)
+        monkeypatch.setattr(np.linalg, "eigvalsh", checking_eigvalsh)
+        args = ["simulate", "--model", ARMA11, "--y", "2", "--p", "50", "--seed", "3", "--replicates", "2"]
+        for center in ([], ["--center"]):
+            matrices.clear()
+            alive.clear()
+            assert run(args + center + ["--out", str(tmp_path / "w")]) == 0
+            assert alive == [[False], [False, False]]
+
     def test_tiny_p_rejected(self, tmp_path, capsys):
         code = run(["simulate", "--model", WHITE, "--y", "1", "--p", "1", "--out", str(tmp_path / "x")])
         capsys.readouterr()
@@ -418,7 +447,7 @@ class TestEntryPoint:
         if len(cpus) < 2:
             pytest.skip("needs two CPUs to compare against one")
         one = {min(cpus)}
-        # n + K = 2080 + 53 normal samples a row reach the row pool: five blocks of 30 rows and one of 10
+        # n + K = 2080 + 53 normal samples a row: five blocks of 30 rows and one of 10
         args = [
             sys.executable, "-m", "specmp.cli", "simulate", "--model", ARMA11, "--y", "13",
             "--p", "160", "--seed", "2", "--replicates", "2",
@@ -432,7 +461,7 @@ class TestEntryPoint:
                 timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
-        # the CPU count changes how row blocks are scheduled, not what they contain
+        # the CPU count changes the eigensolver's BLAS threads, not the bytes written
         for k in range(2):
             assert (tmp_path / f"all_rep{k}.csv").read_bytes() == (tmp_path / f"one_rep{k}.csv").read_bytes()
 

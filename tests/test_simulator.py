@@ -1,5 +1,4 @@
 import math
-import os
 import threading
 import warnings
 
@@ -211,49 +210,47 @@ class TestSimulateMatrix:
         d=st.one_of(st.none(), st.floats(-0.45, -0.01)),
         seed=st.integers(0, 2**31),
     )
-    def test_worker_count_invariance(self, p, ratio, block_rows, law, replicate, mu, phi, theta, d, seed):
-        # blocks of block_rows rows on 1, 2 or 3 threads give the serial matrix bit for bit
+    def test_block_size_invariance(self, p, ratio, block_rows, law, replicate, mu, phi, theta, d, seed):
+        # blocks of block_rows rows give the serial matrix bit for bit
         arma = sp.ARMAModel.arma11(phi, theta)
         model = arma if d is None else sp.FARIMAModel(sp.ARMAModel(ar=[-phi]), d)
         n = max(1, round(ratio * p))
         plan = sp.SimulationPlan(p=p, y=n / p, model=model, law=law, mu=mu, seed=seed)
         expected = self.serial_reference(plan, replicate)
         row_length = n + simulator._truncated_kernel(model, n).size - 1
-        for workers in (1, 2, 3):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(simulator, "_BLOCK_SAMPLES", block_rows * row_length)
-                mp.setattr(simulator, "_row_workers", lambda row_length, law: workers)
-                assert np.array_equal(sp.simulate_matrix(plan, replicate=replicate), expected)
-
-    def test_row_worker_rule(self):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW - 1, "normal") == 1
-        assert simulator._row_workers(simulator._MIN_PARALLEL_ROW, "normal") == cpus
-        for law in ("rademacher", "uniform"):
-            assert simulator._row_workers(10 * simulator._MIN_PARALLEL_ROW, law) == 1
-        # a call from another thread adds no threads of its own
-        seen = []
-        thread = threading.Thread(target=lambda: seen.append(simulator._row_workers(10**6, "normal")))
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive() and seen == [1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_BLOCK_SAMPLES", block_rows * row_length)
+            assert np.array_equal(sp.simulate_matrix(plan, replicate=replicate), expected)
 
     def test_public_calls_stay_on_calling_thread(self, monkeypatch):
-        # worker threads call nothing of specmp's public API: the kernel's
-        # ma_coefficients runs once, on the caller's thread
-        calls = []
-        original = simulator.ma_coefficients
+        # the kernel's ma_coefficients runs once, and every row draw and FFT
+        # runs, on the caller's thread
+        calls, threads = [], set()
 
-        def recording(*args):
-            calls.append(threading.current_thread())
-            return original(*args)
+        def recording(fn, log):
+            def wrapper(*args, **kwargs):
+                log(threading.current_thread())
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "ma_coefficients", recording)
+            return wrapper
+
+        monkeypatch.setattr(simulator, "ma_coefficients", recording(simulator.ma_coefficients, calls.append))
+        monkeypatch.setattr(simulator, "_draw_row", recording(simulator._draw_row, threads.add))
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name), threads.add))
         monkeypatch.setattr(simulator, "_BLOCK_SAMPLES", 2 * 64)
-        monkeypatch.setattr(simulator, "_row_workers", lambda row_length, law: 2)
         plan = sp.SimulationPlan(p=16, y=2.0, model=sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25), seed=0)
         sp.simulate_matrix(plan)
         assert calls == [threading.current_thread()]
+        assert threads == {threading.current_thread()}
+
+    def test_replicate_validation(self):
+        plan = sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel())
+        with pytest.raises(ValueError, match="replicate must be an integer"):
+            sp.simulate_matrix(plan, replicate=1.5)
+        with pytest.raises(ValueError, match="replicate must be nonnegative"):
+            sp.simulate_matrix(plan, replicate=-1)
+        assert np.array_equal(sp.simulate_matrix(plan, replicate=np.int64(2)), sp.simulate_matrix(plan, replicate=2))
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -344,6 +341,16 @@ class TestSampleCovEigenvalues:
         s = sp.sample_cov_eigenvalues(X)
         trace = float(np.sum(X * X)) / plan.p
         assert abs(trace - s.eigenvalues.sum()) / trace <= 1e-6
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("y", [0.7, 2.0])
+    def test_trace_is_vdot_of_the_reported_matrix(self, y, center):
+        # the spectrum's trace is vdot(Xc, Xc) / p of the (centred) matrix, bit for bit
+        plan = sp.SimulationPlan(p=200, y=y, model=sp.ARMAModel.arma11(0.5, 1.0), seed=12, mu=2.0)
+        X = sp.simulate_matrix(plan)
+        Xc = X - X.mean(axis=1, keepdims=True) if center else X
+        assert sp.sample_cov_eigenvalues(X, center=center).trace == np.vdot(Xc, Xc) / plan.p
+        assert sp.EmpiricalSpectrum(np.ones(3)).trace is None
 
     def test_rank_bound(self):
         # rank is at most min(p, n), or min(p, n - 1) centred; the null
