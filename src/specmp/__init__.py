@@ -7,10 +7,9 @@ fixed-point equation for the Stieltjes transform of the sample-covariance
 limit law (``solve_fixed_point``), which is inverted to a density
 (``invert_to_density``); simulations check the result (``simulator``).
 
-Importing ``specmp`` (and ``specmp.cli``) loads NumPy and the standard library
-only, and so does every simulation.  SciPy is imported at its one use site:
-``scipy.special.roots_legendre`` in the ``AbsContinuousLSD.total_mass``
-oracle.
+The runtime needs NumPy and the standard library only: importing ``specmp``
+(and ``specmp.cli``) loads nothing else, and neither does any command.  SciPy
+is a test dependency, for oracles that only the tests call.
 """
 
 from .linear_process import (
@@ -51,11 +50,11 @@ from .stieltjes import (
 from .toeplitz_lsd import (
     AbsContinuousLSD,
     AtomicLSD,
+    Rule,
     TangentialRootWarning,
     arma11_gamma_density,
     arma11_support,
     atomic_lsd,
-    autocovariance_toeplitz,
     gamma_cdf,
     gamma_density,
     gamma_lsd,

@@ -10,15 +10,15 @@ where y is the limiting column/row ratio n/p.  This module solves that fixed
 point, gives the Marchenko-Pastur closed form and the ARMA(1,1) quartic as
 oracles, locates the upper support edge, and recovers the density via
 Stieltjes-Perron inversion at one small offset above the real axis.  The
-solver and the edge see a limit law only as quadrature nodes and weights,
-``lsd.rule(N)``: its atoms, or the Szegő rule of a continuous law.
+solver and the edge see a limit law only through its quadrature
+:class:`~specmp.toeplitz_lsd.Rule` ``lsd.rule(N)`` (its atoms, or the Szegő
+rule of a continuous law) and that rule's (T, T') evaluator.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,44 +92,6 @@ class StieltjesSolution:
             raise ValueError("Stieltjes transform must map into the upper half-plane")
 
 
-# the (T, T') evaluator of each live rule, by id of its node array, with a weak
-# reference to the weights it was built for (laws may share a node array); an
-# entry leaves when its nodes are freed, so it lives no longer than its rule
-_EVALUATORS = {}
-
-
-def _terms(lam, W):
-    """(T, T') at m in one pass over a rule: T(m) = sum W lam / (1 + lam m).
-
-    The evaluator is built once per rule and kept as long as the rule's node
-    array lives, so the complex casts of the nodes and weights are made once
-    per rule.  It is reentrant: each evaluation builds 1/(1 + lam m) and its
-    square in place in a complex array of its own, so threads can share it.
-    T and T' are returned as Python complex numbers.  The rule's arrays must
-    not change.
-    """
-    key = id(lam)
-    cached = _EVALUATORS.get(key)
-    if cached is not None and cached[0]() is W:
-        return cached[1]
-    lamc = lam.astype(complex)
-    wl = W * lamc
-    wl2 = wl * lam
-
-    def TTp(m):
-        q = lamc * m
-        q += 1.0
-        np.reciprocal(q, out=q)
-        t = complex(q.dot(wl))
-        q *= q
-        return t, -complex(q.dot(wl2))
-
-    if cached is None:
-        weakref.finalize(lam, _EVALUATORS.pop, key, None)
-    _EVALUATORS[key] = (weakref.ref(W), TTp)
-    return TTp
-
-
 def _iterate(TTp, y, z, m):
     """Guarded Newton on M(m) = 1 + m z - y m T(m), falling back to a damped step.
 
@@ -196,8 +158,8 @@ def solve_fixed_point(lsd, y, z, initial=None):
     until the 2N rule moves the integral term T by at most 1e-9 (1 + |T|); the
     residual is the N-rule solution's defect on the 2N rule, and a Newton step
     on the 2N rule ends the solve.  Near the real axis larger rules are needed;
-    the RULE_MAX_SIZE rule is the last.  A rule whose 2N rule is the same pair
-    of arrays is exact, and the solve stops on it without the doubling check;
+    the RULE_MAX_SIZE rule is the last.  A rule whose 2N rule is the same
+    ``Rule`` is exact, and the solve stops on it without the doubling check;
     there, as on the last rule, the residual is the defect on the solve's own
     rule.  MAX_ITER caps the sweeps on one rule.  Without a usable ``initial``
     the solve starts from the law with all its mass at the mean level, which
@@ -214,25 +176,25 @@ def solve_fixed_point(lsd, y, z, initial=None):
     y = float(y)
 
     size = RULE_START_SIZE
-    lam, W = lsd.rule(size)
+    rule = lsd.rule(size)
     if initial is None or not initial.imag > 0.0:
         # -1/z sits among the rule's real poles -1/lam when z is near the real axis
-        mean = float(W.dot(lam))
+        mean = float(rule.weights.dot(rule.nodes))
         m = mp_stieltjes(y, z / mean) / mean
     else:
         m = complex(initial)
     iterations = 0
     while True:
-        m, its, t = _iterate(_terms(lam, W), y, z, m)
+        m, its, t = _iterate(rule.terms, y, z, m)
         iterations += its
-        finer = lsd.rule(2 * size) if 2 * size <= RULE_MAX_SIZE else (lam, W)
-        if finer[0] is lam and finer[1] is W:
+        finer = lsd.rule(2 * size) if 2 * size <= RULE_MAX_SIZE else rule
+        if finer is rule:
             # the last rule, or an exact one: the residual is on its own rule
             residual = abs(1.0 / m + z - y * t)
             break
         size *= 2
-        lam, W = finer
-        t2, tp2 = _terms(lam, W)(m)
+        rule = finer
+        t2, tp2 = rule.terms(m)
         residual = abs(1.0 / m + z - y * t2)
         if abs(t2 - t) <= 1e-9 * (1.0 + abs(t2)):
             # the rule's error in T moves m by about y |m|^2 |t2 - t|, far
@@ -319,7 +281,7 @@ class LimitingDensity:
 
     def __post_init__(self):
         for name in ("grid", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -400,15 +362,14 @@ def estimate_support_upper(lsd, y):
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
-    lam, W = lsd.rule(RULE_MAX_SIZE)
-    TTp = _terms(lam, W)
+    rule = lsd.rule(RULE_MAX_SIZE)
 
     def slope(m):
         # _bisect passes the one bracket's midpoint as a length-1 array
-        return 1.0 / m**2 + y * TTp(m[0])[1].real
+        return 1.0 / m**2 + y * rule.terms(m[0])[1].real
 
-    m = float(_bisect(slope, [-1.0 / lam.max()], [0.0], np.zeros(1))[0])
-    return float(-1.0 / m + y * TTp(m)[0].real)
+    m = float(_bisect(slope, [-1.0 / rule.nodes.max()], [0.0], np.zeros(1))[0])
+    return float(-1.0 / m + y * rule.terms(m)[0].real)
 
 
 def default_grid(lsd, y, size=512):

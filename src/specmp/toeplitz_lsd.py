@@ -17,7 +17,8 @@ one vectorised bisection then finds the root of f(w) = lam on every branch for
 a whole array of levels.  A level is tangential when it equals f at a
 stationary point inside the support; the density diverges there.  Quadrature
 against the continuous law comes from Szegő's theorem, as a graded trapezoid
-rule in w pushed forward through f.
+rule in w pushed forward through f.  Either law hands the solver a
+:class:`Rule`: its nodes and weights, and the (T, T') sums over them.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .linear_process import (
-    ModelSpecError, PiecewiseSpectralDensity, SpectralDensity, autocovariances, spectral_density
-)
+from .linear_process import ModelSpecError, PiecewiseSpectralDensity, SpectralDensity, spectral_density
 
 __all__ = [
     "TangentialRootWarning",
+    "Rule",
     "AtomicLSD",
     "AbsContinuousLSD",
     "support_bounds",
@@ -45,7 +45,6 @@ __all__ = [
     "gamma_lsd",
     "arma11_support",
     "arma11_gamma_density",
-    "autocovariance_toeplitz",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -192,6 +191,37 @@ def gamma_cdf(f, levels):
     return float(out) if lam.ndim == 0 else out
 
 
+class Rule:
+    """Quadrature rule of a limit law: read-only nodes lam and weights W.
+
+    The complex casts that :meth:`terms` sums against are made once, here.
+    """
+
+    __slots__ = ("nodes", "weights", "_lamc", "_wl", "_wl2")
+
+    def __init__(self, nodes, weights):
+        for arr in (nodes, weights):
+            arr.setflags(write=False)
+        self.nodes, self.weights = nodes, weights
+        self._lamc = nodes.astype(complex)
+        self._wl = weights * self._lamc
+        self._wl2 = self._wl * nodes
+
+    def terms(self, m):
+        """(T, T') at m in one pass: T(m) = sum W lam / (1 + lam m).
+
+        Reentrant: each call builds 1/(1 + lam m) and its square in place in a
+        complex array of its own, so threads can share a rule.  T and T' are
+        returned as Python complex numbers.
+        """
+        q = self._lamc * m
+        q += 1.0
+        np.reciprocal(q, out=q)
+        t = complex(q.dot(self._wl))
+        q *= q
+        return t, -complex(q.dot(self._wl2))
+
+
 @dataclass(frozen=True)
 class AtomicLSD:
     """Purely atomic Toeplitz eigenvalue limit: weight w_j at level alpha_j."""
@@ -200,18 +230,17 @@ class AtomicLSD:
     weights: np.ndarray
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        levels = np.array(self.levels, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if levels.size != weights.size or levels.size == 0:
             raise ValueError("levels and weights must be nonempty and aligned")
         if np.any(np.diff(levels) <= 0):
             raise ValueError("levels must be strictly increasing")
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be positive and sum to 1")
-        levels.setflags(write=False)
-        weights.setflags(write=False)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_rule", Rule(levels, weights))
 
     @property
     def atoms(self):
@@ -222,8 +251,8 @@ class AtomicLSD:
         return float(self.levels[0]), float(self.levels[-1])
 
     def rule(self, size):
-        """The atoms as (nodes, weights): a rule that is exact at every size."""
-        return self.levels, self.weights
+        """The atoms as a :class:`Rule`, exact at every size: one object for all."""
+        return self._rule
 
 
 @dataclass
@@ -231,10 +260,9 @@ class AbsContinuousLSD:
     """Absolutely continuous Toeplitz eigenvalue limit with density g.
 
     By Szegő's theorem it is the law of f(w) with w uniform on [0, 2*pi], so
-    :meth:`rule` integrates against it without level sets; :meth:`density`,
-    :meth:`cdf` and :meth:`total_mass` use the level sets of f.  Rules are
-    cached per instance, idempotently, so concurrent readers at worst
-    duplicate work.
+    :meth:`rule` integrates against it without level sets; :meth:`density`
+    and :meth:`cdf` use the level sets of f.  One :class:`Rule` is cached per
+    size, idempotently, so concurrent readers at worst duplicate work.
     """
 
     f: SpectralDensity
@@ -250,50 +278,20 @@ class AbsContinuousLSD:
         return gamma_cdf(self.f, levels)
 
     def rule(self, size):
-        """Szegő pushforward (nodes, weights) on a graded trapezoid grid.
+        """Szegő pushforward :class:`Rule` on a graded trapezoid grid.
 
         Nodes f(w_k), w_k = 2*pi*t_k - sin(2*pi*t_k), t_k = k/size for
         k = 1..size-1; weights (1 - cos(2*pi*t_k)) / size, which sum to 1; and
         the size-N grid is every other node of the 2N grid.  For analytic f the
         error falls geometrically.  The grading is flat to third order at w = 0,
         so a FARIMA cusp |w|^(2|d|) leaves an error of order N^-(3 + 6|d|).
-        Both arrays are read-only.
         """
         cached = self._rules.get(size)
         if cached is None:
             u = TWO_PI * np.arange(1, size) / size
-            cached = (np.asarray(self.f(u - np.sin(u)), dtype=float), (1.0 - np.cos(u)) / size)
-            for arr in cached:
-                arr.setflags(write=False)
-            self._rules[size] = cached
+            nodes = np.asarray(self.f(u - np.sin(u)), dtype=float)
+            cached = self._rules[size] = Rule(nodes, (1.0 - np.cos(u)) / size)
         return cached
-
-    def total_mass(self):
-        """Quadrature of the level-set density g over the support.
-
-        An oracle independent of :meth:`rule`.  g is smooth between consecutive
-        critical values c0 < c1 of f (its values at the breakpoints), with at
-        most inverse-square-root peaks at them, so each such interval gets a
-        Gauss-Legendre rule under lam = c0 + (c1 - c0) sin^2(u), which removes
-        the peaks, doubled until the mass is stable to 1e-10 or reaches 4097
-        nodes.  No node is a tangential level, and none warns.
-        """
-        from scipy.special import roots_legendre
-
-        _, vals, atol = _breakpoints(self.f)
-        crit = np.unique(vals)
-        crit = crit[np.concatenate([np.diff(crit) > atol, [True]])]
-        c0, width = crit[:-1, None], np.diff(crit)[:, None]
-        size, prev = 65, None
-        while True:
-            x, w = roots_legendre(size)
-            u = (x + 1.0) * (math.pi / 4.0)
-            lam = c0 + width * np.sin(u) ** 2
-            jac = width * np.sin(2.0 * u) * (math.pi / 4.0)
-            total = float(np.sum(w * jac * _density(self.f, lam)))
-            if size >= 4097 or (prev is not None and abs(total - prev) <= 1e-10):
-                return total
-            size, prev = 2 * size - 1, total
 
 
 def atomic_lsd(density):
@@ -372,11 +370,3 @@ def arma11_gamma_density(phi, theta, lam):
     b2 = lam * (1.0 + phi) ** 2 - (1.0 - theta) ** 2
     num = abs((phi + theta) * (1.0 + phi * theta))
     return num / (math.pi * abs(theta + phi * lam) * math.sqrt(b1 * b2))
-
-
-def autocovariance_toeplitz(coeffs, size):
-    """The n x n matrix (gamma(i - j)) from an MA expansion c_0..c_J, J >= n - 1."""
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    i = np.arange(size)
-    return autocovariances(coeffs, size - 1)[np.abs(i[:, None] - i)]

@@ -466,8 +466,8 @@ class TestEntryPoint:
             assert (tmp_path / f"all_rep{k}.csv").read_bytes() == (tmp_path / f"one_rep{k}.csv").read_bytes()
 
     def test_numpy_only_import(self, tmp_path):
-        # SciPy loads only where it is used, in the total_mass oracle: no
-        # command below reaches it, simulations of any model included
+        # SciPy is a test dependency only: no command below loads it,
+        # simulations of any model included
         script = f"""
 import json, sys
 import specmp, specmp.cli

@@ -29,18 +29,13 @@ def quadratic_mp_root(y, z):
 def count_evaluations(monkeypatch):
     # counts every (T, T') evaluation the solver makes
     evals = [0]
-    terms = sp.stieltjes._terms
+    terms = sp.Rule.terms
 
-    def counted(lam, W):
-        TTp = terms(lam, W)
+    def counted(rule, m):
+        evals[0] += 1
+        return terms(rule, m)
 
-        def wrapped(m):
-            evals[0] += 1
-            return TTp(m)
-
-        return wrapped
-
-    monkeypatch.setattr(sp.stieltjes, "_terms", counted)
+    monkeypatch.setattr(sp.Rule, "terms", counted)
     return evals
 
 
@@ -156,7 +151,7 @@ class TestSolveFixedPoint:
         # a second solve reuses the rule's evaluator, and every evaluation counts
         sp.solve_fixed_point(lsd, 1.0, 1.0 + 1.0j)
         assert evals[0] == first > 0
-        nodes = weakref.ref(lsd.rule(sp.stieltjes.RULE_START_SIZE)[0])
+        nodes = weakref.ref(lsd.rule(sp.stieltjes.RULE_START_SIZE).nodes)
         del lsd
         gc.collect()
         assert nodes() is None
@@ -164,7 +159,8 @@ class TestSolveFixedPoint:
     def test_laws_sharing_nodes_keep_their_weights(self):
         levels = np.array([1.0, 2.0])
         laws = [sp.AtomicLSD(levels, np.array([w, 1.0 - w])) for w in (0.5, 0.25)]
-        assert laws[0].levels is laws[1].levels
+        assert levels.flags.writeable
+        assert not any(np.shares_memory(lsd.levels, levels) for lsd in laws)
         z = 1.0 + 1.0j
         for _ in range(2):
             for lsd in laws:
@@ -210,7 +206,8 @@ class TestContinuousLaws:
         y, z = 2.0, 1.0 + 0.1j
         m = sp.solve_fixed_point(lsd, y, z).m
         # residual on a rule far finer than any the solver builds
-        lam, W = lsd.rule(16384)
+        rule = lsd.rule(16384)
+        lam, W = rule.nodes, rule.weights
         assert abs(1.0 / m + z - y * np.sum(W * lam / (1.0 + lam * m))) <= 1e-8
 
     def test_large_m_relative_accuracy(self):
@@ -317,6 +314,16 @@ class TestInversion:
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([2.0, 1.0]))
+
+    def test_caller_arrays_stay_writable_and_unaliased(self):
+        levels, weights, grid = np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.linspace(0.1, 6.0, 32)
+        lsd = sp.AtomicLSD(levels, weights)
+        density = sp.invert_to_density(lsd, 1.0, grid=grid)
+        for mine, kept in ((levels, lsd.levels), (weights, lsd.weights), (grid, density.grid)):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)
+        levels[0], grid[0] = 3.0, 0.05
+        assert lsd.levels[0] == 1.0 and density.grid[0] == 0.1
 
     def test_nonconvergence_reports_offending_x(self, monkeypatch):
         monkeypatch.setattr(sp.stieltjes, "MAX_ITER", 2)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import specmp as sp
+from oracles import total_mass
 from specmp.toeplitz_lsd import _branch_roots, _breakpoints
 
 TWO_PI = 2.0 * math.pi
@@ -316,14 +317,14 @@ class TestNormalizationAndSzego:
         arma11 = [sp.ARMAModel.arma11(*pair) for pair in ((0.5, 1.0), (-0.4, 0.8), (0.8, -0.4))]
         for model in arma11 + [FARIMA_AR, MA2, ARMA23, SHARP_AR2]:
             lsd = sp.gamma_lsd(model)
-            assert abs(lsd.total_mass() - 1.0) <= 1e-6
+            assert abs(total_mass(lsd) - 1.0) <= 1e-6
 
     def test_total_mass_farima_does_not_warn(self):
         for model in (FARIMA_AR, sp.FARIMAModel(sp.ARMAModel(), -0.25)):
             lsd = sp.gamma_lsd(model)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                lsd.total_mass()
+                total_mass(lsd)
             assert caught == []
 
     def test_rule_moments_match_autocovariances(self):
@@ -332,13 +333,41 @@ class TestNormalizationAndSzego:
         for phi, theta in ((0.5, 1.0), (-0.8, 0.4)):
             model = sp.ARMAModel.arma11(phi, theta)
             lsd = sp.gamma_lsd(model)
-            lam, W = lsd.rule(1024)
+            rule = lsd.rule(1024)
+            lam, W = rule.nodes, rule.weights
             gam = sp.autocovariances(sp.ma_coefficients(model, 1000), 400)
             assert abs(W.sum() - 1.0) <= 1e-10
             assert abs(W @ lam - gam[0]) <= 1e-10
             assert abs(W @ lam**2 - (gam[0] ** 2 + 2.0 * np.sum(gam[1:] ** 2))) <= 1e-10
             lo, hi = lsd.support
             assert lo <= lam.min() and lam.max() <= hi
+
+
+ATOMS = sp.AtomicLSD(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.25, 0.5]))
+ARMA11_LAW = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+
+
+class TestRule:
+    @pytest.mark.parametrize("rule", [ATOMS.rule(256), ARMA11_LAW.rule(1024)], ids=["atoms", "arma11"])
+    @pytest.mark.parametrize("m", [0.3 + 0.6j, -60.0 + 80.0j, 100j], ids=["m-small", "m-100-oblique", "m-100i"])
+    def test_terms_match_direct_sums(self, rule, m):
+        lam, W = rule.nodes, rule.weights
+        assert not lam.flags.writeable and not W.flags.writeable
+        t, tp = rule.terms(m)
+        assert type(t) is complex and type(tp) is complex
+        t_ref = np.sum(W * lam / (1.0 + lam * m))
+        tp_ref = -np.sum(W * lam**2 / (1.0 + lam * m) ** 2)
+        assert abs(t - t_ref) <= 1e-13 * abs(t_ref)
+        assert abs(tp - tp_ref) <= 1e-13 * abs(tp_ref)
+
+    def test_atoms_are_one_rule_at_every_size(self):
+        assert ATOMS.rule(256) is ATOMS.rule(8192)
+
+    def test_continuous_rules_are_cached_per_size(self):
+        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        rule = lsd.rule(512)
+        assert isinstance(rule, sp.Rule) and lsd.rule(512) is rule
+        assert lsd.rule(1024) is not rule and rule.nodes.size == 511
 
 
 def _cos_poly(coeffs):
