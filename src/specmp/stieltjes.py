@@ -106,10 +106,10 @@ def _iterate(TTp, y, z, m):
     where the cleared equation hides spurious roots), and vanishes only at the
     fixed point, so Newton can never be trapped away from the answer.  The
     merit has a rounding floor, though, below which no candidate lowers it; a
-    full Newton step that already meets the stopping rule |dm| <= UPDATE_TOL
-    (1 + |m|) is therefore taken without the merit test, and ends the solve.
-    The sweep runs on Python scalars.  At most MAX_ITER sweeps; returns
-    (m, sweeps, T(m)).
+    full Newton step in the upper half-plane that already meets the stopping
+    rule |dm| <= UPDATE_TOL (1 + |m + dm|) therefore ends the solve without
+    the merit test or an evaluation, taking T there as T + T' dm.  The sweep
+    runs on Python scalars.  At most MAX_ITER sweeps; returns (m, sweeps, T).
     """
 
     def state(mm):
@@ -128,11 +128,14 @@ def _iterate(TTp, y, z, m):
         dM = z - y * (t + m * tp)
         if dM != 0.0 and cmath.isfinite(dM):
             step = -(1.0 + m * z - y * m * t) / dM
+            cand = m + step
+            if cand.imag > 0.0 and cmath.isfinite(cand) and abs(step) <= UPDATE_TOL * (1.0 + abs(cand)):
+                return cand, it, t + tp * step
             for k in range(10):
                 cand = m + 0.5**k * step
                 if cand.imag > 0.0 and cmath.isfinite(cand):
                     cs = state(cand)
-                    if cs[1] < cur or (k == 0 and abs(step) <= UPDATE_TOL * (1.0 + abs(cand))):
+                    if cs[1] < cur:
                         nxt = cand
                         break
         if nxt is None:
@@ -157,14 +160,15 @@ def solve_fixed_point(lsd, y, z, initial=None):
     the atoms, which are exact at every N.  N doubles from RULE_START_SIZE
     until the 2N rule moves the integral term T by at most 1e-9 (1 + |T|); the
     residual is the N-rule solution's defect on the 2N rule, and a Newton step
-    on the 2N rule ends the solve.  Near the real axis larger rules are needed;
-    the RULE_MAX_SIZE rule is the last.  A rule whose 2N rule is the same
-    ``Rule`` is exact, and the solve stops on it without the doubling check;
-    there, as on the last rule, the residual is the defect on the solve's own
-    rule.  MAX_ITER caps the sweeps on one rule.  Without a usable ``initial``
-    the solve starts from the law with all its mass at the mean level, which
-    is exact for a single atom.  ``m`` is a Python complex and ``residual`` a
-    Python float.
+    on the 2N rule ends the solve; the check's N-rule T may be extrapolated
+    from the last step (see ``_iterate``).  Near the real axis larger rules
+    are needed; the RULE_MAX_SIZE rule is the last.  A rule whose 2N rule is
+    the same ``Rule`` is exact, and the solve stops on it without the doubling
+    check; there, as on the last rule, the residual is the defect on the
+    solve's own rule at the returned m.  MAX_ITER caps the sweeps on one rule.
+    Without a usable ``initial`` the solve starts from the law with all its
+    mass at the mean level, which is exact for a single atom.  ``m`` is a
+    Python complex and ``residual`` a Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
@@ -179,8 +183,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
     rule = lsd.rule(size)
     if initial is None or not initial.imag > 0.0:
         # -1/z sits among the rule's real poles -1/lam when z is near the real axis
-        mean = float(rule.weights.dot(rule.nodes))
-        m = mp_stieltjes(y, z / mean) / mean
+        m = mp_stieltjes(y, z / rule.mean) / rule.mean
     else:
         m = complex(initial)
     iterations = 0
@@ -188,14 +191,13 @@ def solve_fixed_point(lsd, y, z, initial=None):
         m, its, t = _iterate(rule.terms, y, z, m)
         iterations += its
         finer = lsd.rule(2 * size) if 2 * size <= RULE_MAX_SIZE else rule
+        t2, tp2 = finer.terms(m)
+        residual = abs(1.0 / m + z - y * t2)
         if finer is rule:
             # the last rule, or an exact one: the residual is on its own rule
-            residual = abs(1.0 / m + z - y * t)
             break
         size *= 2
         rule = finer
-        t2, tp2 = rule.terms(m)
-        residual = abs(1.0 / m + z - y * t2)
         if abs(t2 - t) <= 1e-9 * (1.0 + abs(t2)):
             # the rule's error in T moves m by about y |m|^2 |t2 - t|, far
             # more than the check's tolerance when |m| is large

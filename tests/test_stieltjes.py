@@ -100,9 +100,9 @@ class TestSolveFixedPoint:
 
     def test_single_atom_cold_start_is_exact(self, monkeypatch):
         # the mean-level Marchenko-Pastur start is the answer for one atom:
-        # one evaluation at the start and one at the first Newton candidate
-        # (whose step is below the stopping tolerance); the atoms are an exact
-        # rule, so no doubled rule is evaluated
+        # one evaluation at the start, none for the first Newton step (it is
+        # below the stopping tolerance) and one for the residual at the
+        # returned m; the atoms are an exact rule, so no doubled rule is evaluated
         evals = count_evaluations(monkeypatch)
         for y in (0.5, 1.0, 3.0):
             edge = (1.0 + math.sqrt(y)) ** 2
@@ -120,8 +120,10 @@ class TestSolveFixedPoint:
     )
     def test_warm_start_at_the_solution_ends_in_one_sweep(self, lsd, monkeypatch):
         # at the fixed point the hyperbolic merit sits at its rounding floor,
-        # so no halving can lower it; the sub-tolerance Newton step ends the solve.
-        # These points are far enough from the axis that the first rule holds.
+        # so no halving can lower it; the sub-tolerance Newton step ends the
+        # solve without an evaluation.  These points are far enough from the
+        # axis that the first rule holds: one evaluation at the start, one on
+        # the doubled rule (or, for the atom, its own) at the returned m.
         evals = count_evaluations(monkeypatch)
         for y in (0.5, 1.0, 3.0):
             for z in (1j, 2.0 + 0.1j, -0.5 + 0.03j, 3.0 + 0.3j):
@@ -129,8 +131,55 @@ class TestSolveFixedPoint:
                 evals[0] = 0
                 sol = sp.solve_fixed_point(lsd, y, z, initial=exact)
                 assert sol.iterations == 1, (y, z)
-                assert evals[0] <= 3, (y, z)
+                assert evals[0] == 2, (y, z)
                 assert abs(sol.m - exact) <= 1e-12 * abs(exact)
+
+    def test_cold_arma_solve_evaluates_once_a_sweep(self, monkeypatch):
+        # one evaluation at the start and one a sweep, except the converged
+        # last Newton step, which takes T to first order; the doubled rule
+        # adds one.  The sweep counts are pinned so that a change shows.
+        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        sweeps = {
+            0.5: (4, 5, 4, 4),
+            1.0: (5, 5, 5, 5),
+            3.0: (5, 8, 5, 6),
+        }
+        evals = count_evaluations(monkeypatch)
+        for y, counts in sweeps.items():
+            for z, iterations in zip((1j, 2.0 + 0.1j, -0.5 + 0.03j, 3.0 + 0.3j), counts):
+                evals[0] = 0
+                sol = sp.solve_fixed_point(lsd, y, z)
+                assert sol.iterations == iterations, (y, z, sol.iterations)
+                assert evals[0] == sol.iterations + 1, (y, z)
+
+    @pytest.mark.parametrize("atoms", [8, 9])
+    def test_scalar_and_array_sums_agree_across_the_crossover(self, atoms, monkeypatch):
+        # a rule of up to SCALAR_NODES = 8 nodes is summed in Python scalars and
+        # a larger one in NumPy; the same law built with the crossover moved
+        # to its other side takes the other path
+        assert sp.toeplitz_lsd.SCALAR_NODES == 8
+        levels = np.linspace(0.5, 4.0, atoms)
+        weights = np.arange(1.0, atoms + 1.0) / (atoms * (atoms + 1) / 2)
+        weights[-1] = 1.0 - weights[:-1].sum()
+        default = sp.AtomicLSD(levels, weights)
+        monkeypatch.setattr(sp.toeplitz_lsd, "SCALAR_NODES", 0 if atoms <= 8 else atoms)
+        other = sp.AtomicLSD(levels, weights)
+        evals = count_evaluations(monkeypatch)
+        for m in (0.3 + 0.6j, -60.0 + 80.0j, 100j):
+            for lsd in (default, other):
+                t, tp = lsd.rule(256).terms(m)
+                t_ref = np.sum(weights * levels / (1.0 + levels * m))
+                tp_ref = -np.sum(weights * levels**2 / (1.0 + levels * m) ** 2)
+                assert abs(t - t_ref) <= 1e-13 * abs(t_ref) and abs(tp - tp_ref) <= 1e-13 * abs(tp_ref)
+        for y in (0.5, 1.0, 3.0):
+            for z in (1j, 2.0 + 0.1j, -0.5 + 0.03j, 3.0 + 0.3j, 8.0 + 1e-3j):
+                sols = []
+                for lsd in (default, other):
+                    evals[0] = 0
+                    sols.append(sp.solve_fixed_point(lsd, y, z))
+                    assert evals[0] == sols[-1].iterations + 1, (y, z)
+                assert sols[0].iterations == sols[1].iterations
+                assert abs(sols[0].m - sols[1].m) <= 1e-13 * abs(sols[0].m), (y, z)
 
     @pytest.mark.parametrize(
         "lsd",

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import specmp as sp
 from oracles import total_mass
+from specmp import toeplitz_lsd
 from specmp.toeplitz_lsd import _branch_roots, _breakpoints
 
 TWO_PI = 2.0 * math.pi
@@ -345,20 +346,43 @@ class TestNormalizationAndSzego:
 
 ATOMS = sp.AtomicLSD(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.25, 0.5]))
 ARMA11_LAW = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+RULE_MS = pytest.mark.parametrize("m", [0.3 + 0.6j, -60.0 + 80.0j, 100j], ids=["m-small", "m-100-oblique", "m-100i"])
+
+
+def assert_terms_match_direct_sums(rule, m):
+    lam, W = rule.nodes, rule.weights
+    t, tp = rule.terms(m)
+    assert type(t) is complex and type(tp) is complex
+    t_ref = np.sum(W * lam / (1.0 + lam * m))
+    tp_ref = -np.sum(W * lam**2 / (1.0 + lam * m) ** 2)
+    assert abs(t - t_ref) <= 1e-13 * abs(t_ref)
+    assert abs(tp - tp_ref) <= 1e-13 * abs(tp_ref)
 
 
 class TestRule:
     @pytest.mark.parametrize("rule", [ATOMS.rule(256), ARMA11_LAW.rule(1024)], ids=["atoms", "arma11"])
-    @pytest.mark.parametrize("m", [0.3 + 0.6j, -60.0 + 80.0j, 100j], ids=["m-small", "m-100-oblique", "m-100i"])
+    @RULE_MS
     def test_terms_match_direct_sums(self, rule, m):
-        lam, W = rule.nodes, rule.weights
-        assert not lam.flags.writeable and not W.flags.writeable
-        t, tp = rule.terms(m)
-        assert type(t) is complex and type(tp) is complex
-        t_ref = np.sum(W * lam / (1.0 + lam * m))
-        tp_ref = -np.sum(W * lam**2 / (1.0 + lam * m) ** 2)
-        assert abs(t - t_ref) <= 1e-13 * abs(t_ref)
-        assert abs(tp - tp_ref) <= 1e-13 * abs(tp_ref)
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        assert_terms_match_direct_sums(rule, m)
+
+    @pytest.mark.parametrize("scalar_nodes", [toeplitz_lsd.SCALAR_NODES, 0], ids=["scalar", "array"])
+    @RULE_MS
+    def test_nodes_without_a_finite_reciprocal(self, scalar_nodes, m, monkeypatch):
+        # 0 adds nothing; 1/1e-310 overflows; -1e-17 is negative by rounding and kept
+        monkeypatch.setattr(toeplitz_lsd, "SCALAR_NODES", scalar_nodes)
+        rule = sp.Rule(np.array([0.0, -1e-17, 1e-310, 1.0, 2.0]), np.array([0.1, 0.2, 0.3, 0.15, 0.25]))
+        assert_terms_match_direct_sums(rule, m)
+        assert rule.mean == pytest.approx(0.65, rel=1e-15)
+        assert_terms_match_direct_sums(sp.Rule(np.array([-1e-17]), np.array([1.0])), m)
+
+    @pytest.mark.parametrize("size", [256, 1024, 8192])
+    @RULE_MS
+    def test_theta_one_node_at_pi(self, size, m):
+        # at even N the trapezoid grid holds w = pi, where theta = 1 makes f vanish
+        rule = ARMA11_LAW.rule(size)
+        assert rule.nodes[size // 2 - 1] == 0.0
+        assert_terms_match_direct_sums(rule, m)
 
     def test_atoms_are_one_rule_at_every_size(self):
         assert ATOMS.rule(256) is ATOMS.rule(8192)
