@@ -28,7 +28,6 @@ from .simulator import (
     INNOVATION_LAWS,
     EmpiricalSpectrum,
     SimulationPlan,
-    histogram,
     ks_distance,
     sample_cov_eigenvalues,
     simulate_matrix,

@@ -25,9 +25,7 @@ import sys
 import numpy as np
 
 from .linear_process import ModelSpecError, model_from_spec, model_to_spec
-from .simulator import (
-    INNOVATION_LAWS, SimulationPlan, histogram, ks_distance, sample_cov_eigenvalues, simulate_matrix
-)
+from .simulator import INNOVATION_LAWS, SimulationPlan, ks_distance, sample_cov_eigenvalues, simulate_matrix
 from .stieltjes import GRID_MIN_SIZE, ConvergenceError, default_grid, invert_to_density, lsd_cdf
 from .toeplitz_lsd import AtomicLSD, gamma_lsd
 
@@ -86,8 +84,9 @@ def cmd_gamma_density(args):
     n = _require_grid(args, 1)
     lsd = gamma_lsd(model)
     if isinstance(lsd, AtomicLSD):
-        _write_csv(args.out + ".csv", ("level", "weight"), zip(lsd.levels, lsd.weights))
-        for level, weight in lsd.atoms:
+        atoms = list(zip(lsd.levels, lsd.weights))
+        _write_csv(args.out + ".csv", ("level", "weight"), atoms)
+        for level, weight in atoms:
             print(f"atom {_fmt(level)} {_fmt(weight)}")
         return EXIT_OK
     lo, hi = lsd.support
@@ -226,12 +225,15 @@ def cmd_compare(args):
 
 
 def _histogram_l1(spectrum, density):
-    # total-variation style distance between binned ESD mass and theory mass
-    hi = max(float(density.grid[-1]), float(spectrum.eigenvalues.max(initial=1.0)))
-    edges, dens, emp_zero = histogram(spectrum, 60, lo=0.0, hi=hi, separate_zero_atom=True)
-    emp_mass = dens * np.diff(edges)
+    # L1 distance between the ESD and theory masses of the zero atom (the
+    # eigenvalues below 1e-9) and of 60 equal bins from 0 past both tops
+    vals = spectrum.eigenvalues
+    edges = np.linspace(0.0, max(float(density.grid[-1]), float(vals.max(initial=1.0))), 61)
+    positive = vals[vals > 1e-9]
+    counts, _ = np.histogram(positive, bins=edges)
+    emp_zero = 1.0 - positive.size / vals.size
     theory_mass = np.diff(lsd_cdf(density, edges))
-    return float(abs(emp_zero - density.mass_at_zero) + np.abs(emp_mass - theory_mass).sum())
+    return float(abs(emp_zero - density.mass_at_zero) + np.abs(counts / vals.size - theory_mass).sum())
 
 
 def _add_model_args(sub):

@@ -44,7 +44,6 @@ __all__ = [
     "simulate_matrix",
     "sample_cov_eigenvalues",
     "ks_distance",
-    "histogram",
 ]
 
 INNOVATION_LAWS = ("normal", "rademacher", "uniform")
@@ -178,7 +177,7 @@ def _fft_length(length):
         size += 1
 
 
-def simulate_matrix(plan, replicate=0, innovations=None):
+def simulate_matrix(plan, replicate=0):
     """One p x n realization with linear-process rows.
 
     Column t of row i is sum_{j<=K} c_j Z_{i,t-j}, the model's MA(infinity)
@@ -187,9 +186,6 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     convolved with c_0..c_K by one circular FFT of length N >= L, the smallest
     2^a 3^b 5^c; the kept columns K..L-1 never wrap.  White noise has K = 0
     and no FFT.  Those columns plus mu are returned as a fresh array.
-    ``innovations`` is a test hook that bypasses the generator with a given
-    p x 2n array, of which the last L columns are read; it is never modified
-    or aliased.
 
     Everything runs on the calling thread.  The kernel comes from one
     ``ma_coefficients`` call and the replicate's Philox key from
@@ -209,10 +205,6 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     if replicate < 0:
         raise ValueError("replicate must be nonnegative")
     p, n = plan.p, plan.n
-    if innovations is not None:
-        innovations = np.asarray(innovations, dtype=float)
-        if innovations.shape != (p, 2 * n):
-            raise ValueError(f"innovations must have shape {(p, 2 * n)}")
     c = _truncated_kernel(plan.model, n)
     K = c.size - 1
     L = n + K
@@ -225,12 +217,9 @@ def simulate_matrix(plan, replicate=0, innovations=None):
     step = max(1, _BLOCK_SAMPLES // L)
     for lo in range(0, p, step):
         hi = min(lo + step, p)
-        if innovations is None:
-            W = np.empty((hi - lo, L))
-            for row, out in enumerate(W, lo):
-                _draw_row(rng, fresh, row, plan.law, out)
-        else:
-            W = innovations[lo:hi, 2 * n - L :]
+        W = np.empty((hi - lo, L))
+        for row, out in enumerate(W, lo):
+            _draw_row(rng, fresh, row, plan.law, out)
         if kernel is not None:
             W = np.fft.irfft(np.fft.rfft(W, N, axis=1) * kernel, N, axis=1)
         np.add(W[:, K:L], plan.mu, out=X[lo:hi])
@@ -310,33 +299,3 @@ def ks_distance(spectrum, cdf):
     upper = np.max(k / lam.size - F)
     lower = np.max(F_left - (k - 1.0) / lam.size)
     return float(max(upper, lower))
-
-
-def histogram(spectrum, bins, lo=None, hi=None, separate_zero_atom=False):
-    """Density-normalized eigenvalue histogram.
-
-    Returns (edges, densities, zero_mass).  With ``separate_zero_atom`` the
-    eigenvalues at zero (below 1e-9) are reported as ``zero_mass`` and excluded
-    from the bins, so the bar areas sum to 1 - zero_mass; otherwise zero_mass
-    is 0 and the areas sum to 1.
-    """
-    if bins < 1:
-        raise ValueError("bins must be at least 1")
-    vals = spectrum.eigenvalues
-    zero_mass = 0.0
-    data = vals
-    if separate_zero_atom:
-        positive = vals > 1e-9
-        zero_mass = float(1.0 - positive.mean())
-        data = vals[positive]
-    if lo is None:
-        lo = float(data.min(initial=0.0))
-    if hi is None:
-        hi = float(data.max(initial=1.0))
-    if not hi > lo:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(data, bins=edges)
-    widths = np.diff(edges)
-    densities = counts / (vals.size * widths)
-    return edges, densities, zero_mass

@@ -244,7 +244,11 @@ class Rule:
 
 @dataclass(frozen=True)
 class AtomicLSD:
-    """Purely atomic Toeplitz eigenvalue limit: weight w_j at level alpha_j."""
+    """Purely atomic Toeplitz eigenvalue limit: weight w_j at level alpha_j.
+
+    Levels are finite, positive and strictly increasing, like piecewise-constant
+    spectral levels; weights are finite, positive and sum to 1 within 1e-9.
+    """
 
     levels: np.ndarray
     weights: np.ndarray
@@ -254,21 +258,14 @@ class AtomicLSD:
         weights = np.array(self.weights, dtype=float)
         if levels.size != weights.size or levels.size == 0:
             raise ValueError("levels and weights must be nonempty and aligned")
-        if np.any(np.diff(levels) <= 0):
-            raise ValueError("levels must be strictly increasing")
-        if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be positive and sum to 1")
+        # NaN fails every comparison, so these forms refuse it
+        if not (levels[0] > 0.0 and np.all(np.diff(levels) > 0) and math.isfinite(levels[-1])):
+            raise ValueError("levels must be finite, positive and strictly increasing")
+        if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-9):
+            raise ValueError("weights must be finite, positive and sum to 1")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_rule", Rule(levels, weights))
-
-    @property
-    def atoms(self):
-        return list(zip(self.levels.tolist(), self.weights.tolist()))
-
-    @property
-    def support(self):
-        return float(self.levels[0]), float(self.levels[-1])
 
     def rule(self, size):
         """The atoms as a :class:`Rule`, exact at every size: one object for all."""
@@ -281,8 +278,8 @@ class AbsContinuousLSD:
 
     By Szegő's theorem it is the law of f(w) with w uniform on [0, 2*pi], so
     :meth:`rule` integrates against it without level sets; :meth:`density`
-    and :meth:`cdf` use the level sets of f.  One :class:`Rule` is cached per
-    size, idempotently, so concurrent readers at worst duplicate work.
+    uses the level sets of f.  One :class:`Rule` is cached per size,
+    idempotently, so concurrent readers at worst duplicate work.
     """
 
     f: SpectralDensity
@@ -292,10 +289,6 @@ class AbsContinuousLSD:
     def density(self, levels):
         """g at a level or an array of levels (see :func:`gamma_density`)."""
         return gamma_density(self.f, levels)
-
-    def cdf(self, levels):
-        """H at a level or an array of levels (see :func:`gamma_cdf`)."""
-        return gamma_cdf(self.f, levels)
 
     def rule(self, size):
         """Szegő pushforward :class:`Rule` on a graded trapezoid grid.

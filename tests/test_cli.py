@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specmp
+from specmp import cli
 from specmp.cli import main
-from specmp.simulator import INNOVATION_LAWS
+from specmp.simulator import INNOVATION_LAWS, EmpiricalSpectrum
+from specmp.stieltjes import LimitingDensity
 
 ARMA11 = '{"type":"arma","ar":[-0.5],"ma":[1]}'
 WHITE = '{"type":"arma"}'
@@ -397,6 +399,43 @@ class TestCompareCommand:
         assert run(args + ["--out", str(tmp_path / "r1")]) == 0
         assert run(args + ["--out", str(tmp_path / "r2")]) == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+
+def flat_law(mass_at_zero):
+    # density c = (1 - mass_at_zero) / 32 on [2, 33], linear to 0 over [1, 2]
+    # and [33, 34], on the grid 1..60: the unit bins from 0 to 60 hold masses
+    # 0, c/2, c (31 times), c/2, then 0, all exact in binary
+    grid = np.arange(1.0, 61.0)
+    values = np.where((grid >= 2.0) & (grid <= 33.0), (1.0 - mass_at_zero) / 32.0, 0.0)
+    return LimitingDensity(grid=grid, values=values, mass_at_zero=mass_at_zero, y=1.0 - mass_at_zero)
+
+
+class TestHistogramL1:
+    @pytest.mark.parametrize(
+        "mass_at_zero, moves, expected",
+        [
+            (0.0, {}, 0.0),
+            (0.0, {2.5: 40.5}, 2.0 / 64),
+            (0.0, {2.5: 1e-10}, 2.0 / 64),
+            (0.5, {}, 0.0),
+            (0.5, {2.5: 40.5}, 2.0 / 128),
+            (0.5, {0.0: 1e-10}, 0.0),
+            (0.5, {0.0: 0.5}, 2.0 / 128),
+            (0.5, {33.5: 0.0}, 2.0 / 128),
+        ],
+        ids=["exact", "bin-to-bin", "bin-to-zero", "exact-atom", "bin-to-bin-atom", "zero-below-1e-9",
+             "zero-to-bin", "bin-to-zero-atom"],
+    )
+    def test_known_masses(self, mass_at_zero, moves, expected):
+        # p eigenvalues at bin centres with the law's masses, p/2 of them at
+        # zero when y = 1/2; each move takes one eigenvalue elsewhere
+        p = 64 if mass_at_zero == 0.0 else 128
+        vals = [0.0] * (p - 64) + [1.5, 33.5] + [k + 0.5 for k in range(2, 33) for _ in range(2)]
+        for old, new in moves.items():
+            vals[vals.index(old)] = new
+        spectrum = EmpiricalSpectrum(np.array(vals))
+        assert spectrum.p == p
+        assert cli._histogram_l1(spectrum, flat_law(mass_at_zero)) == expected
 
 
 class TestEntryPoint:

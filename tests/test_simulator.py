@@ -22,6 +22,12 @@ def reference_row(seed, replicate, row, count, law):
     return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=count)
 
 
+def reference_innovations(plan, replicate=0):
+    # the p x (n + K) draws the rows of simulate_matrix(plan, replicate) filter
+    L = plan.n + simulator._truncated_kernel(plan.model, plan.n).size - 1
+    return np.array([reference_row(plan.seed, replicate, i, L, plan.law) for i in range(plan.p)])
+
+
 def esd_cdf(spectrum, x):
     return np.searchsorted(spectrum.eigenvalues, x, side="right") / spectrum.p
 
@@ -34,14 +40,16 @@ def two_sample_ks(a, b):
 class TestSimulateMatrix:
     def test_white_noise_equals_innovation_block(self):
         plan = sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), seed=0)
-        Z = np.random.default_rng(1).standard_normal((4, 8))
-        X = sp.simulate_matrix(plan, innovations=Z)
-        assert np.array_equal(X, Z[:, 4:])
+        Z = reference_innovations(plan)
+        assert Z.shape == (4, 4)
+        assert np.array_equal(sp.simulate_matrix(plan), Z)
 
     def test_forced_ones_ma1(self):
+        # theta = 1: column t is Z_t + Z_{t-1}, the row's draws at lags 0 and 1
         plan = sp.SimulationPlan(p=3, y=1.0, model=sp.ARMAModel(ma=[1.0]), seed=0)
-        X = sp.simulate_matrix(plan, innovations=np.ones((3, 2 * plan.n)))
-        assert np.all(X == 2.0)
+        Z = reference_innovations(plan)
+        assert Z.shape == (3, plan.n + 1)
+        np.testing.assert_allclose(sp.simulate_matrix(plan), Z[:, 1:] + Z[:, :-1], rtol=0, atol=1e-14)
 
     def test_seed_determinism(self):
         plan = sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel.arma11(0.5, 0.0), seed=123)
@@ -55,18 +63,7 @@ class TestSimulateMatrix:
 
     def test_mean_shift(self):
         plan = sp.SimulationPlan(p=2, y=1.0, model=sp.ARMAModel(), mu=5.0, seed=0)
-        Z = np.zeros((2, 4))
-        assert np.all(sp.simulate_matrix(plan, innovations=Z) == 5.0)
-
-    def test_result_does_not_alias_innovations(self):
-        # white noise with mu = 0 keeps the innovation block unchanged; the
-        # result must still be a fresh array
-        plan = sp.SimulationPlan(p=3, y=1.0, model=sp.ARMAModel(), seed=0)
-        Z = np.random.default_rng(2).standard_normal((3, 6))
-        before = Z.copy()
-        X = sp.simulate_matrix(plan, innovations=Z)
-        X[...] = 7.0
-        assert np.array_equal(Z, before)
+        assert np.array_equal(sp.simulate_matrix(plan), reference_innovations(plan) + 5.0)
 
     def test_arma_recursion_equals_expansion_sum(self):
         # column t carries c_0..c_K: the cap K = n at n = 20, K = 53 < n at n = 120
@@ -74,21 +71,24 @@ class TestSimulateMatrix:
         for y in (5.0, 30.0):
             plan = sp.SimulationPlan(p=4, y=y, model=model, seed=0)
             n = plan.n
-            Z = np.random.default_rng(3).standard_normal((4, 2 * n))
+            Z = reference_innovations(plan)
             c = sp.ma_coefficients(model, n)[: min(n, 53) + 1]
+            K = c.size - 1
+            assert Z.shape == (4, n + K)
             direct = np.zeros((4, n))
             for t in range(n):
                 for j in range(c.size):
-                    direct[:, t] += c[j] * Z[:, n + t - j]
-            np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-12)
+                    direct[:, t] += c[j] * Z[:, K + t - j]
+            np.testing.assert_allclose(sp.simulate_matrix(plan), direct, rtol=0, atol=1e-12)
 
     def test_fft_and_direct_paths_agree(self):
         # the circular FFT equals the direct c_0..c_n sum on the kept columns
         model = sp.FARIMAModel(sp.ARMAModel(), -0.25)
         plan = sp.SimulationPlan(p=3, y=2.0, model=model, seed=9)
         n = plan.n
-        Z = np.random.default_rng(4).standard_normal((3, 2 * n))
-        X = sp.simulate_matrix(plan, innovations=Z)
+        Z = reference_innovations(plan)
+        assert Z.shape == (3, 2 * n)
+        X = sp.simulate_matrix(plan)
         kernel = sp.ma_coefficients(model, n)
         direct = np.zeros((3, n))
         for j in range(n + 1):
@@ -100,7 +100,8 @@ class TestSimulateMatrix:
         model = sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25)
         plan = sp.SimulationPlan(p=3, y=4.0, model=model, seed=0)
         n = plan.n
-        Z = np.random.default_rng(5).standard_normal((3, 2 * n))
+        Z = reference_innovations(plan)
+        assert Z.shape == (3, 2 * n)
         a = sp.ma_coefficients(model.arma, n)
         h = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), model.d), n)
         c = np.array([sum(a[i] * h[j - i] for i in range(j + 1)) for j in range(n + 1)])
@@ -108,7 +109,7 @@ class TestSimulateMatrix:
         for t in range(n):
             for j in range(n + 1):
                 direct[:, t] += c[j] * Z[:, n + t - j]
-        np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), direct, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sp.simulate_matrix(plan), direct, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize(
         "model, lag",
@@ -165,14 +166,16 @@ class TestSimulateMatrix:
         ids=["ma1", "arma11", "arma23"],
     )
     def test_equals_zero_state_recursion_when_n_exceeds_k(self, model):
-        # the zero-state recursion over 2n samples carries lags up to t + n - 1;
-        # the lags beyond K move no entry by more than rounding
+        # the zero-state recursion over n earlier samples and then the row's
+        # n + K draws carries lags up to t + n + K - 1; the lags beyond K move
+        # no entry by more than rounding
         plan = sp.SimulationPlan(p=6, y=100.0, model=model, seed=0)
         n = plan.n
-        assert n >= simulator._truncated_kernel(model, n).size - 1
-        Z = np.random.default_rng(6).standard_normal((6, 2 * n))
-        recursion = lfilter((1.0, *model.ma), (1.0, *model.ar), Z, axis=1)[:, n:]
-        np.testing.assert_allclose(sp.simulate_matrix(plan, innovations=Z), recursion, rtol=0, atol=1e-12)
+        Z = reference_innovations(plan)
+        assert n >= Z.shape[1] - n
+        earlier = np.random.default_rng(6).standard_normal((6, n))
+        recursion = lfilter((1.0, *model.ma), (1.0, *model.ar), np.hstack([earlier, Z]), axis=1)[:, -n:]
+        np.testing.assert_allclose(sp.simulate_matrix(plan), recursion, rtol=0, atol=1e-12)
 
     def test_long_memory_model_warns_once(self):
         # the warning for d > 0 comes from building the model, not from simulating it
@@ -191,7 +194,7 @@ class TestSimulateMatrix:
         n = plan.n
         c = simulator._truncated_kernel(plan.model, n)
         K, L = c.size - 1, n + c.size - 1
-        W = np.array([reference_row(plan.seed, replicate, i, L, plan.law) for i in range(plan.p)])
+        W = reference_innovations(plan, replicate)
         if K:
             N = simulator._fft_length(L)
             W = np.fft.irfft(np.fft.rfft(W, N, axis=1) * np.fft.rfft(c, N), N, axis=1)
@@ -453,33 +456,10 @@ class TestECDFAndKS:
 
 
 class TestHistogram:
-    def test_single_bar(self):
-        s = sp.EmpiricalSpectrum(np.ones(4))
-        edges, dens, zero_mass = sp.histogram(s, 1, lo=0.5, hi=1.5)
-        assert zero_mass == 0.0
-        np.testing.assert_allclose(dens, [1.0])
-
-    def test_two_equal_masses(self):
-        s = sp.EmpiricalSpectrum(np.array([0.0, 2.0]))
-        edges, dens, _ = sp.histogram(s, 2, lo=0.0, hi=2.0)
-        # np.histogram puts the right edge of the last bin inclusively
-        np.testing.assert_allclose(dens * np.diff(edges), [0.5, 0.5])
-
-    def test_zero_atom_separated(self):
-        s = sp.EmpiricalSpectrum(np.array([0.0, 0.0, 1.0, 2.0]))
-        edges, dens, zero_mass = sp.histogram(s, 2, lo=0.5, hi=2.5, separate_zero_atom=True)
-        assert zero_mass == 0.5
-        assert abs((dens * np.diff(edges)).sum() - 0.5) <= 1e-12
-
-    def test_areas_sum_to_one(self):
-        plan = sp.SimulationPlan(p=200, y=1.0, model=sp.ARMAModel(), seed=0)
-        s = sp.sample_cov_eigenvalues(sp.simulate_matrix(plan))
-        edges, dens, _ = sp.histogram(s, 40)
-        assert abs((dens * np.diff(edges)).sum() - 1.0) <= 1e-9
-
     def test_mp_histogram_matches_density(self):
         plan = sp.SimulationPlan(p=1000, y=1.0, model=sp.ARMAModel(), seed=1)
         s = sp.sample_cov_eigenvalues(sp.simulate_matrix(plan))
-        edges, dens, _ = sp.histogram(s, 30, lo=0.2, hi=3.8)
+        counts, edges = np.histogram(s.eigenvalues, bins=30, range=(0.2, 3.8))
+        dens = counts / (s.p * np.diff(edges))
         mids = 0.5 * (edges[:-1] + edges[1:])
         assert np.max(np.abs(dens - sp.mp_density(1.0, mids))) <= 0.05

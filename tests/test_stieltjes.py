@@ -76,6 +76,15 @@ class TestSolveFixedPoint:
         with pytest.raises(ValueError):
             sp.solve_fixed_point(MP_ATOM, -1.0, 1j)
 
+    def test_rejects_unsupported_law(self):
+        with pytest.raises(TypeError, match="unsupported limit-law type"):
+            sp.solve_fixed_point(sp.spectral_density(sp.ARMAModel()), 1.0, 1j)
+
+    @pytest.mark.parametrize("m", [1.0 + 0j, 1.0 - 1e-300j, complex(0.0, math.nan)])
+    def test_solution_refuses_m_off_the_upper_half_plane(self, m):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            sp.StieltjesSolution(z=1j, m=m, residual=0.0, iterations=1)
+
     def test_uniqueness_from_two_starts(self):
         rng = np.random.default_rng(11)
         for _ in range(200):

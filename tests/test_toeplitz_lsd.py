@@ -50,7 +50,7 @@ class TestSupportBounds:
     def test_white_noise_routes_to_atoms(self):
         lsd = sp.gamma_lsd(sp.ARMAModel())
         assert isinstance(lsd, sp.AtomicLSD)
-        assert lsd.atoms == [(1.0, 1.0)]
+        assert (lsd.levels.tolist(), lsd.weights.tolist()) == ([1.0], [1.0])
 
     def test_farima_support_touches_zero(self):
         f = sp.spectral_density(sp.FARIMAModel(sp.ARMAModel(), -0.25))
@@ -282,12 +282,12 @@ class TestAtomicLSD:
     def test_single_piece(self):
         pw = sp.PiecewiseSpectralDensity(((0.0, TWO_PI, 1.0),))
         lsd = sp.atomic_lsd(pw)
-        assert lsd.atoms == [(1.0, 1.0)]
+        assert (lsd.levels.tolist(), lsd.weights.tolist()) == ([1.0], [1.0])
 
     def test_two_halves(self):
         pw = sp.PiecewiseSpectralDensity(((0.0, math.pi, 1.0), (math.pi, TWO_PI, 2.0)))
         lsd = sp.atomic_lsd(pw)
-        assert lsd.atoms == [(1.0, 0.5), (2.0, 0.5)]
+        assert (lsd.levels.tolist(), lsd.weights.tolist()) == ([1.0, 2.0], [0.5, 0.5])
         assert lsd.weights.sum() == 1.0
 
     def test_equal_levels_merged(self):
@@ -300,8 +300,48 @@ class TestAtomicLSD:
             )
         )
         lsd = sp.atomic_lsd(pw)
-        assert lsd.atoms == [(1.0, 0.5), (3.0, 0.5)]
+        assert (lsd.levels.tolist(), lsd.weights.tolist()) == ([1.0, 3.0], [0.5, 0.5])
         assert lsd.weights.sum() == 1.0
+
+    def test_float_closure_goes_to_the_largest_weight(self):
+        pw = sp.PiecewiseSpectralDensity(((0.0, 0.7, 1.0), (0.7, TWO_PI, 2.0)))
+        lengths = np.array([0.7, TWO_PI - 0.7])
+        normalised = lengths / lengths.sum()
+        assert normalised.sum() != 1.0
+        lsd = sp.atomic_lsd(pw)
+        assert lsd.weights.sum() == 1.0
+        assert lsd.weights[0] == normalised[0]
+        assert lsd.weights[1] == normalised[1] + (1.0 - normalised.sum())
+
+    @pytest.mark.parametrize(
+        "levels, weights",
+        [
+            ([1.0, 2.0], [1.0]),
+            ([], []),
+            ([2.0, 1.0], [0.5, 0.5]),
+            ([1.0, 1.0], [0.5, 0.5]),
+            ([1.0, 2.0], [0.5, 0.6]),
+            ([1.0, 2.0], [1.5, -0.5]),
+            ([0.0], [1.0]),
+            ([-1.0], [1.0]),
+            ([-0.5, 2.0], [0.5, 0.5]),
+            ([math.nan], [1.0]),
+            ([1.0, math.nan], [0.5, 0.5]),
+            ([math.inf], [1.0]),
+            ([1.0], [math.nan]),
+            ([1.0, 2.0], [math.inf, 0.5]),
+        ],
+        ids=[
+            "size-mismatch", "empty", "decreasing", "repeated", "sum-above-one", "negative-weight", "zero-level",
+            "negative-level", "negative-first-level", "nan-level", "nan-last-level", "inf-level", "nan-weight",
+            "inf-weight",
+        ],
+    )
+    def test_invalid_atoms_refused(self, levels, weights):
+        # left to the solver, a zero level divides by zero, a negative one is
+        # solved or refused as a bad z, and a NaN level hangs the edge bisection
+        with pytest.raises(ValueError):
+            sp.AtomicLSD(np.array(levels), np.array(weights))
 
     def test_gamma_lsd_dispatch(self):
         pw = sp.PiecewiseSpectralDensity(((0.0, math.pi, 1.0), (math.pi, TWO_PI, 2.0)))
