@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 __all__ = [
     "ModelSpecError",
@@ -194,8 +195,11 @@ class SpectralDensity:
     theta(z) = 1 + z it gives f(pi) = 0 exactly (complex arithmetic leaves
     about 7e-33), and f'(0) = 0.  Each sum has an absolute error of about
     eps * r_0, so f loses relative accuracy where |phi|^2 is small, at sharp
-    AR peaks: up to 2e-11 for ar = (0.80078125, -0.1953125) near pi.
-    Instances are immutable in practice and safe to share across threads.
+    AR peaks: up to 2e-11 for ar = (0.80078125, -0.1953125) near pi.  The
+    read-only ``breakpoints`` split [0, 2*pi] into branches on which f is
+    monotone, and ``breakpoint_values`` is f there (inf or negative where
+    |phi|^2 rounds to <= 0).  Instances are immutable in practice and safe to
+    share across threads.
     """
 
     def __init__(self, model):
@@ -203,8 +207,25 @@ class SpectralDensity:
         if not isinstance(arma, ARMAModel):
             raise TypeError(f"unsupported model type {type(model).__name__}")
         self.ma_acov, self.ar_acov = (autocovariances((1.0, *c), len(c)) for c in (arma.ma, arma.ar))
-        self.ma_acov.setflags(write=False)
-        self.ar_acov.setflags(write=False)
+        # With x = cos w and u = 2 - 2x, f'(w) = -sin w * u^(-d-1) * Q(x) / A(x)^2,
+        # where B and A are |theta|^2 and |phi|^2 as Chebyshev series in x and
+        # Q = (B' A - B A') u + 2d B A.  So the breakpoints are 0, pi and 2*pi
+        # (f is even about pi), and arccos x and 2*pi - arccos x for every real
+        # root x of Q in (-1, 1).  [r_0, 2 r_1, ...] / r_0: the roots of Q ignore
+        # scale, and r_0 >= |r_h| keeps Q finite
+        B, A = (np.concatenate([[1.0], 2.0 * r[1:] / r[0]]) for r in (self.ma_acov, self.ar_acov))
+        Q = cheb.chebsub(cheb.chebmul(cheb.chebder(B), A), cheb.chebmul(B, cheb.chebder(A)))
+        if self.d != 0.0:
+            Q = cheb.chebadd(cheb.chebmul(Q, [2.0, -2.0]), 2.0 * self.d * cheb.chebmul(B, A))
+        # top coefficients at rounding level (they cancel when p = q) would give
+        # roots of huge norm and spoil the accuracy of the others
+        x = cheb.chebroots(cheb.chebtrim(Q, 1e-14 * np.max(np.abs(Q))))
+        t = np.arccos(x.real[(np.abs(x.imag) <= 1e-9) & (np.abs(x.real) < 1.0)])
+        self.breakpoints = np.sort(np.concatenate([[0.0, math.pi, TWO_PI], t, TWO_PI - t]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.breakpoint_values = np.asarray(self(self.breakpoints), dtype=float)
+        for arr in (self.ma_acov, self.ar_acov, self.breakpoints, self.breakpoint_values):
+            arr.setflags(write=False)
 
     def _evaluate(self, omega, slope):
         # f = (B / A) u^(-d) and f' = ((B' A - B A') / A^2) u^(-d) + (B / A) (u^(-d))'

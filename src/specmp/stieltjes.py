@@ -57,15 +57,15 @@ GRID_MIN_SIZE = 16
 # the top of the grid.  The bias it leaves scales with it: on the 512-point
 # Marchenko-Pastur tables it is at most 1e-6 relative (3e-5 at y = 1) 1e-3
 # inside the edges, and larger only at the few points within a few offsets of
-# a hard edge at zero.  Smaller offsets make solves near the axis slow or fail
-# where H reaches 0 and y is near 1: at 1e-10 FARIMA d = -0.25 at y = 0.9
-# takes 2.1 s instead of 0.3 s, and at 1e-12 it and ARMA(1,1) at y = 1 do not
-# converge.
+# a hard edge at zero.  Smaller offsets cost sweeps where H reaches 0 and y is
+# near 1: a table takes 3,679, 5,191 and 6,790 sweeps at 1e-8, 1e-10 and 1e-12
+# for FARIMA d = -0.25 at y = 0.9, and 2,886, 3,841 and 14,003 for ARMA(1,1)
+# at y = 1.
 OFFSET = 1e-8
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed; carries the last iterate and residual."""
+    """Fixed-point iteration failed; carries the last iterate and its defect."""
 
     def __init__(self, message, z, m, residual, iterations):
         super().__init__(
@@ -99,17 +99,20 @@ def _iterate(TTp, y, z, m):
     half-plane with the Stieltjes value as its unique interior fixed point, so
     the damped iteration m <- (m + G(m))/2 (which turns rotation-dominant
     multipliers into contractions) converges from anywhere.  Near the real axis
-    its linear rate degrades like 1 - O(Im z), so each sweep first tries a
-    Newton step, halved up to ten times, and accepts it only when it lowers the
-    hyperbolic displacement |G(m) - m|^2 / (Im m Im G(m)); that merit is
-    non-increasing along the exact orbit, diverges at the boundary (which is
-    where the cleared equation hides spurious roots), and vanishes only at the
-    fixed point, so Newton can never be trapped away from the answer.  The
-    merit has a rounding floor, though, below which no candidate lowers it; a
-    full Newton step in the upper half-plane that already meets the stopping
-    rule |dm| <= UPDATE_TOL (1 + |m + dm|) therefore ends the solve without
-    the merit test or an evaluation, taking T there as T + T' dm.  The sweep
-    runs on Python scalars.  At most MAX_ITER sweeps; returns (m, sweeps, T).
+    its linear rate degrades like 1 - O(Im z), so each sweep first tries the
+    full Newton step once, and keeps it only when it is finite, in the upper
+    half-plane and lowers the hyperbolic displacement
+    |G(m) - m|^2 / (Im m Im G(m)); otherwise the sweep takes the damped step.
+    That merit is non-increasing along the exact orbit, diverges at the
+    boundary (which is where the cleared equation hides spurious roots), and
+    vanishes only at the fixed point, so Newton can never be trapped away from
+    the answer.  The merit has a rounding floor, though, below which no
+    candidate lowers it; a full Newton step in the upper half-plane that
+    already meets the stopping rule |dm| <= UPDATE_TOL (1 + |m + dm|)
+    therefore ends the solve without the merit test or an evaluation, taking T
+    there as T + T' dm.  A sweep evaluates (T, T') at most twice, and runs on
+    Python scalars.  At most MAX_ITER sweeps; returns (m, sweeps, T).  A
+    ConvergenceError carries the defect |1/m + z - y T(m)| at its last m.
     """
 
     def state(mm):
@@ -124,31 +127,26 @@ def _iterate(TTp, y, z, m):
 
     g, cur, t, tp = state(m)
     for it in range(1, MAX_ITER + 1):
-        nxt = None
+        cs = None
         dM = z - y * (t + m * tp)
         if dM != 0.0 and cmath.isfinite(dM):
             step = -(1.0 + m * z - y * m * t) / dM
-            cand = m + step
-            if cand.imag > 0.0 and cmath.isfinite(cand) and abs(step) <= UPDATE_TOL * (1.0 + abs(cand)):
-                return cand, it, t + tp * step
-            for k in range(10):
-                cand = m + 0.5**k * step
-                if cand.imag > 0.0 and cmath.isfinite(cand):
-                    cs = state(cand)
-                    if cs[1] < cur:
-                        nxt = cand
-                        break
-        if nxt is None:
+            nxt = m + step
+            if nxt.imag > 0.0 and cmath.isfinite(nxt):
+                if abs(step) <= UPDATE_TOL * (1.0 + abs(nxt)):
+                    return nxt, it, t + tp * step
+                cs = state(nxt)
+        if cs is None or not cs[1] < cur:
             if g is None:
                 # analytically impossible; reachable only through quadrature noise
-                raise ConvergenceError("iterate left the upper half-plane", z, m, cur, it)
+                raise ConvergenceError("iterate left the upper half-plane", z, m, abs(1.0 / m + z - y * t), it)
             nxt = 0.5 * (m + g)
             cs = state(nxt)
         done = abs(nxt - m) <= UPDATE_TOL * (1.0 + abs(nxt))
         m, (g, cur, t, tp) = nxt, cs
         if done:
             return m, it, t
-    raise ConvergenceError("no convergence", z, m, cur, MAX_ITER)
+    raise ConvergenceError("no convergence", z, m, abs(1.0 / m + z - y * t), MAX_ITER)
 
 
 def solve_fixed_point(lsd, y, z, initial=None):

@@ -11,25 +11,23 @@ f is smooth with almost-everywhere nonvanishing derivative, and a purely atomic
 law with weights |A_j| / (2*pi) when f is piecewise constant.
 
 Density and distribution function come from the level sets of f.  Its
-stationary points, 0, pi, 2*pi and the arccosines of the real roots in (-1, 1)
-of one Chebyshev polynomial in cos w, split [0, 2*pi] into monotone branches;
-one vectorised bisection then finds the root of f(w) = lam on every branch for
-a whole array of levels.  A level is tangential when it equals f at a
-stationary point inside the support; the density diverges there.  Quadrature
-against the continuous law comes from Szegő's theorem, as a graded trapezoid
-rule in w pushed forward through f.  Either law hands the solver a
-:class:`Rule`: its nodes and weights, and the (T, T') sums over them.
+breakpoints (its stationary points, and 0, pi and 2*pi), which the density
+computes once, split [0, 2*pi] into monotone branches; one vectorised
+bisection then finds the root of f(w) = lam on every branch for a whole array
+of levels.  A level is tangential when it equals f at a stationary point
+inside the support; the density diverges there.  Quadrature against the
+continuous law comes from Szegő's theorem, as a graded trapezoid rule in w
+pushed forward through f.  Either law hands the solver a :class:`Rule`: its
+nodes and weights, and the (T, T') sums over them.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .linear_process import ModelSpecError, PiecewiseSpectralDensity, SpectralDensity, spectral_density
 
@@ -61,9 +59,6 @@ class TangentialRootWarning(UserWarning):
     """A level equals the value of f at a stationary point: g diverges there."""
 
 
-_BREAKPOINT_CACHE = weakref.WeakKeyDictionary()
-
-
 def _bisect(fun, a, b, target):
     """Solve fun(w) = target on aligned 1-d arrays of monotone brackets [a, b].
 
@@ -84,39 +79,15 @@ def _bisect(fun, a, b, target):
         b[live[~below]] = mid[~below]
 
 
-def _breakpoints(f):
-    """(w, f(w), atol) at the points of [0, 2*pi] between which f is monotone.
-
-    With x = cos w and u = 2 - 2x, f'(w) = -sin w * u^(-d-1) * Q(x) / A(x)^2,
-    where B and A are |theta|^2 and |phi|^2 as Chebyshev series in x and
-    Q = (B' A - B A') u + 2d B A.  So the breakpoints are 0, pi and 2*pi (f is
-    even about pi), and arccos x and 2*pi - arccos x for every real root x of Q
-    in (-1, 1).  Cached per density instance.
-    """
-    cached = _BREAKPOINT_CACHE.get(f)
-    if cached is None:
-        # [r_0, 2 r_1, ...] / r_0: the roots of Q ignore scale, and r_0 >= |r_h| keeps Q finite
-        B, A = (np.concatenate([[1.0], 2.0 * r[1:] / r[0]]) for r in (f.ma_acov, f.ar_acov))
-        Q = cheb.chebsub(cheb.chebmul(cheb.chebder(B), A), cheb.chebmul(B, cheb.chebder(A)))
-        if f.d != 0.0:
-            Q = cheb.chebadd(cheb.chebmul(Q, [2.0, -2.0]), 2.0 * f.d * cheb.chebmul(B, A))
-        # top coefficients at rounding level (they cancel when p = q) would give
-        # roots of huge norm and spoil the accuracy of the others
-        x = cheb.chebroots(cheb.chebtrim(Q, 1e-14 * np.max(np.abs(Q))))
-        t = np.arccos(x.real[(np.abs(x.imag) <= 1e-9) & (np.abs(x.real) < 1.0)])
-        pts = np.sort(np.concatenate([[0.0, math.pi, TWO_PI], t, TWO_PI - t]))
-        # |phi|^2 can round to 0 at a peak; gamma_lsd refuses the inf it gives
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(f(pts), dtype=float)
-        atol = LEVEL_RTOL * max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]))))
-        cached = _BREAKPOINT_CACHE[f] = (pts, vals, atol)
-    return cached
+def _level_atol(f):
+    """The absolute level tolerance: LEVEL_RTOL * max(1, max finite |f|)."""
+    vals = f.breakpoint_values
+    return LEVEL_RTOL * max(1.0, float(np.max(np.abs(vals[np.isfinite(vals)]))))
 
 
 def support_bounds(f):
     """Range (min f, max f) of the spectral density over [0, 2*pi]."""
-    vals = _breakpoints(f)[1]
-    return float(np.min(vals)), float(np.max(vals))
+    return float(np.min(f.breakpoint_values)), float(np.max(f.breakpoint_values))
 
 
 def _is_degenerate(lo, hi):
@@ -130,7 +101,7 @@ def _branch_roots(f, levels):
     greatest, f at ``high``, and the root of each level on each branch whose
     open range holds it, NaN on the others.
     """
-    bps, vals, _ = _breakpoints(f)
+    bps, vals = f.breakpoints, f.breakpoint_values
     rising = vals[1:] > vals[:-1]
     low, high = np.where(rising, bps[:-1], bps[1:]), np.where(rising, bps[1:], bps[:-1])
     top = np.maximum(vals[:-1], vals[1:])
@@ -169,7 +140,7 @@ def gamma_density(f, levels):
     outside = ~((lo < lam) & (lam < hi))
     if outside.any():
         raise ValueError(f"level {lam[outside][0]} outside the open support ({lo}, {hi})")
-    _, vals, atol = _breakpoints(f)
+    vals, atol = f.breakpoint_values, _level_atol(f)
     crit = vals[(lo + atol < vals) & (vals < hi - atol)]
     flagged = np.count_nonzero(np.any(np.abs(lam[..., None] - crit) <= atol, axis=-1))
     if flagged:

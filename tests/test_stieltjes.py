@@ -14,8 +14,10 @@ from scipy.integrate import cumulative_trapezoid, quad
 from scipy.optimize import minimize_scalar
 
 import specmp as sp
+from oracles import arma_residual
 
 MP_ATOM = sp.AtomicLSD(levels=np.array([1.0]), weights=np.array([1.0]))
+ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
 
 
 def quadratic_mp_root(y, z):
@@ -37,6 +39,12 @@ def count_evaluations(monkeypatch):
 
     monkeypatch.setattr(sp.Rule, "terms", counted)
     return evals
+
+
+def coefficient(bound):
+    # 0 or at least 0.01 in size: the ARMA residue oracle needs simple poles,
+    # which a subnormal leading coefficient spoils
+    return st.one_of(st.just(0.0), st.floats(0.01, bound), st.floats(-bound, -0.01))
 
 
 def mp_pdf(y, x):
@@ -129,10 +137,10 @@ class TestSolveFixedPoint:
     )
     def test_warm_start_at_the_solution_ends_in_one_sweep(self, lsd, monkeypatch):
         # at the fixed point the hyperbolic merit sits at its rounding floor,
-        # so no halving can lower it; the sub-tolerance Newton step ends the
-        # solve without an evaluation.  These points are far enough from the
-        # axis that the first rule holds: one evaluation at the start, one on
-        # the doubled rule (or, for the atom, its own) at the returned m.
+        # so no Newton candidate can lower it; the sub-tolerance Newton step
+        # ends the solve without an evaluation.  These points are far enough
+        # from the axis that the first rule holds: one evaluation at the start,
+        # one on the doubled rule (or, for the atom, its own) at the returned m.
         evals = count_evaluations(monkeypatch)
         for y in (0.5, 1.0, 3.0):
             for z in (1j, 2.0 + 0.1j, -0.5 + 0.03j, 3.0 + 0.3j):
@@ -160,6 +168,76 @@ class TestSolveFixedPoint:
                 sol = sp.solve_fixed_point(lsd, y, z)
                 assert sol.iterations == iterations, (y, z, sol.iterations)
                 assert evals[0] == sol.iterations + 1, (y, z)
+
+    def test_rejected_newton_step_falls_back_to_the_damped_step(self, monkeypatch):
+        # from m = 10i (MP, y = 1, z = i) the full Newton candidate lies in the
+        # upper half-plane but raises the hyperbolic merit, so the sweep takes
+        # the damped step (m + G(m))/2 instead: two evaluations, one at each
+        y, z, m0 = 1.0, 1j, 10j
+        terms = MP_ATOM.rule(256).terms
+        points = []
+
+        def counted(m):
+            points.append(m)
+            return terms(m)
+
+        def merit(m):
+            g = 1.0 / (-z + y * terms(m)[0])
+            return abs(g - m) ** 2 / (m.imag * g.imag), g
+
+        t, tp = terms(m0)
+        newton = m0 - (1.0 + m0 * z - y * m0 * t) / (z - y * (t + m0 * tp))
+        assert newton.imag > 0.0 and merit(newton)[0] > merit(m0)[0]
+        damped = 0.5 * (m0 + merit(m0)[1])
+        monkeypatch.setattr(sp.stieltjes, "MAX_ITER", 1)
+        with pytest.raises(sp.ConvergenceError, match="no convergence") as err:
+            sp.stieltjes._iterate(counted, y, z, m0)
+        assert points == [m0, newton, damped]
+        assert err.value.m == damped and err.value.iterations == 1
+
+    def test_iterate_that_leaves_the_upper_half_plane_raises(self):
+        # an evaluator whose T has Im T > 0 sends G(m) = 1/(-z + y T) to the
+        # lower half-plane, so no candidate has a finite merit and the damped
+        # step has no G(m) to move towards
+        y, z, m0 = 1.0, 1.0 + 1j, 1j
+        t = 10j
+        with pytest.raises(sp.ConvergenceError, match="left the upper half-plane") as err:
+            sp.stieltjes._iterate(lambda m: (t, 0j), y, z, m0)
+        assert err.value.m == m0 and err.value.iterations == 1
+        assert err.value.residual == abs(1.0 / m0 + z - y * t)
+
+    def test_convergence_error_carries_the_defect(self, monkeypatch):
+        # the cold ARMA(1,1) solve at y = 1, z = 2 + 0.1i takes 5 sweeps on
+        # its first rule; stopped after 2, the error reports the defect of the
+        # last m in the fixed-point equation on that rule, not the merit
+        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        y, z = 1.0, 2.0 + 0.1j
+        monkeypatch.setattr(sp.stieltjes, "MAX_ITER", 2)
+        with pytest.raises(sp.ConvergenceError) as err:
+            sp.solve_fixed_point(lsd, y, z)
+        m = err.value.m
+        defect = abs(1.0 / m + z - y * lsd.rule(sp.stieltjes.RULE_START_SIZE).terms(m)[0])
+        assert err.value.iterations == 2
+        assert err.value.residual == defect > 0.0
+        assert f"residual={defect:.3e}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "y, z, max_sweeps",
+        [
+            # 100,000 sweeps without convergence when each rejected Newton
+            # step was halved up to ten times; 1,618 sweeps without halving
+            (10.350728171047368, 176.41658541967558 + 2.909653964312705e-10j, 4000),
+            # 16,088 sweeps with halving; 42 without
+            (2.2829472777998516, 59.15490809418232 + 2.946892743097823e-10j, 200),
+        ],
+    )
+    def test_cold_arma23_solves_near_the_axis(self, y, z, max_sweeps):
+        # the exact residual sits at the oracle's rounding floor, 4e-13 and
+        # 2e-13 of |z| + |1/m|, and m agrees with a solve on a 65,536-node rule
+        # to 1.4e-14; the bound 1e-11 is one the RULE_MAX_SIZE rule meets here
+        sol = sp.solve_fixed_point(sp.gamma_lsd(ARMA23), y, z)
+        assert sol.iterations <= max_sweeps
+        assert abs(arma_residual(ARMA23, y, z, sol.m)) <= 1e-11 * (abs(z) + abs(1.0 / sol.m))
 
     @pytest.mark.parametrize("atoms", [8, 9])
     def test_scalar_and_array_sums_agree_across_the_crossover(self, atoms, monkeypatch):
@@ -354,6 +432,47 @@ class TestARMA11Residual:
             assert abs(sp.arma11_residual(0.5, 1.0, 3.0, z, m)) > 1e-3
 
 
+class TestARMAResidual:
+    def test_sign_convention_is_pinned(self):
+        # phi(zeta) = 1 + sum ar_k zeta^k, as in ARMAModel: X_t = 0.5 X_{t-1}
+        # + Z_t + Z_{t-1} is ar = (-0.5,).  The other sign fails every ARMA
+        # model; an AR-only model cannot tell, as f(w) -> f(w + pi) keeps H
+        model = sp.ARMAModel.arma11(0.5, 1.0)
+        flipped = sp.ARMAModel(ar=(0.5,), ma=(1.0,))
+        lsd, ar1 = sp.gamma_lsd(model), sp.gamma_lsd(sp.ARMAModel(ar=(-0.5,)))
+        for y, z in ((0.5, 2.0 + 1j), (3.0, 1.0 + 0.01j), (1.0, 0.3 + 0.1j)):
+            m = sp.solve_fixed_point(lsd, y, z).m
+            assert abs(arma_residual(model, y, z, m)) <= 1e-13
+            assert abs(arma_residual(model, y, z, m) - sp.arma11_residual(0.5, 1.0, y, z, m)) <= 1e-13
+            assert abs(arma_residual(flipped, y, z, m)) >= 0.1
+            m1 = sp.solve_fixed_point(ar1, y, z).m
+            assert abs(arma_residual(sp.ARMAModel(ar=(0.5,)), y, z, m1)) <= 1e-13
+
+    # Stationary AR parts from reflection coefficients |k| <= 0.8 (Schur-Cohn),
+    # and z = edge (x + i eta) with x in [-0.2, 1.2] and eta in [0.1, 10], where
+    # edge is the top of the support.  There no solve ends capped on the
+    # RULE_MAX_SIZE rule (ROADMAP item 4): none of these examples does, nor any
+    # of 500 uniform draws, and the worst relative residual is 4e-14.  Closer
+    # AR roots (|k| up to 0.99) give capped solves with errors up to 1e-5.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        refl=st.lists(coefficient(0.8), max_size=3),
+        ma=st.lists(coefficient(1.5), max_size=3),
+        log_y=st.floats(-1.0, 1.0),
+        x=st.floats(-0.2, 1.2),
+        log_eta=st.floats(-1.0, 1.0),
+    )
+    def test_random_models_meet_the_exact_equation(self, refl, ma, log_y, x, log_eta):
+        ar = np.array([1.0])
+        for k in refl:
+            ar = np.append(ar, 0.0) + k * np.append(ar, 0.0)[::-1]
+        model = sp.ARMAModel(ar=ar[1:], ma=ma)
+        lsd, y = sp.gamma_lsd(model), 10.0**log_y
+        z = sp.estimate_support_upper(lsd, y) * complex(x, 10.0**log_eta)
+        m = sp.solve_fixed_point(lsd, y, z).m
+        assert abs(arma_residual(model, y, z, m)) <= 1e-9 * (abs(z) + abs(1.0 / m))
+
+
 class TestInversion:
     def test_mp_interior_point(self):
         dens = sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([0.5, 1.0, 2.0, 3.0, 3.9]))
@@ -403,6 +522,29 @@ class TestInversion:
         assert len(calls) == grid.size == 512
         assert dens.offset == sp.stieltjes.OFFSET * grid[-1]
         assert all(z.imag == dens.offset for z in calls)
+
+    def test_table_solves_evaluate_at_most_twice_a_sweep(self, monkeypatch):
+        # ARMA(2,3) at y = 0.5 climbs the rules at many points: every solve
+        # makes at most two evaluations a sweep, plus one at the start and one
+        # doubling check on each of the at most 6 rules.  Halving each rejected
+        # Newton step took 4,090 evaluations in 710 sweeps at x = 54.19.
+        lsd = sp.gamma_lsd(ARMA23)
+        grid = sp.default_grid(lsd, 0.5)
+        evals = count_evaluations(monkeypatch)
+        solve = sp.stieltjes.solve_fixed_point
+        counts = []
+
+        def counted(*args, **kwargs):
+            before = evals[0]
+            sol = solve(*args, **kwargs)
+            counts.append((sol.z, evals[0] - before, sol.iterations))
+            return sol
+
+        monkeypatch.setattr(sp.stieltjes, "solve_fixed_point", counted)
+        sp.invert_to_density(lsd, 0.5, grid=grid)
+        assert len(counts) == grid.size
+        for z, n, sweeps in counts:
+            assert n <= 2 * sweeps + 12, (z, n, sweeps)
 
     @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
     def test_mp_closed_form_on_default_grid(self, y):

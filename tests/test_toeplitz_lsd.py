@@ -11,7 +11,7 @@ from scipy.integrate import quad
 import specmp as sp
 from oracles import total_mass
 from specmp import toeplitz_lsd
-from specmp.toeplitz_lsd import _branch_roots, _breakpoints
+from specmp.toeplitz_lsd import _branch_roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,7 +76,8 @@ class TestSupportBounds:
 class TestLevelSetRoots:
     def test_sharp_ar2_breakpoints(self):
         # f = 1 / A(cos w) with A quadratic: one stationary point inside (0, pi)
-        bps, vals, _ = _breakpoints(sp.spectral_density(SHARP_AR2))
+        f = sp.spectral_density(SHARP_AR2)
+        bps, vals = f.breakpoints, f.breakpoint_values
         assert bps.size == 5
         assert bps[0] == 0.0 and bps[2] == math.pi and bps[4] == TWO_PI
         assert bps[3] == TWO_PI - bps[1]
@@ -86,7 +87,7 @@ class TestLevelSetRoots:
         # Q has the real roots -0.1226 and 0.5544 and a complex pair with real
         # part -0.2159 in (-1, 1): f has an extremum at each breakpoint only
         f = sp.spectral_density(sp.ARMAModel(ar=(0.0, 0.5), ma=(0.0, 0.0, 0.5)))
-        bps = _breakpoints(f)[0]
+        bps = f.breakpoints
         assert bps.size == 7
         inner = bps[1:-1]
         assert np.all(f.derivative(inner - 1e-6) * f.derivative(inner + 1e-6) < 0.0)
@@ -104,7 +105,7 @@ class TestLevelSetRoots:
             ar = np.append(ar, 0.0) + k * np.append(ar, 0.0)[::-1]
         model = sp.ARMAModel(ar=ar[1:], ma=ma)
         f = sp.spectral_density(sp.FARIMAModel(model, d) if d else model)
-        bps = _breakpoints(f)[0]
+        bps = f.breakpoints
         w = bps[:-1, None] + np.diff(bps)[:, None] * np.linspace(0.0, 1.0, 66)[1:-1]
         slope = f.derivative(w)
         tol = 1e-12 * np.max(np.abs(slope))
@@ -120,7 +121,7 @@ class TestLevelSetRoots:
         # the maximum 4 is f at the breakpoint w = 0, a stationary point that
         # no branch holds in its open range
         f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
-        bps, vals, _ = _breakpoints(f)
+        bps, vals = f.breakpoints, f.breakpoint_values
         assert bps[0] == 0.0 and abs(vals[0] - 4.0) <= 1e-10
         assert f.derivative(0.0) == 0.0
         assert branch_roots(f, 4.0).size == 0
