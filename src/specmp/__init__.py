@@ -10,54 +10,13 @@ limit law (``solve_fixed_point``), which is inverted to a density
 The runtime needs NumPy and the standard library only: importing ``specmp``
 (and ``specmp.cli``) loads nothing else, and neither does any command.  SciPy
 is a test dependency, for oracles that only the tests call.
+
+The package exports exactly each module's ``__all__``.
 """
 
-from .linear_process import (
-    ARMAModel,
-    FARIMAModel,
-    ModelSpecError,
-    PiecewiseSpectralDensity,
-    SpectralDensity,
-    autocovariances,
-    ma_coefficients,
-    model_from_spec,
-    model_to_spec,
-    spectral_density,
-)
-from .simulator import (
-    INNOVATION_LAWS,
-    EmpiricalSpectrum,
-    SimulationPlan,
-    ks_distance,
-    sample_cov_eigenvalues,
-    simulate_matrix,
-)
-from .stieltjes import (
-    ConvergenceError,
-    LimitingDensity,
-    StieltjesSolution,
-    arma11_residual,
-    default_grid,
-    estimate_support_upper,
-    invert_to_density,
-    lsd_cdf,
-    mp_density,
-    mp_stieltjes,
-    mp_support,
-    solve_fixed_point,
-)
-from .toeplitz_lsd import (
-    AbsContinuousLSD,
-    AtomicLSD,
-    Rule,
-    TangentialRootWarning,
-    arma11_gamma_density,
-    arma11_support,
-    atomic_lsd,
-    gamma_cdf,
-    gamma_density,
-    gamma_lsd,
-    support_bounds,
-)
+from .linear_process import *
+from .simulator import *
+from .stieltjes import *
+from .toeplitz_lsd import *
 
 __version__ = "0.1.0"

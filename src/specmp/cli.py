@@ -27,7 +27,7 @@ import numpy as np
 from .linear_process import ModelSpecError, model_from_spec, model_to_spec
 from .simulator import INNOVATION_LAWS, SimulationPlan, ks_distance, sample_cov_eigenvalues, simulate_matrix
 from .stieltjes import GRID_MIN_SIZE, ConvergenceError, default_grid, invert_to_density, lsd_cdf
-from .toeplitz_lsd import AtomicLSD, gamma_lsd
+from .toeplitz_lsd import AtomicLSD, gamma_density, gamma_lsd, support_bounds
 
 __all__ = ["main", "entry"]
 
@@ -89,9 +89,9 @@ def cmd_gamma_density(args):
         for level, weight in atoms:
             print(f"atom {_fmt(level)} {_fmt(weight)}")
         return EXIT_OK
-    lo, hi = lsd.support
+    lo, hi = support_bounds(lsd.f)
     lam = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-    _write_csv(args.out + ".csv", ("lambda", "g_lambda"), zip(lam, lsd.density(lam)))
+    _write_csv(args.out + ".csv", ("lambda", "g_lambda"), zip(lam, gamma_density(lsd.f, lam)))
     print(f"{_fmt(lo)} {_fmt(hi)}")
     return EXIT_OK
 

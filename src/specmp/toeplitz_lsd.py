@@ -10,15 +10,15 @@ and distribution function Leb{w : f(w) <= lam} / (2*pi) on the range of f when
 f is smooth with almost-everywhere nonvanishing derivative, and a purely atomic
 law with weights |A_j| / (2*pi) when f is piecewise constant.
 
-Density and distribution function come from the level sets of f.  Its
-breakpoints (its stationary points, and 0, pi and 2*pi), which the density
-computes once, split [0, 2*pi] into monotone branches; one vectorised
-bisection then finds the root of f(w) = lam on every branch for a whole array
-of levels.  A level is tangential when it equals f at a stationary point
-inside the support; the density diverges there.  Quadrature against the
-continuous law comes from Szegő's theorem, as a graded trapezoid rule in w
-pushed forward through f.  Either law hands the solver a :class:`Rule`: its
-nodes and weights, and the (T, T') sums over them.
+The density comes from the level sets of f.  Its breakpoints (its stationary
+points, and 0, pi and 2*pi), which the density computes once, split
+[0, 2*pi] into monotone branches; one vectorised bisection then finds the
+root of f(w) = lam on every branch for a whole array of levels.  A level is
+tangential when it equals f at a stationary point inside the support; the
+density diverges there.  Quadrature against the continuous law comes from
+Szegő's theorem, as a graded trapezoid rule in w pushed forward through f.
+Either law hands the solver a :class:`Rule`: its nodes and weights, and the
+(T, T') sums over them.
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ __all__ = [
     "AbsContinuousLSD",
     "support_bounds",
     "gamma_density",
-    "gamma_cdf",
     "atomic_lsd",
     "gamma_lsd",
-    "arma11_support",
-    "arma11_gamma_density",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -97,25 +94,23 @@ def _is_degenerate(lo, hi):
 def _branch_roots(f, levels):
     """Roots of f(w) = level on each monotone branch of f (the last axis).
 
-    Returns (low, high, top, roots): the branch ends where f is least and
-    greatest, f at ``high``, and the root of each level on each branch whose
-    open range holds it, NaN on the others.
+    The root of each level on each branch whose open range holds it, NaN on
+    the others.
     """
     bps, vals = f.breakpoints, f.breakpoint_values
     rising = vals[1:] > vals[:-1]
     low, high = np.where(rising, bps[:-1], bps[1:]), np.where(rising, bps[1:], bps[:-1])
-    top = np.maximum(vals[:-1], vals[1:])
     lam = np.asarray(levels, dtype=float)[..., None]
-    inside = (np.minimum(vals[:-1], vals[1:]) < lam) & (lam < top)
+    inside = (np.minimum(vals[:-1], vals[1:]) < lam) & (lam < np.maximum(vals[:-1], vals[1:]))
     roots = np.full(inside.shape, np.nan)
     a, b, target = (np.broadcast_to(x, inside.shape)[inside] for x in (low, high, lam))
     roots[inside] = _bisect(f, a, b, target)
-    return low, high, top, roots
+    return roots
 
 
 def _density(f, levels):
     """(1/2*pi) sum of 1/|f'| over the branch roots of each level."""
-    roots = _branch_roots(f, levels)[3]
+    roots = _branch_roots(f, levels)
     inside = ~np.isnan(roots)
     terms = np.zeros(roots.shape)
     with np.errstate(divide="ignore"):
@@ -147,22 +142,6 @@ def gamma_density(f, levels):
         msg = f"{flagged} of {lam.size} levels equal f at a stationary point: g diverges there"
         warnings.warn(msg, TangentialRootWarning, stacklevel=2)
     out = _density(f, lam)
-    return float(out) if lam.ndim == 0 else out
-
-
-def gamma_cdf(f, levels):
-    """Distribution function of the Toeplitz limit at a level or array of levels.
-
-    Leb({w : f(w) <= level}) / (2*pi), summed over the monotone branches:
-    |root - low end| on a branch that holds the level, the whole branch on one
-    below it; exactly 0 below the support and exactly 1 above it.
-    """
-    lo, hi = support_bounds(f)
-    lam = np.asarray(levels, dtype=float)
-    low, high, top, roots = _branch_roots(f, lam)
-    whole = np.where(top <= lam[..., None], np.abs(high - low), 0.0)
-    measure = np.where(np.isnan(roots), whole, np.abs(roots - low)).sum(axis=-1) / TWO_PI
-    out = np.where(lam >= hi, 1.0, np.where(lam <= lo, 0.0, measure))
     return float(out) if lam.ndim == 0 else out
 
 
@@ -248,18 +227,13 @@ class AbsContinuousLSD:
     """Absolutely continuous Toeplitz eigenvalue limit with density g.
 
     By Szegő's theorem it is the law of f(w) with w uniform on [0, 2*pi], so
-    :meth:`rule` integrates against it without level sets; :meth:`density`
-    uses the level sets of f.  One :class:`Rule` is cached per size,
+    :meth:`rule` integrates against it without level sets; :func:`gamma_density`
+    gives g from the level sets of f.  One :class:`Rule` is cached per size,
     idempotently, so concurrent readers at worst duplicate work.
     """
 
     f: SpectralDensity
-    support: tuple
     _rules: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def density(self, levels):
-        """g at a level or an array of levels (see :func:`gamma_density`)."""
-        return gamma_density(self.f, levels)
 
     def rule(self, size):
         """Szegő pushforward :class:`Rule` on a graded trapezoid grid.
@@ -322,35 +296,5 @@ def gamma_lsd(model):
     if _is_degenerate(lo, hi):
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
-    return AbsContinuousLSD(f=f, support=(lo, hi))
+    return AbsContinuousLSD(f=f)
 
-
-def arma11_support(phi, theta):
-    """Support endpoints (1 +- theta)^2 / (1 -+ phi)^2 of the ARMA(1,1) limit law."""
-    if abs(phi) >= 1.0:
-        raise ValueError("|phi| < 1 required")
-    lam_plus = (1.0 + theta) ** 2 / (1.0 - phi) ** 2
-    lam_minus = (1.0 - theta) ** 2 / (1.0 + phi) ** 2
-    return min(lam_minus, lam_plus), max(lam_minus, lam_plus)
-
-
-def arma11_gamma_density(phi, theta, lam):
-    """Closed-form Toeplitz limit density for ARMA(1,1); cross-check oracle.
-
-    g(lam) = |(phi+theta)(1+phi*theta)| / (pi |theta + phi*lam|
-             sqrt([(1+theta)^2 - lam (1-phi)^2] [lam (1+phi)^2 - (1-theta)^2]))
-    on the open support.  Requires a nondegenerate model: (phi, theta) != (0, 0)
-    and theta != -phi (those are white noise, whose limit law is atomic).
-    """
-    phi, theta, lam = float(phi), float(theta), float(lam)
-    if abs(phi) >= 1.0:
-        raise ValueError("|phi| < 1 required")
-    if phi + theta == 0.0:
-        raise ValueError("theta = -phi gives white noise; the limit law is atomic")
-    lo, hi = arma11_support(phi, theta)
-    if not (lo < lam < hi):
-        raise ValueError(f"lam {lam} outside the open support ({lo}, {hi})")
-    b1 = (1.0 + theta) ** 2 - lam * (1.0 - phi) ** 2
-    b2 = lam * (1.0 + phi) ** 2 - (1.0 - theta) ** 2
-    num = abs((phi + theta) * (1.0 + phi * theta))
-    return num / (math.pi * abs(theta + phi * lam) * math.sqrt(b1 * b2))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 from scipy.special import roots_legendre
 
-from specmp import autocovariances
-from specmp.toeplitz_lsd import _density, _level_atol
+from specmp import autocovariances, ma_coefficients, support_bounds
+from specmp.toeplitz_lsd import _branch_roots, _density, _level_atol
+
+TWO_PI = 2.0 * math.pi
 
 
 def total_mass(lsd):
@@ -74,3 +76,76 @@ def arma_residual(model, y, z, m):
     z, m = complex(z), complex(m)
     t = (1.0 - arma_stieltjes_h(model, -1.0 / m) / m) / m
     return 1.0 / m + z - y * t
+
+
+def gamma_cdf(f, levels):
+    """Distribution function of the Toeplitz limit at a level or array of levels.
+
+    Leb({w : f(w) <= level}) / (2*pi), summed over the monotone branches
+    between consecutive breakpoints of f: |root - low end| on a branch that
+    holds the level, the whole branch on one below it; exactly 0 below the
+    support and exactly 1 above it.
+    """
+    lo, hi = support_bounds(f)
+    bps, vals = f.breakpoints, f.breakpoint_values
+    rising = vals[1:] > vals[:-1]
+    low, high = np.where(rising, bps[:-1], bps[1:]), np.where(rising, bps[1:], bps[:-1])
+    top = np.maximum(vals[:-1], vals[1:])
+    lam = np.asarray(levels, dtype=float)
+    roots = _branch_roots(f, lam)
+    whole = np.where(top <= lam[..., None], np.abs(high - low), 0.0)
+    measure = np.where(np.isnan(roots), whole, np.abs(roots - low)).sum(axis=-1) / TWO_PI
+    out = np.where(lam >= hi, 1.0, np.where(lam <= lo, 0.0, measure))
+    return float(out) if lam.ndim == 0 else out
+
+
+def arma11_support(phi, theta):
+    """Support endpoints (1 +- theta)^2 / (1 -+ phi)^2 of the ARMA(1,1) limit law."""
+    if abs(phi) >= 1.0:
+        raise ValueError("|phi| < 1 required")
+    lam_plus = (1.0 + theta) ** 2 / (1.0 - phi) ** 2
+    lam_minus = (1.0 - theta) ** 2 / (1.0 + phi) ** 2
+    return min(lam_minus, lam_plus), max(lam_minus, lam_plus)
+
+
+def arma11_gamma_density(phi, theta, lam):
+    """Closed-form Toeplitz limit density for ARMA(1,1).
+
+    g(lam) = |(phi+theta)(1+phi*theta)| / (pi |theta + phi*lam|
+             sqrt([(1+theta)^2 - lam (1-phi)^2] [lam (1+phi)^2 - (1-theta)^2]))
+    on the open support.  Requires a nondegenerate model: (phi, theta) != (0, 0)
+    and theta != -phi (those are white noise, whose limit law is atomic).
+    """
+    phi, theta, lam = float(phi), float(theta), float(lam)
+    if abs(phi) >= 1.0:
+        raise ValueError("|phi| < 1 required")
+    if phi + theta == 0.0:
+        raise ValueError("theta = -phi gives white noise; the limit law is atomic")
+    lo, hi = arma11_support(phi, theta)
+    if not (lo < lam < hi):
+        raise ValueError(f"lam {lam} outside the open support ({lo}, {hi})")
+    b1 = (1.0 + theta) ** 2 - lam * (1.0 - phi) ** 2
+    b2 = lam * (1.0 + phi) ** 2 - (1.0 - theta) ** 2
+    num = abs((phi + theta) * (1.0 + phi * theta))
+    return num / (math.pi * abs(theta + phi * lam) * math.sqrt(b1 * b2))
+
+
+def toeplitz_moments(model, horizon=4096):
+    """H_1 and H_2, the first two moments of the Toeplitz limit law, by Parseval.
+
+    H_k = (1/2 pi) integral of f^k dw, so H_1 = gamma(0) and
+    H_2 = gamma(0)^2 + 2 sum_{h >= 1} gamma(h)^2, from the MA expansion
+    truncated at ``horizon``.
+    """
+    gam = autocovariances(ma_coefficients(model, horizon), horizon)
+    return float(gam[0]), float(gam[0] ** 2 + 2.0 * np.sum(gam[1:] ** 2))
+
+
+def lsd_moments(model, y):
+    """First two moments of the limit law of p^-1 X X^T: y H_1 and y H_2 + y^2 H_1^2.
+
+    The expansion of m(z) = 1 / (-z + y T(m)) at z = infinity, with
+    T(m) = H_1 - m H_2 + O(m^2) (Yin 1986; Bai & Silverstein 2010, ch. 3).
+    """
+    h1, h2 = toeplitz_moments(model)
+    return y * h1, y * h2 + (y * h1) ** 2

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 import specmp as sp
-from oracles import autocovariance_toeplitz, total_mass
+from oracles import arma11_gamma_density, autocovariance_toeplitz, gamma_cdf, total_mass
 
 MP_ATOM = sp.AtomicLSD(levels=np.array([1.0]), weights=np.array([1.0]))
 ARMA11 = sp.ARMAModel.arma11(0.5, 1.0)  # X_t = X_{t-1}/2 + Z_t + Z_{t-1}
@@ -97,10 +97,10 @@ def test_03_gamma_lsd_normalization_and_closed_form():
                 n_atomic += 1
                 continue
             worst_mass = max(worst_mass, abs(total_mass(lsd) - 1.0))
-            lo, hi = lsd.support
+            lo, hi = sp.support_bounds(lsd.f)
             lam = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 21)
-            closed = np.array([sp.arma11_gamma_density(phi, theta, L) for L in lam])
-            worst_sup = max(worst_sup, float(np.max(np.abs(lsd.density(lam) - closed))))
+            closed = np.array([arma11_gamma_density(phi, theta, L) for L in lam])
+            worst_sup = max(worst_sup, float(np.max(np.abs(sp.gamma_density(lsd.f, lam) - closed))))
     assert worst_mass <= 1e-6
     assert worst_sup <= 1e-8
     report(
@@ -191,7 +191,7 @@ def test_09_szego_finite_size():
     G = autocovariance_toeplitz(coeffs, 512)
     eig = np.sort(np.linalg.eigvalsh(G))
     f = sp.spectral_density(model)
-    theory = np.array([sp.gamma_cdf(f, lam) for lam in eig])
+    theory = np.array([gamma_cdf(f, lam) for lam in eig])
     k = np.arange(1, eig.size + 1) / eig.size
     ks = float(max(np.max(k - theory), np.max(theory - (k - 1.0 / eig.size))))
     assert ks <= 0.05

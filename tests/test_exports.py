@@ -1,4 +1,6 @@
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,7 @@ import specmp
 from specmp import linear_process, simulator, stieltjes, toeplitz_lsd
 
 MODULES = (linear_process, simulator, stieltjes, toeplitz_lsd)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
@@ -23,4 +26,24 @@ def test_removed_names_stay_removed():
     assert not hasattr(specmp, "histogram") and not hasattr(simulator, "histogram")
     assert "innovations" not in inspect.signature(specmp.simulate_matrix).parameters
     assert not hasattr(specmp.AtomicLSD, "atoms") and not hasattr(specmp.AtomicLSD, "support")
-    assert not hasattr(specmp.AbsContinuousLSD, "cdf")
+    for attr in ("cdf", "support", "density"):
+        assert not hasattr(specmp.AbsContinuousLSD, attr), attr
+        assert attr not in inspect.signature(specmp.AbsContinuousLSD).parameters, attr
+    # test-only oracles, in tests/oracles.py
+    for name in ("gamma_cdf", "arma11_support", "arma11_gamma_density"):
+        assert not hasattr(specmp, name) and not hasattr(toeplitz_lsd, name), name
+
+
+def test_every_export_is_used_by_the_runtime_or_the_benchmark():
+    # the package and the benchmark, without the tests, the export lists and
+    # the line that defines each name
+    sources = [p for p in sorted((ROOT / "src" / "specmp").glob("*.py")) if p.name != "__init__.py"]
+    sources += [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    text = "\n".join(re.sub(r"__all__ = \[.*?\]", "", p.read_text(), flags=re.S) for p in sources)
+    unused = [
+        name
+        for module in MODULES
+        for name in module.__all__
+        if not re.search(rf"^(?!\s*(?:def|class) {name}\b).*\b{name}\b", text, flags=re.M)
+    ]
+    assert unused == []

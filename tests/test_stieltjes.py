@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.optimize import minimize_scalar
 
 import specmp as sp
-from oracles import arma_residual
+from oracles import arma11_support, arma_residual, lsd_moments, toeplitz_moments
 
 MP_ATOM = sp.AtomicLSD(levels=np.array([1.0]), weights=np.array([1.0]))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
+FARIMA = sp.FARIMAModel(sp.ARMAModel(), -0.25)
 
 
 def quadratic_mp_root(y, z):
@@ -415,7 +416,7 @@ class TestARMA11Residual:
         assume(abs(phi + theta) >= 0.05)
         lsd = sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta))
         # Re z spans the limit law's support, with a margin on both sides
-        z = complex(re * lsd.support[1] * (1.0 + math.sqrt(y)) ** 2, 10.0**log_im)
+        z = complex(re * sp.support_bounds(lsd.f)[1] * (1.0 + math.sqrt(y)) ** 2, 10.0**log_im)
         m = sp.solve_fixed_point(lsd, y, z).m
         assert m.imag > 0.0
         assert abs(sp.arma11_residual(phi, theta, y, z, m)) <= 1e-6
@@ -573,6 +574,37 @@ class TestInversion:
         assert dens.values[gap].max() <= 1e-6
 
 
+class TestMoments:
+    """The first two moments of each density table against y H_1 and y H_2 + y^2 H_1^2."""
+
+    def test_toeplitz_moments_match_closed_forms(self):
+        assert toeplitz_moments(sp.ARMAModel()) == (1.0, 1.0)
+        # FARIMA(0, d, 0): gamma(0) and the variance of FARIMA(0, 2d, 0) (Hosking 1981)
+        d = FARIMA.d
+        h1, h2 = toeplitz_moments(FARIMA)
+        assert abs(h1 / (math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2) - 1.0) <= 1e-6
+        assert abs(h2 / (math.gamma(1.0 - 4.0 * d) / math.gamma(1.0 - 2.0 * d) ** 2) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            sp.ARMAModel(),
+            sp.ARMAModel.arma11(0.5, 1.0),
+            ARMA23,
+            FARIMA,
+            sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25),
+        ],
+        ids=["white", "arma11", "arma23", "farima", "farima-ar"],
+    )
+    def test_table_moments(self, model, y):
+        # the zero atom adds nothing to x and x^2; worst seen 2.7e-4 (ARMA(2,3), y = 0.5)
+        dens = sp.invert_to_density(sp.gamma_lsd(model), y)
+        for k, exact in enumerate(lsd_moments(model, y), start=1):
+            table = trapezoid(dens.grid**k * dens.values, dens.grid)
+            assert abs(table / exact - 1.0) <= 1e-3, k
+
+
 class TestDefaultGrid:
     @pytest.mark.parametrize("size", [16, 31, 32, 39, 64])
     def test_size_points_ending_past_the_edge(self, size):
@@ -654,7 +686,7 @@ class TestSupportEstimate:
     def test_arma11_edge_matches_quartic(self, phi, theta, y):
         # on real m the quartic's closed form gives x(m) = -1/m + y T(m), whose
         # minimum on (-1/lam_max, 0) is the edge (Silverstein & Choi 1995)
-        lam_max = sp.arma11_support(phi, theta)[1]
+        lam_max = arma11_support(phi, theta)[1]
         x = lambda m: -sp.arma11_residual(phi, theta, y, 0.0, m).real
         oracle = minimize_scalar(x, bounds=(-1.0 / lam_max, 0.0), method="bounded", options={"xatol": 1e-12})
         hi = sp.estimate_support_upper(sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta)), y)

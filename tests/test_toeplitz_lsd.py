@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import specmp as sp
-from oracles import total_mass
+from oracles import arma11_gamma_density, gamma_cdf, total_mass
 from specmp import toeplitz_lsd
 from specmp.toeplitz_lsd import _branch_roots
 
@@ -24,13 +24,13 @@ SHARP_AR2 = sp.ARMAModel(ar=(-1.3826202528951597, 0.9996872602874478))
 
 def branch_roots(f, level):
     """Sorted roots of f(w) = level on the monotone branches that hold it."""
-    roots = _branch_roots(f, level)[3]
+    roots = _branch_roots(f, level)
     return np.sort(roots[~np.isnan(roots)])
 
 
 def cli_grid(lsd, n=512):
     """The midpoint grid of the ``gamma-density`` command."""
-    lo, hi = lsd.support
+    lo, hi = sp.support_bounds(lsd.f)
     return lo + (hi - lo) * (np.arange(n) + 0.5) / n
 
 
@@ -105,6 +105,9 @@ class TestLevelSetRoots:
             ar = np.append(ar, 0.0) + k * np.append(ar, 0.0)[::-1]
         model = sp.ARMAModel(ar=ar[1:], ma=ma)
         f = sp.spectral_density(sp.FARIMAModel(model, d) if d else model)
+        # the property of the models gamma_lsd treats as continuous: where the
+        # AR and MA factors cancel, f is constant to rounding and f' is noise
+        assume(not toeplitz_lsd._is_degenerate(*sp.support_bounds(f)))
         bps = f.breakpoints
         w = bps[:-1, None] + np.diff(bps)[:, None] * np.linspace(0.0, 1.0, 66)[1:-1]
         slope = f.derivative(w)
@@ -125,7 +128,7 @@ class TestLevelSetRoots:
         assert bps[0] == 0.0 and abs(vals[0] - 4.0) <= 1e-10
         assert f.derivative(0.0) == 0.0
         assert branch_roots(f, 4.0).size == 0
-        assert sp.gamma_cdf(f, 4.0) == 1.0
+        assert gamma_cdf(f, 4.0) == 1.0
 
     def test_ar1_arccos_oracle(self):
         f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
@@ -148,7 +151,7 @@ class TestGammaDensity:
 
     def test_ar1_matches_closed_form(self):
         f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
-        assert abs(sp.gamma_density(f, 1.0) - sp.arma11_gamma_density(0.5, 0.0, 1.0)) <= 1e-10
+        assert abs(sp.gamma_density(f, 1.0) - arma11_gamma_density(0.5, 0.0, 1.0)) <= 1e-10
 
     def test_degenerate_rejected(self):
         f = sp.spectral_density(sp.ARMAModel())
@@ -175,7 +178,7 @@ class TestGammaDensity:
         lsd = sp.gamma_lsd(MA2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            values = lsd.density([0.25, 0.25, 0.5])
+            values = sp.gamma_density(lsd.f, [0.25, 0.25, 0.5])
         tangential = [w for w in caught if issubclass(w.category, sp.TangentialRootWarning)]
         assert len(tangential) == 1
         assert "2 of 3 levels" in str(tangential[0].message)
@@ -186,28 +189,28 @@ class TestGammaDensity:
         assert abs(values[0] / expected - 1.0) <= 1e-12
         # the minimum sits at an interior stationary point, but levels next to
         # the outer support edges are ordinary band-edge levels
-        lo, hi = lsd.support
+        lo, hi = sp.support_bounds(lsd.f)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lsd.density([lo * (1.0 + 1e-13), hi * (1.0 - 1e-13)])
+            sp.gamma_density(lsd.f, [lo * (1.0 + 1e-13), hi * (1.0 - 1e-13)])
 
     def test_array_levels_match_scalar_calls(self):
         f = sp.spectral_density(ARMA23)
         lo, hi = sp.support_bounds(f)
         lam = np.linspace(lo, hi, 14)[1:-1].reshape(3, 4)
-        dens, cdf = sp.gamma_density(f, lam), sp.gamma_cdf(f, lam)
+        dens, cdf = sp.gamma_density(f, lam), gamma_cdf(f, lam)
         assert dens.shape == cdf.shape == (3, 4)
         assert np.array_equal(dens.ravel(), [sp.gamma_density(f, x) for x in lam.ravel()])
-        assert np.array_equal(cdf.ravel(), [sp.gamma_cdf(f, x) for x in lam.ravel()])
+        assert np.array_equal(cdf.ravel(), [gamma_cdf(f, x) for x in lam.ravel()])
         assert isinstance(sp.gamma_density(f, lam[0, 0]), float)
-        assert isinstance(sp.gamma_cdf(f, lam[0, 0]), float)
+        assert isinstance(gamma_cdf(f, lam[0, 0]), float)
 
     def test_cli_grid_relative_accuracy(self):
         for phi, theta in ((0.5, 1.0), (-0.4, 0.8), (0.8, -0.4)):
             lsd = sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta))
             lam = cli_grid(lsd)
-            closed = np.array([sp.arma11_gamma_density(phi, theta, L) for L in lam])
-            assert np.max(np.abs(lsd.density(lam) / closed - 1.0)) <= 1e-12
+            closed = np.array([arma11_gamma_density(phi, theta, L) for L in lam])
+            assert np.max(np.abs(sp.gamma_density(lsd.f, lam) / closed - 1.0)) <= 1e-12
 
     def test_farima_closed_form(self):
         # pure FARIMA d = -0.25: f = sqrt(2 |sin(w/2)|), so H(lam) is
@@ -215,7 +218,7 @@ class TestGammaDensity:
         lsd = sp.gamma_lsd(sp.FARIMAModel(sp.ARMAModel(), -0.25))
         lam = cli_grid(lsd)
         exact = 2.0 * lam / (math.pi * np.sqrt(1.0 - lam**4 / 4.0))
-        assert np.max(np.abs(lsd.density(lam) / exact - 1.0)) <= 1e-9
+        assert np.max(np.abs(sp.gamma_density(lsd.f, lam) / exact - 1.0)) <= 1e-9
 
     def test_closed_form_agreement_random_models(self):
         rng = np.random.default_rng(5)
@@ -225,16 +228,16 @@ class TestGammaDensity:
             if abs(phi + theta) < 0.05:
                 continue
             lsd = sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta))
-            lo, hi = lsd.support
+            lo, hi = sp.support_bounds(lsd.f)
             lam = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 11)
-            closed = np.array([sp.arma11_gamma_density(phi, theta, L) for L in lam])
-            assert np.max(np.abs(lsd.density(lam) - closed)) <= 1e-8
+            closed = np.array([arma11_gamma_density(phi, theta, L) for L in lam])
+            assert np.max(np.abs(sp.gamma_density(lsd.f, lam) - closed)) <= 1e-8
             checked += 1
 
     def test_band_edge_inverse_square_root(self):
         # near the upper edge the density grows like (edge - lam)^(-1/2)
         scaled = [
-            sp.arma11_gamma_density(0.5, 1.0, 16.0 - d) * math.sqrt(d) for d in (1e-4, 1e-6)
+            arma11_gamma_density(0.5, 1.0, 16.0 - d) * math.sqrt(d) for d in (1e-4, 1e-6)
         ]
         assert abs(scaled[0] / scaled[1] - 1.0) < 0.01
 
@@ -242,17 +245,17 @@ class TestGammaDensity:
 class TestGammaCDF:
     def test_ma1_half(self):
         f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
-        assert abs(sp.gamma_cdf(f, 2.0) - 0.5) <= 1e-9
+        assert abs(gamma_cdf(f, 2.0) - 0.5) <= 1e-9
 
     def test_outside_support_exact(self):
         f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
-        assert sp.gamma_cdf(f, 4.0) == 1.0
-        assert sp.gamma_cdf(f, 5.0) == 1.0
-        assert sp.gamma_cdf(f, 0.0) == 0.0
+        assert gamma_cdf(f, 4.0) == 1.0
+        assert gamma_cdf(f, 5.0) == 1.0
+        assert gamma_cdf(f, 0.0) == 0.0
 
     def test_ar1_arccos_value_and_quadrature(self):
         f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
-        got = sp.gamma_cdf(f, 1.0)
+        got = gamma_cdf(f, 1.0)
         assert abs(got - (TWO_PI - 2.0 * math.acos(0.25)) / TWO_PI) <= 1e-9
         # independent oracle: quadrature of the density up to 1, with the
         # edge singularity removed by lam = lo + s^2
@@ -270,13 +273,13 @@ class TestGammaCDF:
         lam = np.linspace(1.0, 15.0, 50)
         h = 1e-5
         for L in lam:
-            fd = (sp.gamma_cdf(f, L + h) - sp.gamma_cdf(f, L - h)) / (2.0 * h)
+            fd = (gamma_cdf(f, L + h) - gamma_cdf(f, L - h)) / (2.0 * h)
             assert abs(fd - sp.gamma_density(f, L)) <= 1e-4
 
     def test_white_noise_step(self):
         f = sp.spectral_density(sp.ARMAModel())
-        assert sp.gamma_cdf(f, 0.99) == 0.0
-        assert sp.gamma_cdf(f, 1.0) == 1.0
+        assert gamma_cdf(f, 0.99) == 0.0
+        assert gamma_cdf(f, 1.0) == 1.0
 
 
 class TestAtomicLSD:
@@ -381,7 +384,7 @@ class TestNormalizationAndSzego:
             assert abs(W.sum() - 1.0) <= 1e-10
             assert abs(W @ lam - gam[0]) <= 1e-10
             assert abs(W @ lam**2 - (gam[0] ** 2 + 2.0 * np.sum(gam[1:] ** 2))) <= 1e-10
-            lo, hi = lsd.support
+            lo, hi = sp.support_bounds(lsd.f)
             assert lo <= lam.min() and lam.max() <= hi
 
 
@@ -486,4 +489,4 @@ class TestExactARMALevelSets:
         cuts = np.concatenate([[0.0], exact, [TWO_PI]])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         measure = np.sum(np.diff(cuts)[f(mids) <= lam]) / TWO_PI
-        assert abs(sp.gamma_cdf(f, lam) - measure) <= 1e-10
+        assert abs(gamma_cdf(f, lam) - measure) <= 1e-10
