@@ -92,7 +92,7 @@ class StieltjesSolution:
             raise ValueError("Stieltjes transform must map into the upper half-plane")
 
 
-def _iterate(TTp, y, z, m):
+def _iterate(TTp, y, z, m, first=None):
     """Guarded Newton on M(m) = 1 + m z - y m T(m), falling back to a damped step.
 
     The map G(m) = 1/(-z + y T(m)) is a holomorphic self-map of the upper
@@ -110,13 +110,14 @@ def _iterate(TTp, y, z, m):
     candidate lowers it; a full Newton step in the upper half-plane that
     already meets the stopping rule |dm| <= UPDATE_TOL (1 + |m + dm|)
     therefore ends the solve without the merit test or an evaluation, taking T
-    there as T + T' dm.  A sweep evaluates (T, T') at most twice, and runs on
-    Python scalars.  At most MAX_ITER sweeps; returns (m, sweeps, T).  A
+    there as T + T' dm.  The start evaluates (T, T') once, or takes ``first``
+    as (T, T') at m; a sweep evaluates at most twice.  It runs on Python
+    scalars.  At most MAX_ITER sweeps; returns (m, sweeps, T).  A
     ConvergenceError carries the defect |1/m + z - y T(m)| at its last m.
     """
 
-    def state(mm):
-        t, tp = TTp(mm)
+    def state(mm, terms=None):
+        t, tp = terms or TTp(mm)
         g = 1.0 / (-z + y * t)
         if not (g.imag > 0.0 and cmath.isfinite(g)):
             return None, math.inf, t, tp
@@ -125,7 +126,7 @@ def _iterate(TTp, y, z, m):
         d = g - mm
         return g, (d.real * d.real + d.imag * d.imag) / mm.imag / g.imag, t, tp
 
-    g, cur, t, tp = state(m)
+    g, cur, t, tp = state(m, first)
     for it in range(1, MAX_ITER + 1):
         cs = None
         dM = z - y * (t + m * tp)
@@ -160,10 +161,12 @@ def solve_fixed_point(lsd, y, z, initial=None):
     residual is the N-rule solution's defect on the 2N rule, and a Newton step
     on the 2N rule ends the solve; the check's N-rule T may be extrapolated
     from the last step (see ``_iterate``).  Near the real axis larger rules
-    are needed; the RULE_MAX_SIZE rule is the last.  A rule whose 2N rule is
-    the same ``Rule`` is exact, and the solve stops on it without the doubling
-    check; there, as on the last rule, the residual is the defect on the
-    solve's own rule at the returned m.  MAX_ITER caps the sweeps on one rule.
+    are needed; the RULE_MAX_SIZE rule is the last.  A climb starts the 2N
+    rule from the check's m and (T, T'), so it costs no evaluation beyond the
+    check.  A rule whose 2N rule is the same ``Rule`` is exact, and the solve
+    stops on it without the doubling check; there, as on the last rule, the
+    residual is the defect on the solve's own rule at the returned m.
+    MAX_ITER caps the sweeps on one rule.
     Without a usable ``initial`` the solve starts from the law with all its
     mass at the mean level, which is exact for a single atom.  ``m`` is a
     Python complex and ``residual`` a Python float.
@@ -185,8 +188,9 @@ def solve_fixed_point(lsd, y, z, initial=None):
     else:
         m = complex(initial)
     iterations = 0
+    first = None
     while True:
-        m, its, t = _iterate(rule.terms, y, z, m)
+        m, its, t = _iterate(rule.terms, y, z, m, first)
         iterations += its
         finer = lsd.rule(2 * size) if 2 * size <= RULE_MAX_SIZE else rule
         t2, tp2 = finer.terms(m)
@@ -203,6 +207,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
             if fine.imag > 0.0:
                 m = fine
             break
+        first = t2, tp2
     return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations)
 
 
@@ -222,8 +227,9 @@ def mp_stieltjes(y, z):
         raise ValueError("z must lie in the upper half-plane")
     b = z + 1.0 - y
     sq = cmath.sqrt(b * b - 4.0 * z)
-    roots = ((-b + sq) / (2.0 * z), (-b - sq) / (2.0 * z))
-    m = max(roots, key=lambda r: r.imag)
+    m, other = (-b + sq) / (2.0 * z), (-b - sq) / (2.0 * z)
+    if other.imag > m.imag:
+        m = other
     if not m.imag > 0.0:
         raise ArithmeticError(f"no upper-half-plane root at z={z}")
     return m
@@ -357,8 +363,8 @@ def estimate_support_upper(lsd, y):
 
     On real m in (-1/max lam, 0) the inverse x(m) = -1/m + y T(m) of the
     transform has the edge as its minimum.  There x'(m) = 1/m^2 + y T'(m)
-    rises from -inf to +inf, so one bisection on the nodes of
-    ``lsd.rule(RULE_MAX_SIZE)`` finds it.
+    rises from -inf to +inf, so one bisection over ``lsd.rule(RULE_MAX_SIZE)``
+    finds it: 4,096 nodes for a continuous law, one per mirror pair.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")

@@ -16,9 +16,9 @@ points, and 0, pi and 2*pi), which the density computes once, split
 root of f(w) = lam on every branch for a whole array of levels.  A level is
 tangential when it equals f at a stationary point inside the support; the
 density diverges there.  Quadrature against the continuous law comes from
-Szegő's theorem, as a graded trapezoid rule in w pushed forward through f.
-Either law hands the solver a :class:`Rule`: its nodes and weights, and the
-(T, T') sums over them.
+Szegő's theorem, as a graded trapezoid rule in w pushed forward through f and
+folded about pi, where the even f takes each value twice.  Either law hands
+the solver a :class:`Rule`: its nodes and weights, and the (T, T') sums.
 """
 
 from __future__ import annotations
@@ -148,11 +148,11 @@ def gamma_density(f, levels):
 class Rule:
     """Quadrature rule of a limit law: read-only nodes lam, weights W and mean.
 
+    A Szegő rule holds one node per mirror pair, at the pair's weight.
     :meth:`terms` sums over mu = 1/lam, as lam / (1 + lam m) = 1 / (mu + m).
     Nodes without a finite 1/lam (lam = 0, or below about 5.6e-309) add only
     about W |lam| and are dropped; nodes negative by rounding are kept.  Up to
-    SCALAR_NODES kept nodes are summed in Python scalars, below NumPy's
-    per-call cost.
+    SCALAR_NODES kept nodes sum in Python scalars, under NumPy's call cost.
     """
 
     __slots__ = ("nodes", "weights", "mean", "_mu", "_w", "_pairs")
@@ -235,20 +235,29 @@ class AbsContinuousLSD:
     f: SpectralDensity
     _rules: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def rule(self, size):
-        """Szegő pushforward :class:`Rule` on a graded trapezoid grid.
+    def __post_init__(self):
+        if not isinstance(self.f, SpectralDensity):
+            raise TypeError("AbsContinuousLSD expects a SpectralDensity, which is even about pi")
 
-        Nodes f(w_k), w_k = 2*pi*t_k - sin(2*pi*t_k), t_k = k/size for
-        k = 1..size-1; weights (1 - cos(2*pi*t_k)) / size, which sum to 1; and
-        the size-N grid is every other node of the 2N grid.  For analytic f the
-        error falls geometrically.  The grading is flat to third order at w = 0,
-        so a FARIMA cusp |w|^(2|d|) leaves an error of order N^-(3 + 6|d|).
+    def rule(self, size):
+        """Szegő pushforward :class:`Rule` on a graded trapezoid grid, folded.
+
+        The grid is w_k = 2*pi*t_k - sin(2*pi*t_k), t_k = k/size, k = 1..size-1,
+        weights (1 - cos(2*pi*t_k)) / size, which sum to 1.  Node size-k is the
+        mirror 2*pi - w_k of node k, at the same weight, and f is even about pi
+        (a cosine series times (2 - 2 cos w)^(-d)), so the rule keeps f(w_k),
+        k = 1..size//2, at twice the weight, but once at w = pi (even size, its
+        own mirror).  The size-N nodes are every other 2N node.  For analytic f
+        the error falls geometrically.  The grading is flat to third order at
+        w = 0, so a FARIMA cusp |w|^(2|d|) leaves an error of order N^-(3 + 6|d|).
         """
         cached = self._rules.get(size)
         if cached is None:
-            u = TWO_PI * np.arange(1, size) / size
+            u = TWO_PI * np.arange(1, size // 2 + 1) / size
+            weights = (1.0 - np.cos(u)) / size
+            weights[: (size - 1) // 2] *= 2.0
             nodes = np.asarray(self.f(u - np.sin(u)), dtype=float)
-            cached = self._rules[size] = Rule(nodes, (1.0 - np.cos(u)) / size)
+            cached = self._rules[size] = Rule(nodes, weights)
         return cached
 
 

@@ -170,6 +170,24 @@ class TestSolveFixedPoint:
                 assert sol.iterations == iterations, (y, z, sol.iterations)
                 assert evals[0] == sol.iterations + 1, (y, z)
 
+    def test_climbing_solve_evaluates_once_a_sweep(self, monkeypatch):
+        # ARMA(2,3) at y = 0.5, z = 1 + 1e-4i climbs from the 256 rule to the
+        # 512 rule and ends on the 1024 rule's check; the 512 rule starts from
+        # the 256 rule's check, at its m and (T, T'), so the climb costs no
+        # evaluation beyond the checks
+        lsd = sp.gamma_lsd(ARMA23)
+        sizes = []
+        terms = sp.Rule.terms
+
+        def counted(rule, m):
+            sizes.append(rule.nodes.size)
+            return terms(rule, m)
+
+        monkeypatch.setattr(sp.Rule, "terms", counted)
+        sol = sp.solve_fixed_point(lsd, 0.5, 1.0 + 1e-4j)
+        assert sizes[-1] == lsd.rule(1024).nodes.size
+        assert sol.iterations == 8 and len(sizes) == sol.iterations + 1
+
     def test_rejected_newton_step_falls_back_to_the_damped_step(self, monkeypatch):
         # from m = 10i (MP, y = 1, z = i) the full Newton candidate lies in the
         # upper half-plane but raises the hyperbolic merit, so the sweep takes

@@ -390,6 +390,12 @@ class TestNormalizationAndSzego:
 
 ATOMS = sp.AtomicLSD(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.25, 0.5]))
 ARMA11_LAW = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+FOLD_LAWS = {
+    "arma11": ARMA11_LAW,
+    "arma23": sp.gamma_lsd(ARMA23),
+    "farima": sp.gamma_lsd(sp.FARIMAModel(sp.ARMAModel(), -0.25)),
+    "farima-ar": sp.gamma_lsd(FARIMA_AR),
+}
 RULE_MS = pytest.mark.parametrize("m", [0.3 + 0.6j, -60.0 + 80.0j, 100j], ids=["m-small", "m-100-oblique", "m-100i"])
 
 
@@ -435,7 +441,38 @@ class TestRule:
         lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
         rule = lsd.rule(512)
         assert isinstance(rule, sp.Rule) and lsd.rule(512) is rule
-        assert lsd.rule(1024) is not rule and rule.nodes.size == 511
+        # one node per mirror pair of the 511-node grid, and the node at pi
+        assert lsd.rule(1024) is not rule and rule.nodes.size == 256
+
+    @pytest.mark.parametrize("law", FOLD_LAWS.values(), ids=FOLD_LAWS.keys())
+    @pytest.mark.parametrize("size", [256, 1024, 8192])
+    @RULE_MS
+    def test_folded_rule_matches_the_full_grid(self, law, size, m):
+        # the full grid of size - 1 nodes, its upper half at the mirrors
+        # 2*pi - w of the lower half: folding about pi leaves (T, T') as it was
+        u = TWO_PI * np.arange(1, size) / size
+        half = u[: size // 2] - np.sin(u[: size // 2])
+        w = np.concatenate([half, TWO_PI - half[: (size - 1) // 2][::-1]])
+        lam, W = law.f(w), (1.0 - np.cos(u)) / size
+        t, tp = law.rule(size).terms(m)
+        t_ref = np.sum(W * lam / (1.0 + lam * m))
+        tp_ref = -np.sum(W * lam**2 / (1.0 + lam * m) ** 2)
+        assert abs(t - t_ref) <= 1e-13 * abs(t_ref)
+        assert abs(tp - tp_ref) <= 1e-13 * abs(tp_ref)
+
+    @pytest.mark.parametrize("law", FOLD_LAWS.values(), ids=FOLD_LAWS.keys())
+    @pytest.mark.parametrize("size", [255, 256, 1024, 4096, 8192])
+    def test_folded_weights_sum_to_one_and_rules_nest(self, law, size):
+        rule = law.rule(size)
+        assert rule.nodes.size == size // 2
+        assert abs(rule.weights.sum() - 1.0) <= 1e-15
+        assert np.array_equal(rule.nodes, law.rule(2 * size).nodes[1::2])
+
+    def test_refuses_a_density_that_is_not_even(self):
+        # the fold needs f(2*pi - w) = f(w), which these two levels break
+        f = sp.PiecewiseSpectralDensity(((0.0, math.pi, 1.0), (math.pi, TWO_PI, 2.0)))
+        with pytest.raises(TypeError, match="SpectralDensity"):
+            sp.AbsContinuousLSD(f=f)
 
 
 def _cos_poly(coeffs):
