@@ -7,10 +7,11 @@ Four subcommands produce CSV/JSON artifacts for external plotting:
   simulate        eigenvalues of simulated sample covariance matrices
   compare         simulation against theory with a KS/pass-fail report
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.  All output
-is deterministic given the configuration and seed.  Replicates run one after
-another and each matrix is simulated on the calling thread (see
-``simulate_matrix``); the eigensolve's BLAS threads are OpenBLAS's own.
+Exit codes: 0 success, 2 validation failure (a UserWarning that ``-W error``
+raises included), 3 numerical failure.  All output is deterministic given the
+configuration and seed.  Replicates run one after another and each matrix is
+simulated on the calling thread (see ``simulate_matrix``); the eigensolve's
+BLAS threads are OpenBLAS's own.
 
 Importing this module loads NumPy only, and no subcommand loads SciPy.
 """
@@ -295,7 +296,7 @@ def main(argv=None):
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ModelSpecError, OSError) as exc:
+    except (ModelSpecError, OSError, UserWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, np.linalg.LinAlgError, ArithmeticError) as exc:

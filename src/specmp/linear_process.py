@@ -1,10 +1,10 @@
 """ARMA, FARIMA and piecewise-constant spectral models.
 
-A causal linear process X_t = sum_{j>=0} c_j Z_{t-j} is described either by an
-ARMA difference equation or by a fractionally differenced ARMA (FARIMA) model.
+A causal linear process X_t = sum_{j>=0} c_j Z_{t-j} is described by an ARMA
+difference equation of fractional order d (``ARMAModel``; FARIMA when d != 0).
 This module exposes the truncated moving-average expansion c_0..c_J and the
 autocovariances gamma(h) = sum_j c_j c_{j+h} it gives.  ``SpectralDensity``
-evaluates the closed-form density of either model, and its derivative, from
+evaluates the closed-form density of a model, and its derivative, from
 the autocovariances of (1, ma) and (1, ar); a piecewise-constant density is a
 model in its own right.  Models take numbers, not text, as coefficients, with
 (1 + sum |c_k|)^2 finite; nothing here is estimated from data or fitted.
@@ -23,12 +23,10 @@ from numpy.polynomial import chebyshev as cheb
 __all__ = [
     "ModelSpecError",
     "ARMAModel",
-    "FARIMAModel",
     "SpectralDensity",
     "PiecewiseSpectralDensity",
     "ma_coefficients",
     "autocovariances",
-    "spectral_density",
     "model_from_spec",
     "model_to_spec",
 ]
@@ -61,16 +59,20 @@ def _ar_roots_outside_unit_disk(ar):
 
 @dataclass(frozen=True)
 class ARMAModel:
-    """ARMA(p, q) model in difference-equation form.
+    """ARMA(p, q) model in difference-equation form; FARIMA(p, d, q) when d != 0.
 
-    The process solves X_t + ar[0] X_{t-1} + ... + ar[p-1] X_{t-p}
-    = Z_t + ma[0] Z_{t-1} + ... + ma[q-1] Z_{t-q}.  Note the sign convention:
-    an AR(1) process X_t = phi X_{t-1} + Z_t has ar = (-phi,).  Use
-    ``ARMAModel.arma11`` to build from the (phi, theta) parametrization.
+    The process solves (1 - B)^d (X_t + ar[0] X_{t-1} + ... + ar[p-1] X_{t-p})
+    = Z_t + ma[0] Z_{t-1} + ... + ma[q-1] Z_{t-q}, B the backshift, d in
+    (-1/2, 1/2).  Note the sign convention: an AR(1) process
+    X_t = phi X_{t-1} + Z_t has ar = (-phi,); ``ARMAModel.arma11`` builds from
+    (phi, theta).  Only d <= 0 gives summable enough coefficients for the
+    limiting spectral theory; d > 0 (long memory) is accepted for simulation
+    with a warning.
     """
 
     ar: tuple = ()
     ma: tuple = ()
+    d: float = 0.0
 
     def __post_init__(self):
         for name in ("ar", "ma"):
@@ -84,6 +86,17 @@ class ARMAModel:
             raise ModelSpecError(
                 "autoregressive polynomial must have all zeros outside the closed unit disk"
             )
+        object.__setattr__(self, "d", _reals((self.d,), "d")[0])
+        if not (-0.5 < self.d < 0.5):
+            raise ModelSpecError("fractional order d must lie in (-1/2, 1/2)")
+        if self.d > 0.0:
+            # level 3 skips this method and the generated __init__ to name the caller
+            warnings.warn(
+                "d > 0 gives a long-memory process outside the scope of the "
+                "limiting spectral distribution; simulation only",
+                UserWarning,
+                stacklevel=3,
+            )
 
     @classmethod
     def arma11(cls, phi=0.0, theta=0.0):
@@ -91,33 +104,6 @@ class ARMAModel:
         ar = (-float(phi),) if phi else ()
         ma = (float(theta),) if theta else ()
         return cls(ar=ar, ma=ma)
-
-
-@dataclass(frozen=True)
-class FARIMAModel:
-    """Fractionally integrated ARMA model: (1 - B)^d X_t is the given ARMA process.
-
-    d must lie in (-1/2, 1/2).  Only d < 0 yields summable enough coefficients
-    for the limiting spectral theory; d > 0 (long memory) is accepted for
-    simulation with a warning.
-    """
-
-    arma: ARMAModel
-    d: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", _reals((self.d,), "d")[0])
-        if not isinstance(self.arma, ARMAModel):
-            raise ModelSpecError("FARIMAModel.arma must be an ARMAModel")
-        if not (-0.5 < self.d < 0.5):
-            raise ModelSpecError("fractional order d must lie in (-1/2, 1/2)")
-        if self.d > 0.0:
-            warnings.warn(
-                "d > 0 gives a long-memory process outside the scope of the "
-                "limiting spectral distribution; simulation only",
-                UserWarning,
-                stacklevel=2,
-            )
 
 
 def _arma_expansion(model, horizon):
@@ -148,20 +134,17 @@ def _fractional_coeffs(d, horizon):
 def ma_coefficients(model, horizon):
     """Moving-average expansion c_0..c_J of an ARMA or FARIMA model.
 
-    Returns the J + 1 coefficients as a read-only array.  For FARIMA the ARMA
+    Returns the J + 1 coefficients as a read-only array.  When d != 0 the ARMA
     expansion is convolved with the series of (1-z)^(-d).
     """
     horizon = int(horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if isinstance(model, FARIMAModel):
-        coeffs = _arma_expansion(model.arma, horizon)
-        if model.d != 0.0:
-            coeffs = np.convolve(coeffs, _fractional_coeffs(model.d, horizon))[: horizon + 1]
-    elif isinstance(model, ARMAModel):
-        coeffs = _arma_expansion(model, horizon)
-    else:
+    if not isinstance(model, ARMAModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
+    coeffs = _arma_expansion(model, horizon)
+    if model.d != 0.0:
+        coeffs = np.convolve(coeffs, _fractional_coeffs(model.d, horizon))[: horizon + 1]
     coeffs.setflags(write=False)
     return coeffs
 
@@ -186,8 +169,8 @@ def _cosine_sum(r, w, slope=False):
 class SpectralDensity:
     """Spectral density f of an ARMA or FARIMA model on [0, 2*pi].
 
-    f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 * (2 - 2 cos w)^(-d), with d = 0
-    for ARMA, and f' come from one evaluator of the closed form; no Fourier
+    f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 * (2 - 2 cos w)^(-d), with the
+    model's d, and f' come from one evaluator of the closed form; no Fourier
     truncation is involved.  |theta|^2 and |phi|^2 are cosine sums
     r_0 + 2 sum_h r_h cos(h w) whose coefficients, the read-only arrays
     ``ma_acov`` and ``ar_acov``, are the autocovariances of (1, ma) and
@@ -203,10 +186,10 @@ class SpectralDensity:
     """
 
     def __init__(self, model):
-        arma, self.d = (model.arma, model.d) if isinstance(model, FARIMAModel) else (model, 0.0)
-        if not isinstance(arma, ARMAModel):
+        if not isinstance(model, ARMAModel):
             raise TypeError(f"unsupported model type {type(model).__name__}")
-        self.ma_acov, self.ar_acov = (autocovariances((1.0, *c), len(c)) for c in (arma.ma, arma.ar))
+        self.d = model.d
+        self.ma_acov, self.ar_acov = (autocovariances((1.0, *c), len(c)) for c in (model.ma, model.ar))
         # With x = cos w and u = 2 - 2x, f'(w) = -sin w * u^(-d-1) * Q(x) / A(x)^2,
         # where B and A are |theta|^2 and |phi|^2 as Chebyshev series in x and
         # Q = (B' A - B A') u + 2d B A.  So the breakpoints are 0, pi and 2*pi
@@ -298,17 +281,17 @@ class PiecewiseSpectralDensity:
         return float(out) if scalar else out
 
 
-def spectral_density(model):
-    """Exact spectral density of a model, with analytic derivative."""
-    return model if isinstance(model, PiecewiseSpectralDensity) else SpectralDensity(model)
+# the top-level keys each spec type reads; any other key is refused
+_SPEC_KEYS = {"arma": ("type", "ar", "ma"), "farima": ("type", "ar", "ma", "d"), "piecewise": ("type", "pieces")}
 
 
 def model_from_spec(spec):
     """Build a model from the JSON interchange dict (or JSON string).
 
     Schema: {"type": "arma"|"farima"|"piecewise", "ar": [...], "ma": [...],
-    "d": number, "pieces": [{"lo": r, "hi": r, "alpha": r}]}.  Angles are in
-    radians and piece intervals are half-open [lo, hi).
+    "d": number, "pieces": [{"lo": r, "hi": r, "alpha": r}]}, each type with
+    only the keys it reads (``_SPEC_KEYS``).  Angles are in radians and piece
+    intervals are half-open [lo, hi).
     """
     if isinstance(spec, (str, bytes)):
         try:
@@ -318,29 +301,29 @@ def model_from_spec(spec):
     if not isinstance(spec, dict):
         raise ModelSpecError("model spec must be a JSON object")
     kind = spec.get("type")
+    if not (isinstance(kind, str) and kind in _SPEC_KEYS):
+        raise ModelSpecError(f"unknown model type {kind!r}")
+    unread = [key for key in spec if key not in _SPEC_KEYS[kind]]
+    if unread:
+        raise ModelSpecError(f"{kind} spec takes only the keys {list(_SPEC_KEYS[kind])}, not {unread}")
     try:
-        if kind == "arma":
-            return ARMAModel(ar=spec.get("ar", ()), ma=spec.get("ma", ()))
-        if kind == "farima":
-            if "d" not in spec:
-                raise ModelSpecError("farima spec requires 'd'")
-            return FARIMAModel(model_from_spec({**spec, "type": "arma"}), spec["d"])
         if kind == "piecewise":
             pieces = spec.get("pieces")
             if not isinstance(pieces, list):
                 raise ModelSpecError("piecewise spec requires a 'pieces' list")
             return PiecewiseSpectralDensity(tuple((p["lo"], p["hi"], p["alpha"]) for p in pieces))
+        if kind == "farima" and "d" not in spec:
+            raise ModelSpecError("farima spec requires 'd'")
+        return ARMAModel(ar=spec.get("ar", ()), ma=spec.get("ma", ()), d=spec.get("d", 0.0))
     except (KeyError, TypeError) as exc:
         raise ModelSpecError(f"malformed model spec: {exc}") from exc
-    raise ModelSpecError(f"unknown model type {kind!r}")
 
 
 def model_to_spec(model):
-    """Inverse of :func:`model_from_spec`."""
+    """Inverse of :func:`model_from_spec`; a model with d = 0 is an "arma" spec."""
     if isinstance(model, ARMAModel):
-        return {"type": "arma", "ar": list(model.ar), "ma": list(model.ma)}
-    if isinstance(model, FARIMAModel):
-        return {**model_to_spec(model.arma), "type": "farima", "d": model.d}
+        spec = {"type": "arma", "ar": list(model.ar), "ma": list(model.ma)}
+        return spec if model.d == 0.0 else {**spec, "type": "farima", "d": model.d}
     if isinstance(model, PiecewiseSpectralDensity):
         return {
             "type": "piecewise",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_process import ARMAModel, FARIMAModel, ma_coefficients
+from .linear_process import ARMAModel, ma_coefficients
 
 __all__ = [
     "INNOVATION_LAWS",
@@ -69,11 +69,12 @@ _EIG_CLAMP = -1e-9
 class SimulationPlan:
     """One simulation configuration; n = round(y * p) columns.
 
-    Innovations have mean 0, unit variance and finite fourth moment under all
-    three laws.  ``mu`` shifts every entry; ``center`` subtracts the empirical
-    column mean before forming the covariance; ``p``, ``seed`` and
-    ``replicates`` are integers.  Rows draw the Philox streams defined in the
-    module docstring, so results do not depend on execution order.
+    ``model`` is an ARMAModel, FARIMA when d != 0.  Innovations have mean 0,
+    unit variance and finite fourth moment under all three laws.  ``mu``
+    shifts every entry; ``center`` subtracts the empirical column mean before
+    forming the covariance; ``p``, ``seed`` and ``replicates`` are integers.
+    Rows draw the Philox streams defined in the module docstring, so results
+    do not depend on execution order.
     """
 
     p: int
@@ -86,8 +87,8 @@ class SimulationPlan:
     replicates: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.model, (ARMAModel, FARIMAModel)):
-            raise ValueError("plan model must be an ARMAModel or FARIMAModel")
+        if not isinstance(self.model, ARMAModel):
+            raise ValueError("plan model must be an ARMAModel")
         for name in ("p", "seed", "replicates"):
             try:
                 operator.index(getattr(self, name))

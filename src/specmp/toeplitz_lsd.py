@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linear_process import ModelSpecError, PiecewiseSpectralDensity, SpectralDensity, spectral_density
+from .linear_process import ModelSpecError, PiecewiseSpectralDensity, SpectralDensity
 
 __all__ = [
     "TangentialRootWarning",
@@ -285,16 +285,16 @@ def atomic_lsd(density):
 def gamma_lsd(model):
     """Limit law of the autocovariance Toeplitz matrix of a model.
 
-    Piecewise-constant and degenerate (constant) densities give an AtomicLSD;
-    everything else gives an AbsContinuousLSD.  FARIMA models require d < 0
-    here (d > 0 breaks the summability the theory needs), (max f)^2 must be
-    finite, and min f must not be negative beyond rounding (|phi|^2 rounds to
-    <= 0 at an AR root within about 1e-7 of the unit circle); each raises
+    A PiecewiseSpectralDensity gives an AtomicLSD; an ARMAModel gives an
+    AbsContinuousLSD of its SpectralDensity f, or one atom when f is constant.
+    d > 0 (long memory) breaks the summability the theory needs, (max f)^2 must
+    be finite, and min f must not be negative beyond rounding (|phi|^2 rounds
+    to <= 0 at an AR root within about 1e-7 of the unit circle); each raises
     ModelSpecError otherwise.
     """
-    f = spectral_density(model)
-    if isinstance(f, PiecewiseSpectralDensity):
-        return atomic_lsd(f)
+    if isinstance(model, PiecewiseSpectralDensity):
+        return atomic_lsd(model)
+    f = SpectralDensity(model)
     if f.d > 0.0:
         raise ModelSpecError("limiting spectral distribution requires d < 0")
     lo, hi = support_bounds(f)

@@ -130,22 +130,52 @@ def arma11_gamma_density(phi, theta, lam):
     return num / (math.pi * abs(theta + phi * lam) * math.sqrt(b1 * b2))
 
 
-def toeplitz_moments(model, horizon=4096):
-    """H_1 and H_2, the first two moments of the Toeplitz limit law, by Parseval.
+def toeplitz_moments(model, order=4, size=4096):
+    """H_1..H_order, the moments H_j = (1/2 pi) integral of f^j dw of the Toeplitz limit law.
 
-    H_k = (1/2 pi) integral of f^k dw, so H_1 = gamma(0) and
-    H_2 = gamma(0)^2 + 2 sum_{h >= 1} gamma(h)^2, from the MA expansion
-    truncated at ``horizon``.
+    f = |theta/phi|^2 (2 - 2 cos w)^(-d) is built here from ``model.ar``,
+    ``model.ma`` and ``model.d``, not by ``SpectralDensity``.  With d = 0, f is
+    analytic and periodic, and the trapezoid rule on ``size`` equispaced w
+    converges geometrically.  Otherwise Hosking's series (Biometrika 68, 1981)
+    H_j = g_0 c(0) + 2 sum_{h >= 1} g_h c(h), where g_h are the Fourier
+    coefficients of |theta/phi|^(2j) (one FFT) and c(h) those of
+    |1 - e^{iw}|^(2a), a = -j d: c(0) = Gamma(2a + 1) / Gamma(a + 1)^2 and
+    c(h) = c(h - 1) (h - 1 - a) / (h + a).
     """
-    gam = autocovariances(ma_coefficients(model, horizon), horizon)
-    return float(gam[0]), float(gam[0] ** 2 + 2.0 * np.sum(gam[1:] ** 2))
+    P = np.polynomial.polynomial
+    e = np.exp(1j * TWO_PI * np.arange(size) / size)
+    ratio = np.abs(P.polyval(e, [1.0, *model.ma])) ** 2 / np.abs(P.polyval(e, [1.0, *model.ar])) ** 2
+    out = []
+    for j in range(1, order + 1):
+        if model.d == 0.0:
+            out.append(float(np.mean(ratio**j)))
+            continue
+        g = np.fft.rfft(ratio**j).real / size
+        a = -j * model.d
+        h = np.arange(1.0, g.size)
+        c = math.gamma(2.0 * a + 1.0) / math.gamma(a + 1.0) ** 2 * np.cumprod(np.concatenate([[1.0], (h - 1.0 - a) / (h + a)]))
+        out.append(float(g[0] * c[0] + 2.0 * np.sum(g[1:] * c[1:])))
+    return tuple(out)
 
 
-def lsd_moments(model, y):
-    """First two moments of the limit law of p^-1 X X^T: y H_1 and y H_2 + y^2 H_1^2.
+def lsd_moments(model, y, order=4):
+    """mu_0..mu_order, the moments of the limit law of p^-1 X X^T (mu_0 = 1, the atom included).
 
-    The expansion of m(z) = 1 / (-z + y T(m)) at z = infinity, with
-    T(m) = H_1 - m H_2 + O(m^2) (Yin 1986; Bai & Silverstein 2010, ch. 3).
+    With w = 1/z, m(z) = -w M(w) and M(w) = sum_k mu_k w^k, the equation
+    m = 1 / (-z + y T(m)), T(m) = sum_{j >= 0} (-m)^j H_{j+1}, becomes
+    M = 1 + y sum_{j >= 1} H_j (w M)^j; each pass of that map fixes one more
+    coefficient of M (Yin 1986; Bai & Silverstein 2010, ch. 3).  So
+    mu_1 = y H_1 and mu_2 = y H_2 + y^2 H_1^2.
     """
-    h1, h2 = toeplitz_moments(model)
-    return y * h1, y * h2 + (y * h1) ** 2
+    P = np.polynomial.polynomial
+    H = toeplitz_moments(model, order)
+    M = np.ones(1)
+    for _ in range(order):
+        wM = P.polymulx(M)[: order + 1]
+        acc, power = np.zeros(order + 1), np.ones(1)
+        for h in H:
+            power = P.polymul(power, wM)[: order + 1]
+            acc[: power.size] += h * power
+        M = y * acc
+        M[0] += 1.0
+    return tuple(float(v) for v in M)

@@ -176,7 +176,7 @@ def test_07_centering_invariance():
 
 def test_08_farima_coefficient_envelope():
     d = -0.25
-    coeffs = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), d), 10_000)
+    coeffs = sp.ma_coefficients(sp.ARMAModel(d=d), 10_000)
     j = np.arange(1, 10_001, dtype=float)
     ratio = np.abs(coeffs[1:]) * (j + 1.0) ** (1.0 - d)
     spread = float(ratio.max() / ratio.min())
@@ -190,7 +190,7 @@ def test_09_szego_finite_size():
     coeffs = sp.ma_coefficients(model, 600)
     G = autocovariance_toeplitz(coeffs, 512)
     eig = np.sort(np.linalg.eigvalsh(G))
-    f = sp.spectral_density(model)
+    f = sp.SpectralDensity(model)
     theory = np.array([gamma_cdf(f, lam) for lam in eig])
     k = np.arange(1, eig.size + 1) / eig.size
     ks = float(max(np.max(k - theory), np.max(theory - (k - 1.0 / eig.size))))
@@ -226,14 +226,14 @@ def test_10_property_suite(arma11_lsd):
     # evenness of the spectral density
     rng = np.random.default_rng(0)
     w = rng.uniform(0.0, 2.0 * math.pi, 1000)
-    for model in (ARMA11, sp.FARIMAModel(sp.ARMAModel(), -0.25)):
-        f = sp.spectral_density(model)
+    for model in (ARMA11, sp.ARMAModel(d=-0.25)):
+        f = sp.SpectralDensity(model)
         if np.max(np.abs(f(w) - f(2.0 * math.pi - w))) > 1e-12:
             violations.append(("evenness", model))
 
     # derivative versus central differences
     w = rng.uniform(0.1, 2.0 * math.pi - 0.1, 100)
-    f = sp.spectral_density(ARMA11)
+    f = sp.SpectralDensity(ARMA11)
     fd = (f(w + 1e-6) - f(w - 1e-6)) / 2e-6
     if np.max(np.abs(f.derivative(w) - fd)) > 1e-5:
         violations.append(("derivative",))
@@ -249,8 +249,8 @@ def test_11_monte_carlo_every_model_class():
         "white noise": sp.ARMAModel(),
         "ARMA(1,1)": ARMA11,
         "ARMA(2,3)": sp.ARMAModel(ar=[0.6, -0.3], ma=[0.4, 0.2, -0.1]),
-        "FARIMA": sp.FARIMAModel(sp.ARMAModel(), -0.25),
-        "FARIMA+AR": sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25),
+        "FARIMA": sp.ARMAModel(d=-0.25),
+        "FARIMA+AR": sp.ARMAModel(ar=[-0.3], d=-0.25),
     }
     worst = {}
     for name, model in models.items():

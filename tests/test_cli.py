@@ -32,6 +32,10 @@ PIECEWISE = json.dumps(
     }
 )
 
+# spec keys that the type does not read
+ARMA_WITH_D = '{"type":"arma","ar":[-0.3],"d":-0.25}'
+PIECEWISE_WITH_AR = json.dumps({**json.loads(PIECEWISE), "ar": [0.5]})
+
 # AR roots so near the unit circle that |phi|^2 rounds to < 0 (f < 0) or to 0 (f = inf) at the peak
 NEGATIVE_F = json.dumps(
     {
@@ -156,6 +160,11 @@ class TestLsdDensityCommand:
             ["lsd-density", "--model", NEGATIVE_F, "--y", "1"],
             ["gamma-density", "--model", INFINITE_F],
             ["lsd-density", "--model", INFINITE_F, "--y", "1"],
+            ["gamma-density", "--model", ARMA_WITH_D],
+            ["lsd-density", "--model", ARMA_WITH_D, "--y", "1"],
+            ["simulate", "--model", ARMA_WITH_D, "--y", "1", "--p", "16"],
+            ["gamma-density", "--model", PIECEWISE_WITH_AR],
+            ["lsd-density", "--model", PIECEWISE_WITH_AR, "--y", "1"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):
@@ -203,7 +212,7 @@ _arma = st.builds(lambda ar, ma: {"type": "arma", "ar": ar, "ma": ma}, _coefs, _
 _farima = st.builds(
     lambda arma, d: {**arma, "type": "farima", "d": d},
     _arma,
-    st.floats(-0.5, 0.0, exclude_min=True, exclude_max=True),
+    st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True),
 )
 _piecewise = st.builds(
     lambda cuts, levels: {
@@ -222,6 +231,7 @@ _malformed = st.one_of(
             '{"type":"arma","ar":[-0.5', '{"type":"mystery"}', '{"type":"farima"}', "[1,2]",
             '{"type":"arma","ar":"0.5"}', '{"type":"farima","d":"x"}', '{"type":"arma","ma":"12"}',
             '{"type":"arma","ma":[1e200]}', '{"type":"arma","ma":[1e150,1e150]}', '{"type":"arma","ma":[1e154]}',
+            ARMA_WITH_D, PIECEWISE_WITH_AR,
         ]
     ),
     st.text(max_size=12),
@@ -456,6 +466,20 @@ class TestEntryPoint:
             env=child_env(),
         )
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", [["simulate", "--p", "4"], ["lsd-density"]], ids=lambda c: c[0])
+    def test_long_memory_warning_exits_2_under_warnings_as_errors(self, command, tmp_path):
+        # the d > 0 warning, raised as an error, is a refused input: no traceback, no file
+        argv = [*command, "--model", '{"type":"farima","d":0.25}', "--y", "1", "--out", str(tmp_path / "x")]
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "specmp.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: d > 0") and "Traceback" not in proc.stderr
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

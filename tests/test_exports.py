@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import re
 from pathlib import Path
@@ -29,6 +30,10 @@ def test_removed_names_stay_removed():
     for attr in ("cdf", "support", "density"):
         assert not hasattr(specmp.AbsContinuousLSD, attr), attr
         assert attr not in inspect.signature(specmp.AbsContinuousLSD).parameters, attr
+    # FARIMA is ARMAModel with d != 0, and gamma_lsd builds SpectralDensity itself
+    for name in ("FARIMAModel", "spectral_density"):
+        assert not hasattr(specmp, name) and not hasattr(linear_process, name), name
+    assert [f.name for f in dataclasses.fields(specmp.ARMAModel)] == ["ar", "ma", "d"]
     # test-only oracles, in tests/oracles.py
     for name in ("gamma_cdf", "arma11_support", "arma11_gamma_density"):
         assert not hasattr(specmp, name) and not hasattr(toeplitz_lsd, name), name

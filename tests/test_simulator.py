@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import warnings
@@ -83,7 +84,7 @@ class TestSimulateMatrix:
 
     def test_fft_and_direct_paths_agree(self):
         # the circular FFT equals the direct c_0..c_n sum on the kept columns
-        model = sp.FARIMAModel(sp.ARMAModel(), -0.25)
+        model = sp.ARMAModel(d=-0.25)
         plan = sp.SimulationPlan(p=3, y=2.0, model=model, seed=9)
         n = plan.n
         Z = reference_innovations(plan)
@@ -97,13 +98,13 @@ class TestSimulateMatrix:
 
     def test_farima_with_ar_composes_recursion_and_kernel(self):
         # the full expansion of the ARMA part times (1-B)^{-d}, cut at lag K = n
-        model = sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25)
+        model = sp.ARMAModel(ar=[-0.3], d=-0.25)
         plan = sp.SimulationPlan(p=3, y=4.0, model=model, seed=0)
         n = plan.n
         Z = reference_innovations(plan)
         assert Z.shape == (3, 2 * n)
-        a = sp.ma_coefficients(model.arma, n)
-        h = sp.ma_coefficients(sp.FARIMAModel(sp.ARMAModel(), model.d), n)
+        a = sp.ma_coefficients(dataclasses.replace(model, d=0.0), n)
+        h = sp.ma_coefficients(sp.ARMAModel(d=model.d), n)
         c = np.array([sum(a[i] * h[j - i] for i in range(j + 1)) for j in range(n + 1)])
         direct = np.zeros((3, n))
         for t in range(n):
@@ -118,8 +119,8 @@ class TestSimulateMatrix:
             (sp.ARMAModel(ma=[1.0]), 1),
             (sp.ARMAModel.arma11(0.5, 1.0), 53),
             (sp.ARMAModel(ar=[0.6, -0.3], ma=[0.4, 0.2, -0.1]), 467),
-            (sp.FARIMAModel(sp.ARMAModel(), -0.25), 1000),
-            (sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25), 1000),
+            (sp.ARMAModel(d=-0.25), 1000),
+            (sp.ARMAModel(ar=[-0.3], d=-0.25), 1000),
             (sp.ARMAModel.arma11(0.98, 0.0), 1000),
         ],
         ids=["white", "ma1", "arma11", "arma23", "farima", "farima-ar", "ar1-0.98"],
@@ -142,7 +143,7 @@ class TestSimulateMatrix:
 
     @pytest.mark.parametrize(
         "model",
-        [sp.ARMAModel(), sp.ARMAModel(ma=[1.0]), sp.ARMAModel.arma11(0.5, 1.0), sp.FARIMAModel(sp.ARMAModel(), -0.25)],
+        [sp.ARMAModel(), sp.ARMAModel(ma=[1.0]), sp.ARMAModel.arma11(0.5, 1.0), sp.ARMAModel(d=-0.25)],
         ids=["white", "ma1", "arma11", "farima"],
     )
     def test_each_row_draws_n_plus_k(self, model, monkeypatch):
@@ -179,8 +180,10 @@ class TestSimulateMatrix:
 
     def test_long_memory_model_warns_once(self):
         # the warning for d > 0 comes from building the model, not from simulating it
-        with pytest.warns(UserWarning):
-            model = sp.FARIMAModel(sp.ARMAModel(), 0.25)
+        with pytest.warns(UserWarning) as built:
+            model = sp.ARMAModel(d=0.25)
+        # the warning names the line that built the model
+        assert [w.filename for w in built] == [__file__]
         plan = sp.SimulationPlan(p=4, y=2.0, model=model, seed=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -216,7 +219,7 @@ class TestSimulateMatrix:
     def test_block_size_invariance(self, p, ratio, block_rows, law, replicate, mu, phi, theta, d, seed):
         # blocks of block_rows rows give the serial matrix bit for bit
         arma = sp.ARMAModel.arma11(phi, theta)
-        model = arma if d is None else sp.FARIMAModel(sp.ARMAModel(ar=[-phi]), d)
+        model = arma if d is None else sp.ARMAModel(ar=[-phi], d=d)
         n = max(1, round(ratio * p))
         plan = sp.SimulationPlan(p=p, y=n / p, model=model, law=law, mu=mu, seed=seed)
         expected = self.serial_reference(plan, replicate)
@@ -242,7 +245,7 @@ class TestSimulateMatrix:
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name), threads.add))
         monkeypatch.setattr(simulator, "_BLOCK_SAMPLES", 2 * 64)
-        plan = sp.SimulationPlan(p=16, y=2.0, model=sp.FARIMAModel(sp.ARMAModel(ar=[-0.3]), -0.25), seed=0)
+        plan = sp.SimulationPlan(p=16, y=2.0, model=sp.ARMAModel(ar=[-0.3], d=-0.25), seed=0)
         sp.simulate_matrix(plan)
         assert calls == [threading.current_thread()]
         assert threads == {threading.current_thread()}
@@ -264,6 +267,8 @@ class TestSimulateMatrix:
             sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), law="cauchy")
         with pytest.raises(ValueError):
             sp.SimulationPlan(p=4, y=1.0, model="not a model")
+        with pytest.raises(ValueError, match="replicates must be at least 1"):
+            sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), replicates=0)
         for field in ({"p": 4.5}, {"p": 4, "seed": 1.5}, {"p": 4, "replicates": 2.5}):
             with pytest.raises(ValueError, match="must be an integer"):
                 sp.SimulationPlan(y=1.0, model=sp.ARMAModel(), **field)
@@ -379,7 +384,7 @@ class TestSampleCovEigenvalues:
     )
     def test_random_plans_trace_identity_and_rank_bound(self, p, ratio, law, center, mu, phi, theta, d, seed):
         arma = sp.ARMAModel.arma11(phi, theta)
-        model = arma if d is None else sp.FARIMAModel(arma, d)
+        model = arma if d is None else dataclasses.replace(arma, d=d)
         n = max(1, round(ratio * p))
         plan = sp.SimulationPlan(p=p, y=n / p, model=model, law=law, mu=mu, center=center, seed=seed)
         assert plan.n == n
@@ -406,6 +411,20 @@ class TestSampleCovEigenvalues:
             vals = sp.sample_cov_eigenvalues(view, center=center).eigenvalues
             np.testing.assert_array_equal(vals[vals.size - ref.size :], ref)
             assert not vals[: vals.size - ref.size].any()
+
+    @staticmethod
+    def no_convergence(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    @pytest.mark.parametrize(
+        "eigvalsh, reason",
+        [(no_convergence, "eigensolver failed: p=2"), (lambda S: np.array([-1.0, 1.0]), "far below zero")],
+        ids=["raises", "negative"],
+    )
+    def test_eigensolver_failure_is_typed(self, eigvalsh, reason, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        with pytest.raises(np.linalg.LinAlgError, match=reason):
+            sp.sample_cov_eigenvalues(np.eye(2))
 
     def test_centering_small_scale(self):
         # same innovations: centering a shifted matrix is a rank-one update

@@ -18,7 +18,7 @@ from oracles import arma11_support, arma_residual, lsd_moments, toeplitz_moments
 
 MP_ATOM = sp.AtomicLSD(levels=np.array([1.0]), weights=np.array([1.0]))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
-FARIMA = sp.FARIMAModel(sp.ARMAModel(), -0.25)
+FARIMA = sp.ARMAModel(d=-0.25)
 
 
 def quadratic_mp_root(y, z):
@@ -82,12 +82,14 @@ class TestSolveFixedPoint:
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             sp.solve_fixed_point(MP_ATOM, 1.0, 1.0 - 1j)
+        with pytest.raises(ValueError, match="upper half-plane"):
+            sp.mp_stieltjes(1.0, 1.0 - 1j)
         with pytest.raises(ValueError):
             sp.solve_fixed_point(MP_ATOM, -1.0, 1j)
 
     def test_rejects_unsupported_law(self):
         with pytest.raises(TypeError, match="unsupported limit-law type"):
-            sp.solve_fixed_point(sp.spectral_density(sp.ARMAModel()), 1.0, 1j)
+            sp.solve_fixed_point(sp.SpectralDensity(sp.ARMAModel()), 1.0, 1j)
 
     @pytest.mark.parametrize("m", [1.0 + 0j, 1.0 - 1e-300j, complex(0.0, math.nan)])
     def test_solution_refuses_m_off_the_upper_half_plane(self, m):
@@ -357,7 +359,7 @@ class TestSolveFixedPoint:
 
 class TestContinuousLaws:
     def test_farima_with_ar_part(self):
-        lsd = sp.gamma_lsd(sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25))
+        lsd = sp.gamma_lsd(sp.ARMAModel(ar=(-0.3,), d=-0.25))
         y, z = 2.0, 1.0 + 0.1j
         m = sp.solve_fixed_point(lsd, y, z).m
         # residual on a rule far finer than any the solver builds
@@ -375,7 +377,7 @@ class TestContinuousLaws:
             assert abs(m * sp.arma11_residual(0.5, 1.0, 1.0, z, m)) <= 1e-12
 
     def test_no_warnings(self):
-        models = (sp.ARMAModel.arma11(0.5, 1.0), sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25))
+        models = (sp.ARMAModel.arma11(0.5, 1.0), sp.ARMAModel(ar=(-0.3,), d=-0.25))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for model in models:
@@ -402,6 +404,8 @@ class TestMPClosedForm:
     def test_support_rejects_bad_y(self, y):
         with pytest.raises(ValueError):
             sp.mp_support(y)
+        with pytest.raises(ValueError, match="aspect ratio"):
+            sp.estimate_support_upper(MP_ATOM, y)
 
     def test_density_helper_matches(self):
         xs = np.linspace(0.05, 4.5, 50)
@@ -592,16 +596,43 @@ class TestInversion:
         assert dens.values[gap].max() <= 1e-6
 
 
+def _quad_moment(model, j):
+    # (1/pi) integral over [0, pi] of f^j, f written out from the model's coefficients
+    P = np.polynomial.polynomial
+
+    def f(w):
+        e = cmath.exp(1j * w)
+        ratio = abs(P.polyval(e, [1.0, *model.ma])) ** 2 / abs(P.polyval(e, [1.0, *model.ar])) ** 2
+        return (ratio * (2.0 - 2.0 * math.cos(w)) ** (-model.d)) ** j
+
+    return quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0] / math.pi
+
+
 class TestMoments:
-    """The first two moments of each density table against y H_1 and y H_2 + y^2 H_1^2."""
+    """Moments 0..4 of each density table against the exact moments of the limit law."""
 
     def test_toeplitz_moments_match_closed_forms(self):
-        assert toeplitz_moments(sp.ARMAModel()) == (1.0, 1.0)
-        # FARIMA(0, d, 0): gamma(0) and the variance of FARIMA(0, 2d, 0) (Hosking 1981)
+        assert toeplitz_moments(sp.ARMAModel()) == (1.0, 1.0, 1.0, 1.0)
+        # FARIMA(0, d, 0): H_j is the variance of FARIMA(0, j d, 0) (Hosking 1981)
         d = FARIMA.d
-        h1, h2 = toeplitz_moments(FARIMA)
-        assert abs(h1 / (math.gamma(1.0 - 2.0 * d) / math.gamma(1.0 - d) ** 2) - 1.0) <= 1e-6
-        assert abs(h2 / (math.gamma(1.0 - 4.0 * d) / math.gamma(1.0 - 2.0 * d) ** 2) - 1.0) <= 1e-6
+        for j, h in enumerate(toeplitz_moments(FARIMA), start=1):
+            assert abs(h / (math.gamma(1.0 - 2.0 * j * d) / math.gamma(1.0 - j * d) ** 2) - 1.0) <= 1e-14, j
+
+    @pytest.mark.parametrize(
+        "model",
+        [sp.ARMAModel.arma11(0.5, 1.0), ARMA23, sp.ARMAModel(ar=(-0.3,), d=-0.25), sp.ARMAModel(ma=(0.3,), d=-0.2)],
+        ids=["arma11", "arma23", "farima-ar", "farima-ma"],
+    )
+    def test_toeplitz_moments_match_quadrature(self, model):
+        # the trapezoid rule (d = 0) and Hosking's series (d != 0) against adaptive
+        # quadrature; worst seen 2.0e-15
+        for j, h in enumerate(toeplitz_moments(model), start=1):
+            assert abs(h / _quad_moment(model, j) - 1.0) <= 1e-13, j
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
+    def test_marchenko_pastur_moments(self, y):
+        exact = (1.0, y, y + y**2, y + 3.0 * y**2 + y**3, y + 6.0 * y**2 + 6.0 * y**3 + y**4)
+        np.testing.assert_allclose(lsd_moments(sp.ARMAModel(), y), exact, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
     @pytest.mark.parametrize(
@@ -611,16 +642,22 @@ class TestMoments:
             sp.ARMAModel.arma11(0.5, 1.0),
             ARMA23,
             FARIMA,
-            sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25),
+            sp.ARMAModel(ar=(-0.3,), d=-0.25),
         ],
         ids=["white", "arma11", "arma23", "farima", "farima-ar"],
     )
     def test_table_moments(self, model, y):
-        # the zero atom adds nothing to x and x^2; worst seen 2.7e-4 (ARMA(2,3), y = 0.5)
+        # k = 0 is the mass F(top) that lsd_cdf gives, the zero atom included; the
+        # atom adds nothing to x^k for k >= 1.  Worst seen, each bound about
+        # 1.5x (k = 0) and 2x (k >= 1) above it: k = 0 1.72e-3 (ARMA(2,3), y = 1,
+        # the trapezoid CDF above 1), k = 1 2.7e-4 (ARMA(2,3), y = 0.5), k = 2
+        # 1.1e-4, k = 3 1.7e-4 and k = 4 2.2e-4 (ARMA(2,3), y = 0.5)
         dens = sp.invert_to_density(sp.gamma_lsd(model), y)
-        for k, exact in enumerate(lsd_moments(model, y), start=1):
+        exact = lsd_moments(model, y)
+        assert abs(sp.lsd_cdf(dens, dens.grid[-1]) - exact[0]) <= 2.5e-3
+        for k in range(1, 5):
             table = trapezoid(dens.grid**k * dens.values, dens.grid)
-            assert abs(table / exact - 1.0) <= 1e-3, k
+            assert abs(table / exact[k] - 1.0) <= 5e-4, k
 
 
 class TestDefaultGrid:

@@ -15,7 +15,7 @@ from specmp.toeplitz_lsd import _branch_roots
 
 TWO_PI = 2.0 * math.pi
 
-FARIMA_AR = sp.FARIMAModel(sp.ARMAModel(ar=(-0.3,)), -0.25)
+FARIMA_AR = sp.ARMAModel(ar=(-0.3,), d=-0.25)
 MA2 = sp.ARMAModel(ma=(1.0, 0.5))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
 # a sharp AR(2) peak: |phi|^2 falls to 1.3e-8 of its mean at w = 0.807
@@ -36,13 +36,13 @@ def cli_grid(lsd, n=512):
 
 class TestSupportBounds:
     def test_arma11_closed_form(self):
-        f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 1.0))
+        f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0))
         lo, hi = sp.support_bounds(f)
         assert abs(lo - 0.0) <= 1e-10
         assert abs(hi - 16.0) <= 1e-8
 
     def test_ar1_closed_form(self):
-        f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
+        f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 0.0))
         lo, hi = sp.support_bounds(f)
         assert abs(lo - 4.0 / 9.0) <= 1e-10
         assert abs(hi - 4.0) <= 1e-10
@@ -53,7 +53,7 @@ class TestSupportBounds:
         assert (lsd.levels.tolist(), lsd.weights.tolist()) == ([1.0], [1.0])
 
     def test_farima_support_touches_zero(self):
-        f = sp.spectral_density(sp.FARIMAModel(sp.ARMAModel(), -0.25))
+        f = sp.SpectralDensity(sp.ARMAModel(d=-0.25))
         lo, hi = sp.support_bounds(f)
         assert lo == 0.0
         assert abs(hi - 2.0 ** 0.5) <= 1e-10
@@ -64,19 +64,19 @@ class TestSupportBounds:
             ar=(0.9935212290463952, -0.9939139301270936, -0.9996072978804833),
             ma=(-0.23927213182136864, 0.9841467518903655),
         )
-        assert sp.support_bounds(sp.spectral_density(near_unit))[0] < -1e15
+        assert sp.support_bounds(sp.SpectralDensity(near_unit))[0] < -1e15
         with pytest.raises(sp.ModelSpecError, match="negative"):
             sp.gamma_lsd(near_unit)
         # unit-circle MA zeros: f = 0 there, which rounds to about -7e-15
         zeros_on_circle = sp.ARMAModel(ma=(2.701267095229019, 2.701267095229019, 1.0))
-        assert -1e-13 < sp.support_bounds(sp.spectral_density(zeros_on_circle))[0] < 0.0
+        assert -1e-13 < sp.support_bounds(sp.SpectralDensity(zeros_on_circle))[0] < 0.0
         assert isinstance(sp.gamma_lsd(zeros_on_circle), sp.AbsContinuousLSD)
 
 
 class TestLevelSetRoots:
     def test_sharp_ar2_breakpoints(self):
         # f = 1 / A(cos w) with A quadratic: one stationary point inside (0, pi)
-        f = sp.spectral_density(SHARP_AR2)
+        f = sp.SpectralDensity(SHARP_AR2)
         bps, vals = f.breakpoints, f.breakpoint_values
         assert bps.size == 5
         assert bps[0] == 0.0 and bps[2] == math.pi and bps[4] == TWO_PI
@@ -86,7 +86,7 @@ class TestLevelSetRoots:
     def test_complex_roots_are_not_breakpoints(self):
         # Q has the real roots -0.1226 and 0.5544 and a complex pair with real
         # part -0.2159 in (-1, 1): f has an extremum at each breakpoint only
-        f = sp.spectral_density(sp.ARMAModel(ar=(0.0, 0.5), ma=(0.0, 0.0, 0.5)))
+        f = sp.SpectralDensity(sp.ARMAModel(ar=(0.0, 0.5), ma=(0.0, 0.0, 0.5)))
         bps = f.breakpoints
         assert bps.size == 7
         inner = bps[1:-1]
@@ -103,8 +103,7 @@ class TestLevelSetRoots:
         ar = np.array([1.0])
         for k in refl:
             ar = np.append(ar, 0.0) + k * np.append(ar, 0.0)[::-1]
-        model = sp.ARMAModel(ar=ar[1:], ma=ma)
-        f = sp.spectral_density(sp.FARIMAModel(model, d) if d else model)
+        f = sp.SpectralDensity(sp.ARMAModel(ar=ar[1:], ma=ma, d=d))
         # the property of the models gamma_lsd treats as continuous: where the
         # AR and MA factors cancel, f is constant to rounding and f' is noise
         assume(not toeplitz_lsd._is_degenerate(*sp.support_bounds(f)))
@@ -115,7 +114,7 @@ class TestLevelSetRoots:
         assert np.all((slope.min(axis=1) >= -tol) | (slope.max(axis=1) <= tol))
 
     def test_ma1_interior_level(self):
-        f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))  # f = 2 + 2 cos w
+        f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0]))  # f = 2 + 2 cos w
         roots = branch_roots(f, 2.0)
         np.testing.assert_allclose(roots, [math.pi / 2.0, 3.0 * math.pi / 2.0], atol=1e-10)
         np.testing.assert_allclose(np.abs(f.derivative(roots)), [2.0, 2.0], rtol=1e-12)
@@ -123,7 +122,7 @@ class TestLevelSetRoots:
     def test_ma1_boundary_extremum(self):
         # the maximum 4 is f at the breakpoint w = 0, a stationary point that
         # no branch holds in its open range
-        f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
+        f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0]))
         bps, vals = f.breakpoints, f.breakpoint_values
         assert bps[0] == 0.0 and abs(vals[0] - 4.0) <= 1e-10
         assert f.derivative(0.0) == 0.0
@@ -131,13 +130,13 @@ class TestLevelSetRoots:
         assert gamma_cdf(f, 4.0) == 1.0
 
     def test_ar1_arccos_oracle(self):
-        f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
+        f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 0.0))
         # f(w) = 1 at cos w = 1/4
         w0 = math.acos(0.25)
         np.testing.assert_allclose(branch_roots(f, 1.0), [w0, TWO_PI - w0], atol=1e-10)
 
     def test_roots_satisfy_level_equation(self):
-        f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 1.0))
+        f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0))
         for lam in (0.5, 2.0, 9.0, 15.0):
             roots = branch_roots(f, lam)
             assert roots.size > 0
@@ -146,20 +145,20 @@ class TestLevelSetRoots:
 
 class TestGammaDensity:
     def test_ma1_closed_value(self):
-        f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
+        f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0]))
         assert abs(sp.gamma_density(f, 2.0) - 1.0 / TWO_PI) <= 1e-12
 
     def test_ar1_matches_closed_form(self):
-        f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
+        f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 0.0))
         assert abs(sp.gamma_density(f, 1.0) - arma11_gamma_density(0.5, 0.0, 1.0)) <= 1e-10
 
     def test_degenerate_rejected(self):
-        f = sp.spectral_density(sp.ARMAModel())
+        f = sp.SpectralDensity(sp.ARMAModel())
         with pytest.raises(ValueError):
             sp.gamma_density(f, 1.0)
 
     def test_edge_level_rejected(self):
-        f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
+        f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0]))
         with pytest.raises(ValueError):
             sp.gamma_density(f, 4.0)  # at the band edge, not strictly inside
 
@@ -167,7 +166,7 @@ class TestGammaDensity:
         # f = |1 + e^{iw} + 0.5 e^{2iw}|^2 has an interior local maximum 0.25
         # at w = pi; the density there mixes a tangential root with two
         # regular ones and is flagged
-        f = sp.spectral_density(sp.ARMAModel(ma=[1.0, 0.5]))
+        f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0, 0.5]))
         lo, hi = sp.support_bounds(f)
         assert lo < 0.25 < hi
         with pytest.warns(sp.TangentialRootWarning):
@@ -195,7 +194,7 @@ class TestGammaDensity:
             sp.gamma_density(lsd.f, [lo * (1.0 + 1e-13), hi * (1.0 - 1e-13)])
 
     def test_array_levels_match_scalar_calls(self):
-        f = sp.spectral_density(ARMA23)
+        f = sp.SpectralDensity(ARMA23)
         lo, hi = sp.support_bounds(f)
         lam = np.linspace(lo, hi, 14)[1:-1].reshape(3, 4)
         dens, cdf = sp.gamma_density(f, lam), gamma_cdf(f, lam)
@@ -215,7 +214,7 @@ class TestGammaDensity:
     def test_farima_closed_form(self):
         # pure FARIMA d = -0.25: f = sqrt(2 |sin(w/2)|), so H(lam) is
         # (2/pi) asin(lam^2/2) and g(lam) = 2 lam / (pi sqrt(1 - lam^4/4))
-        lsd = sp.gamma_lsd(sp.FARIMAModel(sp.ARMAModel(), -0.25))
+        lsd = sp.gamma_lsd(sp.ARMAModel(d=-0.25))
         lam = cli_grid(lsd)
         exact = 2.0 * lam / (math.pi * np.sqrt(1.0 - lam**4 / 4.0))
         assert np.max(np.abs(sp.gamma_density(lsd.f, lam) / exact - 1.0)) <= 1e-9
@@ -244,17 +243,17 @@ class TestGammaDensity:
 
 class TestGammaCDF:
     def test_ma1_half(self):
-        f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
+        f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0]))
         assert abs(gamma_cdf(f, 2.0) - 0.5) <= 1e-9
 
     def test_outside_support_exact(self):
-        f = sp.spectral_density(sp.ARMAModel(ma=[1.0]))
+        f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0]))
         assert gamma_cdf(f, 4.0) == 1.0
         assert gamma_cdf(f, 5.0) == 1.0
         assert gamma_cdf(f, 0.0) == 0.0
 
     def test_ar1_arccos_value_and_quadrature(self):
-        f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 0.0))
+        f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 0.0))
         got = gamma_cdf(f, 1.0)
         assert abs(got - (TWO_PI - 2.0 * math.acos(0.25)) / TWO_PI) <= 1e-9
         # independent oracle: quadrature of the density up to 1, with the
@@ -269,7 +268,7 @@ class TestGammaCDF:
         assert abs(got - oracle) <= 1e-6
 
     def test_matches_density_derivative(self):
-        f = sp.spectral_density(sp.ARMAModel.arma11(0.5, 1.0))
+        f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0))
         lam = np.linspace(1.0, 15.0, 50)
         h = 1e-5
         for L in lam:
@@ -277,7 +276,7 @@ class TestGammaCDF:
             assert abs(fd - sp.gamma_density(f, L)) <= 1e-4
 
     def test_white_noise_step(self):
-        f = sp.spectral_density(sp.ARMAModel())
+        f = sp.SpectralDensity(sp.ARMAModel())
         assert gamma_cdf(f, 0.99) == 0.0
         assert gamma_cdf(f, 1.0) == 1.0
 
@@ -287,6 +286,10 @@ class TestAtomicLSD:
         pw = sp.PiecewiseSpectralDensity(((0.0, TWO_PI, 1.0),))
         lsd = sp.atomic_lsd(pw)
         assert (lsd.levels.tolist(), lsd.weights.tolist()) == ([1.0], [1.0])
+
+    def test_refuses_a_continuous_density(self):
+        with pytest.raises(TypeError, match="PiecewiseSpectralDensity"):
+            sp.atomic_lsd(sp.SpectralDensity(sp.ARMAModel()))
 
     def test_two_halves(self):
         pw = sp.PiecewiseSpectralDensity(((0.0, math.pi, 1.0), (math.pi, TWO_PI, 2.0)))
@@ -352,7 +355,7 @@ class TestAtomicLSD:
         assert isinstance(sp.gamma_lsd(pw), sp.AtomicLSD)
         assert isinstance(sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), sp.AbsContinuousLSD)
         with pytest.warns(UserWarning):
-            long_memory = sp.FARIMAModel(sp.ARMAModel(), 0.25)
+            long_memory = sp.ARMAModel(d=0.25)
         with pytest.raises(sp.ModelSpecError):
             sp.gamma_lsd(long_memory)
 
@@ -365,7 +368,7 @@ class TestNormalizationAndSzego:
             assert abs(total_mass(lsd) - 1.0) <= 1e-6
 
     def test_total_mass_farima_does_not_warn(self):
-        for model in (FARIMA_AR, sp.FARIMAModel(sp.ARMAModel(), -0.25)):
+        for model in (FARIMA_AR, sp.ARMAModel(d=-0.25)):
             lsd = sp.gamma_lsd(model)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -393,7 +396,7 @@ ARMA11_LAW = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
 FOLD_LAWS = {
     "arma11": ARMA11_LAW,
     "arma23": sp.gamma_lsd(ARMA23),
-    "farima": sp.gamma_lsd(sp.FARIMAModel(sp.ARMAModel(), -0.25)),
+    "farima": sp.gamma_lsd(sp.ARMAModel(d=-0.25)),
     "farima-ar": sp.gamma_lsd(FARIMA_AR),
 }
 RULE_MS = pytest.mark.parametrize("m", [0.3 + 0.6j, -60.0 + 80.0j, 100j], ids=["m-small", "m-100-oblique", "m-100i"])
@@ -497,7 +500,7 @@ class TestExactARMALevelSets:
             model = sp.ARMAModel(ar=ar, ma=ma)
         except sp.ModelSpecError:
             assume(False)
-        f = sp.spectral_density(model)
+        f = sp.SpectralDensity(model)
         phi, theta = np.array([1.0, *ar]), np.array([1.0, *ma])
         # the sign convention: f is |theta/phi|^2 with phi(z) = 1 + sum ar_k z^k
         w = np.linspace(0.0, TWO_PI, 4097)
