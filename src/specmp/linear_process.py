@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -90,12 +91,16 @@ class ARMAModel:
         if not (-0.5 < self.d < 0.5):
             raise ModelSpecError("fractional order d must lie in (-1/2, 1/2)")
         if self.d > 0.0:
-            # level 3 skips this method and the generated __init__ to name the caller
+            # name the first caller outside this module: level 3 is the
+            # generated __init__'s caller, and model_from_spec adds a level
+            frame, level = sys._getframe(2), 3
+            while frame.f_code.co_filename == __file__:
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 "d > 0 gives a long-memory process outside the scope of the "
                 "limiting spectral distribution; simulation only",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=level,
             )
 
     @classmethod

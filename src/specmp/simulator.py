@@ -13,12 +13,9 @@ models whose expansion decays slower (FARIMA, AR roots near the unit circle)
 are cut at lag n.  Neither cut changes the limit law.
 
 Rows are simulated on the calling thread in blocks of contiguous rows (see
-``simulate_matrix``).  Row i of replicate r draws from its own stream,
-Philox(SeedSequence(seed, spawn_key=(r,))).jumped(i), so the matrix does not
-depend on the block size.  Philox is counter-based (Salmon et al., SC'11):
-under the replicate's one key, ``jumped(i)`` starts row i at counter word
-2 = i with an empty buffer, 2^128 counter steps from its neighbours, and
-disjoint counter ranges are independent streams.
+``simulate_matrix``).  Replicate r draws one stream,
+default_rng(SeedSequence(seed, spawn_key=(r,))), cut into consecutive rows of
+n + K draws, so the matrix does not depend on the block size.
 
 p^{-1} X X^T has rank at most min(p, n) (min(p, n - 1) after centring), so
 when that bound is below p the smaller Gram matrix X^T X / p is eigensolved
@@ -73,8 +70,8 @@ class SimulationPlan:
     unit variance and finite fourth moment under all three laws.  ``mu``
     shifts every entry; ``center`` subtracts the empirical column mean before
     forming the covariance; ``p``, ``seed`` and ``replicates`` are integers.
-    Rows draw the Philox streams defined in the module docstring, so results
-    do not depend on execution order.
+    Each replicate draws the one stream defined in the module docstring, so
+    results are deterministic given (seed, replicate).
     """
 
     p: int
@@ -136,13 +133,10 @@ class EmpiricalSpectrum:
         return self.eigenvalues.size
 
 
-def _draw_row(rng, fresh, row, law, out):
-    # restarts rng's Philox at row ``row``'s stream (see the module docstring)
-    # and fills ``out`` with standard_normal, sign(random - 1/2) or
+def _draw(rng, law, out):
+    # fills ``out`` with standard_normal, sign(random - 1/2) or
     # uniform(-sqrt 3, sqrt 3) draws; random() is k / 2^53, below 1/2 exactly
     # when k < 2^52, so both signs have probability 1/2
-    fresh["state"]["counter"][2] = row
-    rng.bit_generator.state = fresh
     if law == "normal":
         rng.standard_normal(out=out)
     elif law == "rademacher":
@@ -182,22 +176,22 @@ def simulate_matrix(plan, replicate=0):
     """One p x n realization with linear-process rows.
 
     Column t of row i is sum_{j<=K} c_j Z_{i,t-j}, the model's MA(infinity)
-    expansion cut at lag K (see the module docstring).  Each row draws its
-    L = n + K innovations from its own stream (see the module docstring) and is
-    convolved with c_0..c_K by one circular FFT of length N >= L, the smallest
-    2^a 3^b 5^c; the kept columns K..L-1 never wrap.  White noise has K = 0
-    and no FFT.  Those columns plus mu are returned as a fresh array.
+    expansion cut at lag K (see the module docstring).  Row i takes draws
+    i L to (i + 1) L - 1 of the replicate's stream
+    ``default_rng(SeedSequence(plan.seed, spawn_key=(replicate,)))`` as its
+    L = n + K innovations and is convolved with c_0..c_K by one circular FFT
+    of length N >= L, the smallest 2^a 3^b 5^c; the kept columns K..L-1 never
+    wrap.  White noise has K = 0 and no FFT.  Those columns plus mu are
+    returned as a fresh array.
 
     Everything runs on the calling thread.  The kernel comes from one
-    ``ma_coefficients`` call and the replicate's Philox key from
-    ``SeedSequence(plan.seed, spawn_key=(replicate,))``; one Philox generator
-    under that key is reset to each row's stream in turn.  Rows are
-    independent, so they are drawn, filtered and written into the p x n result
-    in contiguous blocks of about ``_BLOCK_SAMPLES`` samples; the p x L
-    innovation and filtered arrays are never built.  Every row keeps its own
-    stream and its own arithmetic, so the result is deterministic given
-    (seed, replicate) and does not depend on the block size.  ``replicate``
-    is a nonnegative integer.  A simulation loads NumPy only.
+    ``ma_coefficients`` call.  Rows are drawn, filtered and written into the
+    p x n result in contiguous blocks of about ``_BLOCK_SAMPLES`` samples,
+    each block filled by one call on the stream; the p x L innovation and
+    filtered arrays are never built.  Every row keeps its own draws and its
+    own arithmetic, so the result is deterministic given (seed, replicate)
+    and does not depend on the block size.  ``replicate`` is a nonnegative
+    integer.  A simulation loads NumPy only.
     """
     try:
         replicate = operator.index(replicate)
@@ -211,16 +205,13 @@ def simulate_matrix(plan, replicate=0):
     L = n + K
     N = _fft_length(L)
     kernel = np.fft.rfft(c, N) if K else None
-    key = np.random.SeedSequence(plan.seed, spawn_key=(replicate,)).generate_state(2, np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    fresh = rng.bit_generator.state
+    rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(replicate,)))
     X = np.empty((p, n))
     step = max(1, _BLOCK_SAMPLES // L)
     for lo in range(0, p, step):
         hi = min(lo + step, p)
         W = np.empty((hi - lo, L))
-        for row, out in enumerate(W, lo):
-            _draw_row(rng, fresh, row, plan.law, out)
+        _draw(rng, plan.law, W)
         if kernel is not None:
             W = np.fft.irfft(np.fft.rfft(W, N, axis=1) * kernel, N, axis=1)
         np.add(W[:, K:L], plan.mu, out=X[lo:hi])

@@ -126,9 +126,12 @@ def gamma_density(f, levels):
     stationary point inside the support are tangential: g diverges there
     (integrably), the stationary point is left out of the sum, and one
     TangentialRootWarning per call counts them.  Levels outside the open
-    support, and constant densities (whose law is atomic), raise ValueError.
+    support, densities that are not finite, and constant densities (whose law
+    is atomic), raise ValueError.
     """
     lo, hi = support_bounds(f)
+    if not math.isfinite(hi):
+        raise ValueError(f"spectral density not finite: max f = {hi}")
     if _is_degenerate(lo, hi):
         raise ValueError("constant spectral density: the limit law is atomic, not a density")
     lam = np.asarray(levels, dtype=float)

@@ -1,5 +1,6 @@
 """Oracles that only the tests call; they may use SciPy, which specmp does not."""
 
+import functools
 import math
 
 import numpy as np
@@ -179,3 +180,28 @@ def lsd_moments(model, y, order=4):
         M = y * acc
         M[0] += 1.0
     return tuple(float(v) for v in M)
+
+
+def atomic_lsd_density(levels, weights, y, x):
+    """Exact limit density at real points x > 0 for an atomic H, from polynomial roots.
+
+    Clearing the denominators of 1/m = -x + y sum_k w_k lam_k / (1 + lam_k m)
+    leaves the real polynomial of degree K + 1
+        -x m prod_k (1 + lam_k m) + y m sum_k w_k lam_k prod_{j != k} (1 + lam_j m)
+        - prod_k (1 + lam_k m),
+    and the density is Im m / pi at its root of largest imaginary part (0 where
+    every root is real), taken on the axis itself, with no offset.
+    """
+    P = np.polynomial.polynomial
+    factors = [np.array([1.0, lam]) for lam in levels]
+
+    def product(polys):
+        return functools.reduce(P.polymul, polys, np.array([1.0]))
+
+    whole = product(factors)
+    mixed = sum(w * lam * product(factors[:k] + factors[k + 1 :]) for k, (lam, w) in enumerate(zip(levels, weights)))
+    out = []
+    for xi in np.asarray(x, dtype=float):
+        coeffs = P.polysub(P.polymulx(P.polyadd(-xi * whole, y * mixed)), whole)
+        out.append(max(float(P.polyroots(coeffs).imag.max()), 0.0) / math.pi)
+    return np.array(out)

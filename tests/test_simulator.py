@@ -13,20 +13,23 @@ import specmp as sp
 import specmp.simulator as simulator
 
 
-def reference_row(seed, replicate, row, count, law):
-    # row's draws straight from NumPy's SeedSequence, Philox.jumped and allocating forms
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate,))).jumped(row))
+def reference_rows(seed, replicate, rows, count, law):
+    # the replicate's first rows x count draws, straight from NumPy's
+    # SeedSequence, default_rng and allocating forms, cut into consecutive rows
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replicate,)))
     if law == "normal":
-        return rng.standard_normal(count)
-    if law == "rademacher":
-        return np.where(rng.random(count) < 0.5, -1.0, 1.0)
-    return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=count)
+        draws = rng.standard_normal(rows * count)
+    elif law == "rademacher":
+        draws = np.where(rng.random(rows * count) < 0.5, -1.0, 1.0)
+    else:
+        draws = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=rows * count)
+    return draws.reshape(rows, count)
 
 
 def reference_innovations(plan, replicate=0):
     # the p x (n + K) draws the rows of simulate_matrix(plan, replicate) filter
     L = plan.n + simulator._truncated_kernel(plan.model, plan.n).size - 1
-    return np.array([reference_row(plan.seed, replicate, i, L, plan.law) for i in range(plan.p)])
+    return reference_rows(plan.seed, replicate, plan.p, L, plan.law)
 
 
 def esd_cdf(spectrum, x):
@@ -147,19 +150,21 @@ class TestSimulateMatrix:
         ids=["white", "ma1", "arma11", "farima"],
     )
     def test_each_row_draws_n_plus_k(self, model, monkeypatch):
-        # rows are told apart by their indices, the counter words of their streams
-        counts = []
-        original = simulator._draw_row
+        # blocks of rows, each L = n + K wide, take the stream's draws in
+        # order: stacked, they are every row of the reference exactly once
+        blocks = []
+        original = simulator._draw
 
-        def counting(rng, fresh, row, law, out):
-            counts.append((row, out.size))
-            return original(rng, fresh, row, law, out)
+        def recording(rng, law, out):
+            original(rng, law, out)
+            blocks.append(out.copy())
 
-        monkeypatch.setattr(simulator, "_draw_row", counting)
+        monkeypatch.setattr(simulator, "_draw", recording)
         plan = sp.SimulationPlan(p=5, y=40.0, model=model, seed=1)
+        monkeypatch.setattr(simulator, "_BLOCK_SAMPLES", 2 * plan.n)
         sp.simulate_matrix(plan)
-        L = plan.n + simulator._truncated_kernel(model, plan.n).size - 1
-        assert sorted(counts) == [(row, L) for row in range(5)]
+        assert len(blocks) > 1
+        assert np.array_equal(np.vstack(blocks), reference_innovations(plan))
 
     @pytest.mark.parametrize(
         "model",
@@ -182,8 +187,12 @@ class TestSimulateMatrix:
         # the warning for d > 0 comes from building the model, not from simulating it
         with pytest.warns(UserWarning) as built:
             model = sp.ARMAModel(d=0.25)
-        # the warning names the line that built the model
+        # the warning names the line that built the model, or that called
+        # model_from_spec, not a line of the library
         assert [w.filename for w in built] == [__file__]
+        with pytest.warns(UserWarning) as parsed:
+            assert sp.model_from_spec('{"type":"farima","d":0.25}') == model
+        assert [w.filename for w in parsed] == [__file__]
         plan = sp.SimulationPlan(p=4, y=2.0, model=model, seed=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -193,7 +202,7 @@ class TestSimulateMatrix:
 
     @staticmethod
     def serial_reference(plan, replicate):
-        # row by row draws of n + K samples, then one FFT over the whole p x (n + K) array
+        # the stream's p (n + K) draws as one array, then one FFT over all of it
         n = plan.n
         c = simulator._truncated_kernel(plan.model, n)
         K, L = c.size - 1, n + c.size - 1
@@ -229,7 +238,7 @@ class TestSimulateMatrix:
             assert np.array_equal(sp.simulate_matrix(plan, replicate=replicate), expected)
 
     def test_public_calls_stay_on_calling_thread(self, monkeypatch):
-        # the kernel's ma_coefficients runs once, and every row draw and FFT
+        # the kernel's ma_coefficients runs once, and every block draw and FFT
         # runs, on the caller's thread
         calls, threads = [], set()
 
@@ -241,7 +250,7 @@ class TestSimulateMatrix:
             return wrapper
 
         monkeypatch.setattr(simulator, "ma_coefficients", recording(simulator.ma_coefficients, calls.append))
-        monkeypatch.setattr(simulator, "_draw_row", recording(simulator._draw_row, threads.add))
+        monkeypatch.setattr(simulator, "_draw", recording(simulator._draw, threads.add))
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, recording(getattr(np.fft, name), threads.add))
         monkeypatch.setattr(simulator, "_BLOCK_SAMPLES", 2 * 64)
@@ -281,14 +290,13 @@ class TestSimulateMatrix:
 
 class TestInnovationLaws:
     def test_in_place_fill_matches_allocating_forms(self):
-        # white-noise rows written in place by one reset generator per block
-        # equal the reference draws of a fresh jumped generator bit for bit
+        # white-noise rows written in place a block at a time equal
+        # consecutive slices of the stream's allocating draws bit for bit
         for law in sp.INNOVATION_LAWS:
             for count in (1, 2, 7, 1000, 4099):
                 plan = sp.SimulationPlan(p=3, y=count / 3.0, model=sp.ARMAModel(), law=law, seed=11)
                 block = sp.simulate_matrix(plan, replicate=2)
-                for row in range(3):
-                    assert np.array_equal(block[row], reference_row(11, 2, row, count, law))
+                assert np.array_equal(block, reference_rows(11, 2, 3, count, law))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(
@@ -298,21 +306,23 @@ class TestInnovationLaws:
         fraction=st.floats(0.0, 1.0),
         law=st.sampled_from(sp.INNOVATION_LAWS),
     )
-    def test_rows_match_jumped_streams(self, seed, replicate, p, fraction, law):
-        # row i of replicate r is Philox(SeedSequence(seed, spawn_key=(r,))).jumped(i),
-        # for seeds longer than SeedSequence's pool and replicates of several words
+    def test_rows_are_consecutive_slices_of_one_stream(self, seed, replicate, p, fraction, law):
+        # row i of replicate r is draws 3i..3i+2 of
+        # default_rng(SeedSequence(seed, spawn_key=(r,))), for seeds longer
+        # than SeedSequence's pool and replicates of several words
         plan = sp.SimulationPlan(p=p, y=3.0 / p, model=sp.ARMAModel(), law=law, seed=seed)
         X = sp.simulate_matrix(plan, replicate=replicate)
         assert X.shape == (p, 3)
+        reference = reference_rows(seed, replicate, p, 3, law)
         for row in {0, int(fraction * (p - 1)), p - 1}:
-            assert np.array_equal(X[row], reference_row(seed, replicate, row, 3, law))
+            assert np.array_equal(X[row], reference[row])
 
     def test_moments(self):
         n = 200_000
         for law in sp.INNOVATION_LAWS:
             plan = sp.SimulationPlan(p=1, y=float(n), model=sp.ARMAModel(), law=law, seed=5)
             z = sp.simulate_matrix(plan)[0]
-            assert np.array_equal(z, reference_row(5, 0, 0, n, law))
+            assert np.array_equal(z, reference_rows(5, 0, 1, n, law)[0])
             se_mean = 1.0 / math.sqrt(n)
             assert abs(z.mean()) <= 3.0 * se_mean
             fourth = np.mean(z**4)
@@ -323,7 +333,7 @@ class TestInnovationLaws:
     def test_rademacher_support(self):
         plan = sp.SimulationPlan(p=1, y=1000.0, model=sp.ARMAModel(), law="rademacher", seed=0)
         z = sp.simulate_matrix(plan)[0]
-        assert np.array_equal(z, reference_row(0, 0, 0, 1000, "rademacher"))
+        assert np.array_equal(z, reference_rows(0, 0, 1, 1000, "rademacher")[0])
         assert set(np.unique(z)) == {-1.0, 1.0}
 
 

@@ -14,7 +14,7 @@ from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.optimize import minimize_scalar
 
 import specmp as sp
-from oracles import arma11_support, arma_residual, lsd_moments, toeplitz_moments
+from oracles import arma11_support, arma_residual, atomic_lsd_density, lsd_moments, toeplitz_moments
 
 MP_ATOM = sp.AtomicLSD(levels=np.array([1.0]), weights=np.array([1.0]))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
@@ -86,6 +86,14 @@ class TestSolveFixedPoint:
             sp.mp_stieltjes(1.0, 1.0 - 1j)
         with pytest.raises(ValueError):
             sp.solve_fixed_point(MP_ATOM, -1.0, 1j)
+
+    def test_root_underflowing_to_the_axis_is_arithmetic_error(self):
+        # z = 5 + 5e-324j is in the upper half-plane, but Im m underflows to 0
+        z = 5.0 + 5e-324j
+        with pytest.raises(ArithmeticError, match="no upper-half-plane root"):
+            sp.mp_stieltjes(1.0, z)
+        with pytest.raises(ArithmeticError, match="no upper-half-plane root"):
+            sp.solve_fixed_point(MP_ATOM, 1.0, z)
 
     def test_rejects_unsupported_law(self):
         with pytest.raises(TypeError, match="unsupported limit-law type"):
@@ -594,6 +602,23 @@ class TestInversion:
         gap = (dens.grid > 1.45) & (dens.grid < 1.55)
         assert gap.any()
         assert dens.values[gap].max() <= 1e-6
+
+    @pytest.mark.parametrize("y", [0.01, 3.0], ids=["split", "y3"])
+    def test_two_levels_match_exact_roots(self, y):
+        # levels (1, 2), weights (1/2, 1/2) against the roots of the cubic in m
+        # on the axis.  Worst seen: 1.48e-6 (y = 0.01) and 9.5e-7 (y = 3)
+        # relative where p > 1e-3 of the peak, 1.47e-6 of the peak anywhere;
+        # bounds 2x those
+        dens = sp.invert_to_density(sp.AtomicLSD(np.array([1.0, 2.0]), np.array([0.5, 0.5])), y)
+        # one level is Marchenko-Pastur, a check on the oracle itself
+        mp = atomic_lsd_density([1.0], [1.0], y, dens.grid)
+        np.testing.assert_allclose(mp, sp.mp_density(y, dens.grid), rtol=0, atol=1e-12)
+        exact = atomic_lsd_density([1.0, 2.0], [0.5, 0.5], y, dens.grid)
+        peak = exact.max()
+        inside = exact > 1e-3 * peak
+        assert inside.sum() >= 100
+        assert np.max(np.abs(dens.values[inside] / exact[inside] - 1.0)) <= 3e-6
+        assert np.max(np.abs(dens.values - exact)) <= 3e-6 * peak
 
 
 def _quad_moment(model, j):

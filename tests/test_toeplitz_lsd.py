@@ -154,7 +154,12 @@ class TestGammaDensity:
 
     def test_degenerate_rejected(self):
         f = sp.SpectralDensity(sp.ARMAModel())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="the limit law is atomic"):
+            sp.gamma_density(f, 1.0)
+        # an AR root this near the unit circle makes max f overflow to inf
+        f = sp.SpectralDensity(sp.ARMAModel(ar=[-0.8946377354927975, -0.895280022166188, 0.999357707428716]))
+        assert sp.support_bounds(f)[1] == math.inf
+        with pytest.raises(ValueError, match="spectral density not finite: max f = inf"):
             sp.gamma_density(f, 1.0)
 
     def test_edge_level_rejected(self):
