@@ -5,7 +5,7 @@ Four subcommands produce CSV/JSON artifacts for external plotting:
   gamma-density   density (or atoms) of the Toeplitz autocovariance limit
   lsd-density     limit density of p^{-1} X X^T via the fixed-point solver
   simulate        eigenvalues of simulated sample covariance matrices
-  compare         simulation against theory with a KS/pass-fail report
+  compare         simulation against F solved at its eigenvalues: KS, pass/fail
 
 Exit codes: 0 success, 2 validation failure (a UserWarning that ``-W error``
 raises included), 3 numerical failure.  All output is deterministic given the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .linear_process import ModelSpecError, model_from_spec, model_to_spec
 from .simulator import INNOVATION_LAWS, SimulationPlan, ks_distance, sample_cov_eigenvalues, simulate_matrix
-from .stieltjes import GRID_MIN_SIZE, ConvergenceError, default_grid, invert_to_density, lsd_cdf
+from .stieltjes import GRID_MIN_SIZE, ConvergenceError, default_grid, estimate_support_upper, invert_to_density, lsd_cdf
 from .toeplitz_lsd import AtomicLSD, gamma_density, gamma_lsd, support_bounds
 
 __all__ = ["main", "entry"]
@@ -38,6 +38,8 @@ EXIT_NUMERICAL = 3
 
 _KS_THRESHOLD = 0.05
 _SCALE_AWARE_MIN_P = 500
+_HISTOGRAM_BINS = 60
+_ZERO_EIGENVALUE = 1e-9  # eigenvalues up to this meet the law's atom 1 - y at zero
 
 
 def _fmt(x):
@@ -194,18 +196,16 @@ def _plan_payload(plan):
 def cmd_compare(args):
     model = _load_model(args)
     plan = _plan_from_args(args, model)
-    size = _require_grid(args, GRID_MIN_SIZE)
     lsd = gamma_lsd(model)
-    grid = default_grid(lsd, plan.y, size=size)
-    density = invert_to_density(lsd, plan.y, grid=grid)
-    theory = lambda x: lsd_cdf(density, x)
-
     results = _run_replicates(plan)
-    per_replicate = []
-    for spectrum in results:
-        ks = ks_distance(spectrum, theory)
-        hist_l1 = _histogram_l1(spectrum, density)
-        per_replicate.append({"ks": ks, "hist_l1": hist_l1, "trace": spectrum.trace})
+    # one table at every positive eigenvalue and bin edge: F is read where it is solved
+    eigs = np.concatenate([spectrum.eigenvalues for spectrum in results])
+    edges = np.linspace(0.0, max(estimate_support_upper(lsd, plan.y), eigs.max()), _HISTOGRAM_BINS + 1)
+    density = invert_to_density(lsd, plan.y, grid=np.union1d(eigs[eigs > _ZERO_EIGENVALUE], edges[1:]))
+    theory = lambda x: lsd_cdf(density, x)
+    per_replicate = [
+        {"ks": ks_distance(s, theory), "hist_l1": _histogram_l1(s, density), "trace": s.trace} for s in results
+    ]
     ks_values = [r["ks"] for r in per_replicate]
     scale_aware = plan.p >= _SCALE_AWARE_MIN_P
     passed = bool(max(ks_values) <= _KS_THRESHOLD) if scale_aware else None
@@ -226,11 +226,11 @@ def cmd_compare(args):
 
 
 def _histogram_l1(spectrum, density):
-    # L1 distance between the ESD and theory masses of the zero atom (the
-    # eigenvalues below 1e-9) and of 60 equal bins from 0 past both tops
+    # L1 distance between the ESD and theory masses of the zero atom and of
+    # equal bins from 0 to the top of the table, which holds every eigenvalue
     vals = spectrum.eigenvalues
-    edges = np.linspace(0.0, max(float(density.grid[-1]), float(vals.max(initial=1.0))), 61)
-    positive = vals[vals > 1e-9]
+    edges = np.linspace(0.0, density.grid[-1], _HISTOGRAM_BINS + 1)
+    positive = vals[vals > _ZERO_EIGENVALUE]
     counts, _ = np.histogram(positive, bins=edges)
     emp_zero = 1.0 - positive.size / vals.size
     theory_mass = np.diff(lsd_cdf(density, edges))
@@ -282,7 +282,6 @@ def build_parser():
     _add_model_args(c)
     c.add_argument("--y", type=float, required=True)
     _add_sim_args(c)
-    c.add_argument("--grid", type=int, default=512)
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_compare)
     return parser
@@ -296,7 +295,7 @@ def main(argv=None):
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ModelSpecError, OSError, UserWarning) as exc:
+    except (ModelSpecError, OSError, UserWarning, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, np.linalg.LinAlgError, ArithmeticError) as exc:

@@ -105,6 +105,8 @@ class SimulationPlan:
             raise ValueError("seed must be nonnegative")
         if self.n < 1:
             raise ValueError("y * p rounds below one column")
+        if self.p * self.n > np.iinfo(np.intp).max:
+            raise ValueError("p * n exceeds the largest array NumPy can index")
 
     @property
     def n(self):

@@ -8,9 +8,9 @@ unique map m from the upper half-plane to itself with
 
 where y is the limiting column/row ratio n/p.  This module solves that fixed
 point, gives the Marchenko-Pastur closed form and the ARMA(1,1) quartic as
-oracles, locates the upper support edge, and recovers the density via
-Stieltjes-Perron inversion at one small offset above the real axis.  The
-solver and the edge see a limit law only through its quadrature
+oracles, locates the upper support edge, and recovers the density and the
+distribution function from solves at one small offset above the real axis.
+The solver and the edge see a limit law only through its quadrature
 :class:`~specmp.toeplitz_lsd.Rule` ``lsd.rule(N)`` (its atoms, or the Szegő
 rule of a continuous law) and that rule's (T, T') evaluator.
 """
@@ -80,12 +80,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StieltjesSolution:
-    """Value of the Stieltjes transform at one point of the upper half-plane."""
+    """Value of the Stieltjes transform at one point, solved on ``lsd.rule(size)``."""
 
     z: complex
     m: complex
     residual: float
     iterations: int
+    size: int
 
     def __post_init__(self):
         if not self.m.imag > 0.0:
@@ -168,7 +169,8 @@ def solve_fixed_point(lsd, y, z, initial=None):
     residual is the defect on the solve's own rule at the returned m.
     MAX_ITER caps the sweeps on one rule.
     Without a usable ``initial`` the solve starts from the law with all its
-    mass at the mean level, which is exact for a single atom.  ``m`` is a
+    mass at the mean level, which is exact for a single atom (ArithmeticError
+    where Im z underflows in the scaling, as for one atom).  ``m`` is a
     Python complex and ``residual`` a Python float.
     """
     z = complex(z)
@@ -184,7 +186,10 @@ def solve_fixed_point(lsd, y, z, initial=None):
     rule = lsd.rule(size)
     if initial is None or not initial.imag > 0.0:
         # -1/z sits among the rule's real poles -1/lam when z is near the real axis
-        m = mp_stieltjes(y, z / rule.mean) / rule.mean
+        try:
+            m = mp_stieltjes(y, z / rule.mean) / rule.mean
+        except ValueError:
+            raise ArithmeticError(f"no upper-half-plane root at z={z}") from None
     else:
         m = complex(initial)
     iterations = 0
@@ -208,7 +213,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
                 m = fine
             break
         first = t2, tp2
-    return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations)
+    return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations, size=size)
 
 
 def mp_support(y):
@@ -271,14 +276,15 @@ def arma11_residual(phi, theta, y, z, m):
 
 @dataclass(frozen=True)
 class LimitingDensity:
-    """Tabulated limit density of p^{-1} X X^T plus the point mass at zero.
+    """Tabulated limit law of p^{-1} X X^T plus the point mass at zero.
 
-    ``values`` is (1/pi) Im m(x + i offset) on ``grid`` with the point mass
-    removed; ``offset`` is the absolute height above the real axis.
+    On ``grid``, ``values`` is the density (1/pi) Im m(x + i offset) less the
+    point mass, and ``cdf`` the distribution function with it.
     """
 
     grid: np.ndarray
     values: np.ndarray
+    cdf: np.ndarray
     mass_at_zero: float
     y: float
     offset: float = 0.0
@@ -286,22 +292,24 @@ class LimitingDensity:
     max_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("grid", "values"):
+        for name in ("grid", "values", "cdf"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
 def invert_to_density(lsd, y, grid=None):
-    """Stieltjes-Perron inversion: density of the limit law on a grid.
+    """Density and distribution function of the limit law on a grid.
 
-    p(x) is (1/pi) Im m(x + i delta), clipped at 0, after the known point mass
-    max(0, 1 - y)/(-z) at the origin is subtracted; delta = OFFSET * grid[-1].
-    One solve per grid point, each warm-started from the previous point's m.
-    The solves run under one ``np.errstate(all="ignore")``: a NaN or
-    overflow (at extreme y, say) is caught by the solver's finiteness checks
-    and surfaces as the ConvergenceError, not as a NumPy warning.  Solver
-    failures propagate as ConvergenceError tagged with the offending x.
+    One solve per grid point x at z = x + i delta, delta = OFFSET * grid[-1],
+    each warm-started from the previous m.  With a = max(0, 1 - y) the point
+    mass at zero, the density is (1/pi) Im(m + a/z), clipped at 0, and F is
+    -Im Phi(z)/pi for the log potential Phi = -log m - z m - 1
+    + y integral log(1 + lam m) dH (Phi' = -m), with a in place of the mass's
+    smeared term -a arg(-z)/pi.  Phi is stationary in m, so the integral runs
+    on the largest rule that a solve ended on.  The solves run under
+    ``np.errstate(all="ignore")``: a NaN or overflow (at extreme y, say)
+    surfaces as a ConvergenceError tagged with x.
     """
     if grid is None:
         grid = default_grid(lsd, y)
@@ -311,8 +319,9 @@ def invert_to_density(lsd, y, grid=None):
 
     delta = OFFSET * float(grid[-1])
     atom = max(0.0, 1.0 - y)
-    vals = np.empty(grid.size)
+    ms = np.empty(grid.size, dtype=complex)
     m = None
+    size = 0
     iterations = 0
     max_residual = 0.0
     with np.errstate(all="ignore"):
@@ -324,13 +333,18 @@ def invert_to_density(lsd, y, grid=None):
                 raise ConvergenceError(
                     f"inversion failed at x={float(x)}", z, exc.m, exc.residual, exc.iterations
                 ) from exc
-            m = sol.m
-            vals[i] = (m + atom / z).imag / math.pi
+            m = ms[i] = sol.m
+            size = max(size, sol.size)
             iterations += sol.iterations
             max_residual = max(max_residual, sol.residual)
+        vals = [(m + atom / complex(x, delta)).imag / math.pi for x, m in zip(grid, ms.tolist())]
+        rule, z = lsd.rule(size), grid + 1j * delta
+        args = np.array([np.arctan2(rule.nodes * m.imag, 1.0 + rule.nodes * m.real).dot(rule.weights) for m in ms])
+        cdf = (np.angle(ms) - y * args + (z * ms).imag + atom * np.angle(-z)) / math.pi + atom
     return LimitingDensity(
         grid=grid,
         values=np.clip(vals, 0.0, None),
+        cdf=cdf,
         mass_at_zero=atom,
         y=y,
         offset=delta,
@@ -340,20 +354,11 @@ def invert_to_density(lsd, y, grid=None):
 
 
 def lsd_cdf(density, x):
-    """Distribution function of a limit density given on a grid.
-
-    Zero below zero; at zero the point mass, plus 2 x0 p(x0) for the mass below
-    the first grid point x0 (exact for a c x^{-1/2} hard edge, negligible below
-    a soft edge), plus the trapezoidal accumulation of the density; linear
-    between 0 and x0.  Monotone nondecreasing and approximately 1 at the top of
-    the grid.
-    """
-    g = density.grid
-    v = density.values
-    cum = np.concatenate(([0.0], np.cumsum(np.diff(g) * (v[1:] + v[:-1]) / 2.0)))
-    tail = 2.0 * g[0] * v[0]
+    """Distribution function of a tabulated limit law at x: 0 below 0, the
+    point mass at 0, then linear between the table's points (``density.cdf``
+    on ``density.grid``), which alone are exact, and F(top) past the top."""
     xq = np.asarray(x, dtype=float)
-    above = density.mass_at_zero + np.interp(xq, np.concatenate(([0.0], g)), np.concatenate(([0.0], tail + cum)))
+    above = np.interp(xq, np.concatenate(([0.0], density.grid)), np.concatenate(([density.mass_at_zero], density.cdf)))
     out = np.where(xq < 0.0, 0.0, above)
     return float(out) if xq.ndim == 0 else out
 

@@ -139,7 +139,7 @@ class TestLsdDensityCommand:
         [
             ["lsd-density", "--model", WHITE, "--y", "inf"],
             ["lsd-density", "--model", WHITE, "--y", "1", "--grid", "4"],
-            ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--grid", "4"],
+            ["compare", "--model", WHITE, "--y", "1", "--p", "16", "--replicates", "0"],
             ["gamma-density", "--model", ARMA11, "--grid", "0"],
             ["lsd-density", "--model", WHITE, "--y", "nan"],
             ["simulate", "--model", WHITE, "--y", "1", "--p", "16", "--mu", "nan"],
@@ -165,6 +165,9 @@ class TestLsdDensityCommand:
             ["simulate", "--model", ARMA_WITH_D, "--y", "1", "--p", "16"],
             ["gamma-density", "--model", PIECEWISE_WITH_AR],
             ["lsd-density", "--model", PIECEWISE_WITH_AR, "--y", "1"],
+            # plans whose p * n exceeds what NumPy can index, refused before any solve
+            ["simulate", "--model", WHITE, "--y", "1e300", "--p", "16"],
+            ["compare", "--model", WHITE, "--y", "1e300", "--p", "2"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):
@@ -262,10 +265,9 @@ _runs = st.tuples(
     st.builds(lambda grid, y: ["lsd-density", "--grid", grid, "--y", y], _grid, _y),
     # a valid plan, so that compare reaches the theory for every model it can simulate
     st.builds(
-        lambda sim, law, grid: ["compare", *sim, "--law", law, "--grid", grid],
+        lambda sim, law: ["compare", *sim, "--law", law],
         _plan,
         st.sampled_from(INNOVATION_LAWS),
-        _grid,
     ),
 )
 
@@ -367,6 +369,17 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_memory_error_exits_2(self, command, tmp_path, capsys, monkeypatch):
+        # a matrix too large for the host is a refused input, not a traceback
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate the simulated matrix")
+
+        monkeypatch.setattr(specmp.cli, "simulate_matrix", no_memory)
+        assert run([command, "--model", WHITE, "--y", "1", "--p", "16", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not list(tmp_path.iterdir())
+
 
 class TestCompareCommand:
     def test_small_run_report(self, tmp_path):
@@ -374,7 +387,7 @@ class TestCompareCommand:
         code = run(
             [
                 "compare", "--model", ARMA11, "--y", "3", "--p", "120", "--seed", "5",
-                "--replicates", "2", "--grid", "256", "--out", str(out),
+                "--replicates", "2", "--out", str(out),
             ]
         )
         assert code == 0
@@ -387,7 +400,7 @@ class TestCompareCommand:
     def test_scale_aware_pass(self, tmp_path):
         out = tmp_path / "big"
         code = run(
-            ["compare", "--model", WHITE, "--y", "1", "--p", "600", "--seed", "3", "--grid", "384", "--out", str(out)]
+            ["compare", "--model", WHITE, "--y", "1", "--p", "600", "--seed", "3", "--out", str(out)]
         )
         assert code == 0
         report = json.loads((tmp_path / "big.json").read_text())
@@ -404,8 +417,40 @@ class TestCompareCommand:
         assert report["pass"] is True
         assert report["ks_max"] <= 0.05
 
+    @pytest.mark.parametrize("y", ["0.5", "3"])
+    def test_ks_reads_the_table_at_each_eigenvalue(self, y, tmp_path, monkeypatch):
+        # compare solves F at every positive eigenvalue of every replicate, and
+        # at every histogram edge, so lsd_cdf returns table entries there
+        spectra, tables = [], []
+        eigensolve, invert = specmp.cli.sample_cov_eigenvalues, specmp.cli.invert_to_density
+
+        def recording_eigensolve(*args, **kwargs):
+            spectra.append(eigensolve(*args, **kwargs))
+            return spectra[-1]
+
+        def recording_invert(*args, **kwargs):
+            tables.append(invert(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(specmp.cli, "sample_cov_eigenvalues", recording_eigensolve)
+        monkeypatch.setattr(specmp.cli, "invert_to_density", recording_invert)
+        args = ["compare", "--model", ARMA11, "--y", y, "--p", "40", "--seed", "4", "--replicates", "2"]
+        assert run(args + ["--out", str(tmp_path / "c")]) == 0
+        (density,) = tables
+        report = json.loads((tmp_path / "c.json").read_text())
+        assert len(spectra) == len(report["replicates"]) == 2
+        for spectrum, replicate in zip(spectra, report["replicates"]):
+            eigs = spectrum.eigenvalues[spectrum.eigenvalues > 1e-9]
+            at = np.searchsorted(density.grid, eigs)
+            assert np.array_equal(density.grid[at], eigs)
+            assert np.array_equal(specmp.lsd_cdf(density, eigs), density.cdf[at])
+            assert replicate["ks"] == specmp.ks_distance(spectrum, lambda x: specmp.lsd_cdf(density, x))
+        edges = np.linspace(0.0, density.grid[-1], 61)
+        assert np.array_equal(specmp.lsd_cdf(density, edges[1:]), density.cdf[np.searchsorted(density.grid, edges[1:])])
+        assert specmp.lsd_cdf(density, 0.0) == density.mass_at_zero
+
     def test_idempotent_reports(self, tmp_path):
-        args = ["compare", "--model", WHITE, "--y", "1", "--p", "64", "--seed", "9", "--grid", "128"]
+        args = ["compare", "--model", WHITE, "--y", "1", "--p", "64", "--seed", "9"]
         assert run(args + ["--out", str(tmp_path / "r1")]) == 0
         assert run(args + ["--out", str(tmp_path / "r2")]) == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
@@ -416,8 +461,10 @@ def flat_law(mass_at_zero):
     # and [33, 34], on the grid 1..60: the unit bins from 0 to 60 hold masses
     # 0, c/2, c (31 times), c/2, then 0, all exact in binary
     grid = np.arange(1.0, 61.0)
-    values = np.where((grid >= 2.0) & (grid <= 33.0), (1.0 - mass_at_zero) / 32.0, 0.0)
-    return LimitingDensity(grid=grid, values=values, mass_at_zero=mass_at_zero, y=1.0 - mass_at_zero)
+    c = (1.0 - mass_at_zero) / 32.0
+    values = np.where((grid >= 2.0) & (grid <= 33.0), c, 0.0)
+    cdf = mass_at_zero + c * np.clip(grid - 1.5, 0.0, 32.0)
+    return LimitingDensity(grid=grid, values=values, cdf=cdf, mass_at_zero=mass_at_zero, y=1.0 - mass_at_zero)
 
 
 class TestHistogramL1:
@@ -486,9 +533,8 @@ class TestEntryPoint:
         [
             ["lsd-density", "--model", WHITE, "--y", "1e300", "--grid", "16"],
             ["lsd-density", "--model", ARMA11, "--y", "1e300", "--grid", "16"],
-            ["compare", "--model", WHITE, "--y", "1e300", "--p", "2"],
         ],
-        ids=["lsd-density-white", "lsd-density-arma11", "compare-white"],
+        ids=["lsd-density-white", "lsd-density-arma11"],
     )
     def test_extreme_y_exits_3_under_warnings_as_errors(self, argv, tmp_path):
         # the inversion's NaNs at y = 1e300 surface as the typed failure, not as

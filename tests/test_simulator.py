@@ -282,6 +282,15 @@ class TestSimulateMatrix:
             with pytest.raises(ValueError, match="must be an integer"):
                 sp.SimulationPlan(y=1.0, model=sp.ARMAModel(), **field)
 
+    def test_plan_refuses_more_entries_than_numpy_can_index(self):
+        # p * n against the largest np.intp: the refusal builds no array
+        big = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match="p \\* n exceeds"):
+            sp.SimulationPlan(p=16, y=1e300, model=sp.ARMAModel())
+        with pytest.raises(ValueError, match="p \\* n exceeds"):
+            sp.SimulationPlan(p=2, y=float(big), model=sp.ARMAModel())
+        assert sp.SimulationPlan(p=1, y=float(2**40), model=sp.ARMAModel()).n == 2**40
+
     @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
     def test_plan_rejects_nonfinite_mu(self, mu):
         with pytest.raises(ValueError):
