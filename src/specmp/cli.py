@@ -114,6 +114,7 @@ def cmd_lsd_density(args):
             "mass_at_zero": density.mass_at_zero,
             "model": model_to_spec(model),
             "solver": {
+                "law": lsd.kind,
                 "iterations": density.iterations,
                 "max_residual": density.max_residual,
                 "offset": density.offset,

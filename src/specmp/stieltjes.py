@@ -10,9 +10,11 @@ where y is the limiting column/row ratio n/p.  This module solves that fixed
 point, gives the Marchenko-Pastur closed form and the ARMA(1,1) quartic as
 oracles, locates the upper support edge, and recovers the density and the
 distribution function from solves at one small offset above the real axis.
-The solver and the edge see a limit law only through its quadrature
-:class:`~specmp.toeplitz_lsd.Rule` ``lsd.rule(N)`` (its atoms, or the Szegő
-rule of a continuous law) and that rule's (T, T') evaluator.
+The solver, the edge and the CDF see a limit law only through its rule
+``lsd.rule(N)``: the atoms or the Szegő rule as a
+:class:`~specmp.toeplitz_lsd.Rule`, or the exact ARMA law itself.  They call
+its (T, T') evaluator ``terms``, its log potential ``potential``, its ``mean``
+and its ``top``, and never read nodes or weights.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD, _bisect
+from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD, ExactARMALSD, _bisect
 
 __all__ = [
     "StieltjesSolution",
@@ -154,10 +156,11 @@ def _iterate(TTp, y, z, m, first=None):
 def solve_fixed_point(lsd, y, z, initial=None):
     """Stieltjes transform m(z) of the limit law of p^{-1} X X^T.
 
-    ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD or AbsContinuousLSD),
-    ``y`` the limiting n/p ratio, and z a point with Im z > 0.  The law is
-    solved on its rule ``lsd.rule(N)``: the Szegő rule of a continuous law, or
-    the atoms, which are exact at every N.  N doubles from RULE_START_SIZE
+    ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD, ExactARMALSD or
+    AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a point with
+    Im z > 0.  The law is solved on its rule ``lsd.rule(N)``: the Szegő rule of
+    an AbsContinuousLSD, or the atoms or the exact ARMA law, which are exact at
+    every N.  N doubles from RULE_START_SIZE
     until the 2N rule moves the integral term T by at most 1e-9 (1 + |T|); the
     residual is the N-rule solution's defect on the 2N rule, and a Newton step
     on the 2N rule ends the solve; the check's N-rule T may be extrapolated
@@ -178,7 +181,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
         raise ValueError("aspect ratio y must be positive and finite")
     if not z.imag > 0.0:
         raise ValueError("z must lie in the upper half-plane")
-    if not isinstance(lsd, (AtomicLSD, AbsContinuousLSD)):
+    if not isinstance(lsd, (AtomicLSD, AbsContinuousLSD, ExactARMALSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
     y = float(y)
 
@@ -306,9 +309,9 @@ def invert_to_density(lsd, y, grid=None):
     mass at zero, the density is (1/pi) Im(m + a/z), clipped at 0, and F is
     -Im Phi(z)/pi for the log potential Phi = -log m - z m - 1
     + y integral log(1 + lam m) dH (Phi' = -m), with a in place of the mass's
-    smeared term -a arg(-z)/pi.  Phi is stationary in m, so the integral runs
-    on the largest rule that a solve ended on.  The solves run under
-    ``np.errstate(all="ignore")``: a NaN or overflow (at extreme y, say)
+    smeared term -a arg(-z)/pi.  Phi is stationary in m, so the integral, the
+    rule's ``potential``, runs on the largest rule that a solve ended on.  The
+    solves run under ``np.errstate(all="ignore")``: a NaN or overflow (at extreme y, say)
     surfaces as a ConvergenceError tagged with x.
     """
     if grid is None:
@@ -339,7 +342,7 @@ def invert_to_density(lsd, y, grid=None):
             max_residual = max(max_residual, sol.residual)
         vals = [(m + atom / complex(x, delta)).imag / math.pi for x, m in zip(grid, ms.tolist())]
         rule, z = lsd.rule(size), grid + 1j * delta
-        args = np.array([np.arctan2(rule.nodes * m.imag, 1.0 + rule.nodes * m.real).dot(rule.weights) for m in ms])
+        args = np.array([rule.potential(m) for m in ms])
         cdf = (np.angle(ms) - y * args + (z * ms).imag + atom * np.angle(-z)) / math.pi + atom
     return LimitingDensity(
         grid=grid,
@@ -369,7 +372,8 @@ def estimate_support_upper(lsd, y):
     On real m in (-1/max lam, 0) the inverse x(m) = -1/m + y T(m) of the
     transform has the edge as its minimum.  There x'(m) = 1/m^2 + y T'(m)
     rises from -inf to +inf, so one bisection over ``lsd.rule(RULE_MAX_SIZE)``
-    finds it: 4,096 nodes for a continuous law, one per mirror pair.
+    finds it, with max lam the rule's ``top``: the atoms, the exact ARMA law
+    (top = max f), or 4,096 Szegő nodes, one per mirror pair.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
@@ -379,7 +383,7 @@ def estimate_support_upper(lsd, y):
         # _bisect passes the one bracket's midpoint as a length-1 array
         return 1.0 / m**2 + y * rule.terms(m[0])[1].real
 
-    m = float(_bisect(slope, [-1.0 / rule.nodes.max()], [0.0], np.zeros(1))[0])
+    m = float(_bisect(slope, [-1.0 / rule.top], [0.0], np.zeros(1))[0])
     return float(-1.0 / m + y * rule.terms(m)[0].real)
 
 

@@ -15,14 +15,24 @@ points, and 0, pi and 2*pi), which the density computes once, split
 [0, 2*pi] into monotone branches; one vectorised bisection then finds the
 root of f(w) = lam on every branch for a whole array of levels.  A level is
 tangential when it equals f at a stationary point inside the support; the
-density diverges there.  Quadrature against the continuous law comes from
-Szegő's theorem, as a graded trapezoid rule in w pushed forward through f and
-folded about pi, where the even f takes each value twice.  Either law hands
-the solver a :class:`Rule`: its nodes and weights, and the (T, T') sums.
+density diverges there.  Integrals against the continuous law of a FARIMA
+model (d != 0), or of an ARMA model with K = max(p, q) >= 3, come from Szegő's
+theorem, as a graded trapezoid rule in w pushed forward through f and folded
+about pi, where the even f takes each value twice.  An ARMA model with K <= 2
+has an exact law instead: with s = 2 cos w, f is a ratio of polynomials of
+degree K in s, and the integrals follow from the K roots of one of them.
+
+Every law hands the solver a rule at each size N: an object with the (T, T')
+evaluator ``terms``, the imaginary part of the log potential ``potential``,
+the ``mean`` level and the ``top`` of the support.  The atoms and the Szegő
+rules are a :class:`Rule` of nodes and weights; the exact law is its own rule.
+A law whose rule is one object at every size is exact, and its ``kind``
+("atoms", "szego" or "exact") names it in reports.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -36,6 +46,7 @@ __all__ = [
     "Rule",
     "AtomicLSD",
     "AbsContinuousLSD",
+    "ExactARMALSD",
     "support_bounds",
     "gamma_density",
     "atomic_lsd",
@@ -149,7 +160,7 @@ def gamma_density(f, levels):
 
 
 class Rule:
-    """Quadrature rule of a limit law: read-only nodes lam, weights W and mean.
+    """Quadrature rule of a limit law: read-only nodes lam, weights W, mean and top (max lam).
 
     A Szegő rule holds one node per mirror pair, at the pair's weight.
     :meth:`terms` sums over mu = 1/lam, as lam / (1 + lam m) = 1 / (mu + m).
@@ -158,13 +169,14 @@ class Rule:
     SCALAR_NODES kept nodes sum in Python scalars, under NumPy's call cost.
     """
 
-    __slots__ = ("nodes", "weights", "mean", "_mu", "_w", "_pairs")
+    __slots__ = ("nodes", "weights", "mean", "top", "_mu", "_w", "_pairs")
 
     def __init__(self, nodes, weights):
         for arr in (nodes, weights):
             arr.setflags(write=False)
         self.nodes, self.weights = nodes, weights
         self.mean = float(weights.dot(nodes))
+        self.top = float(nodes.max())
         with np.errstate(divide="ignore", over="ignore"):
             mu = 1.0 / nodes
         keep = np.isfinite(mu)
@@ -194,6 +206,10 @@ class Rule:
         q *= q
         return t, -complex(q.dot(self._w))
 
+    def potential(self, m):
+        """Im of the log potential, the integral of log(1 + lam m): sum W arg(1 + lam m)."""
+        return float(np.arctan2(self.nodes * m.imag, 1.0 + self.nodes * m.real).dot(self.weights))
+
 
 @dataclass(frozen=True)
 class AtomicLSD:
@@ -205,6 +221,7 @@ class AtomicLSD:
 
     levels: np.ndarray
     weights: np.ndarray
+    kind = "atoms"
 
     def __post_init__(self):
         levels = np.array(self.levels, dtype=float)
@@ -237,6 +254,7 @@ class AbsContinuousLSD:
 
     f: SpectralDensity
     _rules: dict = field(default_factory=dict, repr=False, compare=False)
+    kind = "szego"
 
     def __post_init__(self):
         if not isinstance(self.f, SpectralDensity):
@@ -264,6 +282,192 @@ class AbsContinuousLSD:
         return cached
 
 
+def _cosine_poly(r):
+    """r_0 + 2 sum_h r_h cos(h w) as a polynomial in s = 2 cos w, lowest power first.
+
+    2 cos(h w) is D_h(s), with D_0 = 2, D_1 = s and D_h = s D_(h-1) - D_(h-2).
+    A top coefficient that moves the polynomial on [-2, 2] by no more than its
+    rounding (zero, or 1e-172 from an AR coefficient of that size) is dropped,
+    so the length is the degree plus one, and a root of E never sits near
+    infinity for want of a coefficient.
+    """
+    P = np.polynomial.polynomial
+    out = np.zeros(r.size)
+    out[0] = r[0]
+    prev, cur = np.array([2.0]), np.array([0.0, 1.0])
+    for h in range(1, r.size):
+        out[: cur.size] += r[h] * cur
+        prev, cur = cur, P.polysub(P.polymulx(cur), prev)
+    scale = 2.0 ** np.arange(r.size)
+    noise = np.finfo(float).eps * np.abs(out).dot(scale)
+    while out.size > 1 and abs(out[-1]) * scale[out.size - 1] <= noise:
+        out = out[:-1]
+    return out
+
+
+def _off_axis(m):
+    # T is analytic where E = A + m B loses its degree or has a double root; only
+    # the root form is singular there, so it is evaluated an ulp above the axis
+    return complex(m.real, m.imag + 2.0**-52 * max(1.0, abs(m)))
+
+
+def _small_root(s):
+    """The root inside the unit disk of zeta^2 - s zeta + 1, for s off [-2, 2]."""
+    w = cmath.sqrt((s - 2.0) * (s + 2.0))
+    return 2.0 / (s + w if (s.conjugate() * w).real >= 0.0 else s - w)
+
+
+def _g(zeta):
+    """(g, dg/ds) at s = zeta + 1/zeta for g(s) = (1/2 pi) int dw / (2 cos w - s) = zeta / (zeta^2 - 1)."""
+    z2 = zeta * zeta
+    q = z2 - 1.0
+    return zeta / q, -z2 * (z2 + 1.0) / (q * q * q)
+
+
+def _h(zeta):
+    """(h, dh/ds) for h = g + 1/s = 2 zeta^3 / (zeta^4 - 1), which falls like -2/s^3 as s grows."""
+    z2 = zeta * zeta
+    q = z2 * z2 - 1.0
+    return 2.0 * zeta * z2 / q, -2.0 * z2 * z2 * (z2 * z2 + 3.0) / (q * q * (z2 - 1.0))
+
+
+def _g_dd(z1, z2):
+    """The divided difference (g(s1) - g(s2)) / (s1 - s2), free of cancellation as s2 -> s1."""
+    p = z1 * z2
+    return -(1.0 + p) * p / ((z1 * z1 - 1.0) * (z2 * z2 - 1.0) * (p - 1.0))
+
+
+def _h_dd(z1, z2):
+    """The divided difference (h(s1) - h(s2)) / (s1 - s2), free of cancellation as s2 -> s1."""
+    p, q1, q2 = z1 * z2, z1 * z1, z2 * z2
+    return -2.0 * (p * p * p + q1 + p + q2) * p / ((q1 * q1 - 1.0) * (q2 * q2 - 1.0) * (p - 1.0))
+
+
+class ExactARMALSD:
+    """Toeplitz eigenvalue limit of an ARMA model with K = max(p, q) <= 2, in closed form.
+
+    With s = 2 cos w, |phi|^2 = A(s) and |theta|^2 = B(s) are polynomials of
+    degree at most K (``_cosine_poly``), so T(m) = (1/2 pi) int B / E dw with
+    E = A + m B needs only the K roots s_j of E.  In partial fractions
+    B/E = c_inf + sum_j c_j / (s - s_j), c_j = B(s_j) / E'(s_j), and the mean
+    of 1 / (s - s_j) over w is g(s_j) (``_g``), so T = c_inf + sum_j c_j g(s_j).
+    T' follows from ds_j/dm = -c_j, dc_j/dm = c_j (c_j E'' - 2 B'(s_j)) / E'(s_j)
+    and dc_inf/dm = -c_inf^2.  Two forms keep T accurate:
+
+    - a root far from [-2, 2] takes h = g + 1/s (``_h``) and hands
+      -c_j / s_j to c_inf, which becomes the value at s = 0 of B/E less the
+      other roots' fractions; so c_inf does not cancel against c_j g(s_j)
+      where E's leading coefficient is small and s_j runs off to infinity
+      (``_terms1`` and ``_terms2`` say how far is far);
+    - two roots of one form sum as the divided difference of B g (or B h),
+      which stays accurate at a near double root.
+
+    The log potential, the mean of log(1 + m f) = log E - log A, is
+    log lead(E) + sum_j log(-1/zeta_j) up to a real constant and 2 pi i k, so
+    its imaginary part needs only E's roots.  The law is its own exact rule:
+    :meth:`rule` hands it out at every size, with ``terms``, ``potential``,
+    ``mean`` and ``top`` (max f).  It holds its spectral density as ``f``.
+    """
+
+    kind = "exact"
+
+    def __init__(self, f):
+        A, B = _cosine_poly(f.ar_acov), _cosine_poly(f.ma_acov)
+        order = max(A.size, B.size) - 1
+        if f.d != 0.0 or not 1 <= order <= 2:
+            raise ValueError(f"the exact law needs d = 0 and 1 <= max(p, q) <= 2, not d = {f.d}, K = {order}")
+        self.f = f
+        self._a, self._b = (tuple(np.pad(c, (0, order + 1 - c.size)).tolist()) for c in (A, B))
+        if order == 1:
+            self._k1 = (*self._a, *self._b, self._a[1] * self._b[0] - self._a[0] * self._b[1])
+        self.terms = self._terms1 if order == 1 else self._terms2
+        self.top = support_bounds(f)[1]
+        self.mean = self.terms(0.0)[0].real
+
+    def rule(self, size):
+        """The law itself, an exact rule at every size."""
+        return self
+
+    def _roots(self, m):
+        """(E's coefficients e_0..e_K, E's roots (s_j, zeta_j), least |s| first).
+
+        Where E loses its degree or has a double root, m moves off the axis (``_off_axis``).
+        """
+        e = [a + m * b for a, b in zip(self._a, self._b)]
+        if len(e) == 2:
+            if e[1] == 0.0:
+                return self._roots(_off_axis(m))
+            roots = (-e[0] / e[1],)
+        else:
+            e0, e1, e2 = e
+            w = cmath.sqrt(e1 * e1 - 4.0 * e2 * e0)
+            if e2 == 0.0 or w == 0.0:
+                return self._roots(_off_axis(m))
+            q = -0.5 * (e1 + w if (e1.conjugate() * w).real >= 0.0 else e1 - w)
+            roots = (e0 / q, q / e2)
+        return e, [(s, _small_root(s)) for s in roots]
+
+    def _terms1(self, m):
+        """(T, T') at m for K = 1, written out, as it runs once a sweep.
+
+        E = e0 + e1 s has its root at s = -e0/e1, so zeta is the small root of
+        e1 zeta^2 + e0 zeta + e1, and c = B(s)/e1 = (a1 b0 - a0 b1)/e1^2; neither
+        needs s.  |zeta| < 1/2 puts |s| above 3/2, where the root takes h.
+        """
+        a0, a1, b0, b1, kappa = self._k1
+        e0, e1 = a0 + m * b0, a1 + m * b1
+        if e1 == 0.0:
+            return self._terms1(_off_axis(m))
+        u = 1.0 / e1
+        c = kappa * u * u
+        w = cmath.sqrt((e0 - 2.0 * e1) * (e0 + 2.0 * e1))
+        zeta = -2.0 * e1 / (e0 + w if (e0.conjugate() * w).real >= 0.0 else e0 - w)
+        z2 = zeta * zeta
+        if abs(z2) < 0.25:
+            d, z4 = b0 / e0, z2 * z2
+            q = z4 - 1.0
+            k, kp = 2.0 * zeta * z2 / q, -2.0 * z4 * (z4 + 3.0) / (q * q * (z2 - 1.0))
+        else:
+            d, q = b1 * u, z2 - 1.0
+            k, kp = zeta / q, -z2 * (z2 + 1.0) / (q * q * q)
+        return d + c * k, -d * d - c * (2.0 * b1 * u * k + c * kp)
+
+    def _terms2(self, m):
+        """(T, T') at m for K = 2, from the roots s1, s2 of E, |s1| <= |s2|.
+
+        Both roots take h when |s1| > 2, and only s2 when |s1| <= 2 < 4 < |s2|,
+        which keeps the two forms' roots apart.
+        """
+        (e0, e1, e2), ((s1, z1), (s2, z2)) = self._roots(m)
+        b0, b1, b2 = self._b
+        B1, B2 = b0 + s1 * (b1 + s1 * b2), b0 + s2 * (b1 + s2 * b2)
+        E1 = e2 * (s1 - s2)  # E'(s1) = -E'(s2)
+        c1, c2 = B1 / E1, -B2 / E1
+        cp1 = 2.0 * c1 * (e2 * c1 - b1 - 2.0 * b2 * s1) / E1
+        cp2 = -2.0 * c2 * (e2 * c2 - b1 - 2.0 * b2 * s2) / E1
+        if abs(s1) > 2.0:
+            (k1, kp1), (k2, kp2) = _h(z1), _h(z2)
+            d = b0 / e0
+            t, dp = d + (B1 * _h_dd(z1, z2) + (b1 + b2 * (s1 + s2)) * k2) / e2, -d * d
+        elif abs(s2) > 4.0:
+            # c_inf - c2 / s2, and its slope, with the far root's cancellation done by hand
+            (k1, kp1), (k2, kp2) = _g(z1), _h(z2)
+            d = (b2 * s1 + b1 + b0 / s2) / E1
+            dp = -(b2 * c1 - b0 * c2 / (s2 * s2) + d * (2.0 * b2 * s1 + b1 + 2.0 * B1 / (s2 - s1))) / E1
+            t = d + c1 * k1 + c2 * k2
+        else:
+            (k1, kp1), (k2, kp2) = _g(z1), _g(z2)
+            d = b2 / e2
+            t, dp = d + (B1 * _g_dd(z1, z2) + (b1 + b2 * (s1 + s2)) * k2) / e2, -d * d
+        return t, dp + cp1 * k1 + cp2 * k2 - c1 * c1 * kp1 - c2 * c2 * kp2
+
+    def potential(self, m):
+        """Im of the log potential, the integral of log(1 + lam m), in [0, pi) for Im m > 0."""
+        e, roots = self._roots(m)
+        v = cmath.phase(e[-1]) - sum(cmath.phase(-zeta) for _, zeta in roots)
+        return v - TWO_PI * math.floor(v / TWO_PI + 0.25)
+
+
 def atomic_lsd(density):
     """Atomic limit law of a piecewise-constant spectral density.
 
@@ -288,8 +492,11 @@ def atomic_lsd(density):
 def gamma_lsd(model):
     """Limit law of the autocovariance Toeplitz matrix of a model.
 
-    A PiecewiseSpectralDensity gives an AtomicLSD; an ARMAModel gives an
-    AbsContinuousLSD of its SpectralDensity f, or one atom when f is constant.
+    A PiecewiseSpectralDensity gives an AtomicLSD.  An ARMAModel gives one atom
+    when its SpectralDensity f is constant; else, for d = 0 and
+    K = max(deg A, deg B) <= 2 (``_cosine_poly``), the ExactARMALSD of f, which
+    trades the Szegő rule's nodes and weights for no rule refinement at all;
+    else the AbsContinuousLSD of f, its Szegő rules.
     d > 0 (long memory) breaks the summability the theory needs, (max f)^2 must
     be finite, and min f must not be negative beyond rounding (|phi|^2 rounds
     to <= 0 at an AR root within about 1e-7 of the unit circle); each raises
@@ -308,5 +515,7 @@ def gamma_lsd(model):
     if _is_degenerate(lo, hi):
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
+    if f.d == 0.0 and max(_cosine_poly(r).size for r in (f.ar_acov, f.ma_acov)) <= 3:
+        return ExactARMALSD(f)
     return AbsContinuousLSD(f=f)
 

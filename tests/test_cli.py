@@ -109,6 +109,21 @@ class TestLsdDensityCommand:
         args = ["lsd-density", "--model", WHITE, "--y", "1", "--eps-schedule", "1e-2", "--out", str(tmp_path / "e")]
         assert run(args) == 2
 
+    @pytest.mark.parametrize(
+        "spec, law",
+        [
+            (WHITE, "atoms"),
+            (ARMA11, "exact"),
+            ('{"type": "arma", "ar": [0.6, -0.3], "ma": [0.4, 0.2, -0.1]}', "szego"),
+            ('{"type": "farima", "d": -0.25}', "szego"),
+        ],
+        ids=["white", "arma11", "arma23", "farima"],
+    )
+    def test_sidecar_names_the_law_it_solved_on(self, spec, law, tmp_path):
+        out = tmp_path / "t"
+        assert run(["lsd-density", "--model", spec, "--y", "3", "--grid", "16", "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "t.json").read_text())["solver"]["law"] == law
+
     def test_mass_at_zero_recorded(self, tmp_path):
         out = tmp_path / "half"
         assert run(["lsd-density", "--model", WHITE, "--y", "0.5", "--grid", "96", "--out", str(out)]) == 0

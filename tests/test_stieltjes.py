@@ -17,7 +17,12 @@ import specmp as sp
 from oracles import arma11_support, arma_residual, atomic_lsd_density, lsd_moments, toeplitz_moments
 
 MP_ATOM = sp.AtomicLSD(levels=np.array([1.0]), weights=np.array([1.0]))
+ARMA11 = sp.ARMAModel.arma11(0.5, 1.0)
+# gamma_lsd gives ARMA(1,1) its exact law; tests of the Szegő rule build that rule's law
+ARMA11_SZEGO = sp.AbsContinuousLSD(sp.SpectralDensity(ARMA11))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
+# a sharp AR(2) peak: |phi|^2 falls to 1.3e-8 of its mean at w = 0.807
+SHARP_AR2 = sp.ARMAModel(ar=(-1.3826202528951597, 0.9996872602874478))
 FARIMA = sp.ARMAModel(d=-0.25)
 # the five models of the moment oracles
 MOMENT_MODELS = [sp.ARMAModel(), sp.ARMAModel.arma11(0.5, 1.0), ARMA23, FARIMA, sp.ARMAModel(ar=(-0.3,), d=-0.25)]
@@ -147,11 +152,7 @@ class TestSolveFixedPoint:
                 assert sol.iterations <= 2
                 assert evals[0] <= 2, (y, z)
 
-    @pytest.mark.parametrize(
-        "lsd",
-        [MP_ATOM, sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))],
-        ids=["mp", "arma11"],
-    )
+    @pytest.mark.parametrize("lsd", [MP_ATOM, ARMA11_SZEGO], ids=["mp", "arma11"])
     def test_warm_start_at_the_solution_ends_in_one_sweep(self, lsd, monkeypatch):
         # at the fixed point the hyperbolic merit sits at its rounding floor,
         # so no Newton candidate can lower it; the sub-tolerance Newton step
@@ -172,7 +173,7 @@ class TestSolveFixedPoint:
         # one evaluation at the start and one a sweep, except the converged
         # last Newton step, which takes T to first order; the doubled rule
         # adds one.  The sweep counts are pinned so that a change shows.
-        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        lsd = ARMA11_SZEGO
         sweeps = {
             0.5: (4, 5, 4, 4),
             1.0: (5, 5, 5, 5),
@@ -243,7 +244,7 @@ class TestSolveFixedPoint:
 
     def test_convergence_error_carries_the_defect(self, monkeypatch):
         # the cold ARMA(1,1) solve at y = 1, z = 2 + 0.1i takes 5 sweeps on
-        # its first rule; stopped after 2, the error reports the defect of the
+        # its exact law; stopped after 2, the error reports the defect of the
         # last m in the fixed-point equation on that rule, not the merit
         lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
         y, z = 1.0, 2.0 + 0.1j
@@ -318,11 +319,12 @@ class TestSolveFixedPoint:
         "lsd, y, z, size",
         [
             (MP_ATOM, 1.0, 2.0 + 1e-3j, 256),
-            (sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), 0.5, 1j, 512),
-            (sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), 0.5, 1e-6 + 1e-8j, 8192),
-            (sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), 1.0, 1e-7 + 4e-8j, 8192),
+            (ARMA11_SZEGO, 0.5, 1j, 512),
+            (ARMA11_SZEGO, 0.5, 1e-6 + 1e-8j, 8192),
+            (ARMA11_SZEGO, 1.0, 1e-7 + 4e-8j, 8192),
+            (sp.gamma_lsd(ARMA11), 0.5, 1e-6 + 1e-8j, 256),
         ],
-        ids=["atom", "arma11-far", "arma11-near-zero", "arma11-hard-edge"],
+        ids=["atom", "arma11-far", "arma11-near-zero", "arma11-hard-edge", "arma11-exact"],
     )
     def test_solution_names_the_rule_it_solves(self, lsd, y, z, size):
         # m meets the fixed point on lsd.rule(sol.size); worst seen 9.2e-12 of |1/m|
@@ -333,7 +335,7 @@ class TestSolveFixedPoint:
 
     def test_evaluator_does_not_outlive_its_rule(self, monkeypatch):
         evals = count_evaluations(monkeypatch)
-        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        lsd = sp.AbsContinuousLSD(sp.SpectralDensity(ARMA11))
         sp.solve_fixed_point(lsd, 1.0, 1.0 + 1.0j)
         first, evals[0] = evals[0], 0
         # a second solve reuses the rule's evaluator, and every evaluation counts
@@ -366,10 +368,10 @@ class TestSolveFixedPoint:
             (float(y), complex(x, 10.0**e))
             for y, x, e in zip(rng.choice([0.5, 1.0, 3.0], 48), rng.uniform(-1.0, 30.0, 48), rng.uniform(-3.0, 1.0, 48))
         ]
-        model = sp.ARMAModel.arma11(0.5, 1.0)
-        serial = sp.gamma_lsd(model)
+        f = sp.SpectralDensity(ARMA11)
+        serial = sp.AbsContinuousLSD(f)
         expect = [sp.solve_fixed_point(serial, y, z).m for y, z in points]
-        shared = sp.gamma_lsd(model)
+        shared = sp.AbsContinuousLSD(f)
         orders = [rng.permutation(len(points)) for _ in range(4)]
         solve = lambda order: {i: sp.solve_fixed_point(shared, *points[i]).m for i in order}
         interval = sys.getswitchinterval()
@@ -399,13 +401,14 @@ class TestContinuousLaws:
         assert abs(1.0 / m + z - y * np.sum(W * lam / (1.0 + lam * m))) <= 1e-8
 
     def test_large_m_relative_accuracy(self):
-        # near x = 0 at y = 1, |m| is about 100 and the rule's error in the
-        # integral term is amplified in m by y |m|^2
-        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
-        for z in (3.91e-4 + 6.25e-4j, 7.24e-5 + 6.25e-4j):
-            m = sp.solve_fixed_point(lsd, 1.0, z).m
-            assert abs(m) > 50.0
-            assert abs(m * sp.arma11_residual(0.5, 1.0, 1.0, z, m)) <= 1e-12
+        # near x = 0 at y = 1, |m| is about 100 and an error in the integral
+        # term is amplified in m by y |m|^2: the Szegő rule's, and the exact
+        # law's rounding (worst seen 2.1e-16 there)
+        for lsd in (sp.gamma_lsd(ARMA11), ARMA11_SZEGO):
+            for z in (3.91e-4 + 6.25e-4j, 7.24e-5 + 6.25e-4j):
+                m = sp.solve_fixed_point(lsd, 1.0, z).m
+                assert abs(m) > 50.0
+                assert abs(m * sp.arma11_residual(0.5, 1.0, 1.0, z, m)) <= 1e-12
 
     def test_no_warnings(self):
         models = (sp.ARMAModel.arma11(0.5, 1.0), sp.ARMAModel(ar=(-0.3,), d=-0.25))
@@ -526,6 +529,36 @@ class TestARMAResidual:
         m = sp.solve_fixed_point(lsd, y, z).m
         assert abs(arma_residual(model, y, z, m)) <= 1e-9 * (abs(z) + abs(1.0 / m))
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            sp.ARMAModel(ar=(0.6, -0.3)),
+            sp.ARMAModel(ma=(1.0, 0.5)),
+            sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2)),
+            ARMA11,
+            sp.ARMAModel.arma11(0.5, -1.0),
+            SHARP_AR2,
+        ],
+        ids=["ar2", "ma2", "arma22", "arma11", "arma11-theta-negative", "sharp-ar2"],
+    )
+    def test_exact_law_solves_meet_the_residue_oracle(self, model):
+        # z = edge (x + i eta) across the support and past it.  Worst relative
+        # defect seen: 5.8e-14 (AR(2), eta = 1e-3).  The sharp AR(2), whose
+        # |phi|^2 keeps few digits at its peak, gives 1.8e-11 for eta >= 0.1 and
+        # up to 8.8e-9 at eta = 1e-3 on the edge, where the oracle's degree-5
+        # roots share that loss; there the Szegő rule's m is off by up to 1.5e-2
+        sharp = model is SHARP_AR2
+        law = sp.gamma_lsd(model)
+        assert isinstance(law, sp.ExactARMALSD)
+        for y in (0.5, 1.0, 3.0):
+            edge = sp.estimate_support_upper(law, y)
+            for x in (-0.1, 0.01, 0.3, 0.7, 1.0, 1.1):
+                for eta in (0.1, 1.0) if sharp else (1e-3, 0.1, 1.0):
+                    z = edge * complex(x, eta)
+                    m = sp.solve_fixed_point(law, y, z).m
+                    bound = (6e-11 if sharp else 2e-13) * (abs(z) + abs(1.0 / m))
+                    assert abs(arma_residual(model, y, z, m)) <= bound, (y, x, eta)
+
 
 class TestInversion:
     def test_mp_interior_point(self):
@@ -629,6 +662,32 @@ class TestInversion:
         gap = (dens.grid > 1.45) & (dens.grid < 1.55)
         assert gap.any()
         assert dens.values[gap].max() <= 1e-6
+
+    @pytest.mark.parametrize("y, bound", [(0.5, 1e-10), (1.0, 5e-13), (3.0, 1e-14)])
+    def test_arma11_table_meets_the_quartic(self, y, bound):
+        # the default-grid table of ARMA(1,1) phi = 0.5, theta = 1 against Newton
+        # on the quartic (arma11_residual) at each of its points.  Worst seen,
+        # relative to the peak: 3.1e-11 at y = 0.5 (at x = 3e-7, where m + a/z
+        # cancels |m| = 1.7e6 down to 251), 1.2e-13 at y = 1 and 3.0e-15 at
+        # y = 3; each bound is about 3x that.  On the Szegő rule the y = 0.5
+        # table is off by 0.74 of the peak, at 74 points by more than 1e-3.
+        lsd = sp.gamma_lsd(ARMA11)
+        dens = sp.invert_to_density(lsd, y)
+        atom = max(0.0, 1.0 - y)
+        exact = []
+        for x in dens.grid:
+            z = complex(x, dens.offset)
+            m = sp.solve_fixed_point(lsd, y, z).m
+            residual = lambda m: sp.arma11_residual(0.5, 1.0, y, z, m)
+            for _ in range(50):
+                h = 1e-7 * abs(m)
+                step = residual(m) * 2.0 * h / (residual(m + h) - residual(m - h))
+                m -= step
+                if abs(step) <= 1e-15 * abs(m):
+                    break
+            exact.append(max((m + atom / z).imag / math.pi, 0.0))
+        exact = np.array(exact)
+        assert np.max(np.abs(dens.values - exact)) <= bound * exact.max()
 
     @pytest.mark.parametrize("y", [0.01, 3.0], ids=["split", "y3"])
     def test_two_levels_match_exact_roots(self, y):

@@ -358,7 +358,11 @@ class TestAtomicLSD:
     def test_gamma_lsd_dispatch(self):
         pw = sp.PiecewiseSpectralDensity(((0.0, math.pi, 1.0), (math.pi, TWO_PI, 2.0)))
         assert isinstance(sp.gamma_lsd(pw), sp.AtomicLSD)
-        assert isinstance(sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), sp.AbsContinuousLSD)
+        # d = 0 with K = max(p, q) <= 2 is exact; K = 3 and d != 0 take the Szegő rule
+        for model in (sp.ARMAModel.arma11(0.5, 1.0), MA2, SHARP_AR2, sp.ARMAModel(ma=(0.5, 0.0, 0.0))):
+            assert isinstance(sp.gamma_lsd(model), sp.ExactARMALSD), model
+        for model in (ARMA23, FARIMA_AR, sp.ARMAModel(ar=(-0.5,), d=-0.1)):
+            assert isinstance(sp.gamma_lsd(model), sp.AbsContinuousLSD), model
         with pytest.warns(UserWarning):
             long_memory = sp.ARMAModel(d=0.25)
         with pytest.raises(sp.ModelSpecError):
@@ -385,7 +389,7 @@ class TestNormalizationAndSzego:
         # sum_h gamma(h)^2 for k = 0, 1, 2
         for phi, theta in ((0.5, 1.0), (-0.8, 0.4)):
             model = sp.ARMAModel.arma11(phi, theta)
-            lsd = sp.gamma_lsd(model)
+            lsd = sp.AbsContinuousLSD(sp.SpectralDensity(model))
             rule = lsd.rule(1024)
             lam, W = rule.nodes, rule.weights
             gam = sp.autocovariances(sp.ma_coefficients(model, 1000), 400)
@@ -397,7 +401,8 @@ class TestNormalizationAndSzego:
 
 
 ATOMS = sp.AtomicLSD(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.25, 0.5]))
-ARMA11_LAW = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+# gamma_lsd gives ARMA(1,1) its exact law; the rule tests build its Szegő law
+ARMA11_LAW = sp.AbsContinuousLSD(sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0)))
 FOLD_LAWS = {
     "arma11": ARMA11_LAW,
     "arma23": sp.gamma_lsd(ARMA23),
@@ -446,7 +451,7 @@ class TestRule:
         assert ATOMS.rule(256) is ATOMS.rule(8192)
 
     def test_continuous_rules_are_cached_per_size(self):
-        lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        lsd = sp.AbsContinuousLSD(sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0)))
         rule = lsd.rule(512)
         assert isinstance(rule, sp.Rule) and lsd.rule(512) is rule
         # one node per mirror pair of the 511-node grid, and the node at pi
@@ -535,3 +540,68 @@ class TestExactARMALevelSets:
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         measure = np.sum(np.diff(cuts)[f(mids) <= lam]) / TWO_PI
         assert abs(gamma_cdf(f, lam) - measure) <= 1e-10
+
+
+EXACT_MODELS = {
+    "ar1": sp.ARMAModel(ar=(-0.5,)),
+    "ma1": sp.ARMAModel(ma=(1.0,)),
+    "ma1-negative": sp.ARMAModel(ma=(-1.0,)),
+    "arma11": sp.ARMAModel.arma11(0.5, 1.0),
+    "ar2": sp.ARMAModel(ar=(0.6, -0.3)),
+    "ma2": MA2,
+    "arma22": sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2)),
+    "sharp-ar2": SHARP_AR2,
+    # the trailing zero leaves B of degree 1, and the law K = 1
+    "ma-trailing-zero": sp.ARMAModel(ma=(0.5, 0.0)),
+}
+SMOOTH_EXACT_MODELS = {name: model for name, model in EXACT_MODELS.items() if model is not SHARP_AR2}
+
+
+class TestExactLaw:
+    """The closed-form law of a d = 0 model with K = max(p, q) <= 2 against the Szegő rule."""
+
+    @pytest.mark.parametrize("model", EXACT_MODELS.values(), ids=EXACT_MODELS.keys())
+    def test_terms_and_potential_match_a_fine_szego_rule(self, model):
+        # away from the axis, where the 2^18-node rule is exact to rounding;
+        # worst seen 1.5e-15 in T, 5.4e-15 in T' and 1.3e-15 in the potential.
+        # The means agree to 1e-13, but for the sharp AR(2), where |phi|^2 at
+        # its peak keeps few digits: there the law's mean is 1.5e-9 below the
+        # closed-form variance 3063.61106999, and the rule's 2.8e-9 below it
+        f = sp.SpectralDensity(model)
+        law, rule = sp.gamma_lsd(model), sp.AbsContinuousLSD(f).rule(2**18)
+        assert isinstance(law, sp.ExactARMALSD) and law.rule(256) is law.rule(8192) is law
+        assert len(law._b) == (2 if model.ma == (0.5, 0.0) else max(len(model.ar), len(model.ma)) + 1)
+        assert law.top == sp.support_bounds(f)[1]
+        assert abs(law.mean / rule.mean - 1.0) <= (2e-9 if model is SHARP_AR2 else 1e-13)
+        for m in (0.3 + 0.6j, -60.0 + 80.0j, 100j, -0.2 + 0.05j, 2.0 + 0.01j):
+            (t, tp), (t_ref, tp_ref) = law.terms(m), rule.terms(m)
+            assert type(t) is complex and type(tp) is complex
+            assert abs(t - t_ref) <= 1e-14 * abs(t_ref) and abs(tp - tp_ref) <= 5e-14 * abs(tp_ref), m
+            assert abs(law.potential(m) - rule.potential(m)) <= 1e-14, m
+
+    def test_terms_stay_finite_where_the_leading_coefficient_vanishes(self):
+        # ARMA(1,1) phi = 0.5, theta = -1: E = A + m B = (1.25 + 2m) - (0.5 + m) s
+        # loses its degree at m = -0.5, inside the edge bracket (-1/top, 0) =
+        # (-0.5625, 0), where its root runs off to infinity.  Worst seen against
+        # the rule 2.7e-15 in T and 5.9e-15 in T'
+        model = sp.ARMAModel.arma11(0.5, -1.0)
+        law, rule = sp.gamma_lsd(model), sp.AbsContinuousLSD(sp.SpectralDensity(model)).rule(2**18)
+        assert -1.0 / law.top == -0.5625
+        near = [-0.5, np.nextafter(-0.5, 0.0), np.nextafter(-0.5, -1.0), -0.5 + 1e-15, -0.5 - 1e-12, -0.5 + 1e-9]
+        for m in near + [-0.5 - 1e-6, -0.45, -0.55]:
+            (t, tp), (t_ref, tp_ref) = law.terms(float(m)), rule.terms(float(m))
+            assert math.isfinite(t.real) and math.isfinite(tp.real), m
+            assert abs(t.real - t_ref.real) <= 1e-14 * abs(t_ref) and abs(tp.real - tp_ref.real) <= 2e-14 * abs(tp_ref), m
+        for y in (0.2, 1.0, 3.0, 10.0):
+            edge = sp.estimate_support_upper(law, y)
+            assert abs(edge / sp.estimate_support_upper(sp.AbsContinuousLSD(law.f), y) - 1.0) <= 1e-11
+
+    @pytest.mark.parametrize("y", [0.2, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("model", SMOOTH_EXACT_MODELS.values(), ids=SMOOTH_EXACT_MODELS.keys())
+    def test_edge_matches_the_szego_edge(self, model, y):
+        # the bisection on the exact T' against the same bisection on the
+        # 8192-node rule; worst seen 3.1e-14.  The sharp AR(2) peak is one the
+        # rule does not resolve: its edge there is 3.3-3.5x too low
+        law = sp.gamma_lsd(model)
+        edge = sp.estimate_support_upper(law, y)
+        assert abs(edge / sp.estimate_support_upper(sp.AbsContinuousLSD(law.f), y) - 1.0) <= 1e-11
