@@ -183,7 +183,7 @@ class SpectralDensity:
     theta(z) = 1 + z it gives f(pi) = 0 exactly (complex arithmetic leaves
     about 7e-33), and f'(0) = 0.  Each sum has an absolute error of about
     eps * r_0, so f loses relative accuracy where |phi|^2 is small, at sharp
-    AR peaks: up to 2e-11 for ar = (0.80078125, -0.1953125) near pi.  The
+    AR peaks: up to 1.3e-11 for ar = (0.80078125, -0.1953125) near pi.  The
     read-only ``breakpoints`` split [0, 2*pi] into branches on which f is
     monotone, and ``breakpoint_values`` is f there (inf or negative where
     |phi|^2 rounds to <= 0).  Instances are immutable in practice and safe to

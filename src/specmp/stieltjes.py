@@ -59,10 +59,10 @@ GRID_MIN_SIZE = 16
 # the top of the grid.  The bias it leaves scales with it: on the 512-point
 # Marchenko-Pastur tables it is at most 1e-6 relative (3e-5 at y = 1) 1e-3
 # inside the edges, and larger only at the few points within a few offsets of
-# a hard edge at zero.  Smaller offsets cost sweeps where H reaches 0 and y is
-# near 1: a table takes 3,679, 5,191 and 6,790 sweeps at 1e-8, 1e-10 and 1e-12
-# for FARIMA d = -0.25 at y = 0.9, and 2,886, 3,841 and 14,003 for ARMA(1,1)
-# at y = 1.
+# a hard edge at zero.  Smaller offsets cost sweeps on the Szegő rule where H
+# reaches 0 and y is near 1: a table takes 4,002, 5,519 and 7,119 sweeps at
+# 1e-8, 1e-10 and 1e-12 for FARIMA d = -0.25 at y = 0.9, against 2,184, 2,228
+# and 2,272 on the exact law of ARMA(1,1) at y = 1.
 OFFSET = 1e-8
 
 
@@ -161,8 +161,10 @@ def solve_fixed_point(lsd, y, z, initial=None):
     Im z > 0.  The law is solved on its rule ``lsd.rule(N)``: the Szegő rule of
     an AbsContinuousLSD, or the atoms or the exact ARMA law, which are exact at
     every N.  N doubles from RULE_START_SIZE
-    until the 2N rule moves the integral term T by at most 1e-9 (1 + |T|); the
-    residual is the N-rule solution's defect on the 2N rule, and a Newton step
+    until the 2N rule's change in the integral term T moves m by at most 1e-9
+    relative, y |m| |T_2N - T_N| <= 1e-9 (a test on T alone would pass
+    unresolved rules where |m| is large, as near zero at y < 1); the residual
+    is the N-rule solution's defect on the 2N rule, and a Newton step
     on the 2N rule ends the solve; the check's N-rule T may be extrapolated
     from the last step (see ``_iterate``).  Near the real axis larger rules
     are needed; the RULE_MAX_SIZE rule is the last.  A climb starts the 2N
@@ -208,9 +210,9 @@ def solve_fixed_point(lsd, y, z, initial=None):
             break
         size *= 2
         rule = finer
-        if abs(t2 - t) <= 1e-9 * (1.0 + abs(t2)):
-            # the rule's error in T moves m by about y |m|^2 |t2 - t|, far
-            # more than the check's tolerance when |m| is large
+        if y * abs(m) * abs(t2 - t) <= 1e-9:
+            # the rule's error in T moves m by about y |m|^2 |t2 - t|; one
+            # Newton step on the 2N rule takes most of that out
             fine = m - (1.0 + m * z - y * m * t2) / (z - y * (t2 + m * tp2))
             if fine.imag > 0.0:
                 m = fine
@@ -317,8 +319,8 @@ def invert_to_density(lsd, y, grid=None):
     if grid is None:
         grid = default_grid(lsd, y)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0) or grid[0] <= 0.0:
-        raise ValueError("grid must be strictly increasing with positive entries")
+    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0.0:
+        raise ValueError("grid must be nonempty and strictly increasing with positive entries")
 
     delta = OFFSET * float(grid[-1])
     atom = max(0.0, 1.0 - y)

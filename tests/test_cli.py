@@ -15,10 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specmp
-from specmp import cli
 from specmp.cli import main
-from specmp.simulator import INNOVATION_LAWS, EmpiricalSpectrum
-from specmp.stieltjes import LimitingDensity
+from specmp.simulator import INNOVATION_LAWS
 
 ARMA11 = '{"type":"arma","ar":[-0.5],"ma":[1]}'
 WHITE = '{"type":"arma"}'
@@ -434,8 +432,9 @@ class TestCompareCommand:
 
     @pytest.mark.parametrize("y", ["0.5", "3"])
     def test_ks_reads_the_table_at_each_eigenvalue(self, y, tmp_path, monkeypatch):
-        # compare solves F at every positive eigenvalue of every replicate, and
-        # at every histogram edge, so lsd_cdf returns table entries there
+        # compare solves F at every positive eigenvalue of every replicate and
+        # at the support's upper edge, and nowhere else, so lsd_cdf returns
+        # table entries at the eigenvalues
         spectra, tables = [], []
         eigensolve, invert = specmp.cli.sample_cov_eigenvalues, specmp.cli.invert_to_density
 
@@ -449,65 +448,41 @@ class TestCompareCommand:
 
         monkeypatch.setattr(specmp.cli, "sample_cov_eigenvalues", recording_eigensolve)
         monkeypatch.setattr(specmp.cli, "invert_to_density", recording_invert)
-        args = ["compare", "--model", ARMA11, "--y", y, "--p", "40", "--seed", "4", "--replicates", "2"]
-        assert run(args + ["--out", str(tmp_path / "c")]) == 0
+        args = ["--model", ARMA11, "--y", y, "--p", "40", "--seed", "4", "--replicates", "2"]
+        assert run(["compare", *args, "--out", str(tmp_path / "c")]) == 0
         (density,) = tables
         report = json.loads((tmp_path / "c.json").read_text())
         assert len(spectra) == len(report["replicates"]) == 2
+        eigs = np.concatenate([spectrum.eigenvalues for spectrum in spectra])
+        edge = specmp.estimate_support_upper(specmp.gamma_lsd(specmp.model_from_spec(ARMA11)), float(y))
+        assert np.array_equal(density.grid, np.union1d(eigs[eigs > 1e-9], edge))
         for spectrum, replicate in zip(spectra, report["replicates"]):
+            assert set(replicate) == {"ks", "trace"}
             eigs = spectrum.eigenvalues[spectrum.eigenvalues > 1e-9]
             at = np.searchsorted(density.grid, eigs)
             assert np.array_equal(density.grid[at], eigs)
             assert np.array_equal(specmp.lsd_cdf(density, eigs), density.cdf[at])
             assert replicate["ks"] == specmp.ks_distance(spectrum, lambda x: specmp.lsd_cdf(density, x))
-        edges = np.linspace(0.0, density.grid[-1], 61)
-        assert np.array_equal(specmp.lsd_cdf(density, edges[1:]), density.cdf[np.searchsorted(density.grid, edges[1:])])
         assert specmp.lsd_cdf(density, 0.0) == density.mass_at_zero
+        # the same plan simulated reports each replicate's file and trace only
+        assert run(["simulate", *args, "--out", str(tmp_path / "s")]) == 0
+        summary = json.loads((tmp_path / "s_summary.json").read_text())
+        assert [set(replicate) for replicate in summary["replicates"]] == [{"csv", "trace_check"}] * 2
+
+    def test_centred_single_column_has_no_positive_eigenvalue(self, tmp_path):
+        # p = 2, n = 1 centred: both eigenvalues are zero, and the table holds
+        # the support's upper edge alone
+        args = ["compare", "--model", WHITE, "--y", "0.5", "--p", "2", "--center", "--out", str(tmp_path / "c")]
+        assert run(args) == 0
+        report = json.loads((tmp_path / "c.json").read_text())
+        assert report["plan"]["n"] == 1
+        assert report["ks_max"] == 0.5  # both eigenvalues at zero, against the atom 1/2
 
     def test_idempotent_reports(self, tmp_path):
         args = ["compare", "--model", WHITE, "--y", "1", "--p", "64", "--seed", "9"]
         assert run(args + ["--out", str(tmp_path / "r1")]) == 0
         assert run(args + ["--out", str(tmp_path / "r2")]) == 0
         assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
-
-
-def flat_law(mass_at_zero):
-    # density c = (1 - mass_at_zero) / 32 on [2, 33], linear to 0 over [1, 2]
-    # and [33, 34], on the grid 1..60: the unit bins from 0 to 60 hold masses
-    # 0, c/2, c (31 times), c/2, then 0, all exact in binary
-    grid = np.arange(1.0, 61.0)
-    c = (1.0 - mass_at_zero) / 32.0
-    values = np.where((grid >= 2.0) & (grid <= 33.0), c, 0.0)
-    cdf = mass_at_zero + c * np.clip(grid - 1.5, 0.0, 32.0)
-    return LimitingDensity(grid=grid, values=values, cdf=cdf, mass_at_zero=mass_at_zero, y=1.0 - mass_at_zero)
-
-
-class TestHistogramL1:
-    @pytest.mark.parametrize(
-        "mass_at_zero, moves, expected",
-        [
-            (0.0, {}, 0.0),
-            (0.0, {2.5: 40.5}, 2.0 / 64),
-            (0.0, {2.5: 1e-10}, 2.0 / 64),
-            (0.5, {}, 0.0),
-            (0.5, {2.5: 40.5}, 2.0 / 128),
-            (0.5, {0.0: 1e-10}, 0.0),
-            (0.5, {0.0: 0.5}, 2.0 / 128),
-            (0.5, {33.5: 0.0}, 2.0 / 128),
-        ],
-        ids=["exact", "bin-to-bin", "bin-to-zero", "exact-atom", "bin-to-bin-atom", "zero-below-1e-9",
-             "zero-to-bin", "bin-to-zero-atom"],
-    )
-    def test_known_masses(self, mass_at_zero, moves, expected):
-        # p eigenvalues at bin centres with the law's masses, p/2 of them at
-        # zero when y = 1/2; each move takes one eigenvalue elsewhere
-        p = 64 if mass_at_zero == 0.0 else 128
-        vals = [0.0] * (p - 64) + [1.5, 33.5] + [k + 0.5 for k in range(2, 33) for _ in range(2)]
-        for old, new in moves.items():
-            vals[vals.index(old)] = new
-        spectrum = EmpiricalSpectrum(np.array(vals))
-        assert spectrum.p == p
-        assert cli._histogram_l1(spectrum, flat_law(mass_at_zero)) == expected
 
 
 class TestEntryPoint:

@@ -579,6 +579,36 @@ class TestInversion:
         with pytest.raises(ValueError):
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("model", MOMENT_MODELS[:4], ids=MOMENT_IDS[:4])
+    @pytest.mark.parametrize("y", [0.5, 3.0])
+    def test_one_point_grid_matches_the_table(self, model, y):
+        # a table's last point solved alone, at the same offset: it differs
+        # only by its cold start and the rule the potential runs on.  Worst
+        # seen 4.4e-16 relative in the density (ARMA(1,1), y = 0.5) and
+        # 4.4e-14 in F (FARIMA, y = 0.5)
+        lsd = sp.gamma_lsd(model)
+        grid = sp.default_grid(lsd, y)[:300]
+        table, alone = sp.invert_to_density(lsd, y, grid=grid), sp.invert_to_density(lsd, y, grid=grid[-1:])
+        assert alone.grid.tolist() == [grid[-1]] and alone.offset == table.offset
+        assert abs(alone.values[0] / table.values[-1] - 1.0) <= 1e-13
+        assert abs(alone.cdf[0] - table.cdf[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("model", MOMENT_MODELS[3:], ids=MOMENT_IDS[3:])
+    def test_farima_tables_match_one_fine_rule(self, model, monkeypatch):
+        # the climb stops when the 2N rule moves m by at most 1e-9 relative;
+        # a stop on the change in T alone left these y = 1 tables 4.9e-6 and
+        # 9.6e-6 of the peak off the 2^16-node rule (now 7.8e-9 and 3.6e-8),
+        # and F off by up to 2.2e-9 (now 4.5e-12)
+        lsd, y = sp.gamma_lsd(model), 1.0
+        grid = sp.default_grid(lsd, y)
+        table = sp.invert_to_density(lsd, y, grid=grid)
+        monkeypatch.setattr(sp.stieltjes, "RULE_START_SIZE", 2**16)
+        monkeypatch.setattr(sp.stieltjes, "RULE_MAX_SIZE", 2**16)
+        fine = sp.invert_to_density(lsd, y, grid=grid)
+        assert table.offset == fine.offset
+        assert np.max(np.abs(table.values - fine.values)) <= 1e-7 * fine.values.max()
+        assert np.max(np.abs(table.cdf - fine.cdf)) <= 1e-10
+
     def test_caller_arrays_stay_writable_and_unaliased(self):
         levels, weights, grid = np.array([1.0, 2.0]), np.array([0.5, 0.5]), np.linspace(0.1, 6.0, 32)
         lsd = sp.AtomicLSD(levels, weights)
