@@ -6,16 +6,15 @@ This module exposes the truncated moving-average expansion c_0..c_J and the
 autocovariances gamma(h) = sum_j c_j c_{j+h} it gives.  ``SpectralDensity``
 evaluates the closed-form density of a model, and its derivative, from
 the autocovariances of (1, ma) and (1, ar); a piecewise-constant density is a
-model in its own right.  Models take numbers, not text, as coefficients, with
-(1 + sum |c_k|)^2 finite; nothing here is estimated from data or fitted.
+model in its own right.  Models take numbers, not text or booleans, as
+coefficients, orders, piece bounds and levels, with (1 + sum |c_k|)^2 finite;
+nothing here is estimated from data or fitted.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +39,12 @@ class ModelSpecError(ValueError):
 
 
 def _reals(values, name):
-    # text is refused: float() would read "0.5", and "12" would iterate as 1, 2
+    # text and booleans are refused: float() would read "0.5" and True, and
+    # "12" would iterate as 1, 2
     try:
         values = (values,) if isinstance(values, (str, bytes)) else tuple(values)
-        if any(isinstance(v, (str, bytes)) for v in values):
-            raise TypeError(f"got text {values!r}")
+        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in values):
+            raise TypeError(f"got text or a boolean in {values!r}")
         return tuple(map(float, values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelSpecError(f"{name} must be numeric: {exc}") from exc
@@ -66,9 +66,10 @@ class ARMAModel:
     = Z_t + ma[0] Z_{t-1} + ... + ma[q-1] Z_{t-q}, B the backshift, d in
     (-1/2, 1/2).  Note the sign convention: an AR(1) process
     X_t = phi X_{t-1} + Z_t has ar = (-phi,); ``ARMAModel.arma11`` builds from
-    (phi, theta).  Only d <= 0 gives summable enough coefficients for the
-    limiting spectral theory; d > 0 (long memory) is accepted for simulation
-    with a warning.
+    (phi, theta).  A model with d > 0 (long memory) is built and simulated like
+    any other.  Its limit law exists (Merlevède & Peligrad, Stoch. Process.
+    Appl. 126, 2016) but has unbounded support, which ``gamma_lsd`` does not
+    tabulate yet, so it refuses such a model.
     """
 
     ar: tuple = ()
@@ -90,18 +91,6 @@ class ARMAModel:
         object.__setattr__(self, "d", _reals((self.d,), "d")[0])
         if not (-0.5 < self.d < 0.5):
             raise ModelSpecError("fractional order d must lie in (-1/2, 1/2)")
-        if self.d > 0.0:
-            # name the first caller outside this module: level 3 is the
-            # generated __init__'s caller, and model_from_spec adds a level
-            frame, level = sys._getframe(2), 3
-            while frame.f_code.co_filename == __file__:
-                frame, level = frame.f_back, level + 1
-            warnings.warn(
-                "d > 0 gives a long-memory process outside the scope of the "
-                "limiting spectral distribution; simulation only",
-                UserWarning,
-                stacklevel=level,
-            )
 
     @classmethod
     def arma11(cls, phi=0.0, theta=0.0):
@@ -257,11 +246,10 @@ class PiecewiseSpectralDensity:
 
     def __post_init__(self):
         try:
-            canon = tuple(
-                sorted((float(lo), float(hi), float(alpha)) for lo, hi, alpha in self.pieces)
-            )
+            pieces = [(lo, hi, alpha) for lo, hi, alpha in self.pieces]
         except (TypeError, ValueError) as exc:
             raise ModelSpecError(f"malformed pieces: {exc}") from exc
+        canon = tuple(sorted(_reals(piece, "pieces") for piece in pieces))
         if not canon:
             raise ModelSpecError("pieces must be nonempty")
         for lo, hi, alpha in canon:

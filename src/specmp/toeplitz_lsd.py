@@ -98,10 +98,6 @@ def support_bounds(f):
     return float(np.min(f.breakpoint_values)), float(np.max(f.breakpoint_values))
 
 
-def _is_degenerate(lo, hi):
-    return hi - lo <= 1e-12 * max(1.0, abs(hi))
-
-
 def _branch_roots(f, levels):
     """Roots of f(w) = level on each monotone branch of f (the last axis).
 
@@ -133,23 +129,23 @@ def gamma_density(f, levels):
     """Density of the Toeplitz eigenvalue limit at a level or array of levels.
 
     (1/2*pi) times the sum of 1/|f'| over the roots on the monotone branches
-    whose open range holds the level.  Levels within LEVEL_RTOL of f at a
-    stationary point inside the support are tangential: g diverges there
+    whose open range holds the level.  Levels within ``_level_atol(f)`` of f
+    at a stationary point inside the support are tangential: g diverges there
     (integrably), the stationary point is left out of the sum, and one
     TangentialRootWarning per call counts them.  Levels outside the open
-    support, densities that are not finite, and constant densities (whose law
-    is atomic), raise ValueError.
+    support, densities that are not finite, and densities constant to within
+    that tolerance (whose law is atomic), raise ValueError.
     """
     lo, hi = support_bounds(f)
     if not math.isfinite(hi):
         raise ValueError(f"spectral density not finite: max f = {hi}")
-    if _is_degenerate(lo, hi):
+    vals, atol = f.breakpoint_values, _level_atol(f)
+    if hi - lo <= atol:
         raise ValueError("constant spectral density: the limit law is atomic, not a density")
     lam = np.asarray(levels, dtype=float)
     outside = ~((lo < lam) & (lam < hi))
     if outside.any():
         raise ValueError(f"level {lam[outside][0]} outside the open support ({lo}, {hi})")
-    vals, atol = f.breakpoint_values, _level_atol(f)
     crit = vals[(lo + atol < vals) & (vals < hi - atol)]
     flagged = np.count_nonzero(np.any(np.abs(lam[..., None] - crit) <= atol, axis=-1))
     if flagged:
@@ -493,26 +489,32 @@ def gamma_lsd(model):
     """Limit law of the autocovariance Toeplitz matrix of a model.
 
     A PiecewiseSpectralDensity gives an AtomicLSD.  An ARMAModel gives one atom
-    when its SpectralDensity f is constant; else, for d = 0 and
-    K = max(deg A, deg B) <= 2 (``_cosine_poly``), the ExactARMALSD of f, which
-    trades the Szegő rule's nodes and weights for no rule refinement at all;
-    else the AbsContinuousLSD of f, its Szegő rules.
-    d > 0 (long memory) breaks the summability the theory needs, (max f)^2 must
-    be finite, and min f must not be negative beyond rounding (|phi|^2 rounds
-    to <= 0 at an AR root within about 1e-7 of the unit circle); each raises
-    ModelSpecError otherwise.
+    when its SpectralDensity f is constant to within ``_level_atol(f)``; else,
+    for d = 0 and K = max(deg A, deg B) <= 2 (``_cosine_poly``), the
+    ExactARMALSD of f, which trades the Szegő rule's nodes and weights for no
+    rule refinement at all; else the AbsContinuousLSD of f, its Szegő rules.
+    ModelSpecError refuses three cases.  For d > 0 (long memory) the limit law
+    exists (Merlevède & Peligrad, Stoch. Process. Appl. 126, 2016), but f is
+    unbounded at 0 and so is the law's support, which nothing here tabulates
+    yet.  (max f)^2 must be finite.  And min f must not be negative beyond
+    ``_level_atol(f)`` (|phi|^2 rounds to <= 0 at an AR root within about
+    1e-7 of the unit circle).
     """
     if isinstance(model, PiecewiseSpectralDensity):
         return atomic_lsd(model)
     f = SpectralDensity(model)
     if f.d > 0.0:
-        raise ModelSpecError("limiting spectral distribution requires d < 0")
+        raise ModelSpecError(
+            f"d > 0 (long memory, d = {f.d:g}): the limit law has unbounded support, "
+            "which specmp does not tabulate yet"
+        )
     lo, hi = support_bounds(f)
     if not math.isfinite(hi * hi):
         raise ModelSpecError(f"spectral density too large: (max f)^2 overflows at max f = {hi:.3g}")
-    if lo < -LEVEL_RTOL * max(1.0, hi):
+    atol = _level_atol(f)
+    if lo < -atol:
         raise ModelSpecError(f"spectral density negative: min f = {lo:.3g}, from |phi|^2 rounding to <= 0")
-    if _is_degenerate(lo, hi):
+    if hi - lo <= atol:
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
     if f.d == 0.0 and max(_cosine_poly(r).size for r in (f.ar_acov, f.ma_acov)) <= 3:

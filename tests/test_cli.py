@@ -30,6 +30,9 @@ PIECEWISE = json.dumps(
     }
 )
 
+# long memory: simulated, but gamma_lsd refuses its law
+LONG_MEMORY = '{"type":"farima","d":0.3}'
+
 # spec keys that the type does not read
 ARMA_WITH_D = '{"type":"arma","ar":[-0.3],"d":-0.25}'
 PIECEWISE_WITH_AR = json.dumps({**json.loads(PIECEWISE), "ar": [0.5]})
@@ -504,19 +507,38 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("command", [["simulate", "--p", "4"], ["lsd-density"]], ids=lambda c: c[0])
-    def test_long_memory_warning_exits_2_under_warnings_as_errors(self, command, tmp_path):
-        # the d > 0 warning, raised as an error, is a refused input: no traceback, no file
-        argv = [*command, "--model", '{"type":"farima","d":0.25}', "--y", "1", "--out", str(tmp_path / "x")]
+    def test_long_memory_simulates_under_warnings_as_errors(self, tmp_path):
+        # a d > 0 model is built and simulated with no warning to raise
+        argv = ["simulate", "--model", LONG_MEMORY, "--y", "1", "--p", "50", "--out", str(tmp_path / "x")]
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "specmp.cli", *argv],
             capture_output=True,
             text=True,
             env=child_env(),
         )
-        assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: d > 0") and "Traceback" not in proc.stderr
-        assert not list(tmp_path.iterdir())
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rows = (tmp_path / "x_rep0.csv").read_text().splitlines()
+        assert rows[0] == "eigenvalue" and len(rows) == 51
+        assert np.all(np.isfinite(np.array(rows[1:], dtype=float)))
+
+    @pytest.mark.parametrize(
+        "command",
+        [["gamma-density"], ["lsd-density", "--y", "1"], ["compare", "--y", "1", "--p", "50"]],
+        ids=lambda c: c[0],
+    )
+    def test_long_memory_law_exits_2(self, command, tmp_path):
+        # gamma_lsd refuses d > 0 before any work, whether or not warnings are errors
+        argv = [*command, "--model", LONG_MEMORY, "--out", str(tmp_path / "x")]
+        for flags in ([], ["-W", "error"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "specmp.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("error: d > 0") and "Traceback" not in proc.stderr
+            assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "argv",

@@ -86,8 +86,11 @@ class TestMACoefficients:
             sp.ARMAModel(d=-0.5)
         with pytest.raises(sp.ModelSpecError):
             sp.ARMAModel(d=0.7)
-        with pytest.warns(UserWarning):
-            sp.ARMAModel(d=0.25)
+        # long memory is built, silently, by the constructor and from a spec
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sp.ARMAModel(d=0.25).d == 0.25
+            assert sp.model_from_spec('{"type":"farima","d":0.25}') == sp.ARMAModel(d=0.25)
 
 
 class TestAutocovariance:
@@ -299,6 +302,11 @@ class TestModelSpecJSON:
             ('{"type":"arma","ma":"12"}', "ma must be numeric"),
             ('{"type":"arma","ma":[null]}', "ma must be numeric"),
             ('{"type":"farima","d":1' + "0" * 400 + "}", "d must be numeric"),
+            # booleans are not numbers: these built theta = 1, d = 0 and level 2
+            ('{"type":"arma","ma":[true]}', "ma must be numeric"),
+            ('{"type":"farima","d":false}', "d must be numeric"),
+            ('{"type":"piecewise","pieces":[{"lo":0,"hi":6.283185307179586,"alpha":"2"}]}', "pieces must be numeric"),
+            ('{"type":"piecewise","pieces":[{"lo":false,"hi":6.283185307179586,"alpha":1}]}', "pieces must be numeric"),
             # keys that the type does not read
             ('{"type":"arma","ar":[-0.3],"d":-0.25}', r"not \['d'\]"),
             ('{"type":"piecewise","pieces":[{"lo":0,"hi":6.283185307179586,"alpha":1}],"ar":[0.5]}', r"not \['ar'\]"),
@@ -333,21 +341,30 @@ class TestModelSpecJSON:
             ar = np.append(ar, 0.0) + k * np.append(ar, 0.0)[::-1]
         edges = [0.0, *sorted(cuts), TWO_PI]
         pieces = tuple(zip(edges[:-1], edges[1:], levels))
-        with warnings.catch_warnings():
-            # d > 0 warns on every build; the round trip is the point here
-            warnings.simplefilter("ignore", UserWarning)
-            for model in (sp.ARMAModel(ar=ar[1:], ma=ma, d=d), sp.PiecewiseSpectralDensity(pieces)):
-                spec = sp.model_to_spec(model)
-                assert sp.model_from_spec(spec) == model
-                assert sp.model_from_spec(json.dumps(spec)) == model
+        for model in (sp.ARMAModel(ar=ar[1:], ma=ma, d=d), sp.PiecewiseSpectralDensity(pieces)):
+            spec = sp.model_to_spec(model)
+            assert sp.model_from_spec(spec) == model
+            assert sp.model_from_spec(json.dumps(spec)) == model
 
     def test_text_coefficients_rejected(self):
-        for kwargs in ({"ar": "0.5"}, {"ma": "12"}, {"ma": b"12"}, {"ma": [1.0, "2"]}):
+        # booleans too: float() reads True as 1
+        for kwargs in (
+            {"ar": "0.5"},
+            {"ma": "12"},
+            {"ma": b"12"},
+            {"ma": [1.0, "2"]},
+            {"ma": [True]},
+            {"ar": [np.bool_(False)]},
+            {"ma": np.array([True, False])},
+        ):
             with pytest.raises(sp.ModelSpecError):
                 sp.ARMAModel(**kwargs)
-        for d in ("-0.25", b"x", None):
+        for d in ("-0.25", b"x", None, False, np.bool_(False)):
             with pytest.raises(sp.ModelSpecError):
                 sp.ARMAModel(d=d)
+        for piece in ((0.0, TWO_PI, "2"), ("0", TWO_PI, 2.0), (0.0, TWO_PI, True), (np.bool_(False), TWO_PI, 1.0)):
+            with pytest.raises(sp.ModelSpecError, match="pieces must be numeric"):
+                sp.PiecewiseSpectralDensity((piece,))
         assert sp.ARMAModel(ma=(b for b in (1, 2))).ma == (1.0, 2.0)
 
     def test_coefficients_bounded(self):

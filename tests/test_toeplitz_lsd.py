@@ -106,7 +106,8 @@ class TestLevelSetRoots:
         f = sp.SpectralDensity(sp.ARMAModel(ar=ar[1:], ma=ma, d=d))
         # the property of the models gamma_lsd treats as continuous: where the
         # AR and MA factors cancel, f is constant to rounding and f' is noise
-        assume(not toeplitz_lsd._is_degenerate(*sp.support_bounds(f)))
+        lo, hi = sp.support_bounds(f)
+        assume(hi - lo > toeplitz_lsd._level_atol(f))
         bps = f.breakpoints
         w = bps[:-1, None] + np.diff(bps)[:, None] * np.linspace(0.0, 1.0, 66)[1:-1]
         slope = f.derivative(w)
@@ -363,9 +364,11 @@ class TestAtomicLSD:
             assert isinstance(sp.gamma_lsd(model), sp.ExactARMALSD), model
         for model in (ARMA23, FARIMA_AR, sp.ARMAModel(ar=(-0.5,), d=-0.1)):
             assert isinstance(sp.gamma_lsd(model), sp.AbsContinuousLSD), model
-        with pytest.warns(UserWarning):
+        # long memory is built silently; gamma_lsd is the one to refuse it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             long_memory = sp.ARMAModel(d=0.25)
-        with pytest.raises(sp.ModelSpecError):
+        with pytest.raises(sp.ModelSpecError, match=r"^d > 0 \(long memory"):
             sp.gamma_lsd(long_memory)
 
 
@@ -595,6 +598,16 @@ class TestExactLaw:
         for y in (0.2, 1.0, 3.0, 10.0):
             edge = sp.estimate_support_upper(law, y)
             assert abs(edge / sp.estimate_support_upper(sp.AbsContinuousLSD(law.f), y) - 1.0) <= 1e-11
+
+    def test_refuses_what_it_does_not_solve(self):
+        # K = 3, d != 0, and K = 0 (white noise, one atom in gamma_lsd)
+        for model in (ARMA23, sp.ARMAModel(d=-0.25), sp.ARMAModel()):
+            with pytest.raises(ValueError, match="the exact law needs d = 0") as refused:
+                sp.ExactARMALSD(sp.SpectralDensity(model))
+            assert refused.type is ValueError, model
+        # trailing zero coefficients trim away: ma = (0.5, 0, 0) has K = 1
+        law = sp.ExactARMALSD(sp.SpectralDensity(sp.ARMAModel(ma=(0.5, 0.0, 0.0))))
+        assert len(law._a) == len(law._b) == 2
 
     @pytest.mark.parametrize("y", [0.2, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("model", SMOOTH_EXACT_MODELS.values(), ids=SMOOTH_EXACT_MODELS.keys())
