@@ -7,14 +7,14 @@ unique map m from the upper half-plane to itself with
              eigenvalue limit law,
 
 where y is the limiting column/row ratio n/p.  This module solves that fixed
-point, gives the Marchenko-Pastur closed form and the ARMA(1,1) quartic as
-oracles, locates the upper support edge, and recovers the density and the
-distribution function from solves at one small offset above the real axis.
-The solver, the edge and the CDF see a limit law only through its rule
-``lsd.rule(N)``: the atoms or the Szegő rule as a
-:class:`~specmp.toeplitz_lsd.Rule`, or the exact ARMA law itself.  They call
-its (T, T') evaluator ``terms``, its log potential ``potential``, its ``mean``
-and its ``top``, and never read nodes or weights.
+point from a one-atom fit to its cold start, gives the Marchenko-Pastur
+closed form and the ARMA(1,1) quartic as oracles, locates the upper support
+edge, and recovers the density and the distribution function from solves at
+one small offset above the real axis.  The solver, the edge and the CDF see a
+limit law only through its rule ``lsd.rule(N)``: the atoms or the Szegő rule
+as a :class:`~specmp.toeplitz_lsd.Rule`, or the exact ARMA law itself.  They
+call its (T, T') evaluator ``terms``, its log potential ``potential``, its
+``mean`` and its ``top``, and never read nodes or weights.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ __all__ = [
 RULE_START_SIZE = 256
 RULE_MAX_SIZE = 8192
 
-# a solve stops when the update |dm| is at most UPDATE_TOL (1 + |m|), after at
-# most MAX_ITER sweeps on one rule
+# a solve stops when the update |dm| is at most UPDATE_TOL |m|, relative at
+# every scale of m, after at most MAX_ITER sweeps on one rule
 UPDATE_TOL = 1e-12
 MAX_ITER = 100_000
 
@@ -111,46 +111,75 @@ def _iterate(TTp, y, z, m, first=None):
     vanishes only at the fixed point, so Newton can never be trapped away from
     the answer.  The merit has a rounding floor, though, below which no
     candidate lowers it; a full Newton step in the upper half-plane that
-    already meets the stopping rule |dm| <= UPDATE_TOL (1 + |m + dm|)
+    already meets the stopping rule |dm| <= UPDATE_TOL |m + dm|
     therefore ends the solve without the merit test or an evaluation, taking T
     there as T + T' dm.  The start evaluates (T, T') once, or takes ``first``
     as (T, T') at m; a sweep evaluates at most twice.  It runs on Python
     scalars.  At most MAX_ITER sweeps; returns (m, sweeps, T).  A
     ConvergenceError carries the defect |1/m + z - y T(m)| at its last m.
     """
-
-    def state(mm, terms=None):
-        t, tp = terms or TTp(mm)
-        g = 1.0 / (-z + y * t)
-        if not (g.imag > 0.0 and cmath.isfinite(g)):
-            return None, math.inf, t, tp
+    t, tp = first or TTp(m)
+    g = 1.0 / (-z + y * t)
+    if g.imag > 0.0 and cmath.isfinite(g):
         # abs(d) ** 2 / (Im m Im g) would raise on Python floats where the
         # square overflows or the product underflows; this form gives inf
-        d = g - mm
-        return g, (d.real * d.real + d.imag * d.imag) / mm.imag / g.imag, t, tp
-
-    g, cur, t, tp = state(m, first)
+        d = g - m
+        cur = (d.real * d.real + d.imag * d.imag) / m.imag / g.imag
+    else:
+        g, cur = None, math.inf
     for it in range(1, MAX_ITER + 1):
-        cs = None
         dM = z - y * (t + m * tp)
-        if dM != 0.0 and cmath.isfinite(dM):
+        newton = dM != 0.0 and cmath.isfinite(dM)
+        if newton:
             step = -(1.0 + m * z - y * m * t) / dM
             nxt = m + step
-            if nxt.imag > 0.0 and cmath.isfinite(nxt):
-                if abs(step) <= UPDATE_TOL * (1.0 + abs(nxt)):
-                    return nxt, it, t + tp * step
-                cs = state(nxt)
-        if cs is None or not cs[1] < cur:
-            if g is None:
-                # analytically impossible; reachable only through quadrature noise
-                raise ConvergenceError("iterate left the upper half-plane", z, m, abs(1.0 / m + z - y * t), it)
-            nxt = 0.5 * (m + g)
-            cs = state(nxt)
-        done = abs(nxt - m) <= UPDATE_TOL * (1.0 + abs(nxt))
-        m, (g, cur, t, tp) = nxt, cs
+            newton = nxt.imag > 0.0 and cmath.isfinite(nxt)
+            if newton and abs(step) <= UPDATE_TOL * abs(nxt):
+                return nxt, it, t + tp * step
+        # the Newton candidate, if any, then the damped step if the merit rejects it
+        for damped in (not newton, True):
+            if damped:
+                if g is None:
+                    # analytically impossible; reachable only through quadrature noise
+                    raise ConvergenceError("iterate left the upper half-plane", z, m, abs(1.0 / m + z - y * t), it)
+                nxt = 0.5 * (m + g)
+            t2, tp2 = TTp(nxt)
+            g2 = 1.0 / (-z + y * t2)
+            if g2.imag > 0.0 and cmath.isfinite(g2):
+                d = g2 - nxt
+                new = (d.real * d.real + d.imag * d.imag) / nxt.imag / g2.imag
+            else:
+                g2, new = None, math.inf
+            if damped or new < cur:
+                break
+        done = abs(nxt - m) <= UPDATE_TOL * abs(nxt)
+        m, t, tp, g, cur = nxt, t2, tp2, g2, new
         if done:
             return m, it, t
     raise ConvergenceError("no convergence", z, m, abs(1.0 / m + z - y * t), MAX_ITER)
+
+
+def _refit(TTp, y, z, m):
+    """(m, first, sweeps): the start m moved to the one-atom law with its (T, T').
+
+    Level b and level times mass a give T = a/(1 + b m), so b = -T'/(T + m T'),
+    a = T^2/(T + m T') and its transform solves -z b m^2 + (y a - z - b) m = 1.
+    The larger-Im root, if finite, in the upper half-plane and more than
+    UPDATE_TOL |m| away, is one sweep; else m stays, with (T, T') as ``first``.
+    """
+    t, tp = TTp(m)
+    try:
+        den = t + m * tp
+        b, c = -tp / den, (y * t * t + tp) / den - z  # c = y a - z - b
+        w = cmath.sqrt(c * c - 4.0 * z * b)
+        q = 0.5 * (c + w if (c.conjugate() * w).real >= 0.0 else c - w)
+        r1, r2 = q / (z * b), 1.0 / q
+        root = r1 if r1.imag > r2.imag else r2
+        if root.imag > 0.0 and cmath.isfinite(root) and abs(root - m) > UPDATE_TOL * abs(m):
+            return root, None, 1
+    except ArithmeticError:  # T + m T' = 0, b = 0, q = 0 or an overflow: no one-atom law
+        pass
+    return m, (t, tp), 0
 
 
 def solve_fixed_point(lsd, y, z, initial=None):
@@ -174,9 +203,11 @@ def solve_fixed_point(lsd, y, z, initial=None):
     residual is the defect on the solve's own rule at the returned m.
     MAX_ITER caps the sweeps on one rule.
     Without a usable ``initial`` the solve starts from the law with all its
-    mass at the mean level, which is exact for a single atom (ArithmeticError
-    where Im z underflows in the scaling, as for one atom).  ``m`` is a
-    Python complex and ``residual`` a Python float.
+    mass at the mean level (ArithmeticError where Im z underflows in the
+    scaling, as for one atom), refit to the one-atom law with the rule's
+    (T, T') there (``_refit``), so a solve that does not climb makes one
+    evaluation more than its sweeps.  ``m`` is a Python complex and
+    ``residual`` a Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
@@ -195,10 +226,9 @@ def solve_fixed_point(lsd, y, z, initial=None):
             m = mp_stieltjes(y, z / rule.mean) / rule.mean
         except ValueError:
             raise ArithmeticError(f"no upper-half-plane root at z={z}") from None
+        m, first, iterations = _refit(rule.terms, y, z, m)
     else:
-        m = complex(initial)
-    iterations = 0
-    first = None
+        m, first, iterations = complex(initial), None, 0
     while True:
         m, its, t = _iterate(rule.terms, y, z, m, first)
         iterations += its

@@ -138,7 +138,8 @@ class TestSolveFixedPoint:
             assert m.imag > 0
 
     def test_single_atom_cold_start_is_exact(self, monkeypatch):
-        # the mean-level Marchenko-Pastur start is the answer for one atom:
+        # the mean-level Marchenko-Pastur start is the answer for one atom, and
+        # its one-atom refit leaves it there and hands its (T, T') on:
         # one evaluation at the start, none for the first Newton step (it is
         # below the stopping tolerance) and one for the residual at the
         # returned m; the atoms are an exact rule, so no doubled rule is evaluated
@@ -171,13 +172,14 @@ class TestSolveFixedPoint:
 
     def test_cold_arma_solve_evaluates_once_a_sweep(self, monkeypatch):
         # one evaluation at the start and one a sweep, except the converged
-        # last Newton step, which takes T to first order; the doubled rule
-        # adds one.  The sweep counts are pinned so that a change shows.
+        # last Newton step, which takes T to first order; the refit of the
+        # start counts as a sweep, and the doubled rule adds one.  The sweep
+        # counts are pinned so that a change shows.
         lsd = ARMA11_SZEGO
         sweeps = {
             0.5: (4, 5, 4, 4),
             1.0: (5, 5, 5, 5),
-            3.0: (5, 8, 5, 6),
+            3.0: (5, 6, 5, 5),
         }
         evals = count_evaluations(monkeypatch)
         for y, counts in sweeps.items():
@@ -203,7 +205,7 @@ class TestSolveFixedPoint:
         monkeypatch.setattr(sp.Rule, "terms", counted)
         sol = sp.solve_fixed_point(lsd, 0.5, 1.0 + 1e-4j)
         assert sizes[-1] == lsd.rule(1024).nodes.size
-        assert sol.iterations == 8 and len(sizes) == sol.iterations + 1
+        assert sol.iterations == 7 and len(sizes) == sol.iterations + 1
 
     def test_rejected_newton_step_falls_back_to_the_damped_step(self, monkeypatch):
         # from m = 10i (MP, y = 1, z = i) the full Newton candidate lies in the
@@ -274,6 +276,63 @@ class TestSolveFixedPoint:
         sol = sp.solve_fixed_point(sp.gamma_lsd(ARMA23), y, z)
         assert sol.iterations <= max_sweeps
         assert abs(arma_residual(ARMA23, y, z, sol.m)) <= 1e-11 * (abs(z) + abs(1.0 / sol.m))
+
+    @pytest.mark.parametrize("y", [0.5, 3.0])
+    def test_stop_is_relative_to_m(self, y):
+        # far out |m| is about 1/|z| = 1e-7, so the first Newton step from a
+        # start 1e-6 off is about 1e-13: below 1e-12 in absolute terms, which
+        # ended the solve there, but 1e-6 of |m|, so the relative stop takes a
+        # second sweep, whose step is at the rounding floor
+        lsd, z = sp.gamma_lsd(ARMA11), 1e7 * (1.0 + 0.1j)
+        m = sp.solve_fixed_point(lsd, y, z).m
+        sol = sp.solve_fixed_point(lsd, y, z, initial=m * (1.0 + 1e-6))
+        assert sol.iterations == 2
+        assert abs(sp.arma11_residual(0.5, 1.0, y, z, sol.m)) <= 1e-15 * abs(z)
+
+    # Exact laws of K <= 2 with AR parts from reflection coefficients |k| <=
+    # 0.97, and atoms, at z = edge (x + i eta) with x in [-1, 2] and eta in
+    # [1e-8, 1e3]: the one-atom refit of the cold start, whatever (T, T') it
+    # fits, must leave a solve that ends in the upper half-plane, on its law
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        law=st.one_of(
+            st.tuples(st.lists(st.floats(-0.97, 0.97), max_size=2), st.lists(st.floats(-1.5, 1.5), max_size=2)),
+            st.lists(st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 1.0)), min_size=1, max_size=3),
+        ),
+        log_y=st.floats(-1.0, 1.0),
+        x=st.floats(-1.0, 2.0),
+        log_eta=st.floats(-8.0, 3.0),
+    )
+    def test_refit_cold_start_ends_on_the_law(self, law, log_y, x, log_eta):
+        if isinstance(law, tuple):
+            refl, ma = law
+            ar = np.array([1.0])
+            for k in refl:
+                ar = np.append(ar, 0.0) + k * np.append(ar, 0.0)[::-1]
+            lsd = sp.gamma_lsd(sp.ARMAModel(ar=ar[1:], ma=ma))
+        else:
+            levels = np.unique([level for level, _ in law])
+            assume(np.all(np.diff(levels) > 1e-6 * levels[-1]))
+            weights = np.array([w for _, w in law])[: levels.size]
+            lsd = sp.AtomicLSD(levels, weights / weights.sum())
+        assert isinstance(lsd, (sp.ExactARMALSD, sp.AtomicLSD))
+        y = 10.0**log_y
+        z = sp.estimate_support_upper(lsd, y) * complex(x, 10.0**log_eta)
+        m = sp.solve_fixed_point(lsd, y, z).m
+        assert m.imag > 0.0
+        defect = abs(1.0 / m + z - y * lsd.rule(sp.stieltjes.RULE_START_SIZE).terms(m)[0])
+        assert defect <= 1e-10 * (abs(z) + abs(1.0 / m))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [(1.0, 1j), (1.0 + 0j, 0j), (complex(math.nan, 0.0), 1j), (1e300 + 1e300j, -1e-300j)],
+        ids=["t-plus-m-tp-zero", "b-zero", "nan", "overflow"],
+    )
+    def test_refit_without_a_one_atom_law_keeps_the_start(self, terms):
+        # T + m T' = 0 at m = i for the first; T' = 0 makes b = 0; the last
+        # overflows: each keeps the start and hands its (T, T') on, raising nothing
+        m = 1j
+        assert sp.stieltjes._refit(lambda mm: terms, 1.0, 2.0 + 1j, m) == (m, terms, 0)
 
     @pytest.mark.parametrize("atoms", [8, 9])
     def test_scalar_and_array_sums_agree_across_the_crossover(self, atoms, monkeypatch):
