@@ -242,18 +242,18 @@ def sample_cov_eigenvalues(X, center=False):
     Roundoff-negative eigenvalues within 1e-9 of zero are clamped; anything
     lower is surfaced as an eigensolver failure.
 
-    The result's ``trace`` is ``np.vdot(X, X) / p`` of the (centred) X, taken
-    before the Helmert step, so a caller can check it against the eigenvalue
-    sum.  X is released once its Gram matrix is formed: when the caller
-    passes the only reference, as in ``sample_cov_eigenvalues(simulate_matrix(
-    plan))`` on CPython 3.11 or later, the p x n matrix is freed before the
-    eigensolver copies the Gram matrix.
+    The result's ``trace`` sums the diagonal of X X^T / p (finite wherever the
+    Gram matrix is) of the (centred) X before the Helmert step, so a caller
+    can check it against the eigenvalue sum.  X is released once its Gram
+    matrix is formed: when the caller passes the only reference, as in
+    ``sample_cov_eigenvalues(simulate_matrix(plan))`` on CPython 3.11 or later,
+    the p x n matrix is freed before the eigensolver copies the Gram matrix.
     """
     X = np.ascontiguousarray(X, dtype=float)
     p = X.shape[0]
     if center:
         X = X - X.mean(axis=1, keepdims=True)
-    trace = float(np.vdot(X, X) / p)
+    trace = float((np.einsum("ij,ij->i", X, X) / p).sum())
     if center:
         X = _helmert(X)
     m = X.shape[1]

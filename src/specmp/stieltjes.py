@@ -57,12 +57,13 @@ GRID_MIN_SIZE = 16
 
 # height of the Stieltjes-Perron inversion above the real axis, relative to
 # the top of the grid.  The bias it leaves scales with it: on the 512-point
-# Marchenko-Pastur tables it is at most 1e-6 relative (3e-5 at y = 1) 1e-3
-# inside the edges, and larger only at the few points within a few offsets of
-# a hard edge at zero.  Smaller offsets cost sweeps on the Szegő rule where H
-# reaches 0 and y is near 1: a table takes 4,002, 5,519 and 7,119 sweeps at
-# 1e-8, 1e-10 and 1e-12 for FARIMA d = -0.25 at y = 0.9, against 2,184, 2,228
-# and 2,272 on the exact law of ARMA(1,1) at y = 1.
+# Marchenko-Pastur tables it is at most 1e-6 relative (3e-5 at y = 1) at
+# x >= 1e-6 grid[-1] and 1e-3 inside the edges, and larger only at the few
+# points within a few offsets of a hard edge at zero.  Smaller offsets cost
+# sweeps on the Szegő rule where H reaches 0 and y is near 1: a table takes
+# 4,002, 5,519 and 7,119 sweeps at 1e-8, 1e-10 and 1e-12 for FARIMA d = -0.25
+# at y = 0.9, against 2,184, 2,228 and 2,272 on the exact law of ARMA(1,1) at
+# y = 1.
 OFFSET = 1e-8
 
 
@@ -159,25 +160,44 @@ def _iterate(TTp, y, z, m, first=None):
     raise ConvergenceError("no convergence", z, m, abs(1.0 / m + z - y * t), MAX_ITER)
 
 
+def _one_atom(y, z, a, b):
+    """Transform of the one-atom law with level b and level times mass a.
+
+    Its T = a/(1 + b m), so m solves -z b m^2 + c m = 1, c = (y a - b) - z (z
+    last keeps its digits where y a = b).  The roots q/(z b) and 1/q, with
+    q = (c +- w)/2, w^2 = c^2 - 4 z b and the sign that makes |q| the larger,
+    do not cancel; the transform is the larger-Im root, the same at every
+    level of the law: beyond |b| = 1e+-100, c and z b are taken times t, the
+    power of 2 at 1/|b|, which rounds nothing.  ArithmeticError where it is
+    not finite or not in the upper half-plane (Im m underflows), or b or q is 0.
+    """
+    c, zb, t = y * a - b - z, z * b, 1.0
+    if not 1e-100 < abs(b) < 1e100:
+        t = math.ldexp(2.0, -math.frexp(abs(b))[1])
+        c, zb = c * t, z * t * (b * t)
+    w = cmath.sqrt(c * c - 4.0 * zb)
+    q = 0.5 * (c + w if (c.conjugate() * w).real >= 0.0 else c - w)
+    r1, r2 = q / zb * t, t / q
+    root = r1 if r1.imag > r2.imag else r2
+    if not (root.imag > 0.0 and cmath.isfinite(root)):
+        raise ArithmeticError(f"no upper-half-plane root at z={z}")
+    return root
+
+
 def _refit(TTp, y, z, m):
     """(m, first, sweeps): the start m moved to the one-atom law with its (T, T').
 
-    Level b and level times mass a give T = a/(1 + b m), so b = -T'/(T + m T'),
-    a = T^2/(T + m T') and its transform solves -z b m^2 + (y a - z - b) m = 1.
-    The larger-Im root, if finite, in the upper half-plane and more than
+    Level b and level times mass a give T = a/(1 + b m), so b = -T'/(T + m T')
+    and a = T^2/(T + m T').  That law's transform (``_one_atom``), if more than
     UPDATE_TOL |m| away, is one sweep; else m stays, with (T, T') as ``first``.
     """
     t, tp = TTp(m)
     try:
         den = t + m * tp
-        b, c = -tp / den, (y * t * t + tp) / den - z  # c = y a - z - b
-        w = cmath.sqrt(c * c - 4.0 * z * b)
-        q = 0.5 * (c + w if (c.conjugate() * w).real >= 0.0 else c - w)
-        r1, r2 = q / (z * b), 1.0 / q
-        root = r1 if r1.imag > r2.imag else r2
-        if root.imag > 0.0 and cmath.isfinite(root) and abs(root - m) > UPDATE_TOL * abs(m):
+        root = _one_atom(y, z, t * t / den, -tp / den)
+        if abs(root - m) > UPDATE_TOL * abs(m):
             return root, None, 1
-    except ArithmeticError:  # T + m T' = 0, b = 0, q = 0 or an overflow: no one-atom law
+    except ArithmeticError:  # T + m T' = 0, b = 0, q = 0, an overflow or no root
         pass
     return m, (t, tp), 0
 
@@ -189,25 +209,23 @@ def solve_fixed_point(lsd, y, z, initial=None):
     AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a point with
     Im z > 0.  The law is solved on its rule ``lsd.rule(N)``: the Szegő rule of
     an AbsContinuousLSD, or the atoms or the exact ARMA law, which are exact at
-    every N.  N doubles from RULE_START_SIZE
-    until the 2N rule's change in the integral term T moves m by at most 1e-9
-    relative, y |m| |T_2N - T_N| <= 1e-9 (a test on T alone would pass
-    unresolved rules where |m| is large, as near zero at y < 1); the residual
-    is the N-rule solution's defect on the 2N rule, and a Newton step
-    on the 2N rule ends the solve; the check's N-rule T may be extrapolated
-    from the last step (see ``_iterate``).  Near the real axis larger rules
-    are needed; the RULE_MAX_SIZE rule is the last.  A climb starts the 2N
-    rule from the check's m and (T, T'), so it costs no evaluation beyond the
-    check.  A rule whose 2N rule is the same ``Rule`` is exact, and the solve
-    stops on it without the doubling check; there, as on the last rule, the
-    residual is the defect on the solve's own rule at the returned m.
-    MAX_ITER caps the sweeps on one rule.
-    Without a usable ``initial`` the solve starts from the law with all its
-    mass at the mean level (ArithmeticError where Im z underflows in the
-    scaling, as for one atom), refit to the one-atom law with the rule's
-    (T, T') there (``_refit``), so a solve that does not climb makes one
-    evaluation more than its sweeps.  ``m`` is a Python complex and
-    ``residual`` a Python float.
+    every N.  N doubles from RULE_START_SIZE until the 2N rule's change in the
+    integral term T moves m by at most 1e-9 relative, y |m| |T_2N - T_N|
+    <= 1e-9 (a test on T alone would pass unresolved rules where |m| is large,
+    as near zero at y < 1); the residual is the N-rule solution's defect on the
+    2N rule, and a Newton step on the 2N rule ends the solve; the check's N-rule
+    T may be extrapolated from the last step (see ``_iterate``).  Near the real
+    axis larger rules are needed; the RULE_MAX_SIZE rule is the last.  A climb
+    starts the 2N rule from the check's m and (T, T'), so it costs no
+    evaluation beyond the check.  A rule whose 2N rule is the same ``Rule`` is
+    exact, and the solve stops on it without the doubling check; there, as on
+    the last rule, the residual is the defect on the solve's own rule at the
+    returned m.  MAX_ITER caps the sweeps on one rule.  Without a usable
+    ``initial`` the solve starts from the law with all its mass at the mean
+    level (``_one_atom``: ArithmeticError where its Im m underflows), refit to
+    the one-atom law with the rule's (T, T') there (``_refit``), so a solve
+    that does not climb makes one evaluation more than its sweeps.  ``m`` is
+    a Python complex and ``residual`` a Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
@@ -222,11 +240,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
     rule = lsd.rule(size)
     if initial is None or not initial.imag > 0.0:
         # -1/z sits among the rule's real poles -1/lam when z is near the real axis
-        try:
-            m = mp_stieltjes(y, z / rule.mean) / rule.mean
-        except ValueError:
-            raise ArithmeticError(f"no upper-half-plane root at z={z}") from None
-        m, first, iterations = _refit(rule.terms, y, z, m)
+        m, first, iterations = _refit(rule.terms, y, z, _one_atom(y, z, rule.mean, rule.mean))
     else:
         m, first, iterations = complex(initial), None, 0
     while True:
@@ -260,19 +274,12 @@ def mp_support(y):
 
 
 def mp_stieltjes(y, z):
-    """Closed-form Marchenko-Pastur transform: the upper-half-plane root of
-    z m^2 + (z + 1 - y) m + 1 = 0."""
+    """Closed-form Marchenko-Pastur transform, the one-atom law at level 1: the
+    upper-half-plane root of z m^2 + (z + 1 - y) m + 1 = 0 (``_one_atom``)."""
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("z must lie in the upper half-plane")
-    b = z + 1.0 - y
-    sq = cmath.sqrt(b * b - 4.0 * z)
-    m, other = (-b + sq) / (2.0 * z), (-b - sq) / (2.0 * z)
-    if other.imag > m.imag:
-        m = other
-    if not m.imag > 0.0:
-        raise ArithmeticError(f"no upper-half-plane root at z={z}")
-    return m
+    return _one_atom(y, z, 1.0, 1.0)
 
 
 def mp_density(y, x):
@@ -355,10 +362,7 @@ def invert_to_density(lsd, y, grid=None):
     delta = OFFSET * float(grid[-1])
     atom = max(0.0, 1.0 - y)
     ms = np.empty(grid.size, dtype=complex)
-    m = None
-    size = 0
-    iterations = 0
-    max_residual = 0.0
+    m, size, iterations, max_residual = None, 0, 0, 0.0
     with np.errstate(all="ignore"):
         for i, x in enumerate(grid):
             z = complex(x, delta)

@@ -281,24 +281,24 @@ class AbsContinuousLSD:
 def _cosine_poly(r):
     """r_0 + 2 sum_h r_h cos(h w) as a polynomial in s = 2 cos w, lowest power first.
 
-    2 cos(h w) is D_h(s), with D_0 = 2, D_1 = s and D_h = s D_(h-1) - D_(h-2).
-    A top coefficient that moves the polynomial on [-2, 2] by no more than its
+    It is the Chebyshev series r_0 + sum_h 2 r_h T_h(x) at x = s/2.  A top
+    coefficient that moves the polynomial on [-2, 2] by no more than its
     rounding (zero, or 1e-172 from an AR coefficient of that size) is dropped,
     so the length is the degree plus one, and a root of E never sits near
     infinity for want of a coefficient.
     """
-    P = np.polynomial.polynomial
-    out = np.zeros(r.size)
-    out[0] = r[0]
-    prev, cur = np.array([2.0]), np.array([0.0, 1.0])
-    for h in range(1, r.size):
-        out[: cur.size] += r[h] * cur
-        prev, cur = cur, P.polysub(P.polymulx(cur), prev)
-    scale = 2.0 ** np.arange(r.size)
-    noise = np.finfo(float).eps * np.abs(out).dot(scale)
-    while out.size > 1 and abs(out[-1]) * scale[out.size - 1] <= noise:
-        out = out[:-1]
-    return out
+    x = np.polynomial.chebyshev.cheb2poly(np.concatenate((r[:1], 2.0 * r[1:])))
+    noise = np.finfo(float).eps * np.abs(x).sum()
+    while x.size > 1 and abs(x[-1]) <= noise:
+        x = x[:-1]
+    return x / 2.0 ** np.arange(x.size)
+
+
+def _exact_coeffs(f):
+    """A and B (``_cosine_poly``) padded to K + 1 terms where the exact law solves f (d = 0, K = 1 or 2), else None."""
+    A, B = _cosine_poly(f.ar_acov), _cosine_poly(f.ma_acov)
+    k = max(A.size, B.size)
+    return [tuple(np.pad(c, (0, k - c.size)).tolist()) for c in (A, B)] if f.d == 0.0 and 2 <= k <= 3 else None
 
 
 def _off_axis(m):
@@ -368,15 +368,13 @@ class ExactARMALSD:
     kind = "exact"
 
     def __init__(self, f):
-        A, B = _cosine_poly(f.ar_acov), _cosine_poly(f.ma_acov)
-        order = max(A.size, B.size) - 1
-        if f.d != 0.0 or not 1 <= order <= 2:
-            raise ValueError(f"the exact law needs d = 0 and 1 <= max(p, q) <= 2, not d = {f.d}, K = {order}")
-        self.f = f
-        self._a, self._b = (tuple(np.pad(c, (0, order + 1 - c.size)).tolist()) for c in (A, B))
-        if order == 1:
+        coeffs = _exact_coeffs(f)
+        if coeffs is None:
+            raise ValueError("the exact law needs d = 0 and 1 <= max(p, q) <= 2")
+        self.f, (self._a, self._b) = f, coeffs
+        if len(self._a) == 2:
             self._k1 = (*self._a, *self._b, self._a[1] * self._b[0] - self._a[0] * self._b[1])
-        self.terms = self._terms1 if order == 1 else self._terms2
+        self.terms = self._terms1 if len(self._a) == 2 else self._terms2
         self.top = support_bounds(f)[1]
         self.mean = self.terms(0.0)[0].real
 
@@ -489,16 +487,15 @@ def gamma_lsd(model):
     """Limit law of the autocovariance Toeplitz matrix of a model.
 
     A PiecewiseSpectralDensity gives an AtomicLSD.  An ARMAModel gives one atom
-    when its SpectralDensity f is constant to within ``_level_atol(f)``; else,
-    for d = 0 and K = max(deg A, deg B) <= 2 (``_cosine_poly``), the
-    ExactARMALSD of f, which trades the Szegő rule's nodes and weights for no
-    rule refinement at all; else the AbsContinuousLSD of f, its Szegő rules.
-    ModelSpecError refuses three cases.  For d > 0 (long memory) the limit law
-    exists (Merlevède & Peligrad, Stoch. Process. Appl. 126, 2016), but f is
-    unbounded at 0 and so is the law's support, which nothing here tabulates
-    yet.  (max f)^2 must be finite.  And min f must not be negative beyond
-    ``_level_atol(f)`` (|phi|^2 rounds to <= 0 at an AR root within about
-    1e-7 of the unit circle).
+    when its SpectralDensity f is constant to within ``_level_atol(f)``; else
+    the ExactARMALSD of f where it solves f (``_exact_coeffs``), which trades
+    the Szegő rule's nodes and weights for no rule refinement at all; else the
+    AbsContinuousLSD of f, its Szegő rules.  ModelSpecError refuses three
+    cases.  For d > 0 (long memory) the limit law exists (Merlevède & Peligrad,
+    Stoch. Process. Appl. 126, 2016), but f is unbounded at 0 and so is the
+    law's support, which nothing here tabulates yet.  (max f)^2 must be finite.
+    And min f must not be negative beyond ``_level_atol(f)`` (|phi|^2 rounds to
+    <= 0 at an AR root within about 1e-7 of the unit circle).
     """
     if isinstance(model, PiecewiseSpectralDensity):
         return atomic_lsd(model)
@@ -517,7 +514,5 @@ def gamma_lsd(model):
     if hi - lo <= atol:
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
-    if f.d == 0.0 and max(_cosine_poly(r).size for r in (f.ar_acov, f.ma_acov)) <= 3:
-        return ExactARMALSD(f)
-    return AbsContinuousLSD(f=f)
+    return AbsContinuousLSD(f=f) if _exact_coeffs(f) is None else ExactARMALSD(f)
 

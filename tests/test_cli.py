@@ -337,6 +337,15 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "cen_summary.json").read_text())
         assert summary["replicates"][0]["trace_check"]["rel_err"] <= 1e-9
 
+    def test_trace_check_is_finite_at_a_large_mean(self, tmp_path):
+        # every eigenvalue is finite (their sum is 2e306), and so is the trace:
+        # the summary carries no Infinity or NaN
+        args = ["simulate", "--model", WHITE, "--y", "1", "--p", "200", "--mu", "1e152"]
+        assert run(args + ["--out", str(tmp_path / "big")]) == 0
+        check = json.loads((tmp_path / "big_summary.json").read_text())["replicates"][0]["trace_check"]
+        assert all(math.isfinite(v) for v in check.values()), check
+        assert check["rel_err"] <= 1e-9
+
     def test_replicates_produce_distinct_files(self, tmp_path):
         out = tmp_path / "reps"
         code = run(

@@ -366,12 +366,23 @@ class TestSampleCovEigenvalues:
     @pytest.mark.parametrize("center", [False, True])
     @pytest.mark.parametrize("y", [0.7, 2.0])
     def test_trace_is_vdot_of_the_reported_matrix(self, y, center):
-        # the spectrum's trace is vdot(Xc, Xc) / p of the (centred) matrix, bit for bit
+        # the spectrum's trace is vdot(Xc, Xc) / p of the (centred) matrix to a
+        # few ulps, summed row by row as the diagonal of Xc Xc^T / p bit for bit
         plan = sp.SimulationPlan(p=200, y=y, model=sp.ARMAModel.arma11(0.5, 1.0), seed=12, mu=2.0)
         X = sp.simulate_matrix(plan)
         Xc = X - X.mean(axis=1, keepdims=True) if center else X
-        assert sp.sample_cov_eigenvalues(X, center=center).trace == np.vdot(Xc, Xc) / plan.p
+        trace = sp.sample_cov_eigenvalues(X, center=center).trace
+        assert abs(trace - np.vdot(Xc, Xc) / plan.p) <= 4 * np.finfo(float).eps * trace
+        assert trace == (np.einsum("ij,ij->i", Xc, Xc) / plan.p).sum()
         assert sp.EmpiricalSpectrum(np.ones(3)).trace is None
+
+    def test_trace_is_finite_where_the_gram_matrix_is(self):
+        # each row's squares sum to about 2e307, so X X^T / p is finite, but
+        # all p n squares together overflow before any division by p
+        X = np.random.default_rng(3).choice([-1e153, 1e153], size=(20, 20))
+        s = sp.sample_cov_eigenvalues(X)
+        assert math.isfinite(s.trace)
+        assert abs(s.trace - s.eigenvalues.sum()) <= 1e-12 * s.trace
 
     def test_rank_bound(self):
         # rank is at most min(p, n), or min(p, n - 1) centred; the null

@@ -102,9 +102,11 @@ class TestSolveFixedPoint:
             sp.mp_stieltjes(1.0, z)
         with pytest.raises(ArithmeticError, match="no upper-half-plane root"):
             sp.solve_fixed_point(MP_ATOM, 1.0, z)
-        # a continuous law's cold start scales z by the mean level, where Im z underflows to 0
-        with pytest.raises(ArithmeticError, match="no upper-half-plane root"):
-            sp.solve_fixed_point(sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0)), 1.0, 5 + 5e-324j)
+        # a law spread over [0, 16] has its root well off the axis there, and the
+        # cold start, which takes z unscaled, finds it
+        sol = sp.solve_fixed_point(sp.gamma_lsd(ARMA11), 1.0, z)
+        assert abs(sol.m - (-0.1503 + 0.0916j)) <= 1e-4
+        assert abs(sp.arma11_residual(0.5, 1.0, 1.0, z, sol.m)) <= 1e-15
 
     def test_rejects_unsupported_law(self):
         with pytest.raises(TypeError, match="unsupported limit-law type"):
@@ -448,6 +450,17 @@ class TestSolveFixedPoint:
                 m = sp.solve_fixed_point(MP_ATOM, y, z).m
                 assert abs(m - sp.mp_stieltjes(y, z)) <= 1e-10
 
+    @pytest.mark.parametrize("level", [1e-200, 1e154, 1e200])
+    @pytest.mark.parametrize("y", [0.5, 1.0, 3.0])
+    def test_cold_start_is_the_same_at_every_level(self, level, y):
+        # one atom at level L has m(L z) = m_MP(z) / L; the cold start takes z
+        # unscaled, so its squares and products must not leave the float range
+        law = sp.AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
+        for zeta in (0.01 + 1e-8j, 0.5 + 1e-8j, 1.5 + 0.5j, 5.0 + 1e-8j, -3.0 + 2.0j):
+            m = sp.solve_fixed_point(law, y, level * zeta).m
+            ref = sp.mp_stieltjes(y, zeta) / level
+            assert abs(m - ref) <= 1e-13 * abs(ref), (zeta, m, ref)
+
 
 class TestContinuousLaws:
     def test_farima_with_ar_part(self):
@@ -486,6 +499,20 @@ class TestMPClosedForm:
                 m = sp.mp_stieltjes(y, z)
                 assert abs(z * m * m + (z + 1.0 - y) * m + 1.0) <= 1e-12
                 assert m.imag > 0
+
+    @pytest.mark.parametrize(
+        "y, z",
+        [(y, r * cmath.exp(1j * phase)) for y in (0.5, 1.0, 3.0) for r in (1e6, 1e8, 1e12) for phase in (0.1, 2.5)]
+        + [(3.0, 1e-6j), (3.0, 1e-10j), (3.0, 1e-20j)],
+    )
+    def test_root_meets_the_quadratic_at_extreme_scales(self, y, z):
+        # the root pair is taken free of cancellation, so the defect is at
+        # rounding relative to the quadratic's terms where |z| is large, and at
+        # y > 1 where z is small and m nears 1/(y - 1) with Im m ~ |z|
+        m = sp.mp_stieltjes(y, z)
+        terms = (z * m * m, (z + 1.0 - y) * m, 1.0)
+        assert m.imag > 0.0
+        assert abs(sum(terms)) <= 1e-15 * sum(abs(t) for t in terms)
 
     def test_recovers_mp_density(self):
         # Stieltjes-Perron at tiny offset reproduces the closed-form density
