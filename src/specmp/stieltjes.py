@@ -11,10 +11,10 @@ point from a one-atom fit to its cold start, gives the Marchenko-Pastur
 closed form and the ARMA(1,1) quartic as oracles, locates the upper support
 edge, and recovers the density and the distribution function from solves at
 one small offset above the real axis.  The solver, the edge and the CDF see a
-limit law only through its rule ``lsd.rule(N)``: the atoms or the Szegő rule
-as a :class:`~specmp.toeplitz_lsd.Rule`, or the exact ARMA law itself.  They
-call its (T, T') evaluator ``terms``, its log potential ``potential``, its
-``mean`` and its ``top``, and never read nodes or weights.
+limit law only through its one exact rule ``lsd.rule()``: the atoms as a
+:class:`~specmp.toeplitz_lsd.Rule`, or the Szegő or exact ARMA law itself.
+They call its (T, T') evaluator ``terms``, its log potential ``potential``,
+its ``mean`` and its ``top``, and never read nodes or weights.
 """
 
 from __future__ import annotations
@@ -43,12 +43,8 @@ __all__ = [
 ]
 
 
-# first and largest sizes of the Szegő rule for a continuous limit law
-RULE_START_SIZE = 256
-RULE_MAX_SIZE = 8192
-
 # a solve stops when the update |dm| is at most UPDATE_TOL |m|, relative at
-# every scale of m, after at most MAX_ITER sweeps on one rule
+# every scale of m, after at most MAX_ITER sweeps
 UPDATE_TOL = 1e-12
 MAX_ITER = 100_000
 
@@ -60,10 +56,9 @@ GRID_MIN_SIZE = 16
 # Marchenko-Pastur tables it is at most 1e-6 relative (3e-5 at y = 1) at
 # x >= 1e-6 grid[-1] and 1e-3 inside the edges, and larger only at the few
 # points within a few offsets of a hard edge at zero.  Smaller offsets cost
-# sweeps on the Szegő rule where H reaches 0 and y is near 1: a table takes
-# 4,002, 5,519 and 7,119 sweeps at 1e-8, 1e-10 and 1e-12 for FARIMA d = -0.25
-# at y = 0.9, against 2,184, 2,228 and 2,272 on the exact law of ARMA(1,1) at
-# y = 1.
+# few sweeps: a table takes 2,201, 2,251 and 2,302 at 1e-8, 1e-10 and 1e-12
+# for FARIMA d = -0.25 at y = 0.9, and 2,188, 2,232 and 2,277 on the exact
+# law of ARMA(1,1) at y = 1.
 OFFSET = 1e-8
 
 
@@ -83,13 +78,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StieltjesSolution:
-    """Value of the Stieltjes transform at one point, solved on ``lsd.rule(size)``."""
+    """Value of the Stieltjes transform at one point, solved on ``lsd.rule()``."""
 
     z: complex
     m: complex
     residual: float
     iterations: int
-    size: int
 
     def __post_init__(self):
         if not self.m.imag > 0.0:
@@ -167,13 +161,15 @@ def _one_atom(y, z, a, b):
     last keeps its digits where y a = b).  The roots q/(z b) and 1/q, with
     q = (c +- w)/2, w^2 = c^2 - 4 z b and the sign that makes |q| the larger,
     do not cancel; the transform is the larger-Im root, the same at every
-    level of the law: beyond |b| = 1e+-100, c and z b are taken times t, the
-    power of 2 at 1/|b|, which rounds nothing.  ArithmeticError where it is
-    not finite or not in the upper half-plane (Im m underflows), or b or q is 0.
+    scale: where max(|c|, sqrt|z b|) is beyond 1e+-100, c and z b are taken
+    times t and t^2, t the power of 2 at its reciprocal, which rounds nothing.
+    ArithmeticError where the root is not finite or not in the upper
+    half-plane (Im m underflows), or z b or q is 0.
     """
     c, zb, t = y * a - b - z, z * b, 1.0
-    if not 1e-100 < abs(b) < 1e100:
-        t = math.ldexp(2.0, -math.frexp(abs(b))[1])
+    ac, azb = abs(c), abs(zb)
+    if not (ac < 1e100 and azb < 1e200 and (ac > 1e-100 or azb > 1e-200)):
+        t = math.ldexp(2.0, -math.frexp(max(ac, math.sqrt(abs(z)) * math.sqrt(abs(b))))[1])
         c, zb = c * t, z * t * (b * t)
     w = cmath.sqrt(c * c - 4.0 * zb)
     q = 0.5 * (c + w if (c.conjugate() * w).real >= 0.0 else c - w)
@@ -207,25 +203,14 @@ def solve_fixed_point(lsd, y, z, initial=None):
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD, ExactARMALSD or
     AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a point with
-    Im z > 0.  The law is solved on its rule ``lsd.rule(N)``: the Szegő rule of
-    an AbsContinuousLSD, or the atoms or the exact ARMA law, which are exact at
-    every N.  N doubles from RULE_START_SIZE until the 2N rule's change in the
-    integral term T moves m by at most 1e-9 relative, y |m| |T_2N - T_N|
-    <= 1e-9 (a test on T alone would pass unresolved rules where |m| is large,
-    as near zero at y < 1); the residual is the N-rule solution's defect on the
-    2N rule, and a Newton step on the 2N rule ends the solve; the check's N-rule
-    T may be extrapolated from the last step (see ``_iterate``).  Near the real
-    axis larger rules are needed; the RULE_MAX_SIZE rule is the last.  A climb
-    starts the 2N rule from the check's m and (T, T'), so it costs no
-    evaluation beyond the check.  A rule whose 2N rule is the same ``Rule`` is
-    exact, and the solve stops on it without the doubling check; there, as on
-    the last rule, the residual is the defect on the solve's own rule at the
-    returned m.  MAX_ITER caps the sweeps on one rule.  Without a usable
-    ``initial`` the solve starts from the law with all its mass at the mean
-    level (``_one_atom``: ArithmeticError where its Im m underflows), refit to
-    the one-atom law with the rule's (T, T') there (``_refit``), so a solve
-    that does not climb makes one evaluation more than its sweeps.  ``m`` is
-    a Python complex and ``residual`` a Python float.
+    Im z > 0.  Every law is exact on its one rule ``lsd.rule()``, so the solve
+    is one ``_iterate`` on it, and the residual is the defect of the returned
+    m there, one evaluation more.  Without a usable ``initial`` the solve
+    starts from the law with all its mass at the mean level (``_one_atom``:
+    ArithmeticError where its Im m underflows), refit to the one-atom law with
+    the rule's (T, T') there (``_refit``), which counts as a sweep when it
+    moves m.  MAX_ITER caps the sweeps.  ``m`` is a Python complex and
+    ``residual`` a Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
@@ -235,34 +220,15 @@ def solve_fixed_point(lsd, y, z, initial=None):
     if not isinstance(lsd, (AtomicLSD, AbsContinuousLSD, ExactARMALSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
     y = float(y)
-
-    size = RULE_START_SIZE
-    rule = lsd.rule(size)
+    rule = lsd.rule()
     if initial is None or not initial.imag > 0.0:
         # -1/z sits among the rule's real poles -1/lam when z is near the real axis
         m, first, iterations = _refit(rule.terms, y, z, _one_atom(y, z, rule.mean, rule.mean))
     else:
         m, first, iterations = complex(initial), None, 0
-    while True:
-        m, its, t = _iterate(rule.terms, y, z, m, first)
-        iterations += its
-        finer = lsd.rule(2 * size) if 2 * size <= RULE_MAX_SIZE else rule
-        t2, tp2 = finer.terms(m)
-        residual = abs(1.0 / m + z - y * t2)
-        if finer is rule:
-            # the last rule, or an exact one: the residual is on its own rule
-            break
-        size *= 2
-        rule = finer
-        if y * abs(m) * abs(t2 - t) <= 1e-9:
-            # the rule's error in T moves m by about y |m|^2 |t2 - t|; one
-            # Newton step on the 2N rule takes most of that out
-            fine = m - (1.0 + m * z - y * m * t2) / (z - y * (t2 + m * tp2))
-            if fine.imag > 0.0:
-                m = fine
-            break
-        first = t2, tp2
-    return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations, size=size)
+    m, its, _ = _iterate(rule.terms, y, z, m, first)
+    residual = abs(1.0 / m + z - y * rule.terms(m)[0])
+    return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations + its)
 
 
 def mp_support(y):
@@ -348,8 +314,7 @@ def invert_to_density(lsd, y, grid=None):
     mass at zero, the density is (1/pi) Im(m + a/z), clipped at 0, and F is
     -Im Phi(z)/pi for the log potential Phi = -log m - z m - 1
     + y integral log(1 + lam m) dH (Phi' = -m), with a in place of the mass's
-    smeared term -a arg(-z)/pi.  Phi is stationary in m, so the integral, the
-    rule's ``potential``, runs on the largest rule that a solve ended on.  The
+    smeared term -a arg(-z)/pi.  The integral is the rule's ``potential``.  The
     solves run under ``np.errstate(all="ignore")``: a NaN or overflow (at extreme y, say)
     surfaces as a ConvergenceError tagged with x.
     """
@@ -362,7 +327,7 @@ def invert_to_density(lsd, y, grid=None):
     delta = OFFSET * float(grid[-1])
     atom = max(0.0, 1.0 - y)
     ms = np.empty(grid.size, dtype=complex)
-    m, size, iterations, max_residual = None, 0, 0, 0.0
+    m, iterations, max_residual = None, 0, 0.0
     with np.errstate(all="ignore"):
         for i, x in enumerate(grid):
             z = complex(x, delta)
@@ -373,11 +338,10 @@ def invert_to_density(lsd, y, grid=None):
                     f"inversion failed at x={float(x)}", z, exc.m, exc.residual, exc.iterations
                 ) from exc
             m = ms[i] = sol.m
-            size = max(size, sol.size)
             iterations += sol.iterations
             max_residual = max(max_residual, sol.residual)
         vals = [(m + atom / complex(x, delta)).imag / math.pi for x, m in zip(grid, ms.tolist())]
-        rule, z = lsd.rule(size), grid + 1j * delta
+        rule, z = lsd.rule(), grid + 1j * delta
         args = np.array([rule.potential(m) for m in ms])
         cdf = (np.angle(ms) - y * args + (z * ms).imag + atom * np.angle(-z)) / math.pi + atom
     return LimitingDensity(
@@ -407,20 +371,25 @@ def estimate_support_upper(lsd, y):
 
     On real m in (-1/max lam, 0) the inverse x(m) = -1/m + y T(m) of the
     transform has the edge as its minimum.  There x'(m) = 1/m^2 + y T'(m)
-    rises from -inf to +inf, so one bisection over ``lsd.rule(RULE_MAX_SIZE)``
-    finds it, with max lam the rule's ``top``: the atoms, the exact ARMA law
-    (top = max f), or 4,096 Szegő nodes, one per mirror pair.
+    rises from -inf to +inf, so one bisection over ``lsd.rule()`` finds it,
+    with max lam the rule's ``top``: the largest atom, or max f.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
-    rule = lsd.rule(RULE_MAX_SIZE)
+    rule = lsd.rule()
 
     def slope(m):
-        # _bisect passes the one bracket's midpoint as a length-1 array
-        return 1.0 / m**2 + y * rule.terms(m[0])[1].real
+        # m^2 x'(m), in Python floats, which neither overflow nor underflow to
+        # a wrong sign; _bisect passes the bracket's midpoint as a length-1 array
+        m = float(m[0])
+        return 1.0 + y * (m * m) * rule.terms(m)[1].real
 
-    m = float(_bisect(slope, [-1.0 / rule.top], [0.0], np.zeros(1))[0])
-    return float(-1.0 / m + y * rule.terms(m)[0].real)
+    # 4 ulps in from -1/top, where 1 + top m rounds to 0: an edge closer than that is x there
+    m = float(_bisect(slope, [-(1.0 - 2.0**-50) / rule.top], [0.0], np.zeros(1))[0])
+    edge = -1.0 / m + y * rule.terms(m)[0].real
+    if not math.isfinite(edge):
+        raise ArithmeticError(f"the support's upper edge overflows at y={y}")
+    return edge
 
 
 def default_grid(lsd, y, size=512):
@@ -436,6 +405,8 @@ def default_grid(lsd, y, size=512):
     if size < GRID_MIN_SIZE:
         raise ValueError(f"grid size must be at least {GRID_MIN_SIZE}")
     hi = 1.05 * estimate_support_upper(lsd, y)
+    if not math.isfinite(hi):
+        raise ArithmeticError(f"the density grid's end, 5% past the support's upper edge, overflows at y={y}")
     n_geo = min(max(32, size // 4), size // 2)
     split = 0.05 * hi
     geo = np.geomspace(1e-8 * hi, split, n_geo, endpoint=False)

@@ -17,25 +17,25 @@ root of f(w) = lam on every branch for a whole array of levels.  A level is
 tangential when it equals f at a stationary point inside the support; the
 density diverges there.  Integrals against the continuous law of a FARIMA
 model (d != 0), or of an ARMA model with K = max(p, q) >= 3, come from Szegő's
-theorem, as a graded trapezoid rule in w pushed forward through f and folded
-about pi, where the even f takes each value twice.  An ARMA model with K <= 2
-has an exact law instead: with s = 2 cos w, f is a ratio of polynomials of
-degree K in s, and the integrals follow from the K roots of one of them.
+theorem on one tanh-sinh rule in w, with the poles of the integrand that the
+rule does not resolve subtracted.  An ARMA model with K <= 2 has an exact law
+instead: with s = 2 cos w, f is a ratio of polynomials of degree K in s, and
+the integrals follow from the K roots of one of them.
 
-Every law hands the solver a rule at each size N: an object with the (T, T')
+Every law is exact on its one rule ``lsd.rule()``: an object with the (T, T')
 evaluator ``terms``, the imaginary part of the log potential ``potential``,
-the ``mean`` level and the ``top`` of the support.  The atoms and the Szegő
-rules are a :class:`Rule` of nodes and weights; the exact law is its own rule.
-A law whose rule is one object at every size is exact, and its ``kind``
-("atoms", "szego" or "exact") names it in reports.
+the ``mean`` level and the ``top`` of the support.  The atoms are a
+:class:`Rule` of nodes and weights; the other laws are their own rules.  A
+law's ``kind`` ("atoms", "szego" or "exact") names it in reports.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +57,10 @@ TWO_PI = 2.0 * math.pi
 
 # a level within LEVEL_RTOL * max(1, max |f|) of f at a breakpoint equals it
 LEVEL_RTOL = 1e-12
+
+# tanh-sinh steps each side of t = 0 in the Szegő law's rule, which has
+# 2 RULE_STEPS + 1 nodes (``AbsContinuousLSD``)
+RULE_STEPS = 128
 
 # a Rule of at most this many nodes sums in Python scalars: per evaluation on a
 # 2-core x86-64 host, 2.6 us against NumPy's 3.4 us at 8 nodes, 5.7 against 2.9 at 16
@@ -158,7 +162,6 @@ def gamma_density(f, levels):
 class Rule:
     """Quadrature rule of a limit law: read-only nodes lam, weights W, mean and top (max lam).
 
-    A Szegő rule holds one node per mirror pair, at the pair's weight.
     :meth:`terms` sums over mu = 1/lam, as lam / (1 + lam m) = 1 / (mu + m).
     Nodes without a finite 1/lam (lam = 0, or below about 5.6e-309) add only
     about W |lam| and are dropped; nodes negative by rounding are kept.  Up to
@@ -233,49 +236,197 @@ class AtomicLSD:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_rule", Rule(levels, weights))
 
-    def rule(self, size):
-        """The atoms as a :class:`Rule`, exact at every size: one object for all."""
+    def rule(self):
+        """The atoms as a :class:`Rule`, an exact rule."""
         return self._rule
 
 
-@dataclass
+@dataclass(eq=False)
 class AbsContinuousLSD:
-    """Absolutely continuous Toeplitz eigenvalue limit with density g.
+    """Absolutely continuous Toeplitz eigenvalue limit with density g, exact on one rule.
 
-    By Szegő's theorem it is the law of f(w) with w uniform on [0, 2*pi], so
-    :meth:`rule` integrates against it without level sets; :func:`gamma_density`
-    gives g from the level sets of f.  One :class:`Rule` is cached per size,
-    idempotently, so concurrent readers at worst duplicate work.
+    By Szegő's theorem it is the law of f(w), w uniform on [0, pi] (f is even
+    about pi); :func:`gamma_density` gives g.  Its means run on the tanh-sinh
+    rule w = pi / (1 + e^(-pi sinh t)), t = k h, |t| <= 3.2, h = 3.2/RULE_STEPS
+    (Takahasi & Mori, Publ. RIMS 9, 1974), which converges geometrically
+    whatever f does at w = 0 and pi: read-only ``nodes`` f(w_k) and
+    ``weights``.  T and -T' are the means of f / (1 + f m) and its square.
+    With lam = -1/m these have a pole at each root s_c of f = lam in
+    s = 2 cos w, where f = B(s) / A(s) (2 - s)^(-d) (``_cosine_poly``).  Where
+    a pole lies nearer the axis than the nodes resolve (``_poles``), the sums
+    take its principal part, a multiple of 1/(s - s_c) (and of its square
+    for T'), out at the nodes and add back its exact mean, g(s_c) =
+    -1/sqrt(s_c^2 - 4) (and g'); the potential does so with log(s - s_c),
+    whose mean is log(-1/zeta_c).  So no pole costs accuracy, and the law is
+    its own rule (:meth:`rule`), with ``terms``, ``potential``, ``mean`` and
+    ``top`` = max f.  It holds no state between calls: threads can share it.
     """
 
     f: SpectralDensity
-    _rules: dict = field(default_factory=dict, repr=False, compare=False)
     kind = "szego"
 
     def __post_init__(self):
         if not isinstance(self.f, SpectralDensity):
             raise TypeError("AbsContinuousLSD expects a SpectralDensity, which is even about pi")
+        f, h, n = self.f, 3.2 / RULE_STEPS, 2 * RULE_STEPS + 1
+        t = np.arange(-RULE_STEPS, RULE_STEPS + 1) * h
+        e = np.exp(math.pi * np.sinh(t))
+        self.weights = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
+        # the pole search starts at the nodes and at the stationary points of f inside
+        # (0, pi): w and pi - w there, each to full relative accuracy, u = 2 - s, v = 2 + s
+        inner = f.breakpoints[(0.0 < f.breakpoints) & (f.breakpoints < math.pi)]
+        w = np.concatenate([math.pi * e / (1.0 + e), inner])
+        rest = np.concatenate([math.pi / (1.0 + e), math.pi - inner])
+        u, v, near = 4.0 * np.sin(0.5 * w) ** 2, 4.0 * np.sin(0.5 * rest) ** 2, w < 0.5 * math.pi
+        # B and A in u and in v (s = 2 - u = v - 2), of one length, highest power first
+        B, A = (np.polynomial.Polynomial(_cosine_poly(r)) for r in (f.ma_acov, f.ar_acov))
+        k = max(B.degree(), A.degree()) + 1
+        self._polys = [[np.pad(c(np.polynomial.Polynomial(x)).coef, (0, k))[:k][::-1].tolist() for c in (B, A)]
+                       for x in ([2, -1], [-2, 1])]
+        ratio, ra, aa, slope, curve = np.empty((5, w.size))
+        for side, polys, x, kappa in ((near, self._polys[0], u, -1.0), (~near, self._polys[1], v, 1.0)):
+            with np.errstate(divide="ignore", invalid="ignore"):  # where f = 0, L' is infinite
+                ratio[side], ra[side], aa[side], slope[side], curve[side] = _slopes(polys, x[side], kappa, u[side], f.d)
+        values = ratio * u**-f.d
+        self.nodes, self._u, self._v = values[:n], u[:n], v[:n]
+        for arr in (self.nodes, self.weights, self._u, self._v):
+            arr.setflags(write=False)
+        with np.errstate(divide="ignore"):  # where f = 0, f / (1 + f m) = 1 / (1/f + m) = 0
+            self._mu, self._w = 1.0 / self.nodes, self.weights.astype(complex)
+        self.mean, self.top = float(self.weights.dot(self.nodes)), support_bounds(f)[1]
+        # the search runs in x = log u near s = 2, which keeps the digits of a root at u ~ 1e-29
+        # and, for d != 0, its sheet of u^(-d), and in x = v elsewhere.  A pole within 8 steps in t
+        # of its start is taken out, |ds/dt| = 2 sin(w) cosh(t) w (pi - w); the quadratic model of
+        # F = log(f/lam) in x has no root that near where |F| > |F'| reach + |F''| reach^2 / 2
+        jac, bend = np.where(near, -u, 1.0), np.where(near, -u, 0.0)  # ds/dx, d2s/dx2
+        reach = 16.0 * h * np.sin(np.minimum(w, rest)) * np.hypot(1.0, np.log(w / rest) / math.pi) * w * rest / abs(jac)
+        F1, F2 = jac * slope, jac * jac * curve + bend * slope
+        bound = np.abs(F1) * reach + 0.5 * np.abs(F2) * reach**2
+        # N = (f - lam) A / A(start) and its slopes in x, (N', N'') = (k1, k2) (f - lam) + (c1, c2)
+        fl = values * slope
+        k1, c1 = jac * ra, jac * fl
+        k2, c2 = jac * jac * aa + bend * ra, jac * jac * (2.0 * ra * fl + values * (curve + slope * slope)) + bend * fl
+        x = np.where(near, np.log(u), v)
+        self._search = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, reach, near, x))))
+        # each monotone branch of f, stationary ends included, by rising f: (f, starts, sign of df/ds, ends)
+        order = np.argsort(w, kind="stable")
+        cuts = np.flatnonzero(order >= n).tolist()
+        self._branches = []
+        for lo, hi in zip([0, *cuts], [c + 1 for c in cuts] + [order.size]):
+            index = order[lo:hi]
+            falling = values[index[-1]] < values[index[0]]  # in w, so rising in s
+            index = index[::-1] if falling else index
+            ends = tuple(k for k in (index[0], index[-1]) if k >= n)
+            self._branches.append((values[index].tolist(), index.tolist(), 1.0 if falling else -1.0, ends))
 
-    def rule(self, size):
-        """Szegő pushforward :class:`Rule` on a graded trapezoid grid, folded.
+    def rule(self):
+        """The law itself, an exact rule."""
+        return self
 
-        The grid is w_k = 2*pi*t_k - sin(2*pi*t_k), t_k = k/size, k = 1..size-1,
-        weights (1 - cos(2*pi*t_k)) / size, which sum to 1.  Node size-k is the
-        mirror 2*pi - w_k of node k, at the same weight, and f is even about pi
-        (a cosine series times (2 - 2 cos w)^(-d)), so the rule keeps f(w_k),
-        k = 1..size//2, at twice the weight, but once at w = pi (even size, its
-        own mirror).  The size-N nodes are every other 2N node.  For analytic f
-        the error falls geometrically.  The grading is flat to third order at
-        w = 0, so a FARIMA cusp |w|^(2|d|) leaves an error of order N^-(3 + 6|d|).
+    def _poles(self, lam):
+        """(near, s_c, e, r, a, b) for each pole the nodes do not resolve, searched from each branch.
+
+        e is u or v at the root, r = sqrt(s_c^2 - 4) with zeta = (s_c - r)/2
+        inside the unit disk, a = 1/L'(s_c) for L = log f the residue of
+        f / (f - lam), and a^2 / (s - s_c)^2 + b / (s - s_c), b = a - L'' a^3,
+        the principal part of its square.  The root has Im s_c of the sign of
+        df/ds on its branch where Im lam > 0; at a real lam (the edge's
+        bisection) a real root counts too.  The search takes one Cauchy step,
+        on the quadratic model of N = A (f - lam) in x, then Newton on N.
         """
-        cached = self._rules.get(size)
-        if cached is None:
-            u = TWO_PI * np.arange(1, size // 2 + 1) / size
-            weights = (1.0 - np.cos(u)) / size
-            weights[: (size - 1) // 2] *= 2.0
-            nodes = np.asarray(self.f(u - np.sin(u)), dtype=float)
-            cached = self._rules[size] = Rule(nodes, weights)
-        return cached
+        level, out = abs(lam), []
+        for values, index, sign, ends in self._branches:
+            # the start nearest |lam| in log f, as f spans decades on a sharp peak's flanks,
+            # then the branch's stationary ends, near which f = lam may have a root off the axis
+            i = bisect.bisect_left(values, level)
+            if i == len(values) or (i and level * level < values[i - 1] * values[i]):
+                i -= 1
+            for k in (index[i], *ends):
+                start = self._search[k]
+                if abs(cmath.log(start[0] / lam)) > start[5]:
+                    continue  # no root of the quadratic model of log(f/lam) within reach
+                pole = self._root(lam, sign, *start)
+                if pole:
+                    # a search may reach another branch's root, on the same side, in u or in v
+                    if not any(abs(q[1] - pole[1]) <= 1e-9 * abs(pole[2]) + 1e-14 for q in out):
+                        out.append(pole)
+                    break
+        return out
+
+    def _root(self, lam, sign, fk, k1, c1, k2, c2, bound, reach, near, x):
+        """The pole of ``_poles`` from one start, or None: none near, or the search failed."""
+        d, kappa = self.f.d, (-1.0 if near else 1.0)  # the sign of ds/dx
+        try:
+            N = fk - lam
+            N1, N2 = k1 * N + c1, k2 * N + c2
+            root = cmath.sqrt(N1 * N1 - 2.0 * N * N2)
+            steps = [-2.0 * N / q for q in (N1 + root, N1 - root) if q != 0.0]
+            steps = [dx for dx in steps if sign * kappa * dx.imag > 0.0 or dx.imag == lam.imag == 0.0]
+            if not steps or min(map(abs, steps)) > reach:
+                return None
+            x, prev = x + min(steps, key=abs), math.inf
+            for _ in range(8):
+                u = cmath.exp(x) if near else 4.0 - x
+                ratio, ra, _, slope, curve = _slopes(self._polys[1 - near], u if near else x, kappa, u, d)
+                gap = ratio * cmath.exp(-d * x) - lam if near else ratio * u**-d - lam
+                ds = -gap / ((gap + lam) * slope + ra * gap)
+                dx = -ds / u if near else ds
+                x += dx
+                step = abs(dx) if near else abs(dx / x)
+                if step <= 1e-8 or not step < prev:
+                    break
+                prev = step
+            e = cmath.exp(x) if near else x
+        except (ArithmeticError, ValueError):  # a zero of B or A, an overflow
+            return None
+        s = 2.0 - e if near else e - 2.0
+        if not step <= 1e-8 or not (sign * s.imag > 0.0 or s.imag == lam.imag == 0.0):
+            return None
+        if near and d and abs(x.imag) >= math.pi:
+            return None  # a root off the principal sheet of u^(-d), as for arg lam >= pi |d|: no pole
+        r = cmath.sqrt(-e * (4.0 - e))
+        r = -r if (s.conjugate() * r).real < 0.0 else r
+        a = 1.0 / (slope + curve * ds)  # 1/L' at the root, to second order in the last step
+        return near, s, e, r, a, a - curve * a**3
+
+    def terms(self, m):
+        """(T, T') at m as Python complex numbers: a real m (the edge's bisection) gives real parts."""
+        lam = -1.0 / m
+        q = self._mu + m
+        np.reciprocal(q, out=q)
+        t = q.dot(self._w)
+        q *= q
+        tp = -q.dot(self._w)
+        for near, s, e, r, a, b in self._poles(lam):
+            q = e - self._u if near else self._v - e  # s - s_c
+            np.reciprocal(q, out=q)
+            p1, g = q.dot(self._w), -1.0 / r
+            q *= q
+            # the principal parts of f / (1 + f m) and its square are -lam and lam^2 times those of f / (f - lam)
+            t -= lam * a * (g - p1)
+            tp -= lam * lam * (a * a * (s / (r * r * r) - q.dot(self._w)) + b * (g - p1))
+        return complex(t), complex(tp)
+
+    def potential(self, m):
+        """Im of the log potential, the mean of log(1 + f m), less log(s - s_c) at each pole and plus its mean."""
+        v = float(np.angle(1.0 + self.nodes * m).dot(self.weights))
+        for near, s, e, r, _, _ in self._poles(-1.0 / m):
+            v += cmath.phase(-(s + r)) - float(np.angle(e - self._u if near else self._v - e).dot(self.weights))
+        return v
+
+
+def _slopes(polys, x, kappa, u, d):
+    """(B/A, A'/A, A''/A, L', L'') at x, which is u (kappa = -1) or v (kappa = 1), for L = log f; slopes in s.
+
+    B and A come highest power first and of one length; Horner's rule takes each with its first two
+    derivatives in x, scalar or array.
+    """
+    b = b1 = b2 = a = a1 = a2 = 0.0
+    for cb, ca in zip(*polys):
+        b2, b1, b = b2 * x + 2.0 * b1, b1 * x + b, b * x + cb
+        a2, a1, a = a2 * x + 2.0 * a1, a1 * x + a, a * x + ca
+    rb, ra = kappa * b1 / b, kappa * a1 / a
+    return b / a, ra, a2 / a, rb - ra + d / u, b2 / b - rb * rb - a2 / a + ra * ra + d / (u * u)
 
 
 def _cosine_poly(r):
@@ -378,14 +529,15 @@ class ExactARMALSD:
         self.top = support_bounds(f)[1]
         self.mean = self.terms(0.0)[0].real
 
-    def rule(self, size):
-        """The law itself, an exact rule at every size."""
+    def rule(self):
+        """The law itself, an exact rule."""
         return self
 
     def _roots(self, m):
         """(E's coefficients e_0..e_K, E's roots (s_j, zeta_j), least |s| first).
 
-        Where E loses its degree or has a double root, m moves off the axis (``_off_axis``).
+        Where E loses its degree, has a double root or a root at s = +-2, m moves off the
+        axis (``_off_axis``).
         """
         e = [a + m * b for a, b in zip(self._a, self._b)]
         if len(e) == 2:
@@ -399,7 +551,10 @@ class ExactARMALSD:
                 return self._roots(_off_axis(m))
             q = -0.5 * (e1 + w if (e1.conjugate() * w).real >= 0.0 else e1 - w)
             roots = (e0 / q, q / e2)
-        return e, [(s, _small_root(s)) for s in roots]
+        roots = [(s, _small_root(s)) for s in roots]
+        if any(zeta * zeta == 1.0 for _, zeta in roots):  # a root at s = +-2, an end of [-2, 2]
+            return self._roots(_off_axis(m))
+        return e, roots
 
     def _terms1(self, m):
         """(T, T') at m for K = 1, written out, as it runs once a sweep.
@@ -417,6 +572,8 @@ class ExactARMALSD:
         w = cmath.sqrt((e0 - 2.0 * e1) * (e0 + 2.0 * e1))
         zeta = -2.0 * e1 / (e0 + w if (e0.conjugate() * w).real >= 0.0 else e0 - w)
         z2 = zeta * zeta
+        if z2 == 1.0:  # the root at s = +-2, an end of [-2, 2]
+            return self._terms1(_off_axis(m))
         if abs(z2) < 0.25:
             d, z4 = b0 / e0, z2 * z2
             q = z4 - 1.0
@@ -488,9 +645,9 @@ def gamma_lsd(model):
 
     A PiecewiseSpectralDensity gives an AtomicLSD.  An ARMAModel gives one atom
     when its SpectralDensity f is constant to within ``_level_atol(f)``; else
-    the ExactARMALSD of f where it solves f (``_exact_coeffs``), which trades
-    the Szegő rule's nodes and weights for no rule refinement at all; else the
-    AbsContinuousLSD of f, its Szegő rules.  ModelSpecError refuses three
+    the ExactARMALSD of f where it solves f (``_exact_coeffs``), which needs
+    no nodes; else the AbsContinuousLSD of f, on its tanh-sinh rule.
+    ModelSpecError refuses three
     cases.  For d > 0 (long memory) the limit law exists (Merlevède & Peligrad,
     Stoch. Process. Appl. 126, 2016), but f is unbounded at 0 and so is the
     law's support, which nothing here tabulates yet.  (max f)^2 must be finite.

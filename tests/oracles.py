@@ -1,12 +1,14 @@
 """Oracles that only the tests call; they may use SciPy, which specmp does not."""
 
+import cmath
 import functools
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from specmp import autocovariances, ma_coefficients, support_bounds
+from specmp import Rule, autocovariances, ma_coefficients, support_bounds
 from specmp.toeplitz_lsd import _branch_roots, _density, _level_atol
 
 TWO_PI = 2.0 * math.pi
@@ -36,6 +38,24 @@ def total_mass(lsd):
         if size >= 4097 or (prev is not None and abs(total - prev) <= 1e-10):
             return total
         size, prev = 2 * size - 1, total
+
+
+def szego_rule(f, size):
+    """Szegő pushforward :class:`specmp.Rule` of a SpectralDensity f on a graded trapezoid grid, folded.
+
+    The grid is w_k = 2*pi*t_k - sin(2*pi*t_k), t_k = k/size, k = 1..size-1,
+    weights (1 - cos(2*pi*t_k)) / size, which sum to 1.  Node size-k is the
+    mirror 2*pi - w_k of node k, at the same weight, and f is even about pi, so
+    the rule keeps f(w_k), k = 1..size//2, at twice the weight, but once at
+    w = pi (even size, its own mirror).  The size-N nodes are every other 2N
+    node.  For analytic f the error falls geometrically; a FARIMA cusp
+    |w|^(2|d|) leaves an error of order N^-(3 + 6|d|).  A reference for the
+    laws, independent of their rules, where z is far enough from the axis.
+    """
+    u = TWO_PI * np.arange(1, size // 2 + 1) / size
+    weights = (1.0 - np.cos(u)) / size
+    weights[: (size - 1) // 2] *= 2.0
+    return Rule(np.asarray(f(u - np.sin(u)), dtype=float), weights)
 
 
 def autocovariance_toeplitz(coeffs, size):
@@ -205,3 +225,22 @@ def atomic_lsd_density(levels, weights, y, x):
         coeffs = P.polysub(P.polymulx(P.polyadd(-xi * whole, y * mixed)), whole)
         out.append(max(float(P.polyroots(coeffs).imag.max()), 0.0) / math.pi)
     return np.array(out)
+
+
+def szego_quad(f, m):
+    """(T(m), Im of the log potential) of the Toeplitz limit law of f, by adaptive quadrature.
+
+    T is the mean of f / (1 + f m) and the potential's the mean of
+    arg(1 + f m) over w in [0, pi], each split at the roots of f = Re(-1/m),
+    beside which the pole of 1 / (1 + f m) sits.  Independent of the laws'
+    rules, and slow.
+    """
+    m = complex(m)
+    roots = _branch_roots(f, (-1.0 / m).real)
+    points = sorted(r for r in roots[~np.isnan(roots)] if r < math.pi) or None
+
+    def mean(g):
+        return quad(g, 0.0, math.pi, points=points, epsabs=1e-15, epsrel=1e-13, limit=400)[0] / math.pi
+
+    t = mean(lambda w: (f(w) / (1.0 + f(w) * m)).real) + 1j * mean(lambda w: (f(w) / (1.0 + f(w) * m)).imag)
+    return t, mean(lambda w: cmath.phase(1.0 + f(w) * m))

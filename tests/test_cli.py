@@ -242,7 +242,8 @@ _piecewise = st.builds(
         ],
     },
     st.lists(st.floats(0.01, 2.0 * math.pi - 0.01), max_size=4, unique=True),
-    st.lists(st.floats(0.1, 10.0), min_size=5, max_size=5),
+    # atoms at levels 1e-150..1e150
+    st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0**e), min_size=5, max_size=5),
 )
 _malformed = st.one_of(
     st.sampled_from(
@@ -256,6 +257,8 @@ _malformed = st.one_of(
     st.text(max_size=12),
 )
 _y = st.floats(0.25, 4.0).map(repr)
+# log-uniform on [1e-300, 1e300] for the law's commands, which build no matrix
+_y_wide = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))
 _grid = st.integers(16, 40).map(str)
 
 
@@ -278,7 +281,7 @@ _runs = st.tuples(
         lambda sim: ["simulate", *sim]
     ),
     st.just(["gamma-density"]),
-    st.builds(lambda grid, y: ["lsd-density", "--grid", grid, "--y", y], _grid, _y),
+    st.builds(lambda grid, y: ["lsd-density", "--grid", grid, "--y", y], _grid, _y_wide),
     # a valid plan, so that compare reaches the theory for every model it can simulate
     st.builds(
         lambda sim, law: ["compare", *sim, "--law", law],
@@ -319,6 +322,25 @@ def test_exit_code_contract(runs, model):
                 assert values and all(math.isfinite(v) for v in values), name
                 if argv[0] == "lsd-density" and name.endswith(".csv"):
                     assert min(values[1::2]) >= 0.0, name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=4)
+@given(model=st.one_of(_arma, _farima, _piecewise).map(json.dumps), grid=_grid, y=_y_wide)
+def test_lsd_density_exit_codes_under_warnings_as_errors(model, grid, y, tmp_path_factory):
+    # the contract in a child interpreter where every warning is an error, so
+    # that no NumPy RuntimeWarning on the way to a table or a typed failure
+    # turns into exit 1
+    out = tmp_path_factory.mktemp("w")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "specmp.cli", "lsd-density", "--model", model, "--grid", grid, "--y", y,
+         "--out", str(out / "r")],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=300,
+    )
+    assert proc.returncode in (0, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 class TestSimulateCommand:
@@ -552,14 +574,15 @@ class TestEntryPoint:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["lsd-density", "--model", WHITE, "--y", "1e300", "--grid", "16"],
-            ["lsd-density", "--model", ARMA11, "--y", "1e300", "--grid", "16"],
+            ["lsd-density", "--model", WHITE, "--y", "1.79e308", "--grid", "16"],
+            ["lsd-density", "--model", ARMA11, "--y", "5e307", "--grid", "16"],
         ],
         ids=["lsd-density-white", "lsd-density-arma11"],
     )
     def test_extreme_y_exits_3_under_warnings_as_errors(self, argv, tmp_path):
-        # the inversion's NaNs at y = 1e300 surface as the typed failure, not as
-        # a RuntimeWarning that -W error turns into exit 1
+        # where the grid's end (white noise: 1.05 x the edge) or the edge
+        # itself (ARMA(1,1): about 4 y) overflows, the run fails typed, not
+        # with a RuntimeWarning that -W error turns into exit 1
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "specmp.cli", *argv, "--out", str(tmp_path / "x")],
             capture_output=True,
@@ -568,8 +591,33 @@ class TestEntryPoint:
             timeout=300,
         )
         assert proc.returncode == 3, proc.stderr
-        assert "numerical failure" in proc.stderr
+        assert "numerical failure" in proc.stderr and "overflows" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("model", [WHITE, ARMA11], ids=["white", "arma11"])
+    @pytest.mark.parametrize("y", ["1e-300", "1e300", "3e306"])
+    def test_extreme_y_tables_under_warnings_as_errors(self, model, y, tmp_path):
+        # where the edge is representable the table is written, with no
+        # warning on the way (y = 3e306 overflowed y T' in the edge's
+        # bisection, and y = 1e-300 divided by zero at E's root s = 2 there).
+        # White noise is the Marchenko-Pastur law: at y = 1e300 its bulk,
+        # 4e-150 of y wide, falls between the grid points, so the table is the
+        # closed form's transform at the table's offset, to 1e-11
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "specmp.cli", "lsd-density", "--model", model, "--y", y,
+             "--grid", "16", "--out", str(tmp_path / "x")],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = np.loadtxt(tmp_path / "x.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(table)) and np.all(table[:, 1] >= 0.0)
+        if model == WHITE and y == "1e300":
+            offset = json.loads((tmp_path / "x.json").read_text())["solver"]["offset"]
+            exact = [specmp.mp_stieltjes(float(y), complex(x, offset)).imag / math.pi for x in table[:, 0]]
+            assert np.max(np.abs(table[:, 1] / exact - 1.0)) <= 1e-11
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_simulate_bytes_independent_of_cpus(self, tmp_path):

@@ -1,5 +1,5 @@
+import cmath
 import math
-
 import warnings
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import specmp as sp
-from oracles import arma11_gamma_density, gamma_cdf, total_mass
+from oracles import arma11_gamma_density, gamma_cdf, szego_quad, szego_rule, total_mass
 from specmp import toeplitz_lsd
 from specmp.toeplitz_lsd import _branch_roots
 
@@ -393,7 +393,7 @@ class TestNormalizationAndSzego:
         for phi, theta in ((0.5, 1.0), (-0.8, 0.4)):
             model = sp.ARMAModel.arma11(phi, theta)
             lsd = sp.AbsContinuousLSD(sp.SpectralDensity(model))
-            rule = lsd.rule(1024)
+            rule = lsd.rule()
             lam, W = rule.nodes, rule.weights
             gam = sp.autocovariances(sp.ma_coefficients(model, 1000), 400)
             assert abs(W.sum() - 1.0) <= 1e-10
@@ -404,7 +404,8 @@ class TestNormalizationAndSzego:
 
 
 ATOMS = sp.AtomicLSD(np.array([0.5, 1.0, 2.0]), np.array([0.25, 0.25, 0.5]))
-# gamma_lsd gives ARMA(1,1) its exact law; the rule tests build its Szegő law
+# gamma_lsd gives ARMA(1,1) its exact law; the rule tests build its Szegő law.
+# The folded-rule tests check the graded trapezoid rule that is the tests' reference
 ARMA11_LAW = sp.AbsContinuousLSD(sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0)))
 FOLD_LAWS = {
     "arma11": ARMA11_LAW,
@@ -415,8 +416,9 @@ FOLD_LAWS = {
 RULE_MS = pytest.mark.parametrize("m", [0.3 + 0.6j, -60.0 + 80.0j, 100j], ids=["m-small", "m-100-oblique", "m-100i"])
 
 
-def assert_terms_match_direct_sums(rule, m):
-    lam, W = rule.nodes, rule.weights
+def assert_terms_match_direct_sums(rule, m, ref=None):
+    # the sums over the rule's own nodes, or over those of a finer reference rule
+    lam, W = (ref or rule).nodes, (ref or rule).weights
     t, tp = rule.terms(m)
     assert type(t) is complex and type(tp) is complex
     t_ref = np.sum(W * lam / (1.0 + lam * m))
@@ -426,11 +428,17 @@ def assert_terms_match_direct_sums(rule, m):
 
 
 class TestRule:
-    @pytest.mark.parametrize("rule", [ATOMS.rule(256), ARMA11_LAW.rule(1024)], ids=["atoms", "arma11"])
+    @pytest.mark.parametrize(
+        "rule, ref",
+        [(ATOMS.rule(), None), (ARMA11_LAW.rule(), szego_rule(ARMA11_LAW.f, 2**14))],
+        ids=["atoms", "arma11"],
+    )
     @RULE_MS
-    def test_terms_match_direct_sums(self, rule, m):
+    def test_terms_match_direct_sums(self, rule, ref, m):
+        # the Szegő law subtracts the poles near f = 0 at w = pi (m-100i and
+        # m-100-oblique), where its own plain sums are off by up to 1e-13
         assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
-        assert_terms_match_direct_sums(rule, m)
+        assert_terms_match_direct_sums(rule, m, ref)
 
     @pytest.mark.parametrize("scalar_nodes", [toeplitz_lsd.SCALAR_NODES, 0], ids=["scalar", "array"])
     @RULE_MS
@@ -446,19 +454,21 @@ class TestRule:
     @RULE_MS
     def test_theta_one_node_at_pi(self, size, m):
         # at even N the trapezoid grid holds w = pi, where theta = 1 makes f vanish
-        rule = ARMA11_LAW.rule(size)
+        rule = szego_rule(ARMA11_LAW.f, size)
         assert rule.nodes[size // 2 - 1] == 0.0
         assert_terms_match_direct_sums(rule, m)
 
     def test_atoms_are_one_rule_at_every_size(self):
-        assert ATOMS.rule(256) is ATOMS.rule(8192)
+        assert ATOMS.rule() is ATOMS.rule()
 
-    def test_continuous_rules_are_cached_per_size(self):
+    def test_continuous_law_is_its_own_rule(self):
+        # one tanh-sinh rule of 2 RULE_STEPS + 1 nodes on [0, pi], built with the law;
+        # its weights sum to 1 to rounding, and its nodes lie in the range of f
         lsd = sp.AbsContinuousLSD(sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0)))
-        rule = lsd.rule(512)
-        assert isinstance(rule, sp.Rule) and lsd.rule(512) is rule
-        # one node per mirror pair of the 511-node grid, and the node at pi
-        assert lsd.rule(1024) is not rule and rule.nodes.size == 256
+        assert lsd.rule() is lsd and lsd.nodes.size == 2 * toeplitz_lsd.RULE_STEPS + 1
+        assert abs(lsd.weights.sum() - 1.0) <= 1e-15
+        lo, hi = sp.support_bounds(lsd.f)
+        assert lo <= lsd.nodes.min() and lsd.nodes.max() <= hi == lsd.top
 
     @pytest.mark.parametrize("law", FOLD_LAWS.values(), ids=FOLD_LAWS.keys())
     @pytest.mark.parametrize("size", [256, 1024, 8192])
@@ -470,7 +480,7 @@ class TestRule:
         half = u[: size // 2] - np.sin(u[: size // 2])
         w = np.concatenate([half, TWO_PI - half[: (size - 1) // 2][::-1]])
         lam, W = law.f(w), (1.0 - np.cos(u)) / size
-        t, tp = law.rule(size).terms(m)
+        t, tp = szego_rule(law.f, size).terms(m)
         t_ref = np.sum(W * lam / (1.0 + lam * m))
         tp_ref = -np.sum(W * lam**2 / (1.0 + lam * m) ** 2)
         assert abs(t - t_ref) <= 1e-13 * abs(t_ref)
@@ -479,16 +489,74 @@ class TestRule:
     @pytest.mark.parametrize("law", FOLD_LAWS.values(), ids=FOLD_LAWS.keys())
     @pytest.mark.parametrize("size", [255, 256, 1024, 4096, 8192])
     def test_folded_weights_sum_to_one_and_rules_nest(self, law, size):
-        rule = law.rule(size)
+        rule = szego_rule(law.f, size)
         assert rule.nodes.size == size // 2
         assert abs(rule.weights.sum() - 1.0) <= 1e-15
-        assert np.array_equal(rule.nodes, law.rule(2 * size).nodes[1::2])
+        assert np.array_equal(rule.nodes, szego_rule(law.f, 2 * size).nodes[1::2])
 
     def test_refuses_a_density_that_is_not_even(self):
         # the fold needs f(2*pi - w) = f(w), which these two levels break
         f = sp.PiecewiseSpectralDensity(((0.0, math.pi, 1.0), (math.pi, TWO_PI, 2.0)))
         with pytest.raises(TypeError, match="SpectralDensity"):
             sp.AbsContinuousLSD(f=f)
+
+
+class TestSzegoLaw:
+    """The tanh-sinh rule with each near pole of f / (f - lam), lam = -1/m, subtracted."""
+
+    FARIMA = sp.gamma_lsd(sp.ARMAModel(d=-0.25))
+
+    @pytest.mark.parametrize("phase", [0.9, 2.0, 3.0])
+    def test_drops_the_root_off_the_principal_sheet(self, phase):
+        # f = u^(1/4) in u = 2 - 2 cos w, so f = lam has its root lam^4 on the
+        # principal sheet only for |arg lam| < pi/4; beyond, lam^4 is no pole,
+        # and subtracting it broke the y >= 1 tables.  At |lam| = 1e-6 and
+        # arg lam in (pi/2, 3pi/4) the search reaches such a root, off the
+        # sheet, on the branch's side of the axis.  Worst seen against adaptive
+        # quadrature 9.1e-16 in T and 6.7e-16 in the potential, at |lam| = 1e-3
+        assert self.FARIMA._poles(1e-6 * cmath.exp(1j * (1.7 + 0.25 * phase))) == []
+        lam = 1e-3 * cmath.exp(1j * phase)
+        assert self.FARIMA._poles(lam) == []
+        t, potential = szego_quad(self.FARIMA.f, -1.0 / lam)
+        assert abs(self.FARIMA.terms(-1.0 / lam)[0] / t - 1.0) <= 1e-14
+        assert abs(self.FARIMA.potential(-1.0 / lam) - potential) <= 1e-14
+        # inside the sheet the root is found, to rounding
+        (pole,) = self.FARIMA._poles(1e-3 * cmath.exp(0.7j))
+        assert abs(pole[2] / (1e-3 * cmath.exp(0.7j)) ** 4 - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("phase", [0.1, 0.5])
+    def test_root_near_s_2_keeps_its_digits(self, phase, monkeypatch):
+        # at lam = 1e-4 the root sits at u = lam^4 ~ 1e-16 and at lam = 1e-8 at
+        # 1e-32, where s = 2 - u keeps none of u's digits and rounds to 2; the
+        # law works in u.  T from sqrt(s^2 - 4) was 1.9e-8 off at 1e-4, against
+        # 1.6e-15 from u; at 1e-8, against the law on 16x the nodes, 2.2e-16
+        lam = 1e-4 * cmath.exp(1j * phase)
+        (pole,) = self.FARIMA._poles(lam)
+        assert abs(pole[2] / lam**4 - 1.0) <= 1e-14
+        assert abs(self.FARIMA.terms(-1.0 / lam)[0] / szego_quad(self.FARIMA.f, -1.0 / lam)[0] - 1.0) <= 1e-14
+        lam = 1e-8 * cmath.exp(1j * phase)
+        (pole,) = self.FARIMA._poles(lam)
+        assert pole[1].real == 2.0 and abs(pole[2] / lam**4 - 1.0) <= 1e-14
+        t, tp = self.FARIMA.terms(-1.0 / lam)
+        monkeypatch.setattr(toeplitz_lsd, "RULE_STEPS", 16 * toeplitz_lsd.RULE_STEPS)
+        t_ref, tp_ref = sp.AbsContinuousLSD(self.FARIMA.f).terms(-1.0 / lam)
+        assert abs(t / t_ref - 1.0) <= 1e-14 and abs(tp / tp_ref - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "d, x, delta",
+        [(-0.25, 0.00992724007057845, 3.5802668390586135e-08), (-0.4, 0.010218889614120418, 4.157442798014889e-08)],
+    )
+    def test_potential_subtracts_the_log_of_each_pole(self, d, x, delta):
+        # y = 0.5 near zero, where the pole of 1/(1 + f m) is narrower than
+        # the nodes: the plain mean of arg(1 + f m) on the law's nodes is off
+        # by 1.9e-5 and 1.9e-4, the law's potential by at most 2.2e-15
+        law = sp.gamma_lsd(sp.ARMAModel(d=d))
+        m = sp.solve_fixed_point(law, 0.5, complex(x, delta)).m
+        assert len(law._poles(-1.0 / m)) == 1
+        t, potential = szego_quad(law.f, m)
+        assert abs(law.terms(m)[0] / t - 1.0) <= 1e-14
+        assert abs(law.potential(m) - potential) <= 1e-14
+        assert abs(float(np.angle(1.0 + law.nodes * m).dot(law.weights)) - potential) >= 1e-5
 
 
 def _cos_poly(coeffs):
@@ -571,8 +639,8 @@ class TestExactLaw:
         # its peak keeps few digits: there the law's mean is 1.5e-9 below the
         # closed-form variance 3063.61106999, and the rule's 2.8e-9 below it
         f = sp.SpectralDensity(model)
-        law, rule = sp.gamma_lsd(model), sp.AbsContinuousLSD(f).rule(2**18)
-        assert isinstance(law, sp.ExactARMALSD) and law.rule(256) is law.rule(8192) is law
+        law, rule = sp.gamma_lsd(model), szego_rule(f, 2**18)
+        assert isinstance(law, sp.ExactARMALSD) and law.rule() is law
         assert len(law._b) == (2 if model.ma == (0.5, 0.0) else max(len(model.ar), len(model.ma)) + 1)
         assert law.top == sp.support_bounds(f)[1]
         assert abs(law.mean / rule.mean - 1.0) <= (2e-9 if model is SHARP_AR2 else 1e-13)
@@ -588,7 +656,7 @@ class TestExactLaw:
         # (-0.5625, 0), where its root runs off to infinity.  Worst seen against
         # the rule 2.7e-15 in T and 5.9e-15 in T'
         model = sp.ARMAModel.arma11(0.5, -1.0)
-        law, rule = sp.gamma_lsd(model), sp.AbsContinuousLSD(sp.SpectralDensity(model)).rule(2**18)
+        law, rule = sp.gamma_lsd(model), szego_rule(sp.SpectralDensity(model), 2**18)
         assert -1.0 / law.top == -0.5625
         near = [-0.5, np.nextafter(-0.5, 0.0), np.nextafter(-0.5, -1.0), -0.5 + 1e-15, -0.5 - 1e-12, -0.5 + 1e-9]
         for m in near + [-0.5 - 1e-6, -0.45, -0.55]:
@@ -613,8 +681,8 @@ class TestExactLaw:
     @pytest.mark.parametrize("model", SMOOTH_EXACT_MODELS.values(), ids=SMOOTH_EXACT_MODELS.keys())
     def test_edge_matches_the_szego_edge(self, model, y):
         # the bisection on the exact T' against the same bisection on the
-        # 8192-node rule; worst seen 3.1e-14.  The sharp AR(2) peak is one the
-        # rule does not resolve: its edge there is 3.3-3.5x too low
+        # Szegő law's; worst seen 4.7e-14.  The sharp AR(2), left out here,
+        # gives 3.4e-9, where the sine-graded rule's edge was 3.3-3.5x too low
         law = sp.gamma_lsd(model)
         edge = sp.estimate_support_upper(law, y)
         assert abs(edge / sp.estimate_support_upper(sp.AbsContinuousLSD(law.f), y) - 1.0) <= 1e-11
