@@ -11,10 +11,11 @@ point from a one-atom fit to its cold start, gives the Marchenko-Pastur
 closed form and the ARMA(1,1) quartic as oracles, locates the upper support
 edge, and recovers the density and the distribution function from solves at
 one small offset above the real axis.  The solver, the edge and the CDF see a
-limit law only through its one exact rule ``lsd.rule()``: the atoms as a
-:class:`~specmp.toeplitz_lsd.Rule`, or the Szegő or exact ARMA law itself.
-They call its (T, T') evaluator ``terms``, its log potential ``potential``,
-its ``mean`` and its ``top``, and never read nodes or weights.
+limit law only through its one exact rule ``lsd.rule()``, the law itself: the
+atoms and the Szegő law are :class:`~specmp.toeplitz_lsd.Rule` s, the exact
+ARMA law has no nodes.  They call its (T, T') evaluator ``terms``, its log
+potential ``potential``, its ``mean`` and its ``top``, and never read nodes or
+weights.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz_lsd import AbsContinuousLSD, AtomicLSD, ExactARMALSD, _bisect
+from .toeplitz_lsd import ExactARMALSD, Rule, _bisect
 
 __all__ = [
     "StieltjesSolution",
@@ -107,11 +108,11 @@ def _iterate(TTp, y, z, m, first=None):
     the answer.  The merit has a rounding floor, though, below which no
     candidate lowers it; a full Newton step in the upper half-plane that
     already meets the stopping rule |dm| <= UPDATE_TOL |m + dm|
-    therefore ends the solve without the merit test or an evaluation, taking T
-    there as T + T' dm.  The start evaluates (T, T') once, or takes ``first``
-    as (T, T') at m; a sweep evaluates at most twice.  It runs on Python
-    scalars.  At most MAX_ITER sweeps; returns (m, sweeps, T).  A
-    ConvergenceError carries the defect |1/m + z - y T(m)| at its last m.
+    therefore ends the solve without the merit test or an evaluation.  The
+    start evaluates (T, T') once, or takes ``first`` as (T, T') at m; a sweep
+    evaluates at most twice.  It runs on Python scalars.  At most MAX_ITER
+    sweeps; returns (m, sweeps).  A ConvergenceError carries the defect
+    |1/m + z - y T(m)| at its last m.
     """
     t, tp = first or TTp(m)
     g = 1.0 / (-z + y * t)
@@ -130,7 +131,7 @@ def _iterate(TTp, y, z, m, first=None):
             nxt = m + step
             newton = nxt.imag > 0.0 and cmath.isfinite(nxt)
             if newton and abs(step) <= UPDATE_TOL * abs(nxt):
-                return nxt, it, t + tp * step
+                return nxt, it
         # the Newton candidate, if any, then the damped step if the merit rejects it
         for damped in (not newton, True):
             if damped:
@@ -150,7 +151,7 @@ def _iterate(TTp, y, z, m, first=None):
         done = abs(nxt - m) <= UPDATE_TOL * abs(nxt)
         m, t, tp, g, cur = nxt, t2, tp2, g2, new
         if done:
-            return m, it, t
+            return m, it
     raise ConvergenceError("no convergence", z, m, abs(1.0 / m + z - y * t), MAX_ITER)
 
 
@@ -217,7 +218,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
         raise ValueError("aspect ratio y must be positive and finite")
     if not z.imag > 0.0:
         raise ValueError("z must lie in the upper half-plane")
-    if not isinstance(lsd, (AtomicLSD, AbsContinuousLSD, ExactARMALSD)):
+    if not isinstance(lsd, (Rule, ExactARMALSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
     y = float(y)
     rule = lsd.rule()
@@ -226,7 +227,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
         m, first, iterations = _refit(rule.terms, y, z, _one_atom(y, z, rule.mean, rule.mean))
     else:
         m, first, iterations = complex(initial), None, 0
-    m, its, _ = _iterate(rule.terms, y, z, m, first)
+    m, its = _iterate(rule.terms, y, z, m, first)
     residual = abs(1.0 / m + z - y * rule.terms(m)[0])
     return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations + its)
 

@@ -22,11 +22,12 @@ rule does not resolve subtracted.  An ARMA model with K <= 2 has an exact law
 instead: with s = 2 cos w, f is a ratio of polynomials of degree K in s, and
 the integrals follow from the K roots of one of them.
 
-Every law is exact on its one rule ``lsd.rule()``: an object with the (T, T')
-evaluator ``terms``, the imaginary part of the log potential ``potential``,
-the ``mean`` level and the ``top`` of the support.  The atoms are a
-:class:`Rule` of nodes and weights; the other laws are their own rules.  A
-law's ``kind`` ("atoms", "szego" or "exact") names it in reports.
+Every law is exact on its one rule ``lsd.rule()``, which is the law itself:
+an object with the (T, T') evaluator ``terms``, the imaginary part of the log
+potential ``potential``, the ``mean`` level and the ``top`` of the support.
+The atoms and the Szegő law are :class:`Rule` s of nodes and weights, whose
+plain node sums the Szegő law corrects at its poles; the exact ARMA law has no
+nodes.  A law's ``kind`` ("atoms", "szego" or "exact") names it in reports.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import bisect
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,6 +166,7 @@ class Rule:
     Nodes without a finite 1/lam (lam = 0, or below about 5.6e-309) add only
     about W |lam| and are dropped; nodes negative by rounding are kept.  Up to
     SCALAR_NODES kept nodes sum in Python scalars, under NumPy's call cost.
+    A rule is exact for itself (:meth:`rule`); the laws with nodes subclass it.
     """
 
     __slots__ = ("nodes", "weights", "mean", "top", "_mu", "_w", "_pairs")
@@ -184,6 +185,10 @@ class Rule:
             self._pairs, self._mu, self._w = list(zip(mu.tolist(), w.tolist())), None, None
         else:
             self._pairs, self._mu, self._w = None, mu.astype(complex), w.astype(complex)
+
+    def rule(self):
+        """The rule itself, an exact rule."""
+        return self
 
     def terms(self, m):
         """(T, T') at m in one pass: T(m) = sum W / (mu + m), T' = -sum W / (mu + m)^2.
@@ -210,21 +215,17 @@ class Rule:
         return float(np.arctan2(self.nodes * m.imag, 1.0 + self.nodes * m.real).dot(self.weights))
 
 
-@dataclass(frozen=True)
-class AtomicLSD:
-    """Purely atomic Toeplitz eigenvalue limit: weight w_j at level alpha_j.
+class AtomicLSD(Rule):
+    """Purely atomic Toeplitz eigenvalue limit: weight w_j at level alpha_j, the rule's nodes.
 
     Levels are finite, positive and strictly increasing, like piecewise-constant
     spectral levels; weights are finite, positive and sum to 1 within 1e-9.
     """
 
-    levels: np.ndarray
-    weights: np.ndarray
     kind = "atoms"
 
-    def __post_init__(self):
-        levels = np.array(self.levels, dtype=float)
-        weights = np.array(self.weights, dtype=float)
+    def __init__(self, levels, weights):
+        levels, weights = np.array(levels, dtype=float), np.array(weights, dtype=float)
         if levels.size != weights.size or levels.size == 0:
             raise ValueError("levels and weights must be nonempty and aligned")
         # NaN fails every comparison, so these forms refuse it
@@ -232,51 +233,40 @@ class AtomicLSD:
             raise ValueError("levels must be finite, positive and strictly increasing")
         if not (np.all(weights > 0) and abs(weights.sum() - 1.0) <= 1e-9):
             raise ValueError("weights must be finite, positive and sum to 1")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_rule", Rule(levels, weights))
-
-    def rule(self):
-        """The atoms as a :class:`Rule`, an exact rule."""
-        return self._rule
+        super().__init__(levels, weights)
+        self.levels = levels
 
 
-@dataclass(eq=False)
-class AbsContinuousLSD:
+class AbsContinuousLSD(Rule):
     """Absolutely continuous Toeplitz eigenvalue limit with density g, exact on one rule.
 
     By Szegő's theorem it is the law of f(w), w uniform on [0, pi] (f is even
     about pi); :func:`gamma_density` gives g.  Its means run on the tanh-sinh
     rule w = pi / (1 + e^(-pi sinh t)), t = k h, |t| <= 3.2, h = 3.2/RULE_STEPS
     (Takahasi & Mori, Publ. RIMS 9, 1974), which converges geometrically
-    whatever f does at w = 0 and pi: read-only ``nodes`` f(w_k) and
-    ``weights``.  T and -T' are the means of f / (1 + f m) and its square.
+    whatever f does at w = 0 and pi: its :class:`Rule` of nodes f(w_k), with
+    ``top`` = max f.  T and -T' are the means of f / (1 + f m) and its square.
     With lam = -1/m these have a pole at each root s_c of f = lam in
     s = 2 cos w, where f = B(s) / A(s) (2 - s)^(-d) (``_cosine_poly``).  Where
-    a pole lies nearer the axis than the nodes resolve (``_poles``), the sums
-    take its principal part, a multiple of 1/(s - s_c) (and of its square
-    for T'), out at the nodes and add back its exact mean, g(s_c) =
-    -1/sqrt(s_c^2 - 4) (and g'); the potential does so with log(s - s_c),
-    whose mean is log(-1/zeta_c).  So no pole costs accuracy, and the law is
-    its own rule (:meth:`rule`), with ``terms``, ``potential``, ``mean`` and
-    ``top`` = max f.  It holds no state between calls: threads can share it.
+    a pole lies nearer the axis than the nodes resolve (``_poles``, searched
+    from one node on each monotone branch of f), the rule's sums take its
+    principal part, a multiple of 1/(s - s_c) (and of its square for T'), out
+    at the nodes and add back its exact mean, g(s_c) = -1/sqrt(s_c^2 - 4)
+    (and g'); the potential does so with log(s - s_c), whose mean is
+    log(-1/zeta_c).  So no pole costs accuracy, and the law is its own rule
+    (:meth:`rule`).  It holds no state between calls: threads can share it.
     """
 
-    f: SpectralDensity
     kind = "szego"
 
-    def __post_init__(self):
-        if not isinstance(self.f, SpectralDensity):
+    def __init__(self, f):
+        if not isinstance(f, SpectralDensity):
             raise TypeError("AbsContinuousLSD expects a SpectralDensity, which is even about pi")
-        f, h, n = self.f, 3.2 / RULE_STEPS, 2 * RULE_STEPS + 1
+        self.f, h = f, 3.2 / RULE_STEPS
         t = np.arange(-RULE_STEPS, RULE_STEPS + 1) * h
         e = np.exp(math.pi * np.sinh(t))
-        self.weights = h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2
-        # the pole search starts at the nodes and at the stationary points of f inside
-        # (0, pi): w and pi - w there, each to full relative accuracy, u = 2 - s, v = 2 + s
-        inner = f.breakpoints[(0.0 < f.breakpoints) & (f.breakpoints < math.pi)]
-        w = np.concatenate([math.pi * e / (1.0 + e), inner])
-        rest = np.concatenate([math.pi / (1.0 + e), math.pi - inner])
+        # w and pi - w at the nodes, each to full relative accuracy, u = 2 - s, v = 2 + s
+        w, rest = math.pi * e / (1.0 + e), math.pi / (1.0 + e)
         u, v, near = 4.0 * np.sin(0.5 * w) ** 2, 4.0 * np.sin(0.5 * rest) ** 2, w < 0.5 * math.pi
         # B and A in u and in v (s = 2 - u = v - 2), of one length, highest power first
         B, A = (np.polynomial.Polynomial(_cosine_poly(r)) for r in (f.ma_acov, f.ar_acov))
@@ -288,12 +278,8 @@ class AbsContinuousLSD:
             with np.errstate(divide="ignore", invalid="ignore"):  # where f = 0, L' is infinite
                 ratio[side], ra[side], aa[side], slope[side], curve[side] = _slopes(polys, x[side], kappa, u[side], f.d)
         values = ratio * u**-f.d
-        self.nodes, self._u, self._v = values[:n], u[:n], v[:n]
-        for arr in (self.nodes, self.weights, self._u, self._v):
-            arr.setflags(write=False)
-        with np.errstate(divide="ignore"):  # where f = 0, f / (1 + f m) = 1 / (1/f + m) = 0
-            self._mu, self._w = 1.0 / self.nodes, self.weights.astype(complex)
-        self.mean, self.top = float(self.weights.dot(self.nodes)), support_bounds(f)[1]
+        super().__init__(values, h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2)
+        self.top, self._u, self._v = support_bounds(f)[1], u, v
         # the search runs in x = log u near s = 2, which keeps the digits of a root at u ~ 1e-29
         # and, for d != 0, its sheet of u^(-d), and in x = v elsewhere.  A pole within 8 steps in t
         # of its start is taken out, |ds/dt| = 2 sin(w) cosh(t) w (pi - w); the quadratic model of
@@ -307,17 +293,17 @@ class AbsContinuousLSD:
         k1, c1 = jac * ra, jac * fl
         k2, c2 = jac * jac * aa + bend * ra, jac * jac * (2.0 * ra * fl + values * (curve + slope * slope)) + bend * fl
         x = np.where(near, np.log(u), v)
-        self._search = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, reach, near, x))))
-        # each monotone branch of f, stationary ends included, by rising f: (f, starts, sign of df/ds, ends)
-        order = np.argsort(w, kind="stable")
-        cuts = np.flatnonzero(order >= n).tolist()
+        starts = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, reach, near, x))))
+        # each monotone branch of f, the run of nodes between its stationary points in (0, pi), by
+        # rising f: (f, search starts, sign of df/ds); f at the breakpoints 0, those points and pi
+        # says which way it runs
+        bps, vals = f.breakpoints, f.breakpoint_values
+        cuts = np.searchsorted(w, bps[(0.0 < bps) & (bps < math.pi)]).tolist()
         self._branches = []
-        for lo, hi in zip([0, *cuts], [c + 1 for c in cuts] + [order.size]):
-            index = order[lo:hi]
-            falling = values[index[-1]] < values[index[0]]  # in w, so rising in s
-            index = index[::-1] if falling else index
-            ends = tuple(k for k in (index[0], index[-1]) if k >= n)
-            self._branches.append((values[index].tolist(), index.tolist(), 1.0 if falling else -1.0, ends))
+        for j, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, w.size])):
+            step = -1 if vals[j + 1] < vals[j] else 1  # falling in w, so rising in s
+            if lo < hi:
+                self._branches.append((values[lo:hi].tolist()[::step], starts[lo:hi][::step], float(-step)))
 
     def rule(self):
         """The law itself, an exact rule."""
@@ -331,26 +317,23 @@ class AbsContinuousLSD:
         f / (f - lam), and a^2 / (s - s_c)^2 + b / (s - s_c), b = a - L'' a^3,
         the principal part of its square.  The root has Im s_c of the sign of
         df/ds on its branch where Im lam > 0; at a real lam (the edge's
-        bisection) a real root counts too.  The search takes one Cauchy step,
-        on the quadratic model of N = A (f - lam) in x, then Newton on N.
+        bisection) a real root counts too.  The search starts at the branch's
+        node nearest |lam| in log f, as f spans decades on a sharp peak's
+        flanks, and takes one Cauchy step, on the quadratic model of
+        N = A (f - lam) in x, then Newton on N.
         """
         level, out = abs(lam), []
-        for values, index, sign, ends in self._branches:
-            # the start nearest |lam| in log f, as f spans decades on a sharp peak's flanks,
-            # then the branch's stationary ends, near which f = lam may have a root off the axis
+        for values, starts, sign in self._branches:
             i = bisect.bisect_left(values, level)
             if i == len(values) or (i and level * level < values[i - 1] * values[i]):
                 i -= 1
-            for k in (index[i], *ends):
-                start = self._search[k]
-                if abs(cmath.log(start[0] / lam)) > start[5]:
-                    continue  # no root of the quadratic model of log(f/lam) within reach
-                pole = self._root(lam, sign, *start)
-                if pole:
-                    # a search may reach another branch's root, on the same side, in u or in v
-                    if not any(abs(q[1] - pole[1]) <= 1e-9 * abs(pole[2]) + 1e-14 for q in out):
-                        out.append(pole)
-                    break
+            start = starts[i]
+            if abs(cmath.log(start[0] / lam)) > start[5]:
+                continue  # no root of the quadratic model of log(f/lam) within reach
+            pole = self._root(lam, sign, *start)
+            # a search may reach another branch's root, on the same side, in u or in v
+            if pole and not any(abs(q[1] - pole[1]) <= 1e-9 * abs(pole[2]) + 1e-14 for q in out):
+                out.append(pole)
         return out
 
     def _root(self, lam, sign, fk, k1, c1, k2, c2, bound, reach, near, x):
@@ -380,7 +363,10 @@ class AbsContinuousLSD:
         except (ArithmeticError, ValueError):  # a zero of B or A, an overflow
             return None
         s = 2.0 - e if near else e - 2.0
-        if not step <= 1e-8 or not (sign * s.imag > 0.0 or s.imag == lam.imag == 0.0):
+        # a stalled search counts where |f - lam| <= 4 eps |lam|: just past a fold end, where lam - f(end)
+        # is ~1e-8 lam, the rounding of f holds Newton's relative step in v near 1e-8
+        stopped = step <= 1e-8 or abs(gap) <= 2.0**-50 * abs(lam)
+        if not stopped or not (sign * s.imag > 0.0 or s.imag == lam.imag == 0.0):
             return None
         if near and d and abs(x.imag) >= math.pi:
             return None  # a root off the principal sheet of u^(-d), as for arg lam >= pi |d|: no pole
@@ -390,26 +376,22 @@ class AbsContinuousLSD:
         return near, s, e, r, a, a - curve * a**3
 
     def terms(self, m):
-        """(T, T') at m as Python complex numbers: a real m (the edge's bisection) gives real parts."""
+        """(T, T') at m as Python complex numbers: the rule's sums, each pole's principal part swapped for its mean."""
+        t, tp = super().terms(m)
         lam = -1.0 / m
-        q = self._mu + m
-        np.reciprocal(q, out=q)
-        t = q.dot(self._w)
-        q *= q
-        tp = -q.dot(self._w)
         for near, s, e, r, a, b in self._poles(lam):
             q = e - self._u if near else self._v - e  # s - s_c
             np.reciprocal(q, out=q)
-            p1, g = q.dot(self._w), -1.0 / r
+            p1, g = q.dot(self.weights), -1.0 / r
             q *= q
             # the principal parts of f / (1 + f m) and its square are -lam and lam^2 times those of f / (f - lam)
             t -= lam * a * (g - p1)
-            tp -= lam * lam * (a * a * (s / (r * r * r) - q.dot(self._w)) + b * (g - p1))
+            tp -= lam * lam * (a * a * (s / (r * r * r) - q.dot(self.weights)) + b * (g - p1))
         return complex(t), complex(tp)
 
     def potential(self, m):
-        """Im of the log potential, the mean of log(1 + f m), less log(s - s_c) at each pole and plus its mean."""
-        v = float(np.angle(1.0 + self.nodes * m).dot(self.weights))
+        """Im of the log potential, the rule's mean of arg(1 + f m), less log(s - s_c) at each pole plus its mean."""
+        v = super().potential(m)
         for near, s, e, r, _, _ in self._poles(-1.0 / m):
             v += cmath.phase(-(s + r)) - float(np.angle(e - self._u if near else self._v - e).dot(self.weights))
         return v
@@ -511,9 +493,9 @@ class ExactARMALSD:
 
     The log potential, the mean of log(1 + m f) = log E - log A, is
     log lead(E) + sum_j log(-1/zeta_j) up to a real constant and 2 pi i k, so
-    its imaginary part needs only E's roots.  The law is its own exact rule:
-    :meth:`rule` hands it out at every size, with ``terms``, ``potential``,
-    ``mean`` and ``top`` (max f).  It holds its spectral density as ``f``.
+    its imaginary part needs only E's roots.  The law is its own exact rule
+    (:meth:`rule`), with ``terms``, ``potential``, ``mean`` and ``top``
+    (max f), and no nodes.  It holds its spectral density as ``f``.
     """
 
     kind = "exact"

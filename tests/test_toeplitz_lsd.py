@@ -458,8 +458,13 @@ class TestRule:
         assert rule.nodes[size // 2 - 1] == 0.0
         assert_terms_match_direct_sums(rule, m)
 
-    def test_atoms_are_one_rule_at_every_size(self):
-        assert ATOMS.rule() is ATOMS.rule()
+    def test_every_law_is_its_own_rule(self):
+        # the atoms and the Szegő law are Rules; the exact law has no nodes
+        exact = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
+        assert isinstance(exact, sp.ExactARMALSD) and not isinstance(exact, sp.Rule)
+        for lsd in (ATOMS, ARMA11_LAW, exact):
+            assert lsd.rule() is lsd
+        assert isinstance(ATOMS, sp.Rule) and isinstance(ARMA11_LAW, sp.Rule)
 
     def test_continuous_law_is_its_own_rule(self):
         # one tanh-sinh rule of 2 RULE_STEPS + 1 nodes on [0, pi], built with the law;
@@ -541,6 +546,27 @@ class TestSzegoLaw:
         monkeypatch.setattr(toeplitz_lsd, "RULE_STEPS", 16 * toeplitz_lsd.RULE_STEPS)
         t_ref, tp_ref = sp.AbsContinuousLSD(self.FARIMA.f).terms(-1.0 / lam)
         assert abs(t / t_ref - 1.0) <= 1e-14 and abs(tp / tp_ref - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "lam, t_ref",
+        [
+            (0.8368127671687756 + 8.368127588006481e-10j, -613.048417176073 - 12291.72347394709j),
+            (0.8368127614468823 + 8.368127588006481e-11j, -346.6799563541194 - 21931.328175152452j),
+        ],
+        ids=["8e-9-above", "3e-9-above"],
+    )
+    def test_keeps_the_pole_at_a_fold_end(self, lam, t_ref):
+        # f(pi) = 0.8368127588006481 is a local minimum of f; just above it the
+        # pole sits at v = 2 + s ~ 8.7e-8, where f - lam is at rounding before
+        # Newton's relative step falls to 1e-8.  Rejecting that root left T 68 %
+        # and 84 % off.  The references are 30-digit mpmath quad over [0, pi],
+        # split at f's breakpoints and at the real roots of f = Re lam, with
+        # extra points at 1e-1 to 1e-13 on either side of each root and below
+        # pi; scipy's quad (oracles.szego_quad) is 46-48 % off here.  f(pi)
+        # rounds to about 1e-16 and lam - f(pi) is about 1e-8 f(pi): 1e-6
+        law = sp.gamma_lsd(FARIMA_AR)
+        assert law.f(math.pi) == 0.8368127588006481
+        assert abs(law.terms(-1.0 / lam)[0] / t_ref - 1.0) <= 1e-6
 
     @pytest.mark.parametrize(
         "d, x, delta",
