@@ -10,12 +10,11 @@ where y is the limiting column/row ratio n/p.  This module solves that fixed
 point from a one-atom fit to its cold start, gives the Marchenko-Pastur
 closed form and the ARMA(1,1) quartic as oracles, locates the upper support
 edge, and recovers the density and the distribution function from solves at
-one small offset above the real axis.  The solver, the edge and the CDF see a
-limit law only through its one exact rule ``lsd.rule()``, the law itself: the
-atoms and the Szegő law are :class:`~specmp.toeplitz_lsd.Rule` s, the exact
-ARMA law has no nodes.  They call its (T, T') evaluator ``terms``, its log
-potential ``potential``, its ``mean`` and its ``top``, and never read nodes or
-weights.
+one small offset above the real axis.  The solver, the edge and the CDF read
+each limit law directly, and exactly: its (T, T') evaluator ``terms``, its log
+potential ``potential``, its ``mean`` and its ``top``.  The atoms and the Szegő
+law are :class:`~specmp.toeplitz_lsd.Rule` s, the exact ARMA law has no nodes,
+and none of the three reads nodes or weights.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz_lsd import ExactARMALSD, Rule, _bisect
+from .toeplitz_lsd import ExactARMALSD, Rule
 
 __all__ = [
     "StieltjesSolution",
@@ -79,7 +78,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StieltjesSolution:
-    """Value of the Stieltjes transform at one point, solved on ``lsd.rule()``."""
+    """Value of the Stieltjes transform at one point, solved on the law itself."""
 
     z: complex
     m: complex
@@ -204,14 +203,14 @@ def solve_fixed_point(lsd, y, z, initial=None):
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD, ExactARMALSD or
     AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a point with
-    Im z > 0.  Every law is exact on its one rule ``lsd.rule()``, so the solve
-    is one ``_iterate`` on it, and the residual is the defect of the returned
-    m there, one evaluation more.  Without a usable ``initial`` the solve
-    starts from the law with all its mass at the mean level (``_one_atom``:
-    ArithmeticError where its Im m underflows), refit to the one-atom law with
-    the rule's (T, T') there (``_refit``), which counts as a sweep when it
-    moves m.  MAX_ITER caps the sweeps.  ``m`` is a Python complex and
-    ``residual`` a Python float.
+    Im z > 0.  Every law's ``terms`` is exact, so the solve is one
+    ``_iterate`` on it, and the residual is the defect of the returned m there,
+    one evaluation more.  Without a usable ``initial`` the solve starts from
+    the law with all its mass at the mean level (``_one_atom``: ArithmeticError
+    where its Im m underflows), refit to the one-atom law with the law's
+    (T, T') there (``_refit``), which counts as a sweep when it moves m.
+    MAX_ITER caps the sweeps.  ``m`` is a Python complex and ``residual`` a
+    Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
@@ -221,14 +220,13 @@ def solve_fixed_point(lsd, y, z, initial=None):
     if not isinstance(lsd, (Rule, ExactARMALSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
     y = float(y)
-    rule = lsd.rule()
     if initial is None or not initial.imag > 0.0:
-        # -1/z sits among the rule's real poles -1/lam when z is near the real axis
-        m, first, iterations = _refit(rule.terms, y, z, _one_atom(y, z, rule.mean, rule.mean))
+        # -1/z sits among the law's real poles -1/lam when z is near the real axis
+        m, first, iterations = _refit(lsd.terms, y, z, _one_atom(y, z, lsd.mean, lsd.mean))
     else:
         m, first, iterations = complex(initial), None, 0
-    m, its = _iterate(rule.terms, y, z, m, first)
-    residual = abs(1.0 / m + z - y * rule.terms(m)[0])
+    m, its = _iterate(lsd.terms, y, z, m, first)
+    residual = abs(1.0 / m + z - y * lsd.terms(m)[0])
     return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations + its)
 
 
@@ -315,7 +313,7 @@ def invert_to_density(lsd, y, grid=None):
     mass at zero, the density is (1/pi) Im(m + a/z), clipped at 0, and F is
     -Im Phi(z)/pi for the log potential Phi = -log m - z m - 1
     + y integral log(1 + lam m) dH (Phi' = -m), with a in place of the mass's
-    smeared term -a arg(-z)/pi.  The integral is the rule's ``potential``.  The
+    smeared term -a arg(-z)/pi.  The integral is the law's ``potential``.  The
     solves run under ``np.errstate(all="ignore")``: a NaN or overflow (at extreme y, say)
     surfaces as a ConvergenceError tagged with x.
     """
@@ -342,8 +340,8 @@ def invert_to_density(lsd, y, grid=None):
             iterations += sol.iterations
             max_residual = max(max_residual, sol.residual)
         vals = [(m + atom / complex(x, delta)).imag / math.pi for x, m in zip(grid, ms.tolist())]
-        rule, z = lsd.rule(), grid + 1j * delta
-        args = np.array([rule.potential(m) for m in ms])
+        z = grid + 1j * delta
+        args = np.array([lsd.potential(m) for m in ms])
         cdf = (np.angle(ms) - y * args + (z * ms).imag + atom * np.angle(-z)) / math.pi + atom
     return LimitingDensity(
         grid=grid,
@@ -372,22 +370,20 @@ def estimate_support_upper(lsd, y):
 
     On real m in (-1/max lam, 0) the inverse x(m) = -1/m + y T(m) of the
     transform has the edge as its minimum.  There x'(m) = 1/m^2 + y T'(m)
-    rises from -inf to +inf, so one bisection over ``lsd.rule()`` finds it,
-    with max lam the rule's ``top``: the largest atom, or max f.
+    rises from -inf to +inf, so one bisection on the law's ``terms`` finds it,
+    with max lam the law's ``top``: the largest atom, or max f.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
-    rule = lsd.rule()
-
-    def slope(m):
-        # m^2 x'(m), in Python floats, which neither overflow nor underflow to
-        # a wrong sign; _bisect passes the bracket's midpoint as a length-1 array
-        m = float(m[0])
-        return 1.0 + y * (m * m) * rule.terms(m)[1].real
-
-    # 4 ulps in from -1/top, where 1 + top m rounds to 0: an edge closer than that is x there
-    m = float(_bisect(slope, [-(1.0 - 2.0**-50) / rule.top], [0.0], np.zeros(1))[0])
-    edge = -1.0 / m + y * rule.terms(m)[0].real
+    # from 4 ulps in from -1/top, where 1 + top m rounds to 0 (an edge closer than that is x there), halve
+    # to adjacent floats on the sign of m^2 x'(m) in Python floats, which do not overflow to a wrong sign
+    lo, hi = -(1.0 - 2.0**-50) / lsd.top, 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if 1.0 + y * (mid * mid) * lsd.terms(mid)[1].real < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    edge = -1.0 / hi + y * lsd.terms(hi)[0].real
     if not math.isfinite(edge):
         raise ArithmeticError(f"the support's upper edge overflows at y={y}")
     return edge

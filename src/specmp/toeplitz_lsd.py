@@ -20,14 +20,15 @@ model (d != 0), or of an ARMA model with K = max(p, q) >= 3, come from Szegő's
 theorem on one tanh-sinh rule in w, with the poles of the integrand that the
 rule does not resolve subtracted.  An ARMA model with K <= 2 has an exact law
 instead: with s = 2 cos w, f is a ratio of polynomials of degree K in s, and
-the integrals follow from the K roots of one of them.
+the integrals follow from E = A + m B at s = +-2 (K = 1) or from its two
+roots (K = 2).
 
-Every law is exact on its one rule ``lsd.rule()``, which is the law itself:
-an object with the (T, T') evaluator ``terms``, the imaginary part of the log
-potential ``potential``, the ``mean`` level and the ``top`` of the support.
-The atoms and the Szegő law are :class:`Rule` s of nodes and weights, whose
-plain node sums the Szegő law corrects at its poles; the exact ARMA law has no
-nodes.  A law's ``kind`` ("atoms", "szego" or "exact") names it in reports.
+Every law is read directly, and exactly, through the (T, T') evaluator
+``terms``, the imaginary part of the log potential ``potential``, the ``mean``
+level and the ``top`` of the support.  The atoms and the Szegő law are
+:class:`Rule` s of nodes and weights, whose plain node sums the Szegő law
+corrects at its poles; the exact ARMA law has no nodes.  A law's ``kind``
+("atoms", "szego" or "exact") names it in reports.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class Rule:
     Nodes without a finite 1/lam (lam = 0, or below about 5.6e-309) add only
     about W |lam| and are dropped; nodes negative by rounding are kept.  Up to
     SCALAR_NODES kept nodes sum in Python scalars, under NumPy's call cost.
-    A rule is exact for itself (:meth:`rule`); the laws with nodes subclass it.
+    The laws with nodes subclass it.
     """
 
     __slots__ = ("nodes", "weights", "mean", "top", "_mu", "_w", "_pairs")
@@ -185,10 +186,6 @@ class Rule:
             self._pairs, self._mu, self._w = list(zip(mu.tolist(), w.tolist())), None, None
         else:
             self._pairs, self._mu, self._w = None, mu.astype(complex), w.astype(complex)
-
-    def rule(self):
-        """The rule itself, an exact rule."""
-        return self
 
     def terms(self, m):
         """(T, T') at m in one pass: T(m) = sum W / (mu + m), T' = -sum W / (mu + m)^2.
@@ -253,8 +250,8 @@ class AbsContinuousLSD(Rule):
     principal part, a multiple of 1/(s - s_c) (and of its square for T'), out
     at the nodes and add back its exact mean, g(s_c) = -1/sqrt(s_c^2 - 4)
     (and g'); the potential does so with log(s - s_c), whose mean is
-    log(-1/zeta_c).  So no pole costs accuracy, and the law is its own rule
-    (:meth:`rule`).  It holds no state between calls: threads can share it.
+    log(-1/zeta_c).  So no pole costs accuracy, and the law is exact on its
+    nodes.  It holds no state between calls: threads can share it.
     """
 
     kind = "szego"
@@ -286,12 +283,15 @@ class AbsContinuousLSD(Rule):
         # F = log(f/lam) in x has no root that near where |F| > |F'| reach + |F''| reach^2 / 2
         jac, bend = np.where(near, -u, 1.0), np.where(near, -u, 0.0)  # ds/dx, d2s/dx2
         reach = 16.0 * h * np.sin(np.minimum(w, rest)) * np.hypot(1.0, np.log(w / rest) / math.pi) * w * rest / abs(jac)
-        F1, F2 = jac * slope, jac * jac * curve + bend * slope
-        bound = np.abs(F1) * reach + 0.5 * np.abs(F2) * reach**2
-        # N = (f - lam) A / A(start) and its slopes in x, (N', N'') = (k1, k2) (f - lam) + (c1, c2)
-        fl = values * slope
-        k1, c1 = jac * ra, jac * fl
-        k2, c2 = jac * jac * aa + bend * ra, jac * jac * (2.0 * ra * fl + values * (curve + slope * slope)) + bend * fl
+        # where f = 0, L' is infinite and these are NaN; _poles picks index >= 1 there, so no search starts there
+        with np.errstate(invalid="ignore"):
+            F1, F2 = jac * slope, jac * jac * curve + bend * slope
+            bound = np.abs(F1) * reach + 0.5 * np.abs(F2) * reach**2
+            # N = (f - lam) A / A(start) and its slopes in x, (N', N'') = (k1, k2) (f - lam) + (c1, c2)
+            fl = values * slope
+            k1, c1 = jac * ra, jac * fl
+            k2 = jac * jac * aa + bend * ra
+            c2 = jac * jac * (2.0 * ra * fl + values * (curve + slope * slope)) + bend * fl
         x = np.where(near, np.log(u), v)
         starts = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, reach, near, x))))
         # each monotone branch of f, the run of nodes between its stationary points in (0, pi), by
@@ -305,6 +305,7 @@ class AbsContinuousLSD(Rule):
             if lo < hi:
                 self._branches.append((values[lo:hi].tolist()[::step], starts[lo:hi][::step], float(-step)))
 
+    # called by nothing in specmp: the benchmark's tracer (perfbench/tracing.py) patches it by name
     def rule(self):
         """The law itself, an exact rule."""
         return self
@@ -476,26 +477,28 @@ class ExactARMALSD:
     """Toeplitz eigenvalue limit of an ARMA model with K = max(p, q) <= 2, in closed form.
 
     With s = 2 cos w, |phi|^2 = A(s) and |theta|^2 = B(s) are polynomials of
-    degree at most K (``_cosine_poly``), so T(m) = (1/2 pi) int B / E dw with
-    E = A + m B needs only the K roots s_j of E.  In partial fractions
-    B/E = c_inf + sum_j c_j / (s - s_j), c_j = B(s_j) / E'(s_j), and the mean
-    of 1 / (s - s_j) over w is g(s_j) (``_g``), so T = c_inf + sum_j c_j g(s_j).
-    T' follows from ds_j/dm = -c_j, dc_j/dm = c_j (c_j E'' - 2 B'(s_j)) / E'(s_j)
-    and dc_inf/dm = -c_inf^2.  Two forms keep T accurate:
+    degree at most K (``_cosine_poly``), and T(m) = (1/2 pi) int B / E dw with
+    E = A + m B.  For K = 1, T, the potential and max f follow from E at
+    s = +-2 (``_terms1``).  For K = 2, T needs the two roots s_j of E: in
+    partial fractions B/E = c_inf + sum_j c_j / (s - s_j), with
+    c_j = B(s_j) / E'(s_j), and the mean of 1 / (s - s_j) over w is g(s_j)
+    (``_g``), so T = c_inf + sum_j c_j g(s_j).  T' follows from
+    ds_j/dm = -c_j, dc_j/dm = c_j (c_j E'' - 2 B'(s_j)) / E'(s_j) and
+    dc_inf/dm = -c_inf^2.  Two forms keep T accurate:
 
     - a root far from [-2, 2] takes h = g + 1/s (``_h``) and hands
       -c_j / s_j to c_inf, which becomes the value at s = 0 of B/E less the
       other roots' fractions; so c_inf does not cancel against c_j g(s_j)
       where E's leading coefficient is small and s_j runs off to infinity
-      (``_terms1`` and ``_terms2`` say how far is far);
+      (``_terms2`` says how far is far);
     - two roots of one form sum as the divided difference of B g (or B h),
       which stays accurate at a near double root.
 
-    The log potential, the mean of log(1 + m f) = log E - log A, is
+    The log potential, the mean of log(1 + m f) = log E - log A, is then
     log lead(E) + sum_j log(-1/zeta_j) up to a real constant and 2 pi i k, so
-    its imaginary part needs only E's roots.  The law is its own exact rule
-    (:meth:`rule`), with ``terms``, ``potential``, ``mean`` and ``top``
-    (max f), and no nodes.  It holds its spectral density as ``f``.
+    its imaginary part needs only E's roots.  The law has ``terms``,
+    ``potential``, ``mean`` and ``top`` (max f), and no nodes.  It holds its
+    spectral density as ``f``.
     """
 
     kind = "exact"
@@ -506,34 +509,28 @@ class ExactARMALSD:
             raise ValueError("the exact law needs d = 0 and 1 <= max(p, q) <= 2")
         self.f, (self._a, self._b) = f, coeffs
         if len(self._a) == 2:
-            self._k1 = (*self._a, *self._b, self._a[1] * self._b[0] - self._a[0] * self._b[1])
-        self.terms = self._terms1 if len(self._a) == 2 else self._terms2
-        self.top = support_bounds(f)[1]
+            # A and B at s = +-2, each free of cancellation; max f is B/A at one of them
+            a, b = self._a[1], self._b[1]
+            A2, Am2, B2, Bm2 = (1.0 + a) ** 2, (1.0 - a) ** 2, (1.0 + b) ** 2, (1.0 - b) ** 2
+            self._k1 = (A2, Am2, B2, Bm2, a, b, 1.0 + b * b, (a - b) * (1.0 - a * b))
+            self.terms, self.potential, self.top = self._terms1, self._potential1, max(B2 / A2, Bm2 / Am2)
+        else:
+            self.terms, self.potential = self._terms2, self._potential2
+            self.top = support_bounds(f)[1]
         self.mean = self.terms(0.0)[0].real
 
-    def rule(self):
-        """The law itself, an exact rule."""
-        return self
-
     def _roots(self, m):
-        """(E's coefficients e_0..e_K, E's roots (s_j, zeta_j), least |s| first).
+        """(E's coefficients e_0, e_1, e_2, E's roots (s_j, zeta_j), least |s| first) for K = 2.
 
         Where E loses its degree, has a double root or a root at s = +-2, m moves off the
         axis (``_off_axis``).
         """
-        e = [a + m * b for a, b in zip(self._a, self._b)]
-        if len(e) == 2:
-            if e[1] == 0.0:
-                return self._roots(_off_axis(m))
-            roots = (-e[0] / e[1],)
-        else:
-            e0, e1, e2 = e
-            w = cmath.sqrt(e1 * e1 - 4.0 * e2 * e0)
-            if e2 == 0.0 or w == 0.0:
-                return self._roots(_off_axis(m))
-            q = -0.5 * (e1 + w if (e1.conjugate() * w).real >= 0.0 else e1 - w)
-            roots = (e0 / q, q / e2)
-        roots = [(s, _small_root(s)) for s in roots]
+        e0, e1, e2 = e = [a + m * b for a, b in zip(self._a, self._b)]
+        w = cmath.sqrt(e1 * e1 - 4.0 * e2 * e0)
+        if e2 == 0.0 or w == 0.0:
+            return self._roots(_off_axis(m))
+        q = -0.5 * (e1 + w if (e1.conjugate() * w).real >= 0.0 else e1 - w)
+        roots = [(s, _small_root(s)) for s in (e0 / q, q / e2)]
         if any(zeta * zeta == 1.0 for _, zeta in roots):  # a root at s = +-2, an end of [-2, 2]
             return self._roots(_off_axis(m))
         return e, roots
@@ -541,29 +538,26 @@ class ExactARMALSD:
     def _terms1(self, m):
         """(T, T') at m for K = 1, written out, as it runs once a sweep.
 
-        E = e0 + e1 s has its root at s = -e0/e1, so zeta is the small root of
-        e1 zeta^2 + e0 zeta + e1, and c = B(s)/e1 = (a1 b0 - a0 b1)/e1^2; neither
-        needs s.  |zeta| < 1/2 puts |s| above 3/2, where the root takes h.
+        P = E(2) and Q = E(-2) take A(+-2) = (1 +- a)^2, which keeps its digits at a unit root,
+        where A = r_0 + r_1 s cancels.  The mean of 1/E is 1/W, W = sqrt(P Q) with Re(conj(e0) W) >= 0
+        for e0 = (P + Q)/2, and B/E = b/e1 + kappa/(e1 E), e1 = a + m b, so T = (b W + kappa)/(e1 W).
+        Where b W cancels kappa (e1 -> 0, E's root running off), T is that form times
+        (b W - kappa)/(b W - kappa), which takes the factor e1 out.
         """
-        a0, a1, b0, b1, kappa = self._k1
-        e0, e1 = a0 + m * b0, a1 + m * b1
-        if e1 == 0.0:
+        A2, Am2, B2, Bm2, a, b, b0, kappa = self._k1
+        P, Q = A2 + m * B2, Am2 + m * Bm2
+        W = cmath.sqrt(P * Q)
+        if W == 0.0:  # E's root at s = +-2, an end of [-2, 2]
             return self._terms1(_off_axis(m))
-        u = 1.0 / e1
-        c = kappa * u * u
-        w = cmath.sqrt((e0 - 2.0 * e1) * (e0 + 2.0 * e1))
-        zeta = -2.0 * e1 / (e0 + w if (e0.conjugate() * w).real >= 0.0 else e0 - w)
-        z2 = zeta * zeta
-        if z2 == 1.0:  # the root at s = +-2, an end of [-2, 2]
-            return self._terms1(_off_axis(m))
-        if abs(z2) < 0.25:
-            d, z4 = b0 / e0, z2 * z2
-            q = z4 - 1.0
-            k, kp = 2.0 * zeta * z2 / q, -2.0 * z4 * (z4 + 3.0) / (q * q * (z2 - 1.0))
-        else:
-            d, q = b1 * u, z2 - 1.0
-            k, kp = zeta / q, -z2 * (z2 + 1.0) / (q * q * q)
-        return d + c * k, -d * d - c * (2.0 * b1 * u * k + c * kp)
+        e0, e1, dPQ = 0.5 * (P + Q), a + m * b, B2 * Q + P * Bm2
+        if (e0.conjugate() * W).real < 0.0:
+            W = -W
+        Wp = 0.5 * dPQ / W
+        if kappa * b * W.real >= 0.0:
+            return (b * W + kappa) / (e1 * W), -(b * b + kappa * (b * W + e1 * Wp) / (W * W)) / (e1 * e1)
+        D, BB = W * (b * W - kappa), B2 * Bm2
+        t = (e1 * BB - 2.0 * b0 * kappa) / D
+        return t, (b * BB - t * (b * dPQ - kappa * Wp)) / D
 
     def _terms2(self, m):
         """(T, T') at m for K = 2, from the roots s1, s2 of E, |s1| <= |s2|.
@@ -594,7 +588,14 @@ class ExactARMALSD:
             t, dp = d + (B1 * _g_dd(z1, z2) + (b1 + b2 * (s1 + s2)) * k2) / e2, -d * d
         return t, dp + cp1 * k1 + cp2 * k2 - c1 * c1 * kp1 - c2 * c2 * kp2
 
-    def potential(self, m):
+    def _potential1(self, m):
+        """Im of the log potential for K = 1: the mean of log E is log((e0 + W)/2), in (0, pi) for Im m > 0."""
+        A2, Am2, B2, Bm2 = self._k1[:4]
+        P, Q = A2 + m * B2, Am2 + m * Bm2
+        W, e0 = cmath.sqrt(P * Q), 0.5 * (P + Q)
+        return cmath.phase(e0 + W if (e0.conjugate() * W).real >= 0.0 else e0 - W)
+
+    def _potential2(self, m):
         """Im of the log potential, the integral of log(1 + lam m), in [0, pi) for Im m > 0."""
         e, roots = self._roots(m)
         v = cmath.phase(e[-1]) - sum(cmath.phase(-zeta) for _, zeta in roots)

@@ -125,6 +125,16 @@ class TestLsdDensityCommand:
         assert run(["lsd-density", "--model", spec, "--y", "3", "--grid", "16", "--out", str(out)]) == 0
         assert json.loads((tmp_path / "t.json").read_text())["solver"]["law"] == law
 
+    @pytest.mark.parametrize(
+        "spec", ['{"type":"arma","ma":[1,1,1]}', '{"type":"farima","ma":[0,1],"d":-0.2}'], ids=["arma", "farima"]
+    )
+    @pytest.mark.parametrize("command", [["gamma-density"], ["lsd-density", "--y", "1"]], ids=lambda c: c[0])
+    def test_f_vanishing_at_the_middle_node(self, spec, command, tmp_path):
+        # theta has zeros at +-i, so f = 0 at w = pi/2, the middle node of the
+        # Szegő law's tanh-sinh rule, where L' is infinite; pytest's
+        # filterwarnings = error fails the run on any RuntimeWarning there
+        assert run([*command, "--model", spec, "--out", str(tmp_path / "x")]) == 0
+
     def test_mass_at_zero_recorded(self, tmp_path):
         out = tmp_path / "half"
         assert run(["lsd-density", "--model", WHITE, "--y", "0.5", "--grid", "96", "--out", str(out)]) == 0

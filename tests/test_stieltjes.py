@@ -215,7 +215,7 @@ class TestSolveFixedPoint:
         # upper half-plane but raises the hyperbolic merit, so the sweep takes
         # the damped step (m + G(m))/2 instead: two evaluations, one at each
         y, z, m0 = 1.0, 1j, 10j
-        terms = MP_ATOM.rule().terms
+        terms = MP_ATOM.terms
         points = []
 
         def counted(m):
@@ -257,7 +257,7 @@ class TestSolveFixedPoint:
         with pytest.raises(sp.ConvergenceError) as err:
             sp.solve_fixed_point(lsd, y, z)
         m = err.value.m
-        defect = abs(1.0 / m + z - y * lsd.rule().terms(m)[0])
+        defect = abs(1.0 / m + z - y * lsd.terms(m)[0])
         assert err.value.iterations == 2
         assert err.value.residual == defect > 0.0
         assert f"residual={defect:.3e}" in str(err.value)
@@ -323,7 +323,7 @@ class TestSolveFixedPoint:
         z = sp.estimate_support_upper(lsd, y) * complex(x, 10.0**log_eta)
         m = sp.solve_fixed_point(lsd, y, z).m
         assert m.imag > 0.0
-        defect = abs(1.0 / m + z - y * lsd.rule().terms(m)[0])
+        defect = abs(1.0 / m + z - y * lsd.terms(m)[0])
         assert defect <= 1e-10 * (abs(z) + abs(1.0 / m))
 
     @pytest.mark.parametrize(
@@ -352,7 +352,7 @@ class TestSolveFixedPoint:
         evals = count_evaluations(monkeypatch)
         for m in (0.3 + 0.6j, -60.0 + 80.0j, 100j):
             for lsd in (default, other):
-                t, tp = lsd.rule().terms(m)
+                t, tp = lsd.terms(m)
                 t_ref = np.sum(weights * levels / (1.0 + levels * m))
                 tp_ref = -np.sum(weights * levels**2 / (1.0 + levels * m) ** 2)
                 assert abs(t - t_ref) <= 1e-13 * abs(t_ref) and abs(tp - tp_ref) <= 1e-13 * abs(tp_ref)
@@ -388,13 +388,13 @@ class TestSolveFixedPoint:
         ],
         ids=["atom", "arma11-far", "arma11-near-zero", "arma11-hard-edge", "arma11-exact"],
     )
-    def test_solution_names_the_rule_it_solves(self, lsd, y, z):
-        # every law solves on its one rule lsd.rule(), and the residual is the
-        # defect of m there; worst seen 1.7e-16 of |1/m|.  The Szegő law's m
-        # also meets the ARMA(1,1) quartic, to 3.9e-16 of |1/m| near zero,
-        # where the sine-graded rules had to climb to 8192 nodes
+    def test_residual_is_the_defect_on_the_law(self, lsd, y, z):
+        # every law solves on itself, and the residual is the defect of m
+        # there; worst seen 1.7e-16 of |1/m|.  The Szegő law's m also meets the
+        # ARMA(1,1) quartic, to 3.9e-16 of |1/m| near zero, where the
+        # sine-graded rules had to climb to 8192 nodes
         sol = sp.solve_fixed_point(lsd, y, z)
-        t, _ = lsd.rule().terms(sol.m)
+        t, _ = lsd.terms(sol.m)
         assert sol.residual == abs(1.0 / sol.m + z - y * t) <= 1e-15 * abs(1.0 / sol.m)
         if lsd is not MP_ATOM:
             assert abs(sp.arma11_residual(0.5, 1.0, y, z, sol.m)) <= 2e-15 * abs(1.0 / sol.m)
@@ -407,7 +407,7 @@ class TestSolveFixedPoint:
         # a second solve reuses the rule's evaluator, and every evaluation counts
         sp.solve_fixed_point(lsd, 1.0, 1.0 + 1.0j)
         assert evals[0] == first > 0
-        nodes = weakref.ref(lsd.rule().nodes)
+        nodes = weakref.ref(lsd.nodes)
         del lsd
         gc.collect()
         assert nodes() is None
@@ -836,6 +836,27 @@ class TestInversion:
             exact.append(max((m + atom / z).imag / math.pi, 0.0))
         exact = np.array(exact)
         assert np.max(np.abs(dens.values - exact)) <= bound * exact.max()
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("phi, theta", [(0.995, 0.0), (0.999, 0.5), (0.9999, 0.0), (-0.999, 0.3)])
+    def test_near_unit_root_tables_meet_the_quartic(self, phi, theta, y, monkeypatch):
+        # ARMA(1,1) near a unit root, where A(s) = r0 + r1 s cancels: the exact
+        # law reads E at s = +-2, so each default-grid solve stops, and its m
+        # meets the quartic.  Worst seen 2.2e-15 of |1/m| over the 117 tables of
+        # phi in {+-0.5, 0.9, 0.99, 0.995, 0.999, 0.9999, -0.999} and theta in
+        # {0, 0.5, +-1, -0.3} at these y; taking E's root from A(s) = r0 + r1 s
+        # failed 40 of them after MAX_ITER sweeps
+        solve, solved = sp.stieltjes.solve_fixed_point, []
+
+        def recorded(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(sp.stieltjes, "solve_fixed_point", recorded)
+        sp.invert_to_density(sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta)), y)
+        assert len(solved) == 512
+        for sol in solved:
+            assert abs(sp.arma11_residual(phi, theta, y, sol.z, sol.m)) <= 1e-14 * abs(1.0 / sol.m), sol.z
 
     @pytest.mark.parametrize("y", [0.01, 3.0], ids=["split", "y3"])
     def test_two_levels_match_exact_roots(self, y):

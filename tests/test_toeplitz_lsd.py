@@ -393,8 +393,7 @@ class TestNormalizationAndSzego:
         for phi, theta in ((0.5, 1.0), (-0.8, 0.4)):
             model = sp.ARMAModel.arma11(phi, theta)
             lsd = sp.AbsContinuousLSD(sp.SpectralDensity(model))
-            rule = lsd.rule()
-            lam, W = rule.nodes, rule.weights
+            lam, W = lsd.nodes, lsd.weights
             gam = sp.autocovariances(sp.ma_coefficients(model, 1000), 400)
             assert abs(W.sum() - 1.0) <= 1e-10
             assert abs(W @ lam - gam[0]) <= 1e-10
@@ -430,7 +429,7 @@ def assert_terms_match_direct_sums(rule, m, ref=None):
 class TestRule:
     @pytest.mark.parametrize(
         "rule, ref",
-        [(ATOMS.rule(), None), (ARMA11_LAW.rule(), szego_rule(ARMA11_LAW.f, 2**14))],
+        [(ATOMS, None), (ARMA11_LAW, szego_rule(ARMA11_LAW.f, 2**14))],
         ids=["atoms", "arma11"],
     )
     @RULE_MS
@@ -458,19 +457,17 @@ class TestRule:
         assert rule.nodes[size // 2 - 1] == 0.0
         assert_terms_match_direct_sums(rule, m)
 
-    def test_every_law_is_its_own_rule(self):
+    def test_laws_with_nodes_are_rules(self):
         # the atoms and the Szegő law are Rules; the exact law has no nodes
         exact = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
         assert isinstance(exact, sp.ExactARMALSD) and not isinstance(exact, sp.Rule)
-        for lsd in (ATOMS, ARMA11_LAW, exact):
-            assert lsd.rule() is lsd
         assert isinstance(ATOMS, sp.Rule) and isinstance(ARMA11_LAW, sp.Rule)
 
     def test_continuous_law_is_its_own_rule(self):
         # one tanh-sinh rule of 2 RULE_STEPS + 1 nodes on [0, pi], built with the law;
         # its weights sum to 1 to rounding, and its nodes lie in the range of f
         lsd = sp.AbsContinuousLSD(sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0)))
-        assert lsd.rule() is lsd and lsd.nodes.size == 2 * toeplitz_lsd.RULE_STEPS + 1
+        assert lsd.nodes.size == 2 * toeplitz_lsd.RULE_STEPS + 1
         assert abs(lsd.weights.sum() - 1.0) <= 1e-15
         lo, hi = sp.support_bounds(lsd.f)
         assert lo <= lsd.nodes.min() and lsd.nodes.max() <= hi == lsd.top
@@ -666,7 +663,7 @@ class TestExactLaw:
         # closed-form variance 3063.61106999, and the rule's 2.8e-9 below it
         f = sp.SpectralDensity(model)
         law, rule = sp.gamma_lsd(model), szego_rule(f, 2**18)
-        assert isinstance(law, sp.ExactARMALSD) and law.rule() is law
+        assert isinstance(law, sp.ExactARMALSD)
         assert len(law._b) == (2 if model.ma == (0.5, 0.0) else max(len(model.ar), len(model.ma)) + 1)
         assert law.top == sp.support_bounds(f)[1]
         assert abs(law.mean / rule.mean - 1.0) <= (2e-9 if model is SHARP_AR2 else 1e-13)
@@ -675,6 +672,41 @@ class TestExactLaw:
             assert type(t) is complex and type(tp) is complex
             assert abs(t - t_ref) <= 1e-14 * abs(t_ref) and abs(tp - tp_ref) <= 5e-14 * abs(tp_ref), m
             assert abs(law.potential(m) - rule.potential(m)) <= 1e-14, m
+
+    @pytest.mark.parametrize(
+        "model, m, t_ref, tp_ref",
+        [
+            (sp.ARMAModel(ar=(-0.995,)), -2.5510468543936e-05 + 1.0338063271711933e-06j,
+             246.41239938960858 - 396.48755485788033j, 201483290.77515149 + 19689716.325068315j),
+            (sp.ARMAModel(ar=(-0.9999,)), -9.8e-09 + 2e-11j,
+             35225.476695728578 - 1756.8925295864537j, -86756899616152.1 + 13067921285504.542j),
+            (sp.ARMAModel(ar=(-0.999,), ma=(0.5,)), -4.4e-07 + 1e-09j,
+             11049.018715481034 - 1227.7243520704252j, -1153593464534.6415 + 397677519718.53756j),
+        ],
+        ids=["ar-0.995", "ar-0.9999", "arma-0.999-0.5"],
+    )
+    def test_k1_terms_near_a_unit_root(self, model, m, t_ref, tp_ref):
+        # (T, T') from a 50-digit closed form, which 30-digit mpmath.quad over w
+        # meets to 2e-17.  A(s) = r0 + r1 s cancels near a unit root (A(2) =
+        # 1.990025 - 1.99 at phi = 0.995), and the form that took E's root from
+        # it was 2.5e-11 to 1.2e-7 off here; E at s = +-2 takes A(+-2) = (1 +- a)^2
+        t, tp = sp.gamma_lsd(model).terms(m)
+        assert abs(t / t_ref - 1.0) <= 1e-13 and abs(tp / tp_ref - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "model",
+        [sp.ARMAModel(ar=(-0.995,)), sp.ARMAModel(ar=(0.999,), ma=(0.3,)), sp.ARMAModel.arma11(0.5, -1.0)],
+        ids=["ar-0.995", "arma-0.999", "arma11-theta-minus-1"],
+    )
+    def test_k1_top_is_the_pole_of_its_law(self, model):
+        # max f of K = 1 is B/A at s = +-2, each factor (1 +- c)^2 in the exact
+        # coefficients, so -1/top is T's own pole; max f from cosine sums is
+        # 6.5e-12 low at phi = 0.995, which puts the edge bracket past it
+        law = sp.gamma_lsd(model)
+        a, b = law._a[1], law._b[1]
+        assert law.top == max((1.0 + b) ** 2 / (1.0 + a) ** 2, (1.0 - b) ** 2 / (1.0 - a) ** 2)
+        t, tp = law.terms(-(1.0 - 2.0**-50) / law.top)
+        assert math.isfinite(t.real) and math.isfinite(tp.real) and tp.real < 0.0
 
     def test_terms_stay_finite_where_the_leading_coefficient_vanishes(self):
         # ARMA(1,1) phi = 0.5, theta = -1: E = A + m B = (1.25 + 2m) - (0.5 + m) s
