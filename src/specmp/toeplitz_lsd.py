@@ -16,12 +16,11 @@ points, and 0, pi and 2*pi), which the density computes once, split
 root of f(w) = lam on every branch for a whole array of levels.  A level is
 tangential when it equals f at a stationary point inside the support; the
 density diverges there.  Integrals against the continuous law of a FARIMA
-model (d != 0), or of an ARMA model with K = max(p, q) >= 3, come from Szegő's
+model (d != 0), or of an ARMA model with K = max(p, q) >= 2, come from Szegő's
 theorem on one tanh-sinh rule in w, with the poles of the integrand that the
-rule does not resolve subtracted.  An ARMA model with K <= 2 has an exact law
-instead: with s = 2 cos w, f is a ratio of polynomials of degree K in s, and
-the integrals follow from E = A + m B at s = +-2 (K = 1) or from its two
-roots (K = 2).
+rule does not resolve subtracted.  An ARMA model with K = 1 has an exact law
+instead: with s = 2 cos w, f is a ratio of polynomials of degree 1 in s, and
+the integrals follow from E = A + m B at s = +-2.
 
 Every law is read directly, and exactly, through the (T, T') evaluator
 ``terms``, the imaginary part of the log potential ``potential``, the ``mean``
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import copy
 import math
 import warnings
 
@@ -246,12 +246,13 @@ class AbsContinuousLSD(Rule):
     With lam = -1/m these have a pole at each root s_c of f = lam in
     s = 2 cos w, where f = B(s) / A(s) (2 - s)^(-d) (``_cosine_poly``).  Where
     a pole lies nearer the axis than the nodes resolve (``_poles``, searched
-    from one node on each monotone branch of f), the rule's sums take its
-    principal part, a multiple of 1/(s - s_c) (and of its square for T'), out
-    at the nodes and add back its exact mean, g(s_c) = -1/sqrt(s_c^2 - 4)
-    (and g'); the potential does so with log(s - s_c), whose mean is
-    log(-1/zeta_c).  So no pole costs accuracy, and the law is exact on its
-    nodes.  It holds no state between calls: threads can share it.
+    on each monotone branch of f), the rule's sums take its principal part,
+    a multiple of 1/(s - s_c) (and of its square for T'), out at the nodes
+    and add back its exact mean, g(s_c) = -1/sqrt(s_c^2 - 4) (and g'); the
+    potential does so with log(s - s_c), whose mean is log(-1/zeta_c), and
+    ``mean`` with the poles of f itself (``_pole_free_mean``).  So no pole
+    costs accuracy, and the law is exact on its nodes.  It holds no state
+    between calls: threads can share it.
     """
 
     kind = "szego"
@@ -259,11 +260,15 @@ class AbsContinuousLSD(Rule):
     def __init__(self, f):
         if not isinstance(f, SpectralDensity):
             raise TypeError("AbsContinuousLSD expects a SpectralDensity, which is even about pi")
-        self.f, h = f, 3.2 / RULE_STEPS
+        self.f, h, n = f, 3.2 / RULE_STEPS, 2 * RULE_STEPS + 1
         t = np.arange(-RULE_STEPS, RULE_STEPS + 1) * h
         e = np.exp(math.pi * np.sinh(t))
-        # w and pi - w at the nodes, each to full relative accuracy, u = 2 - s, v = 2 + s
-        w, rest = math.pi * e / (1.0 + e), math.pi / (1.0 + e)
+        # the pole search starts at the nodes and at the stationary points of f inside (0, pi):
+        # w and pi - w there, each to full relative accuracy, u = 2 - s, v = 2 + s
+        bps, vals = f.breakpoints, f.breakpoint_values
+        inner = bps[(0.0 < bps) & (bps < math.pi)]
+        w = np.concatenate([math.pi * e / (1.0 + e), inner])
+        rest = np.concatenate([math.pi / (1.0 + e), math.pi - inner])
         u, v, near = 4.0 * np.sin(0.5 * w) ** 2, 4.0 * np.sin(0.5 * rest) ** 2, w < 0.5 * math.pi
         # B and A in u and in v (s = 2 - u = v - 2), of one length, highest power first
         B, A = (np.polynomial.Polynomial(_cosine_poly(r)) for r in (f.ma_acov, f.ar_acov))
@@ -275,15 +280,16 @@ class AbsContinuousLSD(Rule):
             with np.errstate(divide="ignore", invalid="ignore"):  # where f = 0, L' is infinite
                 ratio[side], ra[side], aa[side], slope[side], curve[side] = _slopes(polys, x[side], kappa, u[side], f.d)
         values = ratio * u**-f.d
-        super().__init__(values, h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2)
-        self.top, self._u, self._v = support_bounds(f)[1], u, v
+        super().__init__(values[:n], h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2)
+        self.top, self._u, self._v = support_bounds(f)[1], u[:n], v[:n]
+        self.mean = self._pole_free_mean()
         # the search runs in x = log u near s = 2, which keeps the digits of a root at u ~ 1e-29
         # and, for d != 0, its sheet of u^(-d), and in x = v elsewhere.  A pole within 8 steps in t
         # of its start is taken out, |ds/dt| = 2 sin(w) cosh(t) w (pi - w); the quadratic model of
         # F = log(f/lam) in x has no root that near where |F| > |F'| reach + |F''| reach^2 / 2
         jac, bend = np.where(near, -u, 1.0), np.where(near, -u, 0.0)  # ds/dx, d2s/dx2
         reach = 16.0 * h * np.sin(np.minimum(w, rest)) * np.hypot(1.0, np.log(w / rest) / math.pi) * w * rest / abs(jac)
-        # where f = 0, L' is infinite and these are NaN; _poles picks index >= 1 there, so no search starts there
+        # where f = 0, L' is infinite and these are NaN; _poles starts no search there
         with np.errstate(invalid="ignore"):
             F1, F2 = jac * slope, jac * jac * curve + bend * slope
             bound = np.abs(F1) * reach + 0.5 * np.abs(F2) * reach**2
@@ -295,15 +301,41 @@ class AbsContinuousLSD(Rule):
         x = np.where(near, np.log(u), v)
         starts = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, reach, near, x))))
         # each monotone branch of f, the run of nodes between its stationary points in (0, pi), by
-        # rising f: (f, search starts, sign of df/ds); f at the breakpoints 0, those points and pi
-        # says which way it runs
-        bps, vals = f.breakpoints, f.breakpoint_values
-        cuts = np.searchsorted(w, bps[(0.0 < bps) & (bps < math.pi)]).tolist()
+        # rising f: (f, search starts, sign of df/ds, starts at its stationary ends); f at the
+        # breakpoints 0, those points and pi says which way it runs
+        cuts = np.searchsorted(w[:n], inner).tolist()
         self._branches = []
-        for j, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, w.size])):
+        for j, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, n])):
             step = -1 if vals[j + 1] < vals[j] else 1  # falling in w, so rising in s
+            ends = [starts[n + i] for i in (j - 1, j) if 0 <= i < inner.size][::step]
             if lo < hi:
-                self._branches.append((values[lo:hi].tolist()[::step], starts[lo:hi][::step], float(-step)))
+                self._branches.append((values[lo:hi].tolist()[::step], starts[lo:hi][::step], float(-step), ends))
+
+    def _pole_free_mean(self):
+        """The mean of f, exact where the nodes miss an interior peak of f.
+
+        At each zero s_A of A off the real axis, f = B/A u^(-d) has the pole c / (s - s_A),
+        c = B u^(-d) / (dA/ds).  Its sum on the nodes is swapped for its exact mean,
+        -c / sqrt(s_A^2 - 4) (as in ``_poles``), so a peak sharper than the nodes' spacing, at an
+        AR root near the unit circle, keeps its mass.  Each zero is held in u, or in v where it
+        lies nearer s = -2, and s - s_A at the nodes is taken in that variable.  A double zero
+        leaves its peak's mass inexact: the mean is only the cold start's level.
+        """
+        mean, d = complex(self.mean), self.f.d
+        for root in np.roots(self._polys[0][1]).tolist():
+            if root.imag == 0.0:
+                continue  # a peak at w = 0 or pi, where the nodes cluster
+            near = root.real <= 2.0
+            (B, A), x = self._polys[1 - near], root if near else 4.0 - root
+            for _ in range(0 if near else 2):  # Newton in v, where u's root keeps fewer digits
+                x -= np.polyval(A, x) / np.polyval(np.polyder(A), x)
+            ua, va = (x, 4.0 - x) if near else (4.0 - x, x)
+            s, r = 2.0 - ua if near else va - 2.0, cmath.sqrt(-ua * va)
+            r = -r if (s.conjugate() * r).real < 0.0 else r
+            c = np.polyval(B, x) * ua**-d / (np.polyval(np.polyder(A), x) * (-1.0 if near else 1.0))  # ds/du = -1
+            q = x - self._u if near else self._v - x  # s - s_A at the nodes
+            mean -= c * (self.weights.dot(1.0 / q) + 1.0 / r)
+        return mean.real
 
     # called by nothing in specmp: the benchmark's tracer (perfbench/tracing.py) patches it by name
     def rule(self):
@@ -320,21 +352,26 @@ class AbsContinuousLSD(Rule):
         df/ds on its branch where Im lam > 0; at a real lam (the edge's
         bisection) a real root counts too.  The search starts at the branch's
         node nearest |lam| in log f, as f spans decades on a sharp peak's
-        flanks, and takes one Cauchy step, on the quadratic model of
-        N = A (f - lam) in x, then Newton on N.
+        flanks, and where that finds no root, at the branch's stationary ends
+        inside (0, pi), as a peak may be sharper than the nodes' spacing.  It
+        takes one Cauchy step, on the quadratic model of N = A (f - lam) in x,
+        then Newton on N.
         """
         level, out = abs(lam), []
-        for values, starts, sign in self._branches:
+        for values, starts, sign, ends in self._branches:
             i = bisect.bisect_left(values, level)
             if i == len(values) or (i and level * level < values[i - 1] * values[i]):
                 i -= 1
-            start = starts[i]
-            if abs(cmath.log(start[0] / lam)) > start[5]:
-                continue  # no root of the quadratic model of log(f/lam) within reach
-            pole = self._root(lam, sign, *start)
-            # a search may reach another branch's root, on the same side, in u or in v
-            if pole and not any(abs(q[1] - pole[1]) <= 1e-9 * abs(pole[2]) + 1e-14 for q in out):
-                out.append(pole)
+            for start in (starts[i], *ends):
+                # none where f = 0, and none where the quadratic model of log(f/lam) has no root within reach
+                if not start[0] or abs(cmath.log(start[0] / lam)) > start[5]:
+                    continue
+                pole = self._root(lam, sign, *start)
+                if pole:
+                    # a search may reach another branch's root, on the same side, in u or in v
+                    if not any(abs(q[1] - pole[1]) <= 1e-9 * abs(pole[2]) + 1e-14 for q in out):
+                        out.append(pole)
+                    break
         return out
 
     def _root(self, lam, sign, fk, k1, c1, k2, c2, bound, reach, near, x):
@@ -429,76 +466,26 @@ def _cosine_poly(r):
 
 
 def _exact_coeffs(f):
-    """A and B (``_cosine_poly``) padded to K + 1 terms where the exact law solves f (d = 0, K = 1 or 2), else None."""
+    """A and B (``_cosine_poly``) padded to two terms where the exact law solves f (d = 0, K = 1), else None."""
     A, B = _cosine_poly(f.ar_acov), _cosine_poly(f.ma_acov)
     k = max(A.size, B.size)
-    return [tuple(np.pad(c, (0, k - c.size)).tolist()) for c in (A, B)] if f.d == 0.0 and 2 <= k <= 3 else None
+    return [tuple(np.pad(c, (0, 2 - c.size)).tolist()) for c in (A, B)] if f.d == 0.0 and k == 2 else None
 
 
 def _off_axis(m):
-    # T is analytic where E = A + m B loses its degree or has a double root; only
-    # the root form is singular there, so it is evaluated an ulp above the axis
+    # T is analytic where E = A + m B has its root at s = +-2; only the form in
+    # W = sqrt(E(2) E(-2)) is singular there, so it is evaluated an ulp above the axis
     return complex(m.real, m.imag + 2.0**-52 * max(1.0, abs(m)))
 
 
-def _small_root(s):
-    """The root inside the unit disk of zeta^2 - s zeta + 1, for s off [-2, 2]."""
-    w = cmath.sqrt((s - 2.0) * (s + 2.0))
-    return 2.0 / (s + w if (s.conjugate() * w).real >= 0.0 else s - w)
-
-
-def _g(zeta):
-    """(g, dg/ds) at s = zeta + 1/zeta for g(s) = (1/2 pi) int dw / (2 cos w - s) = zeta / (zeta^2 - 1)."""
-    z2 = zeta * zeta
-    q = z2 - 1.0
-    return zeta / q, -z2 * (z2 + 1.0) / (q * q * q)
-
-
-def _h(zeta):
-    """(h, dh/ds) for h = g + 1/s = 2 zeta^3 / (zeta^4 - 1), which falls like -2/s^3 as s grows."""
-    z2 = zeta * zeta
-    q = z2 * z2 - 1.0
-    return 2.0 * zeta * z2 / q, -2.0 * z2 * z2 * (z2 * z2 + 3.0) / (q * q * (z2 - 1.0))
-
-
-def _g_dd(z1, z2):
-    """The divided difference (g(s1) - g(s2)) / (s1 - s2), free of cancellation as s2 -> s1."""
-    p = z1 * z2
-    return -(1.0 + p) * p / ((z1 * z1 - 1.0) * (z2 * z2 - 1.0) * (p - 1.0))
-
-
-def _h_dd(z1, z2):
-    """The divided difference (h(s1) - h(s2)) / (s1 - s2), free of cancellation as s2 -> s1."""
-    p, q1, q2 = z1 * z2, z1 * z1, z2 * z2
-    return -2.0 * (p * p * p + q1 + p + q2) * p / ((q1 * q1 - 1.0) * (q2 * q2 - 1.0) * (p - 1.0))
-
-
 class ExactARMALSD:
-    """Toeplitz eigenvalue limit of an ARMA model with K = max(p, q) <= 2, in closed form.
+    """Toeplitz eigenvalue limit of an ARMA model with K = max(p, q) = 1, in closed form.
 
     With s = 2 cos w, |phi|^2 = A(s) and |theta|^2 = B(s) are polynomials of
-    degree at most K (``_cosine_poly``), and T(m) = (1/2 pi) int B / E dw with
-    E = A + m B.  For K = 1, T, the potential and max f follow from E at
-    s = +-2 (``_terms1``).  For K = 2, T needs the two roots s_j of E: in
-    partial fractions B/E = c_inf + sum_j c_j / (s - s_j), with
-    c_j = B(s_j) / E'(s_j), and the mean of 1 / (s - s_j) over w is g(s_j)
-    (``_g``), so T = c_inf + sum_j c_j g(s_j).  T' follows from
-    ds_j/dm = -c_j, dc_j/dm = c_j (c_j E'' - 2 B'(s_j)) / E'(s_j) and
-    dc_inf/dm = -c_inf^2.  Two forms keep T accurate:
-
-    - a root far from [-2, 2] takes h = g + 1/s (``_h``) and hands
-      -c_j / s_j to c_inf, which becomes the value at s = 0 of B/E less the
-      other roots' fractions; so c_inf does not cancel against c_j g(s_j)
-      where E's leading coefficient is small and s_j runs off to infinity
-      (``_terms2`` says how far is far);
-    - two roots of one form sum as the divided difference of B g (or B h),
-      which stays accurate at a near double root.
-
-    The log potential, the mean of log(1 + m f) = log E - log A, is then
-    log lead(E) + sum_j log(-1/zeta_j) up to a real constant and 2 pi i k, so
-    its imaginary part needs only E's roots.  The law has ``terms``,
-    ``potential``, ``mean`` and ``top`` (max f), and no nodes.  It holds its
-    spectral density as ``f``.
+    degree 1 (``_cosine_poly``), and T(m) = (1/2 pi) int B / E dw with
+    E = A + m B.  T, T', the potential and ``top`` (max f) follow from E at
+    s = +-2 (:meth:`terms`), with no root of E; ``mean`` is T(0).  The law has
+    no nodes.  It holds its spectral density as ``f``.
     """
 
     kind = "exact"
@@ -506,100 +493,59 @@ class ExactARMALSD:
     def __init__(self, f):
         coeffs = _exact_coeffs(f)
         if coeffs is None:
-            raise ValueError("the exact law needs d = 0 and 1 <= max(p, q) <= 2")
+            raise ValueError("the exact law needs d = 0 and max(p, q) = 1")
         self.f, (self._a, self._b) = f, coeffs
-        if len(self._a) == 2:
-            # A and B at s = +-2, each free of cancellation; max f is B/A at one of them
-            a, b = self._a[1], self._b[1]
-            A2, Am2, B2, Bm2 = (1.0 + a) ** 2, (1.0 - a) ** 2, (1.0 + b) ** 2, (1.0 - b) ** 2
-            self._k1 = (A2, Am2, B2, Bm2, a, b, 1.0 + b * b, (a - b) * (1.0 - a * b))
-            self.terms, self.potential, self.top = self._terms1, self._potential1, max(B2 / A2, Bm2 / Am2)
-        else:
-            self.terms, self.potential = self._terms2, self._potential2
-            self.top = support_bounds(f)[1]
+        # A and B at s = +-2, each free of cancellation; max f is B/A at one of them
+        a, b = self._a[1], self._b[1]
+        A2, Am2, B2, Bm2 = (1.0 + a) ** 2, (1.0 - a) ** 2, (1.0 + b) ** 2, (1.0 - b) ** 2
+        self._k1 = (A2, Am2, B2, Bm2, a, b, 1.0 + b * b, (a - b) * (1.0 - a * b))
+        self.top = max(B2 / A2, Bm2 / Am2)
         self.mean = self.terms(0.0)[0].real
 
-    def _roots(self, m):
-        """(E's coefficients e_0, e_1, e_2, E's roots (s_j, zeta_j), least |s| first) for K = 2.
+    def _scaled(self, m):
+        """(c, the law of c f) for the power of 2 c at |m|: its T at m/c is c T(m), and E(2) E(-2) stays finite."""
+        c, law, (A2, Am2, B2, Bm2, a, b, b0, kappa) = 2.0 ** math.frexp(abs(m))[1], copy.copy(self), self._k1
+        law._k1 = (A2 / c, Am2 / c, B2, Bm2, a / c, b, b0, kappa / c)
+        return c, law
 
-        Where E loses its degree, has a double root or a root at s = +-2, m moves off the
-        axis (``_off_axis``).
-        """
-        e0, e1, e2 = e = [a + m * b for a, b in zip(self._a, self._b)]
-        w = cmath.sqrt(e1 * e1 - 4.0 * e2 * e0)
-        if e2 == 0.0 or w == 0.0:
-            return self._roots(_off_axis(m))
-        q = -0.5 * (e1 + w if (e1.conjugate() * w).real >= 0.0 else e1 - w)
-        roots = [(s, _small_root(s)) for s in (e0 / q, q / e2)]
-        if any(zeta * zeta == 1.0 for _, zeta in roots):  # a root at s = +-2, an end of [-2, 2]
-            return self._roots(_off_axis(m))
-        return e, roots
-
-    def _terms1(self, m):
-        """(T, T') at m for K = 1, written out, as it runs once a sweep.
+    def terms(self, m):
+        """(T, T') at m, written out, as it runs once a sweep.
 
         P = E(2) and Q = E(-2) take A(+-2) = (1 +- a)^2, which keeps its digits at a unit root,
         where A = r_0 + r_1 s cancels.  The mean of 1/E is 1/W, W = sqrt(P Q) with Re(conj(e0) W) >= 0
         for e0 = (P + Q)/2, and B/E = b/e1 + kappa/(e1 E), e1 = a + m b, so T = (b W + kappa)/(e1 W).
         Where b W cancels kappa (e1 -> 0, E's root running off), T is that form times
-        (b W - kappa)/(b W - kappa), which takes the factor e1 out.
+        (b W - kappa)/(b W - kappa), which takes the factor e1 out.  Beyond |m| = 1e150, where P Q
+        overflows, T comes from the law of c f (``_scaled``).
         """
+        if not abs(m) < 1e150:
+            c, law = self._scaled(m)
+            t, tp = law.terms(m / c)
+            return t / c, tp / c / c
         A2, Am2, B2, Bm2, a, b, b0, kappa = self._k1
         P, Q = A2 + m * B2, Am2 + m * Bm2
         W = cmath.sqrt(P * Q)
         if W == 0.0:  # E's root at s = +-2, an end of [-2, 2]
-            return self._terms1(_off_axis(m))
+            return self.terms(_off_axis(m))
         e0, e1, dPQ = 0.5 * (P + Q), a + m * b, B2 * Q + P * Bm2
         if (e0.conjugate() * W).real < 0.0:
             W = -W
         Wp = 0.5 * dPQ / W
         if kappa * b * W.real >= 0.0:
-            return (b * W + kappa) / (e1 * W), -(b * b + kappa * (b * W + e1 * Wp) / (W * W)) / (e1 * e1)
+            return (b * W + kappa) / (e1 * W), -(b * b + kappa * (b * W + e1 * Wp) / (W * W)) / e1 / e1
         D, BB = W * (b * W - kappa), B2 * Bm2
         t = (e1 * BB - 2.0 * b0 * kappa) / D
         return t, (b * BB - t * (b * dPQ - kappa * Wp)) / D
 
-    def _terms2(self, m):
-        """(T, T') at m for K = 2, from the roots s1, s2 of E, |s1| <= |s2|.
-
-        Both roots take h when |s1| > 2, and only s2 when |s1| <= 2 < 4 < |s2|,
-        which keeps the two forms' roots apart.
-        """
-        (e0, e1, e2), ((s1, z1), (s2, z2)) = self._roots(m)
-        b0, b1, b2 = self._b
-        B1, B2 = b0 + s1 * (b1 + s1 * b2), b0 + s2 * (b1 + s2 * b2)
-        E1 = e2 * (s1 - s2)  # E'(s1) = -E'(s2)
-        c1, c2 = B1 / E1, -B2 / E1
-        cp1 = 2.0 * c1 * (e2 * c1 - b1 - 2.0 * b2 * s1) / E1
-        cp2 = -2.0 * c2 * (e2 * c2 - b1 - 2.0 * b2 * s2) / E1
-        if abs(s1) > 2.0:
-            (k1, kp1), (k2, kp2) = _h(z1), _h(z2)
-            d = b0 / e0
-            t, dp = d + (B1 * _h_dd(z1, z2) + (b1 + b2 * (s1 + s2)) * k2) / e2, -d * d
-        elif abs(s2) > 4.0:
-            # c_inf - c2 / s2, and its slope, with the far root's cancellation done by hand
-            (k1, kp1), (k2, kp2) = _g(z1), _h(z2)
-            d = (b2 * s1 + b1 + b0 / s2) / E1
-            dp = -(b2 * c1 - b0 * c2 / (s2 * s2) + d * (2.0 * b2 * s1 + b1 + 2.0 * B1 / (s2 - s1))) / E1
-            t = d + c1 * k1 + c2 * k2
-        else:
-            (k1, kp1), (k2, kp2) = _g(z1), _g(z2)
-            d = b2 / e2
-            t, dp = d + (B1 * _g_dd(z1, z2) + (b1 + b2 * (s1 + s2)) * k2) / e2, -d * d
-        return t, dp + cp1 * k1 + cp2 * k2 - c1 * c1 * kp1 - c2 * c2 * kp2
-
-    def _potential1(self, m):
-        """Im of the log potential for K = 1: the mean of log E is log((e0 + W)/2), in (0, pi) for Im m > 0."""
+    def potential(self, m):
+        """Im of the log potential: the mean of log E is log((e0 + W)/2), in (0, pi) for Im m > 0."""
+        if not abs(m) < 1e150:
+            c, law = self._scaled(m)
+            return law.potential(m / c)
         A2, Am2, B2, Bm2 = self._k1[:4]
         P, Q = A2 + m * B2, Am2 + m * Bm2
         W, e0 = cmath.sqrt(P * Q), 0.5 * (P + Q)
         return cmath.phase(e0 + W if (e0.conjugate() * W).real >= 0.0 else e0 - W)
-
-    def _potential2(self, m):
-        """Im of the log potential, the integral of log(1 + lam m), in [0, pi) for Im m > 0."""
-        e, roots = self._roots(m)
-        v = cmath.phase(e[-1]) - sum(cmath.phase(-zeta) for _, zeta in roots)
-        return v - TWO_PI * math.floor(v / TWO_PI + 0.25)
 
 
 def atomic_lsd(density):
@@ -628,9 +574,9 @@ def gamma_lsd(model):
 
     A PiecewiseSpectralDensity gives an AtomicLSD.  An ARMAModel gives one atom
     when its SpectralDensity f is constant to within ``_level_atol(f)``; else
-    the ExactARMALSD of f where it solves f (``_exact_coeffs``), which needs
-    no nodes; else the AbsContinuousLSD of f, on its tanh-sinh rule.
-    ModelSpecError refuses three
+    the ExactARMALSD of f for d = 0 and K = max(p, q) = 1 (``_exact_coeffs``),
+    which needs no nodes; else, K >= 2 or d != 0, the AbsContinuousLSD of f,
+    on its tanh-sinh rule.  ModelSpecError refuses three
     cases.  For d > 0 (long memory) the limit law exists (Merlevède & Peligrad,
     Stoch. Process. Appl. 126, 2016), but f is unbounded at 0 and so is the
     law's support, which nothing here tabulates yet.  (max f)^2 must be finite.

@@ -115,10 +115,11 @@ class TestLsdDensityCommand:
         [
             (WHITE, "atoms"),
             (ARMA11, "exact"),
+            ('{"type": "arma", "ma": [1, 0.5]}', "szego"),
             ('{"type": "arma", "ar": [0.6, -0.3], "ma": [0.4, 0.2, -0.1]}', "szego"),
             ('{"type": "farima", "d": -0.25}', "szego"),
         ],
-        ids=["white", "arma11", "arma23", "farima"],
+        ids=["white", "arma11", "ma2", "arma23", "farima"],
     )
     def test_sidecar_names_the_law_it_solved_on(self, spec, law, tmp_path):
         out = tmp_path / "t"
