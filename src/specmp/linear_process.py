@@ -4,9 +4,9 @@ A causal linear process X_t = sum_{j>=0} c_j Z_{t-j} is described by an ARMA
 difference equation of fractional order d (``ARMAModel``; FARIMA when d != 0).
 This module exposes the truncated moving-average expansion c_0..c_J and the
 autocovariances gamma(h) = sum_j c_j c_{j+h} it gives.  ``SpectralDensity``
-evaluates the closed-form density of a model, and its derivative, from
-the autocovariances of (1, ma) and (1, ar); a piecewise-constant density is a
-model in its own right.  Models take numbers, not text or booleans, as
+evaluates the closed-form density of a model, and its slopes, from the
+reciprocal zeros of its AR and MA polynomials; a piecewise-constant density is
+a model in its own right.  Models take numbers, not text or booleans, as
 coefficients, orders, piece bounds and levels, with (1 + sum |c_k|)^2 finite;
 nothing here is estimated from data or fitted.
 """
@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 __all__ = [
     "ModelSpecError",
@@ -50,12 +50,28 @@ def _reals(values, name):
         raise ModelSpecError(f"{name} must be numeric: {exc}") from exc
 
 
-def _ar_roots_outside_unit_disk(ar):
-    """True when all zeros of 1 + a_1 z + ... + a_p z^p lie outside |z| <= 1."""
-    # their reciprocals are the zeros of z^p + a_1 z^(p-1) + ... + a_p, whose
-    # companion matrix stays finite however small a_p is
-    roots = np.roots(np.concatenate([[1.0], np.asarray(ar, dtype=float)]))
-    return roots.size == 0 or float(np.max(np.abs(roots))) < 1.0
+def _newton_step(poly, z):
+    """P(z)/P'(z) for the polynomial P (highest power first) at the complex float z, in fractions, rounded once."""
+    x, y, p, q = Fraction(z.real), Fraction(z.imag), (Fraction(0),) * 2, (Fraction(0),) * 2
+    for c in poly:
+        q = (q[0] * x - q[1] * y + p[0], q[0] * y + q[1] * x + p[1])
+        p = (p[0] * x - p[1] * y + Fraction(c), p[0] * y + p[1] * x)
+    den = q[0] * q[0] + q[1] * q[1]
+    return complex(float((p[0] * q[0] + p[1] * q[1]) / den), float((p[1] * q[0] - p[0] * q[1]) / den)) if den else 0j
+
+
+def _reciprocal_zeros(coeffs):
+    """The reciprocal zeros rho_k of c(z) = 1 + c_1 z + ... + c_n z^n, so that c(z) = prod_k (1 - rho_k z).
+
+    They are the zeros of z^n + c_1 z^(n-1) + ... + c_n (whose companion matrix stays finite however small
+    c_n is), each polished by two exact Newton steps to about an ulp; a step longer than 1e-3 (1 + |rho|),
+    as from a zero that underflowed to 0, is no polish and is not taken.
+    """
+    poly = [1.0, *coeffs]
+    rho = np.roots(poly).astype(complex).tolist()
+    for _ in range(2):
+        rho = [r - dr if abs(dr) <= 1e-3 * (1.0 + abs(r)) else r for r, dr in ((r, _newton_step(poly, r)) for r in rho)]
+    return np.array(rho, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,7 @@ class ARMAModel:
             if not math.isfinite(bound * bound):
                 raise ModelSpecError(f"{name} coefficients must be finite, with (1 + sum |c_k|)^2 finite")
             object.__setattr__(self, name, coeffs)
-        if not _ar_roots_outside_unit_disk(self.ar):
+        if np.any(np.abs(_reciprocal_zeros(self.ar)) >= 1.0):
             raise ModelSpecError(
                 "autoregressive polynomial must have all zeros outside the closed unit disk"
             )
@@ -151,79 +167,97 @@ def autocovariances(coeffs, max_lag):
     return np.correlate(c, c, "full")[c.size - 1 : c.size + int(max_lag)]
 
 
-def _cosine_sum(r, w, slope=False):
-    # r_0 + 2 sum_h r_h cos(h w), or its slope -2 sum_h h r_h sin(h w); with no
-    # harmonics the empty matmul gives exactly r_0 and 0
-    h = np.arange(1.0, r.size)
-    if slope:
-        return -2.0 * (np.sin(np.multiply.outer(w, h)) @ (h * r[1:]))
-    return r[0] + 2.0 * (np.cos(np.multiply.outer(w, h)) @ r[1:])
-
-
 class SpectralDensity:
-    """Spectral density f of an ARMA or FARIMA model on [0, 2*pi].
+    """Spectral density f of an ARMA or FARIMA model on [0, 2*pi], in one root form.
 
-    f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 * (2 - 2 cos w)^(-d), with the
-    model's d, and f' come from one evaluator of the closed form; no Fourier
-    truncation is involved.  |theta|^2 and |phi|^2 are cosine sums
-    r_0 + 2 sum_h r_h cos(h w) whose coefficients, the read-only arrays
-    ``ma_acov`` and ``ar_acov``, are the autocovariances of (1, ma) and
-    (1, ar).  That form is kept because it is exact where the cosines are: for
-    theta(z) = 1 + z it gives f(pi) = 0 exactly (complex arithmetic leaves
-    about 7e-33), and f'(0) = 0.  Each sum has an absolute error of about
-    eps * r_0, so f loses relative accuracy where |phi|^2 is small, at sharp
-    AR peaks: up to 1.3e-11 for ar = (0.80078125, -0.1953125) near pi.  The
-    read-only ``breakpoints`` split [0, 2*pi] into branches on which f is
-    monotone, and ``breakpoint_values`` is f there (inf or negative where
-    |phi|^2 rounds to <= 0).  Instances are immutable in practice and safe to
-    share across threads.
+    f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 * u^(-d), u = 2 - 2 cos w.  The read-only complex arrays
+    ``ma_roots`` and ``ar_roots`` hold the reciprocal zeros rho of theta and phi, theta(z) = prod (1 - rho z),
+    each giving the factor |1 - rho e^{iw}|^2 = (1 - rho)^2 + rho u = (1 + rho)^2 - rho v, v = 4 - u, taken in
+    u where w < pi/2 and in v elsewhere.  So f cannot come out negative, is exact at rho = 0 and at a zero of
+    theta at w = 0 or pi, and at a sharp AR peak loses about eps / |1 - |rho||, where a cosine sum loses
+    eps / (1 - |rho|)^2.  f, its slopes and the poles of f / (f - lam) all come from this form (``_slopes``).
+    The read-only ``breakpoints`` split [0, 2*pi] into branches on which f is monotone, and
+    ``breakpoint_values`` is f there.  Instances are immutable in practice and safe to share across threads.
     """
 
     def __init__(self, model):
         if not isinstance(model, ARMAModel):
             raise TypeError(f"unsupported model type {type(model).__name__}")
         self.d = model.d
-        self.ma_acov, self.ar_acov = (autocovariances((1.0, *c), len(c)) for c in (model.ma, model.ar))
-        # With x = cos w and u = 2 - 2x, f'(w) = -sin w * u^(-d-1) * Q(x) / A(x)^2,
-        # where B and A are |theta|^2 and |phi|^2 as Chebyshev series in x and
-        # Q = (B' A - B A') u + 2d B A.  So the breakpoints are 0, pi and 2*pi
-        # (f is even about pi), and arccos x and 2*pi - arccos x for every real
-        # root x of Q in (-1, 1).  [r_0, 2 r_1, ...] / r_0: the roots of Q ignore
-        # scale, and r_0 >= |r_h| keeps Q finite
-        B, A = (np.concatenate([[1.0], 2.0 * r[1:] / r[0]]) for r in (self.ma_acov, self.ar_acov))
-        Q = cheb.chebsub(cheb.chebmul(cheb.chebder(B), A), cheb.chebmul(B, cheb.chebder(A)))
-        if self.d != 0.0:
-            Q = cheb.chebadd(cheb.chebmul(Q, [2.0, -2.0]), 2.0 * self.d * cheb.chebmul(B, A))
-        # top coefficients at rounding level (they cancel when p = q) would give
-        # roots of huge norm and spoil the accuracy of the others
-        x = cheb.chebroots(cheb.chebtrim(Q, 1e-14 * np.max(np.abs(Q))))
-        t = np.arccos(x.real[(np.abs(x.imag) <= 1e-9) & (np.abs(x.real) < 1.0)])
+        self.ma_roots, self.ar_roots = (_reciprocal_zeros(c) for c in (model.ma, model.ar))
+        # (rho, of phi) for each factor but rho = 0, which gives 1; in u or v it is c + k x
+        rhos = [(r if r.imag else r.real, ar) for ar, z in enumerate((self.ma_roots.tolist(), self.ar_roots.tolist()))
+                for r in z if r]
+        self._factors = {True: [((1.0 - r) ** 2, r, r, ar) for r, ar in rhos],
+                         False: [((1.0 + r) ** 2, -r, r, ar) for r, ar in rhos]}
+        # f'(w) = -2 sin(w) f L', L' = B'/B - A'/A + d/u in s for B and A the products of theta's and phi's
+        # factors (scaled by (1 + |rho|)^2, which their zeros ignore).  So the breakpoints are 0, pi and 2*pi
+        # (f is even about pi), and w and 2*pi - w at each real zero in (-2, 2) of
+        # Q = (B'A - BA') u^[d != 0] + d BA, polished by two Newton steps on L' in u (s >= 0) or v
+        P = np.polynomial.Polynomial
+        B, A = (np.prod([P([1.0 + r * r, -r]) / (1.0 + abs(r)) ** 2 for r, a in rhos if a == ar] + [P([1.0])])
+                for ar in (0, 1))
+        Q = B.deriv() * A - B * A.deriv()
+        Q = (Q * P([2.0, -1.0]) + self.d * B * A if self.d else Q).coef.real
+        # top coefficients at rounding level (they cancel when p = q) would give zeros of huge norm
+        s = P(Q).trim(1e-14 * np.max(np.abs(Q))).roots() if np.any(Q) else np.empty(0)
+        s = s.real[(np.abs(s.imag) <= 2e-9) & (np.abs(s.real) < 2.0)]
+        near, x = s >= 0.0, 2.0 - np.abs(s)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(2):
+                *_, l1, l2 = self._slopes(x, near)
+                step = np.real(l1 / l2) * np.where(near, 1.0, -1.0)
+                x = np.where(np.isfinite(step), x + step, x)
+        t = 2.0 * np.arcsin(np.sqrt(np.clip(x, 0.0, 4.0)) / 2.0)
+        t = np.where(near, t, math.pi - t)
+        t = t[(0.0 < t) & (t < math.pi)]
         self.breakpoints = np.sort(np.concatenate([[0.0, math.pi, TWO_PI], t, TWO_PI - t]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.breakpoint_values = np.asarray(self(self.breakpoints), dtype=float)
-        for arr in (self.ma_acov, self.ar_acov, self.breakpoints, self.breakpoint_values):
+        self.breakpoint_values = np.asarray(self(self.breakpoints), dtype=float)
+        for arr in (self.ma_roots, self.ar_roots, self.breakpoints, self.breakpoint_values):
             arr.setflags(write=False)
 
+    def _slopes(self, x, near, skip=None):
+        """(B/A, A'/A, A''/A, L', L'') at x = u (near s = 2) or v: L = log f, slopes in s = 2 cos w.
+
+        Each factor F = c + k x of B = |theta|^2 or A = |phi|^2 adds -+rho/F
+        to L' (dF/ds = -rho) and -+(rho/F)^2 to L''; u^(-d), left out of B/A,
+        adds d/u and d/u^2.  ``skip`` leaves one factor out.  x is a scalar,
+        real or complex, or an array, and so are the results (complex where a
+        rho is, with Im at rounding level on the real axis).  An array ``near``
+        picks the form point by point.
+        """
+        if not isinstance(near, bool):
+            return np.where(near, self._slopes(x, True, skip), self._slopes(x, False, skip))
+        zero = 0.0 * x
+        ratio, b1, a1, bb, aa = 1.0 + zero, zero, zero, zero, zero
+        for i, (c, k, rho, ar) in enumerate(self._factors[near]):
+            if i != skip:
+                F = c + k * x
+                r = rho / F
+                if ar:
+                    ratio, a1, aa = ratio / F, a1 - r, aa + r * r
+                else:
+                    ratio, b1, bb = ratio * F, b1 - r, bb + r * r
+        l1, l2 = b1 - a1, aa - bb
+        if self.d:
+            u = x if near else 4.0 - x
+            l1, l2 = l1 + self.d / u, l2 + self.d / (u * u)
+        return ratio, a1, a1 * a1 - aa, l1, l2
+
     def _evaluate(self, omega, slope):
-        # f = (B / A) u^(-d) and f' = ((B' A - B A') / A^2) u^(-d) + (B / A) (u^(-d))'
+        # w reduced to [-pi, pi]: u = 4 sin^2(w/2) and v = 4 sin^2((pi - |w|)/2) keep their relative
+        # accuracy at w = 0 and pi, and f' = -2 sin(w) f L', 0 at a zero of f (a minimum), where L' is infinite
         w = np.asarray(omega, dtype=float)
-        B, A = _cosine_sum(self.ma_acov, w), _cosine_sum(self.ar_acov, w)
-        out = ratio = B / A
-        if slope:
-            Bp, Ap = _cosine_sum(self.ma_acov, w, slope=True), _cosine_sum(self.ar_acov, w, slope=True)
-            out = (Bp * A - B * Ap) / (A * A)
-        if self.d != 0.0:
-            # u = 2 - 2 cos w as 4 sin^2(v/2), v = w reduced to [-pi, pi], so
-            # that u keeps its relative accuracy at w = 0 and w = 2*pi
-            v = w - TWO_PI * np.round(w / TWO_PI)
-            u = 4.0 * np.sin(0.5 * v) ** 2
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out = out * u ** (-self.d)
-                if slope:
-                    out = out + ratio * (-self.d * u ** (-self.d - 1.0) * (2.0 * np.sin(v)))
-                    # at w = 0 and 2*pi the factor has one-sided infinite slopes
-                    edge = np.where(w < math.pi, 1.0, -1.0) * math.copysign(math.inf, -self.d)
-                    out = np.where(u == 0.0, edge, out)
+        r = w - TWO_PI * np.round(w / TWO_PI)
+        near, u = np.abs(r) < 0.5 * math.pi, 4.0 * np.sin(0.5 * r) ** 2
+        x = np.where(near, u, 4.0 * np.sin(0.5 * (math.pi - np.abs(r))) ** 2)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio, _, _, l1, _ = np.real(self._slopes(x, near))
+            f = ratio * u**-self.d
+            out = np.where(f == 0.0, 0.0, -2.0 * np.sin(r) * f * l1) if slope else f
+            if slope and self.d:
+                # at w = 0 and 2*pi the factor u^(-d) has one-sided infinite slopes
+                out = np.where(u == 0.0, np.where(w < math.pi, 1.0, -1.0) * math.copysign(math.inf, -self.d), out)
         return float(out) if w.ndim == 0 else out
 
     def __call__(self, omega):

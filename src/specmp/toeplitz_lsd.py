@@ -18,9 +18,10 @@ tangential when it equals f at a stationary point inside the support; the
 density diverges there.  Integrals against the continuous law of a FARIMA
 model (d != 0), or of an ARMA model with K = max(p, q) >= 2, come from Szegő's
 theorem on one tanh-sinh rule in w, with the poles of the integrand that the
-rule does not resolve subtracted.  An ARMA model with K = 1 has an exact law
-instead: with s = 2 cos w, f is a ratio of polynomials of degree 1 in s, and
-the integrals follow from E = A + m B at s = +-2.
+rule does not resolve subtracted; f, its slopes and those poles all come from
+the root form of ``SpectralDensity``.  An ARMA model with K = 1 has an exact
+law instead: with s = 2 cos w, f is a ratio of polynomials of degree 1 in s,
+and the integrals follow from E = A + m B at s = +-2.
 
 Every law is read directly, and exactly, through the (T, T') evaluator
 ``terms``, the imaginary part of the log potential ``potential``, the ``mean``
@@ -244,15 +245,17 @@ class AbsContinuousLSD(Rule):
     whatever f does at w = 0 and pi: its :class:`Rule` of nodes f(w_k), with
     ``top`` = max f.  T and -T' are the means of f / (1 + f m) and its square.
     With lam = -1/m these have a pole at each root s_c of f = lam in
-    s = 2 cos w, where f = B(s) / A(s) (2 - s)^(-d) (``_cosine_poly``).  Where
-    a pole lies nearer the axis than the nodes resolve (``_poles``, searched
-    on each monotone branch of f), the rule's sums take its principal part,
-    a multiple of 1/(s - s_c) (and of its square for T'), out at the nodes
-    and add back its exact mean, g(s_c) = -1/sqrt(s_c^2 - 4) (and g'); the
-    potential does so with log(s - s_c), whose mean is log(-1/zeta_c), and
-    ``mean`` with the poles of f itself (``_pole_free_mean``).  So no pole
-    costs accuracy, and the law is exact on its nodes.  It holds no state
-    between calls: threads can share it.
+    s = 2 cos w.  Where a pole lies nearer the axis than the nodes resolve
+    (``_poles``, searched on each monotone branch of f), the rule's sums take
+    its principal part, a multiple of 1/(s - s_c) (and of its square for T'),
+    out at the nodes and add back its exact mean, g(s_c) = -1/sqrt(s_c^2 - 4)
+    (and g'); the potential does so with log(s - s_c), whose mean is
+    log(-1/zeta_c), and ``mean`` with the poles of f itself
+    (``_pole_free_mean``).  The node values, the search's steps and each
+    residue 1/L'(s_c) come from f's root form (``SpectralDensity._slopes``),
+    which keeps its relative accuracy beside a sharp peak, where a residue
+    from cosine sums cancelled.  So no pole costs accuracy, and the law is
+    exact on its nodes.  It holds no state between calls: threads can share it.
     """
 
     kind = "szego"
@@ -270,25 +273,22 @@ class AbsContinuousLSD(Rule):
         w = np.concatenate([math.pi * e / (1.0 + e), inner])
         rest = np.concatenate([math.pi / (1.0 + e), math.pi - inner])
         u, v, near = 4.0 * np.sin(0.5 * w) ** 2, 4.0 * np.sin(0.5 * rest) ** 2, w < 0.5 * math.pi
-        # B and A in u and in v (s = 2 - u = v - 2), of one length, highest power first
-        B, A = (np.polynomial.Polynomial(_cosine_poly(r)) for r in (f.ma_acov, f.ar_acov))
-        k = max(B.degree(), A.degree()) + 1
-        self._polys = [[np.pad(c(np.polynomial.Polynomial(x)).coef, (0, k))[:k][::-1].tolist() for c in (B, A)]
-                       for x in ([2, -1], [-2, 1])]
-        ratio, ra, aa, slope, curve = np.empty((5, w.size))
-        for side, polys, x, kappa in ((near, self._polys[0], u, -1.0), (~near, self._polys[1], v, 1.0)):
-            with np.errstate(divide="ignore", invalid="ignore"):  # where f = 0, L' is infinite
-                ratio[side], ra[side], aa[side], slope[side], curve[side] = _slopes(polys, x[side], kappa, u[side], f.d)
+        x = np.where(near, u, v)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # where f = 0, L' is infinite
+            ratio, ra, aa, slope, curve = np.real(f._slopes(x, near))
         values = ratio * u**-f.d
         super().__init__(values[:n], h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2)
         self.top, self._u, self._v = support_bounds(f)[1], u[:n], v[:n]
         self.mean = self._pole_free_mean()
-        # the search runs in x = log u near s = 2, which keeps the digits of a root at u ~ 1e-29
-        # and, for d != 0, its sheet of u^(-d), and in x = v elsewhere.  A pole within 8 steps in t
-        # of its start is taken out, |ds/dt| = 2 sin(w) cosh(t) w (pi - w); the quadratic model of
-        # F = log(f/lam) in x has no root that near where |F| > |F'| reach + |F''| reach^2 / 2
-        jac, bend = np.where(near, -u, 1.0), np.where(near, -u, 0.0)  # ds/dx, d2s/dx2
-        reach = 16.0 * h * np.sin(np.minimum(w, rest)) * np.hypot(1.0, np.log(w / rest) / math.pi) * w * rest / abs(jac)
+        # the search runs in x = u or v, in which f is analytic at the fold ends, but in log u near s = 2
+        # for d != 0, which keeps the digits of a root at u ~ 1e-29 and its sheet of u^(-d).  A pole within
+        # 8 steps in t of its start is taken out, |ds/dt| = 2 sin(w) cosh(t) w (pi - w): R apart in log u or
+        # log v, in which the nodes run evenly into each fold end, so up to x (e^R - 1) apart in x.  The
+        # quadratic model of F = log(f/lam) in x has no root that near where |F| > |F'| reach + |F''| reach^2 / 2
+        logs = near & (f.d != 0.0)
+        jac, bend = np.where(logs, -u, np.where(near, -1.0, 1.0)), np.where(logs, -u, 0.0)  # ds/dx, d2s/dx2
+        R = 16.0 * h * np.sin(np.minimum(w, rest)) * np.hypot(1.0, np.log(w / rest) / math.pi) * w * rest / x
+        reach = np.where(logs, R, x * np.expm1(R))
         # where f = 0, L' is infinite and these are NaN; _poles starts no search there
         with np.errstate(invalid="ignore"):
             F1, F2 = jac * slope, jac * jac * curve + bend * slope
@@ -298,8 +298,8 @@ class AbsContinuousLSD(Rule):
             k1, c1 = jac * ra, jac * fl
             k2 = jac * jac * aa + bend * ra
             c2 = jac * jac * (2.0 * ra * fl + values * (curve + slope * slope)) + bend * fl
-        x = np.where(near, np.log(u), v)
-        starts = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, reach, near, x))))
+        x = np.where(logs, np.log(u), x)
+        starts = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, R, near, logs, x))))
         # each monotone branch of f, the run of nodes between its stationary points in (0, pi), by
         # rising f: (f, search starts, sign of df/ds, starts at its stationary ends); f at the
         # breakpoints 0, those points and pi says which way it runs
@@ -314,26 +314,22 @@ class AbsContinuousLSD(Rule):
     def _pole_free_mean(self):
         """The mean of f, exact where the nodes miss an interior peak of f.
 
-        At each zero s_A of A off the real axis, f = B/A u^(-d) has the pole c / (s - s_A),
-        c = B u^(-d) / (dA/ds).  Its sum on the nodes is swapped for its exact mean,
-        -c / sqrt(s_A^2 - 4) (as in ``_poles``), so a peak sharper than the nodes' spacing, at an
-        AR root near the unit circle, keeps its mass.  Each zero is held in u, or in v where it
-        lies nearer s = -2, and s - s_A at the nodes is taken in that variable.  A double zero
-        leaves its peak's mass inexact: the mean is only the cold start's level.
+        A non-real reciprocal zero rho of phi gives f the pole c / (s - s_A) at u_A = -(1 - rho)^2/rho,
+        v_A = (1 + rho)^2/rho, c = B u^(-d) / (dA/ds), dA/ds = -rho times A's other factors.  Its sum on the
+        nodes is swapped for its exact mean, -c / sqrt(s_A^2 - 4) (as in ``_poles``), so a peak sharper than
+        the nodes' spacing keeps its mass; s - s_A is taken in u, or in v where s_A lies nearer s = -2.  A
+        double zero leaves its peak's mass inexact: the mean is only the cold start's level.
         """
         mean, d = complex(self.mean), self.f.d
-        for root in np.roots(self._polys[0][1]).tolist():
-            if root.imag == 0.0:
+        for i, (_, _, rho, ar) in enumerate(self.f._factors[True]):
+            if not (ar and rho.imag):
                 continue  # a peak at w = 0 or pi, where the nodes cluster
-            near = root.real <= 2.0
-            (B, A), x = self._polys[1 - near], root if near else 4.0 - root
-            for _ in range(0 if near else 2):  # Newton in v, where u's root keeps fewer digits
-                x -= np.polyval(A, x) / np.polyval(np.polyder(A), x)
-            ua, va = (x, 4.0 - x) if near else (4.0 - x, x)
+            ua, va = -((1.0 - rho) ** 2) / rho, (1.0 + rho) ** 2 / rho
+            near = ua.real <= 2.0
             s, r = 2.0 - ua if near else va - 2.0, cmath.sqrt(-ua * va)
             r = -r if (s.conjugate() * r).real < 0.0 else r
-            c = np.polyval(B, x) * ua**-d / (np.polyval(np.polyder(A), x) * (-1.0 if near else 1.0))  # ds/du = -1
-            q = x - self._u if near else self._v - x  # s - s_A at the nodes
+            c = self.f._slopes(ua if near else va, near, skip=i)[0] * ua**-d / -rho
+            q = ua - self._u if near else self._v - va  # s - s_A at the nodes
             mean -= c * (self.weights.dot(1.0 / q) + 1.0 / r)
         return mean.real
 
@@ -374,7 +370,7 @@ class AbsContinuousLSD(Rule):
                     break
         return out
 
-    def _root(self, lam, sign, fk, k1, c1, k2, c2, bound, reach, near, x):
+    def _root(self, lam, sign, fk, k1, c1, k2, c2, bound, reach, near, logs, x):
         """The pole of ``_poles`` from one start, or None: none near, or the search failed."""
         d, kappa = self.f.d, (-1.0 if near else 1.0)  # the sign of ds/dx
         try:
@@ -383,21 +379,23 @@ class AbsContinuousLSD(Rule):
             root = cmath.sqrt(N1 * N1 - 2.0 * N * N2)
             steps = [-2.0 * N / q for q in (N1 + root, N1 - root) if q != 0.0]
             steps = [dx for dx in steps if sign * kappa * dx.imag > 0.0 or dx.imag == lam.imag == 0.0]
-            if not steps or min(map(abs, steps)) > reach:
+            dx = min(steps, key=abs) if steps else math.inf
+            if not abs(dx if logs else cmath.log(1.0 + dx / x)) <= reach:  # R, in log u or log v
                 return None
-            x, prev = x + min(steps, key=abs), math.inf
+            x, prev = x + dx, math.inf
             for _ in range(8):
-                u = cmath.exp(x) if near else 4.0 - x
-                ratio, ra, _, slope, curve = _slopes(self._polys[1 - near], u if near else x, kappa, u, d)
-                gap = ratio * cmath.exp(-d * x) - lam if near else ratio * u**-d - lam
+                e = cmath.exp(x) if logs else x
+                ratio, ra, _, slope, curve = self.f._slopes(e, near)
+                gap = ratio * (cmath.exp(-d * x) if logs else (4.0 - e) ** -d) - lam
                 ds = -gap / ((gap + lam) * slope + ra * gap)
-                dx = -ds / u if near else ds
+                dx = kappa * ds / e if logs else kappa * ds
                 x += dx
-                step = abs(dx) if near else abs(dx / x)
+                step = abs(dx) if logs else abs(dx / x)
                 if step <= 1e-8 or not step < prev:
                     break
                 prev = step
-            e = cmath.exp(x) if near else x
+            e = cmath.exp(x) if logs else x
+            *_, slope, curve = self.f._slopes(e, near)  # L' and L'' at the root
         except (ArithmeticError, ValueError):  # a zero of B or A, an overflow
             return None
         s = 2.0 - e if near else e - 2.0
@@ -406,11 +404,11 @@ class AbsContinuousLSD(Rule):
         stopped = step <= 1e-8 or abs(gap) <= 2.0**-50 * abs(lam)
         if not stopped or not (sign * s.imag > 0.0 or s.imag == lam.imag == 0.0):
             return None
-        if near and d and abs(x.imag) >= math.pi:
+        if logs and abs(x.imag) >= math.pi:
             return None  # a root off the principal sheet of u^(-d), as for arg lam >= pi |d|: no pole
         r = cmath.sqrt(-e * (4.0 - e))
         r = -r if (s.conjugate() * r).real < 0.0 else r
-        a = 1.0 / (slope + curve * ds)  # 1/L' at the root, to second order in the last step
+        a = 1.0 / slope
         return near, s, e, r, a, a - curve * a**3
 
     def terms(self, m):
@@ -435,41 +433,13 @@ class AbsContinuousLSD(Rule):
         return v
 
 
-def _slopes(polys, x, kappa, u, d):
-    """(B/A, A'/A, A''/A, L', L'') at x, which is u (kappa = -1) or v (kappa = 1), for L = log f; slopes in s.
-
-    B and A come highest power first and of one length; Horner's rule takes each with its first two
-    derivatives in x, scalar or array.
-    """
-    b = b1 = b2 = a = a1 = a2 = 0.0
-    for cb, ca in zip(*polys):
-        b2, b1, b = b2 * x + 2.0 * b1, b1 * x + b, b * x + cb
-        a2, a1, a = a2 * x + 2.0 * a1, a1 * x + a, a * x + ca
-    rb, ra = kappa * b1 / b, kappa * a1 / a
-    return b / a, ra, a2 / a, rb - ra + d / u, b2 / b - rb * rb - a2 / a + ra * ra + d / (u * u)
-
-
-def _cosine_poly(r):
-    """r_0 + 2 sum_h r_h cos(h w) as a polynomial in s = 2 cos w, lowest power first.
-
-    It is the Chebyshev series r_0 + sum_h 2 r_h T_h(x) at x = s/2.  A top
-    coefficient that moves the polynomial on [-2, 2] by no more than its
-    rounding (zero, or 1e-172 from an AR coefficient of that size) is dropped,
-    so the length is the degree plus one, and a root of E never sits near
-    infinity for want of a coefficient.
-    """
-    x = np.polynomial.chebyshev.cheb2poly(np.concatenate((r[:1], 2.0 * r[1:])))
-    noise = np.finfo(float).eps * np.abs(x).sum()
-    while x.size > 1 and abs(x[-1]) <= noise:
-        x = x[:-1]
-    return x / 2.0 ** np.arange(x.size)
-
-
 def _exact_coeffs(f):
-    """A and B (``_cosine_poly``) padded to two terms where the exact law solves f (d = 0, K = 1), else None."""
-    A, B = _cosine_poly(f.ar_acov), _cosine_poly(f.ma_acov)
-    k = max(A.size, B.size)
-    return [tuple(np.pad(c, (0, 2 - c.size)).tolist()) for c in (A, B)] if f.d == 0.0 and k == 2 else None
+    """(a, b) = (-rho_phi, -rho_theta), 0 for no zero, with |phi|^2 = 1 + a^2 + a s, where d = 0 and K = 1, else None.
+
+    K counts the zeros that move their factor 1 - rho s + rho^2 on [-2, 2] by more than its rounding."""
+    eps = np.finfo(float).eps
+    live = [[r.real for r in z.tolist() if abs(r) > eps * (1.0 + abs(r)) ** 2] for z in (f.ar_roots, f.ma_roots)]
+    return tuple(-z[0] if z else 0.0 for z in live) if f.d == 0.0 and max(map(len, live)) == 1 else None
 
 
 def _off_axis(m):
@@ -482,7 +452,7 @@ class ExactARMALSD:
     """Toeplitz eigenvalue limit of an ARMA model with K = max(p, q) = 1, in closed form.
 
     With s = 2 cos w, |phi|^2 = A(s) and |theta|^2 = B(s) are polynomials of
-    degree 1 (``_cosine_poly``), and T(m) = (1/2 pi) int B / E dw with
+    degree 1 (``_exact_coeffs``), and T(m) = (1/2 pi) int B / E dw with
     E = A + m B.  T, T', the potential and ``top`` (max f) follow from E at
     s = +-2 (:meth:`terms`), with no root of E; ``mean`` is T(0).  The law has
     no nodes.  It holds its spectral density as ``f``.
@@ -494,9 +464,8 @@ class ExactARMALSD:
         coeffs = _exact_coeffs(f)
         if coeffs is None:
             raise ValueError("the exact law needs d = 0 and max(p, q) = 1")
-        self.f, (self._a, self._b) = f, coeffs
         # A and B at s = +-2, each free of cancellation; max f is B/A at one of them
-        a, b = self._a[1], self._b[1]
+        self.f, (a, b) = f, coeffs
         A2, Am2, B2, Bm2 = (1.0 + a) ** 2, (1.0 - a) ** 2, (1.0 + b) ** 2, (1.0 - b) ** 2
         self._k1 = (A2, Am2, B2, Bm2, a, b, 1.0 + b * b, (a - b) * (1.0 - a * b))
         self.top = max(B2 / A2, Bm2 / Am2)
@@ -576,12 +545,11 @@ def gamma_lsd(model):
     when its SpectralDensity f is constant to within ``_level_atol(f)``; else
     the ExactARMALSD of f for d = 0 and K = max(p, q) = 1 (``_exact_coeffs``),
     which needs no nodes; else, K >= 2 or d != 0, the AbsContinuousLSD of f,
-    on its tanh-sinh rule.  ModelSpecError refuses three
-    cases.  For d > 0 (long memory) the limit law exists (Merlevède & Peligrad,
-    Stoch. Process. Appl. 126, 2016), but f is unbounded at 0 and so is the
-    law's support, which nothing here tabulates yet.  (max f)^2 must be finite.
-    And min f must not be negative beyond ``_level_atol(f)`` (|phi|^2 rounds to
-    <= 0 at an AR root within about 1e-7 of the unit circle).
+    on its tanh-sinh rule, at AR roots however near the unit circle.
+    ModelSpecError refuses two cases.  For d > 0 (long memory) the limit law
+    exists (Merlevède & Peligrad, Stoch. Process. Appl. 126, 2016), but f is
+    unbounded at 0 and so is the law's support, which nothing here tabulates
+    yet.  And (max f)^2 must be finite.
     """
     if isinstance(model, PiecewiseSpectralDensity):
         return atomic_lsd(model)
@@ -594,10 +562,7 @@ def gamma_lsd(model):
     lo, hi = support_bounds(f)
     if not math.isfinite(hi * hi):
         raise ModelSpecError(f"spectral density too large: (max f)^2 overflows at max f = {hi:.3g}")
-    atol = _level_atol(f)
-    if lo < -atol:
-        raise ModelSpecError(f"spectral density negative: min f = {lo:.3g}, from |phi|^2 rounding to <= 0")
-    if hi - lo <= atol:
+    if hi - lo <= _level_atol(f):
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
     return AbsContinuousLSD(f=f) if _exact_coeffs(f) is None else ExactARMALSD(f)

@@ -3,9 +3,11 @@
 import cmath
 import functools
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_legendre
 
 from specmp import Rule, autocovariances, ma_coefficients, support_bounds
@@ -233,14 +235,71 @@ def szego_quad(f, m):
     T is the mean of f / (1 + f m) and the potential's the mean of
     arg(1 + f m) over w in [0, pi], each split at the roots of f = Re(-1/m),
     beside which the pole of 1 / (1 + f m) sits.  Independent of the laws'
-    rules, and slow.
+    rules, and slow.  Where SciPy's ``quad`` gives up (an IntegrationWarning,
+    as just above a fold end of f) it raises rather than return its guess.
     """
     m = complex(m)
     roots = _branch_roots(f, (-1.0 / m).real)
     points = sorted(r for r in roots[~np.isnan(roots)] if r < math.pi) or None
 
     def mean(g):
-        return quad(g, 0.0, math.pi, points=points, epsabs=1e-15, epsrel=1e-13, limit=400)[0] / math.pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            return quad(g, 0.0, math.pi, points=points, epsabs=1e-15, epsrel=1e-13, limit=400)[0] / math.pi
 
     t = mean(lambda w: (f(w) / (1.0 + f(w) * m)).real) + 1j * mean(lambda w: (f(w) / (1.0 + f(w) * m)).imag)
     return t, mean(lambda w: cmath.phase(1.0 + f(w) * m))
+
+
+def _square_in_s(coeffs):
+    """|c(e^{iw})|^2, c(z) = 1 + sum_k coeffs_k z^k, as a polynomial in s = 2 cos w, in mpmath, lowest power first.
+
+    It is r_0 + sum_h r_h C_h(s), r_h the autocovariances of (1, coeffs) and
+    C_h(s) = 2 cos(h w): C_0 = 2, C_1 = s, C_(h+1) = s C_h - C_(h-1).
+    """
+    c = [mp.mpf(1)] + [mp.mpf(x) for x in coeffs]
+    r = [mp.fsum(c[j] * c[j + h] for j in range(len(c) - h)) for h in range(len(c))]
+    out, prev, cur = [r[0]] + [mp.mpf(0)] * (len(c) - 1), [mp.mpf(2)], [mp.mpf(0), mp.mpf(1)]
+    for h in range(1, len(c)):
+        for i, x in enumerate(cur):
+            out[i] += r[h] * x
+        prev, cur = cur, [-x for x in prev] + [mp.mpf(0)] * 2
+        for i, x in enumerate(prev):
+            cur[i + 1] += x
+    return out
+
+
+def arma_terms(model, m, dps=50):
+    """Exact (T(m), T'(m)) of the Toeplitz limit law of a d = 0 ARMA model, by partial fractions.
+
+    With s = 2 cos w, f = B(s)/A(s) for polynomials of degree at most K =
+    max(p, q) (``_square_in_s``), and T(m) is the mean over w of B/E,
+    E = A + m B.  Over the roots s_k of E,
+        T = q + sum_k B(s_k)/E'(s_k) g(s_k),
+    q = B_K/E_K the quotient, g(s) = zeta/(zeta^2 - 1) the mean of 1/(s' - s)
+    with zeta the root of zeta^2 - s zeta + 1 inside the unit disk, and
+    T' from the same sum, with ds_k/dm = -B(s_k)/E'(s_k) and
+    g'(s) = -(zeta^2 + 1) zeta^2/(zeta^2 - 1)^3.  In mpmath at ``dps``
+    digits, independent of specmp's laws; Python complex numbers out.
+    """
+    if model.d != 0.0:
+        raise ValueError("the partial-fraction oracle needs d = 0")
+    P = mp.polyval
+    with mp.workdps(dps):
+        A, B = _square_in_s(model.ar), _square_in_s(model.ma)
+        k = max(len(A), len(B))
+        A, B = (c + [mp.mpf(0)] * (k - len(c)) for c in (A, B))
+        m = mp.mpc(m)
+        E = [a + m * b for a, b in zip(A, B)][::-1]  # highest power first, for mp.polyval
+        Bh, dB = B[::-1], [i * b for i, b in enumerate(B)][:0:-1]
+        dE, ddE = [i * e for i, e in enumerate(E[::-1])][:0:-1], [i * (i - 1) * e for i, e in enumerate(E[::-1])][:1:-1]
+        t, tp = Bh[0] / E[0], -((Bh[0] / E[0]) ** 2)
+        for s in mp.polyroots(E, maxsteps=400, extraprec=4 * dps) if k > 1 else []:
+            zeta = (s - mp.sqrt(s * s - 4)) / 2
+            zeta = 1 / zeta if abs(zeta) > 1 else zeta
+            g, gp = zeta / (zeta**2 - 1), -(zeta**2 + 1) * zeta**2 / (zeta**2 - 1) ** 3
+            b, e1, db = P(Bh, s), P(dE, s), P(dB, s)
+            ds = -b / e1
+            t += b / e1 * g
+            tp += (db * ds * e1 - b * (P(ddE, s) * ds + db)) / e1**2 * g + b / e1 * gp * ds
+        return complex(t), complex(tp)

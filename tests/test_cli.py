@@ -37,7 +37,8 @@ LONG_MEMORY = '{"type":"farima","d":0.3}'
 ARMA_WITH_D = '{"type":"arma","ar":[-0.3],"d":-0.25}'
 PIECEWISE_WITH_AR = json.dumps({**json.loads(PIECEWISE), "ar": [0.5]})
 
-# AR roots so near the unit circle that |phi|^2 rounds to < 0 (f < 0) or to 0 (f = inf) at the peak
+# AR roots so near the unit circle that |phi|^2 as a cosine sum rounded to < 0 (f < 0) or to 0
+# (f = inf) at the peak; the root form solves both
 NEGATIVE_F = json.dumps(
     {
         "type": "arma",
@@ -46,6 +47,9 @@ NEGATIVE_F = json.dumps(
     }
 )
 INFINITE_F = json.dumps({"type": "arma", "ar": [-0.8946377354927975, -0.895280022166188, 0.999357707428716]})
+# AR zeros on the unit circle, at 1 and at +-i: no stationary process, refused
+UNIT_ROOT = '{"type":"arma","ar":[-1.0]}'
+UNIT_PAIR = '{"type":"arma","ar":[0.0,1.0]}'
 
 
 def run(args):
@@ -126,6 +130,15 @@ class TestLsdDensityCommand:
         assert run(["lsd-density", "--model", spec, "--y", "3", "--grid", "16", "--out", str(out)]) == 0
         assert json.loads((tmp_path / "t.json").read_text())["solver"]["law"] == law
 
+    @pytest.mark.parametrize("spec", [NEGATIVE_F, INFINITE_F], ids=["negative-f", "infinite-f"])
+    def test_solves_ar_roots_near_the_unit_circle(self, spec, tmp_path):
+        # AR roots 1e-7 and 3e-4 from the unit circle, which gamma_lsd refused
+        # while |phi|^2 was a cosine sum: the peak of f is 2.8e18 and 2.9e16
+        assert run(["lsd-density", "--model", spec, "--y", "1", "--out", str(tmp_path / "x")]) == 0
+        report = json.loads((tmp_path / "x.json").read_text(), parse_constant=pytest.fail)
+        density = np.loadtxt(tmp_path / "x.csv", delimiter=",", skiprows=1)[:, 1]
+        assert report["solver"]["law"] == "szego" and np.all(np.isfinite(density) & (density >= 0.0))
+
     @pytest.mark.parametrize(
         "spec", ['{"type":"arma","ma":[1,1,1]}', '{"type":"farima","ma":[0,1],"d":-0.2}'], ids=["arma", "farima"]
     )
@@ -183,10 +196,10 @@ class TestLsdDensityCommand:
             ["lsd-density", "--model", '{"type":"arma","ma":[1e150,1e150]}', "--y", "1"],
             ["gamma-density", "--model", '{"type":"arma","ma":[1e154]}'],
             ["lsd-density", "--model", '{"type":"arma","ma":[1e154]}', "--y", "1"],
-            ["gamma-density", "--model", NEGATIVE_F],
-            ["lsd-density", "--model", NEGATIVE_F, "--y", "1"],
-            ["gamma-density", "--model", INFINITE_F],
-            ["lsd-density", "--model", INFINITE_F, "--y", "1"],
+            ["gamma-density", "--model", UNIT_ROOT],
+            ["lsd-density", "--model", UNIT_ROOT, "--y", "1"],
+            ["gamma-density", "--model", UNIT_PAIR],
+            ["lsd-density", "--model", UNIT_PAIR, "--y", "1"],
             ["gamma-density", "--model", ARMA_WITH_D],
             ["lsd-density", "--model", ARMA_WITH_D, "--y", "1"],
             ["simulate", "--model", ARMA_WITH_D, "--y", "1", "--p", "16"],

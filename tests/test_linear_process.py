@@ -238,14 +238,19 @@ class TestSpectralDensity:
             sp.SpectralDensity(sp.PiecewiseSpectralDensity(((0.0, TWO_PI, 1.0),)))
         assert sp.SpectralDensity(sp.ARMAModel()).d == 0.0
 
-    def test_public_cosine_coefficients(self):
-        # |1 + e^{iw}|^2 = 2 + 2 cos w and |1 - 0.5 e^{iw}|^2 = 1.25 - cos w
+    def test_public_reciprocal_zeros(self):
+        # theta(z) = 1 + z = 1 - (-1) z and phi(z) = 1 - 0.5 z; phi(z) = 1 + 0.5 z^2
+        # has its zeros at +-i sqrt(2), so rho = -+i / sqrt(2), and trailing
+        # zero coefficients give rho = 0 exactly
         f = sp.SpectralDensity(dataclasses.replace(sp.ARMAModel.arma11(0.5, 1.0), d=-0.25))
-        assert f.ma_acov.tolist() == [2.0, 1.0] and f.ar_acov.tolist() == [1.25, -0.5]
+        assert f.ma_roots.tolist() == [-1.0] and f.ar_roots.tolist() == [0.5]
         assert f.d == -0.25
-        for coeffs in (f.ma_acov, f.ar_acov):
+        for roots in (f.ma_roots, f.ar_roots):
             with pytest.raises(ValueError):
-                coeffs[0] = 0.0
+                roots[0] = 0.0
+        f = sp.SpectralDensity(sp.ARMAModel(ar=(0.0, 0.5), ma=(0.5, 0.0, 0.0)))
+        assert sorted(f.ma_roots.tolist(), key=abs) == [0.0, 0.0, -0.5]
+        np.testing.assert_allclose(sorted(f.ar_roots.tolist(), key=lambda r: r.imag), [-(0.5**0.5) * 1j, 0.5**0.5 * 1j])
 
 
 class TestPiecewiseSpectralDensity:

@@ -2,14 +2,15 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 import specmp as sp
-from oracles import arma11_gamma_density, gamma_cdf, szego_quad, szego_rule, total_mass
+from oracles import arma11_gamma_density, arma_terms, gamma_cdf, szego_quad, szego_rule, total_mass
 from specmp import toeplitz_lsd
 from specmp.toeplitz_lsd import _branch_roots
 
@@ -60,18 +61,25 @@ class TestSupportBounds:
         assert lo == 0.0
         assert abs(hi - 2.0 ** 0.5) <= 1e-10
 
-    def test_negative_minimum_refused_beyond_rounding(self):
-        # |phi|^2 rounds below 0 at the peak of an AR root 1e-7 from the unit circle
+    def test_minimum_is_not_negative(self):
+        # an AR root 1e-7 from the unit circle, where a cosine sum for |phi|^2
+        # rounded to -3e15 and gamma_lsd refused the model: each factor
+        # |1 - rho e^{iw}|^2 of the root form is a square or a squared modulus.
+        # f at its peak (w = 0) against 50-digit mpmath: worst seen 1.0e-7
         near_unit = sp.ARMAModel(
             ar=(0.9935212290463952, -0.9939139301270936, -0.9996072978804833),
             ma=(-0.23927213182136864, 0.9841467518903655),
         )
-        assert sp.support_bounds(sp.SpectralDensity(near_unit))[0] < -1e15
-        with pytest.raises(sp.ModelSpecError, match="negative"):
-            sp.gamma_lsd(near_unit)
-        # unit-circle MA zeros: f = 0 there, which rounds to about -7e-15
+        f = sp.SpectralDensity(near_unit)
+        lo, hi = sp.support_bounds(f)
+        assert lo >= 0.0 and hi == f(0.0)
+        with mpmath.workdps(50):
+            theta, phi = (1 + sum(map(mpmath.mpf, c)) for c in (near_unit.ma, near_unit.ar))
+            assert abs(hi / (theta / phi) ** 2 - 1) <= 1e-6
+        assert isinstance(sp.gamma_lsd(near_unit), sp.AbsContinuousLSD)
+        # unit-circle MA zeros: f = 0 there, which rounds to about 1e-33
         zeros_on_circle = sp.ARMAModel(ma=(2.701267095229019, 2.701267095229019, 1.0))
-        assert -1e-13 < sp.support_bounds(sp.SpectralDensity(zeros_on_circle))[0] < 0.0
+        assert 0.0 <= sp.support_bounds(sp.SpectralDensity(zeros_on_circle))[0] < 1e-13
         assert isinstance(sp.gamma_lsd(zeros_on_circle), sp.AbsContinuousLSD)
 
 
@@ -159,8 +167,9 @@ class TestGammaDensity:
         f = sp.SpectralDensity(sp.ARMAModel())
         with pytest.raises(ValueError, match="the limit law is atomic"):
             sp.gamma_density(f, 1.0)
-        # an AR root this near the unit circle makes max f overflow to inf
-        f = sp.SpectralDensity(sp.ARMAModel(ar=[-0.8946377354927975, -0.895280022166188, 0.999357707428716]))
+        # an AR root 1e-6 from the unit circle beside a huge MA coefficient:
+        # max f = (1 + 1e150)^2 / (1 - 0.999999)^2 overflows to inf
+        f = sp.SpectralDensity(sp.ARMAModel(ar=[-0.999999], ma=[1e150]))
         assert sp.support_bounds(f)[1] == math.inf
         with pytest.raises(ValueError, match="spectral density not finite: max f = inf"):
             sp.gamma_density(f, 1.0)
@@ -555,17 +564,22 @@ class TestSzegoLaw:
         ids=["8e-9-above", "3e-9-above"],
     )
     def test_keeps_the_pole_at_a_fold_end(self, lam, t_ref):
-        # f(pi) = 0.8368127588006481 is a local minimum of f; just above it the
+        # f(pi) = sqrt(2)/1.69 is a local minimum of f; just above it the
         # pole sits at v = 2 + s ~ 8.7e-8, where f - lam is at rounding before
         # Newton's relative step falls to 1e-8.  Rejecting that root left T 68 %
         # and 84 % off.  The references are 30-digit mpmath quad over [0, pi],
         # split at f's breakpoints and at the real roots of f = Re lam, with
         # extra points at 1e-1 to 1e-13 on either side of each root and below
-        # pi; scipy's quad (oracles.szego_quad) is 46-48 % off here.  f(pi)
-        # rounds to about 1e-16 and lam - f(pi) is about 1e-8 f(pi): 1e-6
+        # pi; scipy's quad gives up here (oracles.szego_quad raises).  f(pi) is
+        # correctly rounded (cosine sums gave 0.8368127588006481, 2 ulps high),
+        # and lam - f(pi) is about 1e-8 f(pi): 1e-6
         law = sp.gamma_lsd(FARIMA_AR)
-        assert law.f(math.pi) == 0.8368127588006481
+        assert law.f(math.pi) == 0.8368127588006479
         assert abs(law.terms(-1.0 / lam)[0] / t_ref - 1.0) <= 1e-6
+        # SciPy's quad gives up here, and the oracle raises rather than return
+        # T 46-48 % off
+        with pytest.raises(IntegrationWarning):
+            szego_quad(law.f, -1.0 / lam)
 
     def test_search_starts_at_an_interior_peak(self, monkeypatch):
         # at lam = 0.99 max f (1 + 1e-4 i) the node nearest |lam| on each flank
@@ -583,14 +597,15 @@ class TestSzegoLaw:
         assert abs(law.potential(-1.0 / lam) - fine.potential(-1.0 / lam)) <= 1e-13
 
     def test_sharp_ar2_edges_keep_the_exact_laws(self):
-        # the edges of the closed-form K = 2 law that the sharp AR(2) had
-        # before it took the Szegő law; worst seen 1.6e-9.  With the nodes'
-        # plain mean and no search from the peak, the edge sat at the top of
-        # its bracket, 19,589,071.5 at y = 1
+        # the edges from the same bisection on the partial-fraction oracle's
+        # T' (oracles.arma_terms); worst seen 2.7e-13.  The closed-form K = 2
+        # law that the sharp AR(2) once had put them 3e-9 low (19,656,742.709
+        # at y = 0.5), and with the nodes' plain mean and no search from the
+        # peak the edge sat at the top of its bracket, 19,589,071.5 at y = 1
         law = sp.gamma_lsd(SHARP_AR2)
         assert isinstance(law, sp.AbsContinuousLSD)
-        for y, edge in ((0.5, 19656742.709280975), (1.0, 19696547.91070435), (3.0, 19812835.171994466)):
-            assert abs(sp.estimate_support_upper(law, y) / edge - 1.0) <= 1e-8, y
+        for y, edge in ((0.5, 19656742.76866028), (1.0, 19696548.009484317), (3.0, 19812835.26680567)):
+            assert abs(sp.estimate_support_upper(law, y) / edge - 1.0) <= 1e-12, y
 
     @pytest.mark.parametrize(
         "d, x, delta",
@@ -607,6 +622,79 @@ class TestSzegoLaw:
         assert abs(law.terms(m)[0] / t - 1.0) <= 1e-14
         assert abs(law.potential(m) - potential) <= 1e-14
         assert abs(float(np.angle(1.0 + law.nodes * m).dot(law.weights)) - potential) >= 1e-5
+
+
+def near_unit_root_corpus(seed=20261020, size=40):
+    """(pair modulus, model, law, 12 points near the top, 12 mid-range) for seeded d = 0 models.
+
+    Each AR part has a complex pair of zeros of modulus 1 + 10^U(-3.5, 0.3) at
+    a uniform angle, and half the time a real zero of either sign from the
+    same modulus law; the MA part has order 0-2 and coefficients U(-0.9, 0.9).
+    The points are lam = top (1 - 10^U(-6, -1)) and lo + U(0.1, 0.9) (top - lo)
+    on the law's support [lo, top], each times 1 + 10^U(-9, -3) i.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(size):
+        modulus, angle = 1.0 + 10.0 ** rng.uniform(-3.5, 0.3), rng.uniform(0.0, math.pi)
+        ar = np.array([1.0, -2.0 * math.cos(angle) / modulus, modulus**-2])
+        if rng.random() < 0.5:
+            ar = np.convolve(ar, [1.0, -1.0 / (rng.choice((-1.0, 1.0)) * (1.0 + 10.0 ** rng.uniform(-3.5, 0.3)))])
+        model = sp.ARMAModel(ar=tuple(ar[1:]), ma=tuple(rng.uniform(-0.9, 0.9, rng.integers(0, 3))))
+        law = sp.gamma_lsd(model)
+        lo, top = sp.support_bounds(law.f)
+        tops = [top * (1.0 - 10.0 ** rng.uniform(-6.0, -1.0)) * complex(1.0, 10.0 ** rng.uniform(-9.0, -3.0))
+                for _ in range(12)]
+        mids = [(lo + rng.uniform(0.1, 0.9) * (top - lo)) * complex(1.0, 10.0 ** rng.uniform(-9.0, -3.0))
+                for _ in range(12)]
+        out.append((modulus, model, law, tops, mids))
+    return out
+
+
+class TestSzegoLawMeetsTheOracle:
+    """The Szegő law of d = 0 models against the 50-digit partial-fraction oracle (oracles.arma_terms)."""
+
+    @pytest.mark.parametrize(
+        "model", [sp.ARMAModel(ar=(-0.995,)), sp.ARMAModel.arma11(0.5, -1.0), ARMA23], ids=["ar1", "arma11", "arma23"]
+    )
+    def test_oracle_meets_the_laws_where_they_are_exact(self, model):
+        # the oracle itself: against the closed-form K = 1 law, and against
+        # the Szegő law and a 2^18-node rule away from the axis; worst seen
+        # 5.2e-16 in T and 1.3e-15 in T'
+        law = sp.gamma_lsd(model)
+        refs = [law] if isinstance(law, sp.ExactARMALSD) else [law, szego_rule(law.f, 2**18)]
+        for m in (0.3 + 0.6j, -60.0 + 80.0j, -0.2 + 0.05j):
+            t, tp = arma_terms(model, m)
+            for ref in refs:
+                t_ref, tp_ref = ref.terms(m)
+                assert abs(t_ref / t - 1.0) <= 2e-15 and abs(tp_ref / tp - 1.0) <= 5e-15, (ref, m)
+
+    def test_near_unit_root_corpus(self):
+        # T and T' at 12 points near the top, lam = -1/m = top (1 - 10^U(-6, -1))
+        # (1 + 10^U(-9, -3) i), and 12 mid-range, lam = (lo + U(0.1, 0.9) (top - lo))
+        # (1 + 10^U(-9, -3) i), of 40 models (near_unit_root_corpus), by the
+        # modulus of their AR pair.  Worst relative error in T, cosine sums /
+        # root form:
+        #   pair modulus   near the top        mid-range
+        #   1.0003-1.001   1.6e-3 / 2.0e-8     2.8e-8 / 1.9e-11
+        #   1.001-1.01     0.79 / 2.6e-8       8.6e-7 / 2.2e-11
+        #   1.01-1.1       2.2e-5 / 2.2e-8     1.7e-10 / 3.2e-11
+        #   1.1-3          1.3e-3 / 2.0e-7     1.0e-8 / 3.1e-10
+        # The gates are the cosine-sum law's worst errors on ROADMAP item 1's
+        # corpus (2.8e-6, 2.2e-8, 4.4e-9 mid-range; 2.2e-7, 4.1e-7 near the
+        # top above 1.01) and 1e-6 near the top below 1.01.  Mid-range
+        # 1.1-3 holds 1e-9 instead: here one point has a node 2e-7 (in v) from
+        # a pole 8e-11 off the axis, where the node's rounding of f leaves
+        # 3.1e-10 (the cosine-sum law 2.3e-10).  T' steers Newton only: worst
+        # 5.8e-5 near the top and 9.5e-6 mid-range, where a node's rounding
+        # meets the pole's square
+        bands = (1.001, 1.01, 1.1, math.inf)
+        top_gates, mid_gates = (1e-6, 1e-6, 2.2e-7, 4.1e-7), (2.8e-6, 2.2e-8, 4.4e-9, 1e-9)
+        for modulus, model, law, tops, mids in near_unit_root_corpus():
+            band = next(i for i, b in enumerate(bands) if modulus < b)
+            for lam, gate in [(lam, top_gates[band]) for lam in tops] + [(lam, mid_gates[band]) for lam in mids]:
+                (t, tp), (t_ref, tp_ref) = law.terms(-1.0 / lam), arma_terms(model, -1.0 / lam)
+                assert abs(t / t_ref - 1.0) <= gate and abs(tp / tp_ref - 1.0) <= 1e-4, (model, lam)
 
 
 def _cos_poly(coeffs):
@@ -693,7 +781,7 @@ class TestExactLaw:
         f = sp.SpectralDensity(model)
         law, rule = sp.gamma_lsd(model), szego_rule(f, 2**18)
         if model.ma == (0.5, 0.0) or max(len(model.ar), len(model.ma)) == 1:
-            assert isinstance(law, sp.ExactARMALSD) and len(law._a) == len(law._b) == 2
+            assert isinstance(law, sp.ExactARMALSD)
         else:
             assert isinstance(law, sp.AbsContinuousLSD)
         assert law.top == sp.support_bounds(f)[1]
@@ -735,9 +823,10 @@ class TestExactLaw:
     def test_k1_top_is_the_pole_of_its_law(self, model):
         # max f of K = 1 is B/A at s = +-2, each factor (1 +- c)^2 in the exact
         # coefficients, so -1/top is T's own pole; max f from cosine sums is
-        # 6.5e-12 low at phi = 0.995, which puts the edge bracket past it
+        # 6.5e-12 low at phi = 0.995, which puts the edge bracket past it.  a
+        # and b, -rho of phi and theta, are the model's own coefficients
         law = sp.gamma_lsd(model)
-        a, b = law._a[1], law._b[1]
+        a, b = (c[0] if c else 0.0 for c in (model.ar, model.ma))
         assert law.top == max((1.0 + b) ** 2 / (1.0 + a) ** 2, (1.0 - b) ** 2 / (1.0 - a) ** 2)
         t, tp = law.terms(-(1.0 - 2.0**-50) / law.top)
         assert math.isfinite(t.real) and math.isfinite(tp.real) and tp.real < 0.0
@@ -776,9 +865,10 @@ class TestExactLaw:
             with pytest.raises(ValueError, match="the exact law needs d = 0") as refused:
                 sp.ExactARMALSD(sp.SpectralDensity(model))
             assert refused.type is ValueError, model
-        # trailing zero coefficients trim away: ma = (0.5, 0, 0) has K = 1
+        # trailing zero coefficients give rho = 0, which K does not count:
+        # ma = (0.5, 0, 0) has K = 1, and the coefficients of ma = (0.5,)
         law = sp.ExactARMALSD(sp.SpectralDensity(sp.ARMAModel(ma=(0.5, 0.0, 0.0))))
-        assert len(law._a) == len(law._b) == 2
+        assert law._k1 == sp.ExactARMALSD(sp.SpectralDensity(sp.ARMAModel(ma=(0.5,))))._k1
 
     @pytest.mark.parametrize("y", [0.2, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("model", SMOOTH_LOW_K_MODELS.values(), ids=SMOOTH_LOW_K_MODELS.keys())
