@@ -7,20 +7,22 @@ unique map m from the upper half-plane to itself with
              eigenvalue limit law,
 
 where y is the limiting column/row ratio n/p.  This module solves that fixed
-point from a one-atom fit to its cold start, gives the Marchenko-Pastur
-closed form and the ARMA(1,1) quartic as oracles, locates the upper support
-edge, and recovers the density and the distribution function from solves at
-one small offset above the real axis.  The solver, the edge and the CDF read
-each limit law directly, and exactly: its (T, T') evaluator ``terms``, its log
-potential ``potential``, its ``mean`` and its ``top``.  The atoms and the Szegő
-law are :class:`~specmp.toeplitz_lsd.Rule` s, the exact ARMA law has no nodes,
-and none of the three reads nodes or weights.
+point in one loop that refits a cold start to a one-atom law and ends on an
+m it evaluated, gives the Marchenko-Pastur closed form and the ARMA(1,1)
+quartic as oracles, locates the upper support edge, and recovers the density
+and the distribution function from solves at one small offset above the
+axis.  The solver, the edge and the CDF read each limit law directly, and
+exactly: its (T, T') evaluator ``terms``, its log potential ``potential``, its
+``mean`` and its ``top``.  The atoms and the Szegő law are
+:class:`~specmp.toeplitz_lsd.Rule` s, the exact ARMA law has no nodes, and
+none of the three reads nodes or weights.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +92,7 @@ class StieltjesSolution:
             raise ValueError("Stieltjes transform must map into the upper half-plane")
 
 
-def _iterate(TTp, y, z, m, first=None):
+def _iterate(TTp, y, z, m, refit=False):
     """Guarded Newton on M(m) = 1 + m z - y m T(m), falling back to a damped step.
 
     The map G(m) = 1/(-z + y T(m)) is a holomorphic self-map of the upper
@@ -105,15 +107,20 @@ def _iterate(TTp, y, z, m, first=None):
     boundary (which is where the cleared equation hides spurious roots), and
     vanishes only at the fixed point, so Newton can never be trapped away from
     the answer.  The merit has a rounding floor, though, below which no
-    candidate lowers it; a full Newton step in the upper half-plane that
-    already meets the stopping rule |dm| <= UPDATE_TOL |m + dm|
-    therefore ends the solve without the merit test or an evaluation.  The
-    start evaluates (T, T') once, or takes ``first`` as (T, T') at m; a sweep
-    evaluates at most twice.  It runs on Python scalars.  At most MAX_ITER
-    sweeps; returns (m, sweeps).  A ConvergenceError carries the defect
-    |1/m + z - y T(m)| at its last m.
+    candidate lowers it: so a Newton step within rounding, |dm| <= 4 eps |m|,
+    ends the solve at m, and one that meets the stopping rule
+    |dm| <= UPDATE_TOL |m + dm| is kept without the merit test and ends it at
+    m + dm.  With ``refit``, the first sweep's candidate after the rounding
+    test is the transform of the one-atom law with the (T, T') at m
+    (``_one_atom``; T = a/(1 + b m) gives b = -T'/(T + m T') and a =
+    T^2/(T + m T')), kept without the merit test if over UPDATE_TOL |m| away.
+    On Python scalars.  Every returned m was evaluated: the start once and a
+    sweep at most twice, so keeping each candidate takes sweeps + 1
+    evaluations, or sweeps where the last step was within rounding.  At most
+    MAX_ITER sweeps; returns (m, sweeps, T(m)).  A ConvergenceError carries
+    the defect |1/m + z - y T(m)| at its last m.
     """
-    t, tp = first or TTp(m)
+    t, tp = TTp(m)
     g = 1.0 / (-z + y * t)
     if g.imag > 0.0 and cmath.isfinite(g):
         # abs(d) ** 2 / (Im m Im g) would raise on Python floats where the
@@ -122,35 +129,48 @@ def _iterate(TTp, y, z, m, first=None):
         cur = (d.real * d.real + d.imag * d.imag) / m.imag / g.imag
     else:
         g, cur = None, math.inf
+    tiny = 4.0 * sys.float_info.epsilon
     for it in range(1, MAX_ITER + 1):
+        # a ``final`` candidate ends the solve once evaluated; a ``free`` one skips the merit test
+        nxt, free, final = None, False, False
         dM = z - y * (t + m * tp)
-        newton = dM != 0.0 and cmath.isfinite(dM)
-        if newton:
+        if dM != 0.0 and cmath.isfinite(dM):
             step = -(1.0 + m * z - y * m * t) / dM
-            nxt = m + step
-            newton = nxt.imag > 0.0 and cmath.isfinite(nxt)
-            if newton and abs(step) <= UPDATE_TOL * abs(nxt):
-                return nxt, it
-        # the Newton candidate, if any, then the damped step if the merit rejects it
-        for damped in (not newton, True):
+            size, newton = abs(step), m + step
+            if size <= tiny * abs(m):
+                return m, it, t
+            if newton.imag > 0.0 and cmath.isfinite(newton):
+                nxt, final = newton, size <= UPDATE_TOL * abs(newton)
+        if refit:
+            refit = False
+            try:
+                den = t + m * tp
+                root = _one_atom(y, z, t * t / den, -tp / den)
+                if abs(root - m) > UPDATE_TOL * abs(m):
+                    nxt, free, final = root, True, False
+            except ArithmeticError:  # T + m T' = 0, b = 0, q = 0, an overflow or no root
+                pass
+        # the candidate, if any, then the damped step if the merit rejects it
+        for damped in (nxt is None, True):
             if damped:
                 if g is None:
                     # analytically impossible; reachable only through quadrature noise
                     raise ConvergenceError("iterate left the upper half-plane", z, m, abs(1.0 / m + z - y * t), it)
                 nxt = 0.5 * (m + g)
             t2, tp2 = TTp(nxt)
+            if final:
+                return nxt, it, t2
             g2 = 1.0 / (-z + y * t2)
             if g2.imag > 0.0 and cmath.isfinite(g2):
                 d = g2 - nxt
                 new = (d.real * d.real + d.imag * d.imag) / nxt.imag / g2.imag
             else:
                 g2, new = None, math.inf
-            if damped or new < cur:
+            if damped or free or new < cur:
                 break
-        done = abs(nxt - m) <= UPDATE_TOL * abs(nxt)
+        if damped and abs(nxt - m) <= UPDATE_TOL * abs(nxt):
+            return nxt, it, t2
         m, t, tp, g, cur = nxt, t2, tp2, g2, new
-        if done:
-            return m, it
     raise ConvergenceError("no convergence", z, m, abs(1.0 / m + z - y * t), MAX_ITER)
 
 
@@ -180,37 +200,19 @@ def _one_atom(y, z, a, b):
     return root
 
 
-def _refit(TTp, y, z, m):
-    """(m, first, sweeps): the start m moved to the one-atom law with its (T, T').
-
-    Level b and level times mass a give T = a/(1 + b m), so b = -T'/(T + m T')
-    and a = T^2/(T + m T').  That law's transform (``_one_atom``), if more than
-    UPDATE_TOL |m| away, is one sweep; else m stays, with (T, T') as ``first``.
-    """
-    t, tp = TTp(m)
-    try:
-        den = t + m * tp
-        root = _one_atom(y, z, t * t / den, -tp / den)
-        if abs(root - m) > UPDATE_TOL * abs(m):
-            return root, None, 1
-    except ArithmeticError:  # T + m T' = 0, b = 0, q = 0, an overflow or no root
-        pass
-    return m, (t, tp), 0
-
-
 def solve_fixed_point(lsd, y, z, initial=None):
     """Stieltjes transform m(z) of the limit law of p^{-1} X X^T.
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD, ExactARMALSD or
     AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a point with
     Im z > 0.  Every law's ``terms`` is exact, so the solve is one
-    ``_iterate`` on it, and the residual is the defect of the returned m there,
-    one evaluation more.  Without a usable ``initial`` the solve starts from
-    the law with all its mass at the mean level (``_one_atom``: ArithmeticError
-    where its Im m underflows), refit to the one-atom law with the law's
-    (T, T') there (``_refit``), which counts as a sweep when it moves m.
-    MAX_ITER caps the sweeps.  ``m`` is a Python complex and ``residual`` a
-    Python float.
+    ``_iterate`` on it, which evaluated the returned m: the residual is the
+    defect |1/m + z - y T(m)| from that T.  Without a usable ``initial`` the
+    solve starts from the law with all its mass at the mean level
+    (``_one_atom``: ArithmeticError where its Im m underflows), which its
+    first sweep refits.  Keeping each candidate, it makes sweeps + 1
+    evaluations, or sweeps where its last step was within rounding.  MAX_ITER
+    caps the sweeps.  ``m`` is a Python complex, ``residual`` a Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
@@ -220,14 +222,11 @@ def solve_fixed_point(lsd, y, z, initial=None):
     if not isinstance(lsd, (Rule, ExactARMALSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
     y = float(y)
-    if initial is None or not initial.imag > 0.0:
-        # -1/z sits among the law's real poles -1/lam when z is near the real axis
-        m, first, iterations = _refit(lsd.terms, y, z, _one_atom(y, z, lsd.mean, lsd.mean))
-    else:
-        m, first, iterations = complex(initial), None, 0
-    m, its = _iterate(lsd.terms, y, z, m, first)
-    residual = abs(1.0 / m + z - y * lsd.terms(m)[0])
-    return StieltjesSolution(z=z, m=m, residual=residual, iterations=iterations + its)
+    refit = initial is None or not initial.imag > 0.0
+    # -1/z sits among the law's real poles -1/lam when z is near the real axis
+    m = _one_atom(y, z, lsd.mean, lsd.mean) if refit else complex(initial)
+    m, iterations, t = _iterate(lsd.terms, y, z, m, refit)
+    return StieltjesSolution(z=z, m=m, residual=abs(1.0 / m + z - y * t), iterations=iterations)
 
 
 def mp_support(y):
