@@ -80,16 +80,35 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class StieltjesSolution:
-    """Value of the Stieltjes transform at one point, solved on the law itself."""
+    """Value of the Stieltjes transform at one point, solved on the law itself.
+
+    Its ``__init__`` runs the refusal of an m off the upper half-plane
+    (ValueError) and sets the four fields in one assignment to the instance's
+    ``__dict__``, at half the cost of the generated ``__init__`` with a
+    ``__post_init__``; the dataclass still gives ``==``, ``repr`` and freezing.
+    """
 
     z: complex
     m: complex
     residual: float
     iterations: int
 
-    def __post_init__(self):
-        if not self.m.imag > 0.0:
+    def __init__(self, z, m, residual, iterations):
+        if not m.imag > 0.0:
             raise ValueError("Stieltjes transform must map into the upper half-plane")
+        d = self.__dict__
+        d["z"], d["m"], d["residual"], d["iterations"] = z, m, residual, iterations
+
+
+def _merit(m, M, e):
+    """Hyperbolic displacement |G - m|^2 / (Im m Im G) of G = 1/e from m, as
+    |M|^2 / (Im m (-Im e)) with M = 1 - m e (G - m = M/e, Im G = -Im e/|e|^2);
+    inf where Im e >= 0 (G off the upper half-plane) or e is not finite."""
+    if e.imag < 0.0 and cmath.isfinite(e):
+        # abs(M) ** 2 / (Im m (-Im e)) would raise on Python floats where the
+        # square overflows or the product underflows; this form gives inf
+        return (M.real * M.real + M.imag * M.imag) / m.imag / -e.imag
+    return math.inf
 
 
 def _iterate(TTp, y, z, m, refit=False):
@@ -106,41 +125,45 @@ def _iterate(TTp, y, z, m, refit=False):
     That merit is non-increasing along the exact orbit, diverges at the
     boundary (which is where the cleared equation hides spurious roots), and
     vanishes only at the fixed point, so Newton can never be trapped away from
-    the answer.  The merit has a rounding floor, though, below which no
+    the answer.  Each evaluated point gives e = y T - z and the residual
+    M = 1 + m z - y m T = 1 - m e, and a sweep reads all three from them:
+    Newton's step -M/M' = M/(e + y m T'), computed as M/(y (T + m T') - z);
+    the merit |M|^2 / (Im m (-Im e)) (``_merit``); and G = 1/e, formed only
+    for a damped step.  The merit has a rounding floor, though, below which no
     candidate lowers it: so a Newton step within rounding, |dm| <= 4 eps |m|,
     ends the solve at m, and one that meets the stopping rule
-    |dm| <= UPDATE_TOL |m + dm| is kept without the merit test and ends it at
-    m + dm.  With ``refit``, the first sweep's candidate after the rounding
-    test is the transform of the one-atom law with the (T, T') at m
-    (``_one_atom``; T = a/(1 + b m) gives b = -T'/(T + m T') and a =
-    T^2/(T + m T')), kept without the merit test if over UPDATE_TOL |m| away.
-    On Python scalars.  Every returned m was evaluated: the start once and a
-    sweep at most twice, so keeping each candidate takes sweeps + 1
-    evaluations, or sweeps where the last step was within rounding.  At most
-    MAX_ITER sweeps; returns (m, sweeps, T(m)).  A ConvergenceError carries
-    the defect |1/m + z - y T(m)| at its last m.
+    |dm| <= UPDATE_TOL |m + dm| (which the first implies, so it is tested
+    first) is kept without the merit test and ends it at m + dm.  With
+    ``refit``, the first sweep's candidate after the rounding test is the
+    transform of the one-atom law with the (T, T') at m (``_one_atom``;
+    T = a/(1 + b m) gives b = -T'/(T + m T') and a = T^2/(T + m T')), kept
+    without the merit test if over UPDATE_TOL |m| away; only where it is not
+    kept is the start's merit taken.  On Python
+    scalars.  Every returned m was evaluated: the start once and a sweep at
+    most twice, so keeping each candidate takes sweeps + 1 evaluations, or
+    sweeps where the last step was within rounding.  At most MAX_ITER sweeps;
+    returns (m, sweeps, T(m)).  A ConvergenceError carries the defect
+    |1/m + z - y T(m)| at its last m.
     """
     t, tp = TTp(m)
-    g = 1.0 / (-z + y * t)
-    if g.imag > 0.0 and cmath.isfinite(g):
-        # abs(d) ** 2 / (Im m Im g) would raise on Python floats where the
-        # square overflows or the product underflows; this form gives inf
-        d = g - m
-        cur = (d.real * d.real + d.imag * d.imag) / m.imag / g.imag
-    else:
-        g, cur = None, math.inf
+    e, M = y * t - z, 1.0 + m * z - y * m * t
+    # the merit at m, which a cold start's first sweep needs only if its refit is not kept
+    cur = None if refit else _merit(m, M, e)
     tiny = 4.0 * sys.float_info.epsilon
     for it in range(1, MAX_ITER + 1):
         # a ``final`` candidate ends the solve once evaluated; a ``free`` one skips the merit test
         nxt, free, final = None, False, False
-        dM = z - y * (t + m * tp)
-        if dM != 0.0 and cmath.isfinite(dM):
-            step = -(1.0 + m * z - y * m * t) / dM
+        den = y * (t + m * tp) - z
+        if den != 0.0 and cmath.isfinite(den):
+            step = M / den
             size, newton = abs(step), m + step
-            if size <= tiny * abs(m):
+            final = size <= UPDATE_TOL * abs(newton)
+            if final and size <= tiny * abs(m):
                 return m, it, t
             if newton.imag > 0.0 and cmath.isfinite(newton):
-                nxt, final = newton, size <= UPDATE_TOL * abs(newton)
+                nxt = newton
+            else:
+                final = False
         if refit:
             refit = False
             try:
@@ -150,27 +173,26 @@ def _iterate(TTp, y, z, m, refit=False):
                     nxt, free, final = root, True, False
             except ArithmeticError:  # T + m T' = 0, b = 0, q = 0, an overflow or no root
                 pass
+            if not free:
+                cur = _merit(m, M, e)
         # the candidate, if any, then the damped step if the merit rejects it
         for damped in (nxt is None, True):
             if damped:
-                if g is None:
+                g = 1.0 / e
+                if not (g.imag > 0.0 and cmath.isfinite(g)):
                     # analytically impossible; reachable only through quadrature noise
                     raise ConvergenceError("iterate left the upper half-plane", z, m, abs(1.0 / m + z - y * t), it)
                 nxt = 0.5 * (m + g)
             t2, tp2 = TTp(nxt)
             if final:
                 return nxt, it, t2
-            g2 = 1.0 / (-z + y * t2)
-            if g2.imag > 0.0 and cmath.isfinite(g2):
-                d = g2 - nxt
-                new = (d.real * d.real + d.imag * d.imag) / nxt.imag / g2.imag
-            else:
-                g2, new = None, math.inf
+            e2, M2 = y * t2 - z, 1.0 + nxt * z - y * nxt * t2
+            new = _merit(nxt, M2, e2)
             if damped or free or new < cur:
                 break
         if damped and abs(nxt - m) <= UPDATE_TOL * abs(nxt):
             return nxt, it, t2
-        m, t, tp, g, cur = nxt, t2, tp2, g2, new
+        m, t, tp, e, M, cur = nxt, t2, tp2, e2, M2, new
     raise ConvergenceError("no convergence", z, m, abs(1.0 / m + z - y * t), MAX_ITER)
 
 
@@ -226,7 +248,7 @@ def solve_fixed_point(lsd, y, z, initial=None):
     # -1/z sits among the law's real poles -1/lam when z is near the real axis
     m = _one_atom(y, z, lsd.mean, lsd.mean) if refit else complex(initial)
     m, iterations, t = _iterate(lsd.terms, y, z, m, refit)
-    return StieltjesSolution(z=z, m=m, residual=abs(1.0 / m + z - y * t), iterations=iterations)
+    return StieltjesSolution(z, m, abs(1.0 / m + z - y * t), iterations)
 
 
 def mp_support(y):

@@ -1,6 +1,8 @@
 import cmath
+import dataclasses
 import gc
 import math
+import random
 import sys
 import warnings
 import weakref
@@ -75,6 +77,22 @@ def count_evaluations(monkeypatch):
     return evals
 
 
+def transform_lattice(seed, cycles):
+    # the benchmark's transform points (perfbench/workloads.py): in cycle k,
+    # for each law and y in (0.5, 1, 3), a Fibonacci lattice of 233 points
+    # (generator 144) over Re z in [-1, 30] and log10 Im z in [-3, 1], shifted
+    # by a seeded start plus k steps of the R2 sequence
+    for k in range(cycles):
+        first = random.Random(f"transform:{seed}")
+        for law in ("arma", "mp"):
+            for y in (0.5, 1.0, 3.0):
+                a = (first.random() + k * 0.7548776662466927) % 1.0
+                b = (first.random() + k * 0.5698402909980532) % 1.0
+                for i in range(233):
+                    u, v = (i / 233 + a) % 1.0, (i * 144 / 233 + b) % 1.0
+                    yield law, y, complex(-1.0 + 31.0 * u, 10.0 ** (-3.0 + 4.0 * v))
+
+
 def coefficient(bound):
     # 0 or at least 0.01 in size: the partial-fraction oracle needs simple roots,
     # which a subnormal leading coefficient spoils
@@ -141,6 +159,19 @@ class TestSolveFixedPoint:
     def test_solution_refuses_m_off_the_upper_half_plane(self, m):
         with pytest.raises(ValueError, match="upper half-plane"):
             sp.StieltjesSolution(z=1j, m=m, residual=0.0, iterations=1)
+
+    def test_solution_is_a_frozen_dataclass(self):
+        # the hand-written __init__ takes the fields by position or keyword;
+        # the class keeps the dataclass's fields, equality, repr and freezing
+        sol = sp.StieltjesSolution(1j, 0.5j, 0.0, 3)
+        assert sol == sp.StieltjesSolution(z=1j, m=0.5j, residual=0.0, iterations=3)
+        assert sol != dataclasses.replace(sol, iterations=4)
+        assert [f.name for f in dataclasses.fields(sol)] == ["z", "m", "residual", "iterations"]
+        assert repr(sol) == "StieltjesSolution(z=1j, m=0.5j, residual=0.0, iterations=3)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.m = 1j
+        with pytest.raises(ValueError, match="upper half-plane"):
+            dataclasses.replace(sol, m=-0.5j)
 
     def test_uniqueness_from_two_starts(self):
         rng = np.random.default_rng(11)
@@ -219,6 +250,28 @@ class TestSolveFixedPoint:
                 assert sol.iterations == iterations, (y, z, sol.iterations)
                 assert evals[0] == n, (y, z, evals[0])
 
+    def test_transform_lattice_evaluations(self, monkeypatch):
+        # cold solves at the benchmark's transform points (seed 1, cycles 0-3),
+        # counted without timing: ARMA(1,1) on its exact law takes 15,070
+        # evaluations in 14,379 sweeps (5.39 a solve), MP 2,798 in 2,796
+        # (1.0007 a solve).  Pinned so that a change shows
+        laws = {"arma": sp.gamma_lsd(ARMA11), "mp": sp.gamma_lsd(sp.ARMAModel())}
+        evals = [0]
+        for cls in (sp.ExactARMALSD, sp.Rule):
+
+            def counted(lsd, m, terms=cls.terms):
+                evals[0] += 1
+                return terms(lsd, m)
+
+            monkeypatch.setattr(cls, "terms", counted)
+        totals = {law: [0, 0] for law in laws}
+        for law, y, z in transform_lattice(1, 4):
+            before = evals[0]
+            sol = sp.solve_fixed_point(laws[law], y, z)
+            totals[law][0] += evals[0] - before
+            totals[law][1] += sol.iterations
+        assert totals == {"arma": [15070, 14379], "mp": [2798, 2796]}
+
     def test_szego_solve_near_the_axis_evaluates_once_a_sweep(self, monkeypatch):
         # ARMA(2,3) at y = 0.5, z = 1 + 1e-4i solves on its one Szegő rule:
         # one evaluation at the start and one a sweep, the refit's included,
@@ -256,6 +309,61 @@ class TestSolveFixedPoint:
             sp.stieltjes._iterate(counted, y, z, m0)
         assert points == [m0, newton, damped]
         assert err.value.m == damped and err.value.iterations == 1
+
+    def test_merit_is_the_displacement_of_g_at_every_scale(self):
+        # |M|^2 / (Im m (-Im e)) from e = y T - z and M = 1 + m z - y m T
+        # is |G - m|^2 / (Im m Im G) with G = 1/e, for seeded (m, T, y, z)
+        # with z and T of size s and m of size 1/s, s from 1e-150 to 1e150
+        rng = random.Random(7)
+        worst = 0.0
+        for _ in range(2000):
+            s = 10.0 ** rng.uniform(-150.0, 150.0)
+            y = 10.0 ** rng.uniform(-1.0, 1.0)
+            z = s * complex(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-3.0, 1.0))
+            t = s * complex(rng.uniform(-2.0, 2.0), -(10.0 ** rng.uniform(-3.0, 1.0)))
+            m = complex(rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-3.0, 1.0)) / s
+            e = y * t - z
+            g = 1.0 / e
+            merit = sp.stieltjes._merit(m, 1.0 + m * z - y * m * t, e)
+            # in this order the reference neither overflows nor underflows here
+            expected = abs(g - m) / m.imag * (abs(g - m) / g.imag)
+            worst = max(worst, abs(merit - expected) / expected)
+        assert worst <= 1e-13
+
+    def test_merit_is_inf_where_its_terms_overflow_or_underflow(self):
+        merit = sp.stieltjes._merit
+        # the squares of M overflow, where abs(M) ** 2 raises
+        big = 1e200 + 1e200j
+        with pytest.raises(OverflowError):
+            abs(big) ** 2
+        assert merit(1j, big, -1j) == math.inf
+        # the product Im m (-Im e) underflows to 0, where dividing by it raises
+        m, e = 1e-200j, 1e-10 - 1e-200j
+        with pytest.raises(ZeroDivisionError):
+            1.0 / (m.imag * -e.imag)
+        assert merit(m, 1.0 + 0j, e) == math.inf
+        # G = 1/e not in the upper half-plane, or e not finite
+        for e in (1j, 1.0 + 0j, complex(math.inf, -1.0), complex(math.nan, -1.0), complex(0.0, -math.inf)):
+            assert merit(1j, 1.0 + 0j, e) == math.inf
+
+    def test_rejected_candidate_takes_the_damped_point(self, monkeypatch):
+        # a fake evaluator whose T at the Newton candidate puts G = 1/(y T - z)
+        # in the lower half-plane: the merit rejects it (inf), and the sweep
+        # evaluates the damped point (m + 1/(y T(m) - z))/2 instead
+        y, z, m0 = 1.0, 1j, 1j
+        t0, tp0 = -0.5j, 0.1 + 0j
+        newton = m0 - (1.0 + m0 * z - y * m0 * t0) / (z - y * (t0 + m0 * tp0))
+        points = []
+
+        def fake(m):
+            points.append(m)
+            return (2j, 0j) if m == newton else (t0, tp0)
+
+        monkeypatch.setattr(sp.stieltjes, "MAX_ITER", 1)
+        with pytest.raises(sp.ConvergenceError, match="no convergence") as err:
+            sp.stieltjes._iterate(fake, y, z, m0)
+        assert points == [m0, newton, 0.5 * (m0 + 1.0 / (y * t0 - z))]
+        assert err.value.m == points[-1] and err.value.iterations == 1
 
     def test_iterate_that_leaves_the_upper_half_plane_raises(self):
         # an evaluator whose T has Im T > 0 sends G(m) = 1/(-z + y T) to the
