@@ -216,28 +216,26 @@ class SpectralDensity:
         for arr in (self.ma_roots, self.ar_roots, self.breakpoints, self.breakpoint_values):
             arr.setflags(write=False)
 
-    def _slopes(self, x, near, skip=None):
+    def _slopes(self, x, near):
         """(B/A, A'/A, A''/A, L', L'') at x = u (near s = 2) or v: L = log f, slopes in s = 2 cos w.
 
         Each factor F = c + k x of B = |theta|^2 or A = |phi|^2 adds -+rho/F
         to L' (dF/ds = -rho) and -+(rho/F)^2 to L''; u^(-d), left out of B/A,
-        adds d/u and d/u^2.  ``skip`` leaves one factor out.  x is a scalar,
-        real or complex, or an array, and so are the results (complex where a
-        rho is, with Im at rounding level on the real axis).  An array ``near``
-        picks the form point by point.
+        adds d/u and d/u^2.  x is a scalar, real or complex, or an array, and
+        so are the results (complex where a rho is, with Im at rounding level
+        on the real axis).  An array ``near`` picks the form point by point.
         """
         if not isinstance(near, bool):
-            return np.where(near, self._slopes(x, True, skip), self._slopes(x, False, skip))
+            return np.where(near, self._slopes(x, True), self._slopes(x, False))
         zero = 0.0 * x
         ratio, b1, a1, bb, aa = 1.0 + zero, zero, zero, zero, zero
-        for i, (c, k, rho, ar) in enumerate(self._factors[near]):
-            if i != skip:
-                F = c + k * x
-                r = rho / F
-                if ar:
-                    ratio, a1, aa = ratio / F, a1 - r, aa + r * r
-                else:
-                    ratio, b1, bb = ratio * F, b1 - r, bb + r * r
+        for c, k, rho, ar in self._factors[near]:
+            F = c + k * x
+            r = rho / F
+            if ar:
+                ratio, a1, aa = ratio / F, a1 - r, aa + r * r
+            else:
+                ratio, b1, bb = ratio * F, b1 - r, bb + r * r
         l1, l2 = b1 - a1, aa - bb
         if self.d:
             u = x if near else 4.0 - x

@@ -11,11 +11,11 @@ point in one loop that refits a cold start to a one-atom law and ends on an
 m it evaluated, gives the Marchenko-Pastur closed form and the ARMA(1,1)
 quartic as oracles, locates the upper support edge, and recovers the density
 and the distribution function from solves at one small offset above the
-axis.  The solver, the edge and the CDF read each limit law directly, and
-exactly: its (T, T') evaluator ``terms``, its log potential ``potential``, its
-``mean`` and its ``top``.  The atoms and the Szegő law are
-:class:`~specmp.toeplitz_lsd.Rule` s, the exact ARMA law has no nodes, and
-none of the three reads nodes or weights.
+axis.  The solver, the edge and the CDF read each limit law directly: exactly
+through its (T, T') evaluator ``terms``, its log potential ``potential`` and
+its ``top``, and through its ``mean``, which only sets a cold start's level.
+The atoms and the Szegő law are :class:`~specmp.toeplitz_lsd.Rule` s, the
+exact ARMA law has no nodes, and none of the three reads nodes or weights.
 """
 
 from __future__ import annotations
@@ -226,21 +226,23 @@ def solve_fixed_point(lsd, y, z, initial=None):
     """Stieltjes transform m(z) of the limit law of p^{-1} X X^T.
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD, ExactARMALSD or
-    AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a point with
-    Im z > 0.  Every law's ``terms`` is exact, so the solve is one
-    ``_iterate`` on it, which evaluated the returned m: the residual is the
-    defect |1/m + z - y T(m)| from that T.  Without a usable ``initial`` the
-    solve starts from the law with all its mass at the mean level
-    (``_one_atom``: ArithmeticError where its Im m underflows), which its
-    first sweep refits.  Keeping each candidate, it makes sweeps + 1
-    evaluations, or sweeps where its last step was within rounding.  MAX_ITER
-    caps the sweeps.  ``m`` is a Python complex, ``residual`` a Python float.
+    AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a finite point
+    with Im z > 0 (ValueError otherwise, as for a y that is not positive and
+    finite).  Every law's ``terms`` is exact, so the solve is one ``_iterate``
+    on it, which evaluated the returned m: the residual is the defect
+    |1/m + z - y T(m)| from that T.  Without a usable ``initial`` the solve
+    starts from the law with all its mass at its ``mean`` level, which need
+    not be exact (the Szegő law's is the nodes' plain mean), as the first
+    sweep refits it (``_one_atom``: ArithmeticError where its Im m
+    underflows).  Keeping each candidate, it makes sweeps + 1 evaluations, or
+    sweeps where its last step was within rounding.  MAX_ITER caps the
+    sweeps.  ``m`` is a Python complex, ``residual`` a Python float.
     """
     z = complex(z)
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
-    if not z.imag > 0.0:
-        raise ValueError("z must lie in the upper half-plane")
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
+        raise ValueError("z must be finite and lie in the upper half-plane")
     if not isinstance(lsd, (Rule, ExactARMALSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
     y = float(y)
@@ -263,8 +265,10 @@ def mp_stieltjes(y, z):
     """Closed-form Marchenko-Pastur transform, the one-atom law at level 1: the
     upper-half-plane root of z m^2 + (z + 1 - y) m + 1 = 0 (``_one_atom``)."""
     z = complex(z)
-    if not z.imag > 0.0:
-        raise ValueError("z must lie in the upper half-plane")
+    if not (y > 0.0 and math.isfinite(y)):
+        raise ValueError("aspect ratio y must be positive and finite")
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
+        raise ValueError("z must be finite and lie in the upper half-plane")
     return _one_atom(y, z, 1.0, 1.0)
 
 
@@ -336,13 +340,15 @@ def invert_to_density(lsd, y, grid=None):
     + y integral log(1 + lam m) dH (Phi' = -m), with a in place of the mass's
     smeared term -a arg(-z)/pi.  The integral is the law's ``potential``.  The
     solves run under ``np.errstate(all="ignore")``: a NaN or overflow (at extreme y, say)
-    surfaces as a ConvergenceError tagged with x.
+    surfaces as a ConvergenceError tagged with x.  A grid point that is not finite is
+    refused as input, with ValueError.
     """
     if grid is None:
         grid = default_grid(lsd, y)
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0) or grid[0] <= 0.0:
-        raise ValueError("grid must be nonempty and strictly increasing with positive entries")
+    # NaN fails every comparison, so this form refuses it
+    if not (grid.ndim == 1 and grid.size and grid[0] > 0.0 and np.all(np.diff(grid) > 0.0) and math.isfinite(grid[-1])):
+        raise ValueError("grid must be nonempty, finite and strictly increasing with positive entries")
 
     delta = OFFSET * float(grid[-1])
     atom = max(0.0, 1.0 - y)

@@ -24,18 +24,18 @@ law instead: with s = 2 cos w, f is a ratio of polynomials of degree 1 in s,
 and the integrals follow from E = A + m B at s = +-2.
 
 Every law is read directly, and exactly, through the (T, T') evaluator
-``terms``, the imaginary part of the log potential ``potential``, the ``mean``
-level and the ``top`` of the support.  The atoms and the Szegő law are
-:class:`Rule` s of nodes and weights, whose plain node sums the Szegő law
-corrects at its poles; the exact ARMA law has no nodes.  A law's ``kind``
-("atoms", "szego" or "exact") names it in reports.
+``terms``, the imaginary part of the log potential ``potential`` and the
+``top`` of the support, and through a ``mean`` level that only seeds a cold
+solve.  The atoms and the Szegő law are :class:`Rule` s of nodes and weights,
+whose plain node sums the Szegő law corrects at its poles, and whose mean is
+the nodes' plain mean; the exact ARMA law has no nodes, and its mean is T(0).
+A law's ``kind`` ("atoms", "szego" or "exact") names it in reports.
 """
 
 from __future__ import annotations
 
 import bisect
 import cmath
-import copy
 import math
 import warnings
 
@@ -162,7 +162,7 @@ def gamma_density(f, levels):
 
 
 class Rule:
-    """Quadrature rule of a limit law: read-only nodes lam, weights W, mean and top (max lam).
+    """Quadrature rule of a limit law: read-only nodes lam, weights W, mean sum W lam and top (max lam).
 
     :meth:`terms` sums over mu = 1/lam, as lam / (1 + lam m) = 1 / (mu + m).
     Nodes without a finite 1/lam (lam = 0, or below about 5.6e-309) add only
@@ -250,12 +250,14 @@ class AbsContinuousLSD(Rule):
     its principal part, a multiple of 1/(s - s_c) (and of its square for T'),
     out at the nodes and add back its exact mean, g(s_c) = -1/sqrt(s_c^2 - 4)
     (and g'); the potential does so with log(s - s_c), whose mean is
-    log(-1/zeta_c), and ``mean`` with the poles of f itself
-    (``_pole_free_mean``).  The node values, the search's steps and each
-    residue 1/L'(s_c) come from f's root form (``SpectralDensity._slopes``),
-    which keeps its relative accuracy beside a sharp peak, where a residue
-    from cosine sums cancelled.  So no pole costs accuracy, and the law is
-    exact on its nodes.  It holds no state between calls: threads can share it.
+    log(-1/zeta_c).  The node values, the search's steps and each residue
+    1/L'(s_c) come from f's root form (``SpectralDensity._slopes``), which
+    keeps its relative accuracy beside a sharp peak, where a residue from
+    cosine sums cancelled.  So no pole costs accuracy, and the law is exact on
+    its nodes.  Its ``mean`` is the nodes' plain mean, which misses the mass of
+    a peak sharper than their spacing (98 % low for a sharp AR(2)): it only
+    sets a cold solve's start, which the first sweep refits.  It holds no
+    state between calls: threads can share it.
     """
 
     kind = "szego"
@@ -279,7 +281,6 @@ class AbsContinuousLSD(Rule):
         values = ratio * u**-f.d
         super().__init__(values[:n], h * math.pi * np.cosh(t) * e / (1.0 + e) ** 2)
         self.top, self._u, self._v = support_bounds(f)[1], u[:n], v[:n]
-        self.mean = self._pole_free_mean()
         # the search runs in x = u or v, in which f is analytic at the fold ends, but in log u near s = 2
         # for d != 0, which keeps the digits of a root at u ~ 1e-29 and its sheet of u^(-d).  A pole within
         # 8 steps in t of its start is taken out, |ds/dt| = 2 sin(w) cosh(t) w (pi - w): R apart in log u or
@@ -310,28 +311,6 @@ class AbsContinuousLSD(Rule):
             ends = [starts[n + i] for i in (j - 1, j) if 0 <= i < inner.size][::step]
             if lo < hi:
                 self._branches.append((values[lo:hi].tolist()[::step], starts[lo:hi][::step], float(-step), ends))
-
-    def _pole_free_mean(self):
-        """The mean of f, exact where the nodes miss an interior peak of f.
-
-        A non-real reciprocal zero rho of phi gives f the pole c / (s - s_A) at u_A = -(1 - rho)^2/rho,
-        v_A = (1 + rho)^2/rho, c = B u^(-d) / (dA/ds), dA/ds = -rho times A's other factors.  Its sum on the
-        nodes is swapped for its exact mean, -c / sqrt(s_A^2 - 4) (as in ``_poles``), so a peak sharper than
-        the nodes' spacing keeps its mass; s - s_A is taken in u, or in v where s_A lies nearer s = -2.  A
-        double zero leaves its peak's mass inexact: the mean is only the cold start's level.
-        """
-        mean, d = complex(self.mean), self.f.d
-        for i, (_, _, rho, ar) in enumerate(self.f._factors[True]):
-            if not (ar and rho.imag):
-                continue  # a peak at w = 0 or pi, where the nodes cluster
-            ua, va = -((1.0 - rho) ** 2) / rho, (1.0 + rho) ** 2 / rho
-            near = ua.real <= 2.0
-            s, r = 2.0 - ua if near else va - 2.0, cmath.sqrt(-ua * va)
-            r = -r if (s.conjugate() * r).real < 0.0 else r
-            c = self.f._slopes(ua if near else va, near, skip=i)[0] * ua**-d / -rho
-            q = ua - self._u if near else self._v - va  # s - s_A at the nodes
-            mean -= c * (self.weights.dot(1.0 / q) + 1.0 / r)
-        return mean.real
 
     # called by nothing in specmp: the benchmark's tracer (perfbench/tracing.py) patches it by name
     def rule(self):
@@ -454,8 +433,9 @@ class ExactARMALSD:
     With s = 2 cos w, |phi|^2 = A(s) and |theta|^2 = B(s) are polynomials of
     degree 1 (``_exact_coeffs``), and T(m) = (1/2 pi) int B / E dw with
     E = A + m B.  T, T', the potential and ``top`` (max f) follow from E at
-    s = +-2 (:meth:`terms`), with no root of E; ``mean`` is T(0).  The law has
-    no nodes.  It holds its spectral density as ``f``.
+    s = +-2 (:meth:`terms`), with no root of E, or in the far field of large
+    |m| from T = 1/m; ``mean`` is T(0).  The law has no nodes.  It holds its
+    spectral density as ``f``.
     """
 
     kind = "exact"
@@ -464,18 +444,13 @@ class ExactARMALSD:
         coeffs = _exact_coeffs(f)
         if coeffs is None:
             raise ValueError("the exact law needs d = 0 and max(p, q) = 1")
-        # A and B at s = +-2, each free of cancellation; max f is B/A at one of them
+        # A and B at s = +-2, each free of cancellation; max f is B/A at one of them.  Below the far field's
+        # |m| = 1e150 / (max B)^1.25, P Q and W (b W - kappa), about |m|^2 B(2) B(-2) and |b| times it, stay finite
         self.f, (a, b) = f, coeffs
         A2, Am2, B2, Bm2 = (1.0 + a) ** 2, (1.0 - a) ** 2, (1.0 + b) ** 2, (1.0 - b) ** 2
         self._k1 = (A2, Am2, B2, Bm2, a, b, 1.0 + b * b, (a - b) * (1.0 - a * b))
-        self.top = max(B2 / A2, Bm2 / Am2)
+        self.top, self._far = max(B2 / A2, Bm2 / Am2), 1e150 / max(B2, Bm2) ** 1.25
         self.mean = self.terms(0.0)[0].real
-
-    def _scaled(self, m):
-        """(c, the law of c f) for the power of 2 c at |m|: its T at m/c is c T(m), and E(2) E(-2) stays finite."""
-        c, law, (A2, Am2, B2, Bm2, a, b, b0, kappa) = 2.0 ** math.frexp(abs(m))[1], copy.copy(self), self._k1
-        law._k1 = (A2 / c, Am2 / c, B2, Bm2, a / c, b, b0, kappa / c)
-        return c, law
 
     def terms(self, m):
         """(T, T') at m, written out, as it runs once a sweep.
@@ -484,13 +459,15 @@ class ExactARMALSD:
         where A = r_0 + r_1 s cancels.  The mean of 1/E is 1/W, W = sqrt(P Q) with Re(conj(e0) W) >= 0
         for e0 = (P + Q)/2, and B/E = b/e1 + kappa/(e1 E), e1 = a + m b, so T = (b W + kappa)/(e1 W).
         Where b W cancels kappa (e1 -> 0, E's root running off), T is that form times
-        (b W - kappa)/(b W - kappa), which takes the factor e1 out.  Beyond |m| = 1e150, where P Q
-        overflows, T comes from the law of c f (``_scaled``).
+        (b W - kappa)/(b W - kappa), which takes the factor e1 out.  In the far field, from
+        |m| = 1e150 / (max B(+-2))^1.25 on, short of where these products overflow, T = 1/m and
+        T' = -1/m^2, exact to rounding: B/E = 1/(m + 1/f) leaves a relative error of at most
+        E[1/f] / |m| <= 4 / (|1 - b^2| |m|), and O(|m|^(-1/2)) at |b| = 1, where f has a double zero.
+        1/m is taken as conj(m) / |m| / |m|, as Python's 1/m overflows its denominator near |m| = 1e308.
         """
-        if not abs(m) < 1e150:
-            c, law = self._scaled(m)
-            t, tp = law.terms(m / c)
-            return t / c, tp / c / c
+        if not abs(m) < self._far:
+            r = m.conjugate() / abs(m) / abs(m)
+            return r, -r * r
         A2, Am2, B2, Bm2, a, b, b0, kappa = self._k1
         P, Q = A2 + m * B2, Am2 + m * Bm2
         W = cmath.sqrt(P * Q)
@@ -507,10 +484,10 @@ class ExactARMALSD:
         return t, (b * BB - t * (b * dPQ - kappa * Wp)) / D
 
     def potential(self, m):
-        """Im of the log potential: the mean of log E is log((e0 + W)/2), in (0, pi) for Im m > 0."""
-        if not abs(m) < 1e150:
-            c, law = self._scaled(m)
-            return law.potential(m / c)
+        """Im of the log potential: the mean of log E is log((e0 + W)/2), in (0, pi) for Im m > 0, and
+        the mean of arg(1 + f m), arg m to rounding, in the far field of :meth:`terms`."""
+        if not abs(m) < self._far:
+            return cmath.phase(m)
         A2, Am2, B2, Bm2 = self._k1[:4]
         P, Q = A2 + m * B2, Am2 + m * Bm2
         W, e0 = cmath.sqrt(P * Q), 0.5 * (P + Q)

@@ -32,6 +32,8 @@ ARMA11_SZEGO = sp.AbsContinuousLSD(sp.SpectralDensity(ARMA11))
 ARMA23 = sp.ARMAModel(ar=(0.6, -0.3), ma=(0.4, 0.2, -0.1))
 # a sharp AR(2) peak: |phi|^2 falls to 1.3e-8 of its mean at w = 0.807
 SHARP_AR2 = sp.ARMAModel(ar=(-1.3826202528951597, 0.9996872602874478))
+# phi's roots at e^(+-i)/0.99: f peaks at 3,566 at w = 1.0000, where the nearest nodes reach 638
+PEAKED_AR2 = sp.ARMAModel(ar=(-1.069798565618917, 0.9801))
 # phi's zeros at modulus 1.0028, where f peaks at 31,795 between the nodes near w = pi/2
 NEAR_AR2 = (-0.011735229814165901, 0.9943917768531493)
 FARIMA = sp.ARMAModel(d=-0.25)
@@ -137,6 +139,16 @@ class TestSolveFixedPoint:
             sp.mp_stieltjes(1.0, 1.0 - 1j)
         with pytest.raises(ValueError):
             sp.solve_fixed_point(MP_ATOM, -1.0, 1j)
+        # a z or y that is not finite, or y <= 0, is refused as input: a NaN z raised
+        # ArithmeticError deep in the solve, and mp_stieltjes(-1, i) returned -0.5 + 1.87i
+        for z in (complex(math.nan, 1.0), complex(1.0, math.inf), complex(-math.inf, 1.0), complex(1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite and lie in the upper half-plane"):
+                sp.solve_fixed_point(MP_ATOM, 1.0, z)
+            with pytest.raises(ValueError, match="finite and lie in the upper half-plane"):
+                sp.mp_stieltjes(1.0, z)
+        for y in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="aspect ratio"):
+                sp.mp_stieltjes(y, 1j)
 
     def test_root_underflowing_to_the_axis_is_arithmetic_error(self):
         # z = 5 + 5e-324j is in the upper half-plane, but Im m underflows to 0
@@ -271,6 +283,23 @@ class TestSolveFixedPoint:
             totals[law][0] += evals[0] - before
             totals[law][1] += sol.iterations
         assert totals == {"arma": [15070, 14379], "mp": [2798, 2796]}
+
+    def test_szego_lattice_sweeps(self, monkeypatch):
+        # cold solves on the Szegő laws of the sharp and the peaked AR(2) at
+        # the benchmark's ARMA(1,1) transform points (seed 1, cycle 0), 699
+        # each.  Their start sits at the nodes' plain mean, 52.5 and 20.1,
+        # against the laws' means 3063.6 and 35.8, and the first sweep refits
+        # it.  Pinned so that a change to the start's level shows
+        evals = count_evaluations(monkeypatch)
+        totals = {}
+        for name, model in (("sharp", SHARP_AR2), ("peaked", PEAKED_AR2)):
+            law, evals[0], sweeps = sp.gamma_lsd(model), 0, 0
+            assert law.kind == "szego"
+            for which, y, z in transform_lattice(1, 1):
+                if which == "arma":
+                    sweeps += sp.solve_fixed_point(law, y, z).iterations
+            totals[name] = [evals[0], sweeps]
+        assert totals == {"sharp": [3891, 3653], "peaked": [3649, 3345]}
 
     def test_szego_solve_near_the_axis_evaluates_once_a_sweep(self, monkeypatch):
         # ARMA(2,3) at y = 0.5, z = 1 + 1e-4i solves on its one Szegő rule:
@@ -857,6 +886,11 @@ class TestInversion:
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             sp.invert_to_density(MP_ATOM, 1.0, grid=np.array([2.0, 1.0]))
+        # a point that is not finite is refused as input; these raised
+        # ConvergenceError, ArithmeticError and "z must lie in the upper half-plane"
+        for grid in ([1.0, math.nan, 3.0], [1.0, math.inf], [1.0, 2.0, math.nan], [math.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                sp.invert_to_density(MP_ATOM, 1.0, grid=np.array(grid))
 
     @pytest.mark.parametrize("model", MOMENT_MODELS[:4], ids=MOMENT_IDS[:4])
     @pytest.mark.parametrize("y", [0.5, 3.0])

@@ -586,11 +586,12 @@ class TestSzegoLaw:
         # of the peak is out of reach of its root, and only the searches from
         # the peak find them: without those T was 52 % off.  Against the law
         # on 16x the nodes 1.2e-10 in T and 2.2e-15 in the potential.  The
-        # nodes' plain mean is 44 % low; the law's is 8.4e-14 off a 2^20-node rule
+        # law's mean is its nodes' plain mean, 44 % below a 2^20-node rule's:
+        # it only sets the cold start's level, which the first sweep refits
         law = sp.gamma_lsd(PEAKED_AR2)
         lam = law.top * complex(0.99, 1e-4)
         assert law.nodes.max() < 0.2 * law.top and len(law._poles(lam)) == 2
-        assert abs(law.mean / szego_rule(law.f, 2**20).mean - 1.0) <= 1e-12
+        assert law.mean == law.weights.dot(law.nodes)
         monkeypatch.setattr(toeplitz_lsd, "RULE_STEPS", 16 * toeplitz_lsd.RULE_STEPS)
         fine = sp.AbsContinuousLSD(law.f)
         assert abs(law.terms(-1.0 / lam)[0] / fine.terms(-1.0 / lam)[0] - 1.0) <= 1e-9
@@ -774,10 +775,10 @@ class TestExactLaw:
     def test_terms_and_potential_match_a_fine_szego_rule(self, model):
         # away from the axis, where the 2^18-node rule is exact to rounding;
         # worst seen 1.5e-15 in T, 5.4e-15 in T' and 1.3e-15 in the potential.
-        # The means agree to 1e-13, but for the sharp AR(2), where |phi|^2 at
-        # its peak keeps few digits: rules of 2^18 to 2^22 nodes sit 2.8e-9 to
-        # 1.9e-9 below its closed-form variance 3063.61106999238, and the law's
-        # mean 7.1e-10 below it, where the nodes' plain sum is 98 % below
+        # The exact laws' means agree with the rule's to 1e-13.  A Szegő law's
+        # mean is its nodes' plain mean, which only sets the cold start's level:
+        # for the sharp AR(2) it is 98 % below the closed-form variance
+        # 3063.61106999238, as the nodes miss the peak
         f = sp.SpectralDensity(model)
         law, rule = sp.gamma_lsd(model), szego_rule(f, 2**18)
         if model.ma == (0.5, 0.0) or max(len(model.ar), len(model.ma)) == 1:
@@ -785,8 +786,8 @@ class TestExactLaw:
         else:
             assert isinstance(law, sp.AbsContinuousLSD)
         assert law.top == sp.support_bounds(f)[1]
-        if model is SHARP_AR2:
-            assert abs(law.mean / 3063.6110699923797 - 1.0) <= 2e-9
+        if isinstance(law, sp.AbsContinuousLSD):
+            assert law.mean == law.weights.dot(law.nodes)
         else:
             assert abs(law.mean / rule.mean - 1.0) <= 1e-13
         for m in (0.3 + 0.6j, -60.0 + 80.0j, 100j, -0.2 + 0.05j, 2.0 + 0.01j):
@@ -832,15 +833,44 @@ class TestExactLaw:
         assert math.isfinite(t.real) and math.isfinite(tp.real) and tp.real < 0.0
 
     def test_k1_terms_and_solves_at_extreme_m(self):
-        # E(2) E(-2) overflows at |m| beyond 1e154 unless scaled: T was NaN, and
-        # these solves raised ConvergenceError.  T = 1/m to rounding there
+        # E(2) E(-2) overflows at large |m|, and past the far-field switch
+        # T = 1/m to rounding.  These solves match the Szegő law of the same f;
+        # with the switch at |m| = 1e150 for every law, the MA(1) theta = 1e7
+        # solves returned twice the transform at 1e-140i and raised at 1e-145i,
+        # and the 5e-309i solve raised OverflowError
         ar1, ma1 = sp.gamma_lsd(sp.ARMAModel(ar=(-0.5,))), sp.gamma_lsd(sp.ARMAModel(ma=(1.0,)))
+        ma_big = sp.gamma_lsd(sp.ARMAModel(ma=(1e7,)))
         t, tp = ar1.terms(1e160j)
         assert abs(t * 1e160j - 1.0) <= 1e-15 and math.isfinite(abs(tp))
         assert abs(ar1.potential(1e160j) - math.pi / 2.0) <= 1e-15
-        for law, y, z in ((ar1, 0.5, 1e-200j), (ma1, 1e-300, 1e-180j)):
+        cases = [(ar1, 0.5, 1e-200j), (ma1, 1e-300, 1e-180j), (ar1, 0.5, 5e-309j)]
+        cases += [(ma_big, 0.5, z) for z in (1e-138j, 1e-140j, 1e-145j)]
+        for law, y, z in cases:
             m = sp.solve_fixed_point(law, y, z).m
-            assert abs(m / sp.solve_fixed_point(sp.AbsContinuousLSD(law.f), y, z).m - 1.0) <= 1e-15, law.f
+            assert abs(m / sp.solve_fixed_point(sp.AbsContinuousLSD(law.f), y, z).m - 1.0) <= 1e-15, (law.f, z)
+        # T, T' and the potential on either side of the switch and up to
+        # |m| = 1.7e308, against 50-digit 1/m, -1/m^2 and arg m; worst seen
+        # 4.6e-16 in T and 1.3e-15 in T'.  The closed form's W (b W - kappa)
+        # overflows below a switch at 1e150 / max B(+-2) for |theta| beyond
+        # 1.8e8 (T was NaN at |m| = 5e129 for theta = -1e10)
+        models = [
+            sp.ARMAModel(ar=(-0.5,)), sp.ARMAModel(ar=(0.999999,)), sp.ARMAModel(ma=(1.0,)), sp.ARMAModel(ma=(-1.0,)),
+            sp.ARMAModel(ma=(1e7,)), sp.ARMAModel(ma=(-1e10,)), sp.ARMAModel.arma11(0.5, 1.0),
+            sp.ARMAModel(ar=(0.999,), ma=(0.3,)),
+        ]
+        for model in models:
+            law = sp.gamma_lsd(model)
+            assert isinstance(law, sp.ExactARMALSD)
+            for size in (0.5 * law._far, 0.9999 * law._far, law._far, 2.0 * law._far, 1.7e308):
+                for angle in (1e-9, 0.5, math.pi / 2.0, 3.0, math.pi - 1e-9):
+                    m = cmath.rect(size, angle)
+                    with mpmath.workdps(50):
+                        inv = 1 / mpmath.mpc(m)
+                        t_ref, tp_ref = complex(inv), complex(-inv * inv)
+                    t, tp = law.terms(m)
+                    assert abs(t - t_ref) <= 1e-15 * abs(t_ref), (model, size, angle)
+                    assert abs(tp - tp_ref) <= 3e-15 * abs(tp_ref), (model, size, angle)
+                    assert abs(law.potential(m) - cmath.phase(m)) <= 1e-15, (model, size, angle)
 
     def test_terms_stay_finite_where_the_leading_coefficient_vanishes(self):
         # ARMA(1,1) phi = 0.5, theta = -1: E = A + m B = (1.25 + 2m) - (0.5 + m) s
