@@ -65,22 +65,16 @@ OFFSET = 1e-8
 
 
 class ConvergenceError(RuntimeError):
-    """Fixed-point iteration failed; carries the last iterate and its defect."""
+    """Fixed-point iteration failed; carries the last iterate m and its residual |1 + m z - y m T(m)|."""
 
     def __init__(self, message, z, m, residual, iterations):
-        super().__init__(
-            f"{message} at z={z}: last m={m}, residual={residual:.3e}, "
-            f"iterations={iterations}"
-        )
-        self.z = z
-        self.m = m
-        self.residual = residual
-        self.iterations = iterations
+        super().__init__(f"{message} at z={z}: last m={m}, residual={residual:.3e}, iterations={iterations}")
+        self.z, self.m, self.residual, self.iterations = z, m, residual, iterations
 
 
 @dataclass(frozen=True)
 class StieltjesSolution:
-    """Value of the Stieltjes transform at one point, solved on the law itself.
+    """Stieltjes value m at z, solved on the law itself, with its residual |1 + m z - y m T(m)|.
 
     Its ``__init__`` runs the refusal of an m off the upper half-plane
     (ValueError) and sets the four fields in one assignment to the instance's
@@ -142,8 +136,8 @@ def _iterate(TTp, y, z, m, refit=False):
     scalars.  Every returned m was evaluated: the start once and a sweep at
     most twice, so keeping each candidate takes sweeps + 1 evaluations, or
     sweeps where the last step was within rounding.  At most MAX_ITER sweeps;
-    returns (m, sweeps, T(m)).  A ConvergenceError carries the defect
-    |1/m + z - y T(m)| at its last m.
+    returns (m, sweeps, M(m)), the residual its sweeps stepped on.  A
+    ConvergenceError carries |M| at its last m.
     """
     t, tp = TTp(m)
     e, M = y * t - z, 1.0 + m * z - y * m * t
@@ -159,7 +153,7 @@ def _iterate(TTp, y, z, m, refit=False):
             size, newton = abs(step), m + step
             final = size <= UPDATE_TOL * abs(newton)
             if final and size <= tiny * abs(m):
-                return m, it, t
+                return m, it, M
             if newton.imag > 0.0 and cmath.isfinite(newton):
                 nxt = newton
             else:
@@ -181,19 +175,19 @@ def _iterate(TTp, y, z, m, refit=False):
                 g = 1.0 / e
                 if not (g.imag > 0.0 and cmath.isfinite(g)):
                     # analytically impossible; reachable only through quadrature noise
-                    raise ConvergenceError("iterate left the upper half-plane", z, m, abs(1.0 / m + z - y * t), it)
+                    raise ConvergenceError("iterate left the upper half-plane", z, m, abs(M), it)
                 nxt = 0.5 * (m + g)
             t2, tp2 = TTp(nxt)
-            if final:
-                return nxt, it, t2
             e2, M2 = y * t2 - z, 1.0 + nxt * z - y * nxt * t2
+            if final:
+                return nxt, it, M2
             new = _merit(nxt, M2, e2)
             if damped or free or new < cur:
                 break
         if damped and abs(nxt - m) <= UPDATE_TOL * abs(nxt):
-            return nxt, it, t2
+            return nxt, it, M2
         m, t, tp, e, M, cur = nxt, t2, tp2, e2, M2, new
-    raise ConvergenceError("no convergence", z, m, abs(1.0 / m + z - y * t), MAX_ITER)
+    raise ConvergenceError("no convergence", z, m, abs(M), MAX_ITER)
 
 
 def _one_atom(y, z, a, b):
@@ -229,8 +223,9 @@ def solve_fixed_point(lsd, y, z, initial=None):
     AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a finite point
     with Im z > 0 (ValueError otherwise, as for a y that is not positive and
     finite).  Every law's ``terms`` is exact, so the solve is one ``_iterate``
-    on it, which evaluated the returned m: the residual is the defect
-    |1/m + z - y T(m)| from that T.  Without a usable ``initial`` the solve
+    on it, which evaluated the returned m: the residual is |M| from that T,
+    M = 1 + m z - y m T(m) the equation times m that its sweeps step on, which
+    is free of the law's scale.  Without a usable ``initial`` the solve
     starts from the law with all its mass at its ``mean`` level, which need
     not be exact (the Szegő law's is the nodes' plain mean), as the first
     sweep refits it (``_one_atom``: ArithmeticError where its Im m
@@ -249,8 +244,8 @@ def solve_fixed_point(lsd, y, z, initial=None):
     refit = initial is None or not initial.imag > 0.0
     # -1/z sits among the law's real poles -1/lam when z is near the real axis
     m = _one_atom(y, z, lsd.mean, lsd.mean) if refit else complex(initial)
-    m, iterations, t = _iterate(lsd.terms, y, z, m, refit)
-    return StieltjesSolution(z, m, abs(1.0 / m + z - y * t), iterations)
+    m, iterations, M = _iterate(lsd.terms, y, z, m, refit)
+    return StieltjesSolution(z, m, abs(M), iterations)
 
 
 def mp_support(y):
@@ -370,16 +365,8 @@ def invert_to_density(lsd, y, grid=None):
         z = grid + 1j * delta
         args = np.array([lsd.potential(m) for m in ms])
         cdf = (np.angle(ms) - y * args + (z * ms).imag + atom * np.angle(-z)) / math.pi + atom
-    return LimitingDensity(
-        grid=grid,
-        values=np.clip(vals, 0.0, None),
-        cdf=cdf,
-        mass_at_zero=atom,
-        y=y,
-        offset=delta,
-        iterations=iterations,
-        max_residual=max_residual,
-    )
+    return LimitingDensity(grid=grid, values=np.clip(vals, 0.0, None), cdf=cdf, mass_at_zero=atom, y=y,
+                           offset=delta, iterations=iterations, max_residual=max_residual)
 
 
 def lsd_cdf(density, x):

@@ -19,9 +19,10 @@ density diverges there.  Integrals against the continuous law of a FARIMA
 model (d != 0), or of an ARMA model with K = max(p, q) >= 2, come from Szegő's
 theorem on one tanh-sinh rule in w, with the poles of the integrand that the
 rule does not resolve subtracted; f, its slopes and those poles all come from
-the root form of ``SpectralDensity``.  An ARMA model with K = 1 has an exact
-law instead: with s = 2 cos w, f is a ratio of polynomials of degree 1 in s,
-and the integrals follow from E = A + m B at s = +-2.
+the root form of ``SpectralDensity``.  An ARMA model with K = 1 (and theta's
+zero within 1e40) has an exact law instead: with s = 2 cos w, f is a ratio of
+polynomials of degree 1 in s, and the integrals follow from E = A + m B at
+s = +-2.
 
 Every law is read directly, and exactly, through the (T, T') evaluator
 ``terms``, the imaginary part of the log potential ``potential`` and the
@@ -415,16 +416,15 @@ class AbsContinuousLSD(Rule):
 def _exact_coeffs(f):
     """(a, b) = (-rho_phi, -rho_theta), 0 for no zero, with |phi|^2 = 1 + a^2 + a s, where d = 0 and K = 1, else None.
 
-    K counts the zeros that move their factor 1 - rho s + rho^2 on [-2, 2] by more than its rounding."""
+    K counts the zeros that move their factor 1 - rho s + rho^2 on [-2, 2] by more than its rounding, and
+    those with |rho| > 1, whose factor scales f by rho^2 even where it is flat to rounding (|rho| > 4.5e15).
+    None too for |b| > 1e40: the closed form's T' runs through about b^6 / |1 + m top|, which overflows at
+    2^-50 from -1/top from |b| = 1e44 on where a is an ulp from a unit root."""
     eps = np.finfo(float).eps
-    live = [[r.real for r in z.tolist() if abs(r) > eps * (1.0 + abs(r)) ** 2] for z in (f.ar_roots, f.ma_roots)]
-    return tuple(-z[0] if z else 0.0 for z in live) if f.d == 0.0 and max(map(len, live)) == 1 else None
-
-
-def _off_axis(m):
-    # T is analytic where E = A + m B has its root at s = +-2; only the form in
-    # W = sqrt(E(2) E(-2)) is singular there, so it is evaluated an ulp above the axis
-    return complex(m.real, m.imag + 2.0**-52 * max(1.0, abs(m)))
+    live = [[r.real for r in z.tolist() if abs(r) > min(1.0, eps * (1.0 + abs(r)) ** 2)]
+            for z in (f.ar_roots, f.ma_roots)]
+    a, b = (-z[0] if z else 0.0 for z in live)
+    return (a, b) if f.d == 0.0 and max(map(len, live)) == 1 and abs(b) <= 1e40 else None
 
 
 class ExactARMALSD:
@@ -443,7 +443,7 @@ class ExactARMALSD:
     def __init__(self, f):
         coeffs = _exact_coeffs(f)
         if coeffs is None:
-            raise ValueError("the exact law needs d = 0 and max(p, q) = 1")
+            raise ValueError("the exact law needs d = 0, max(p, q) = 1 and |rho_theta| <= 1e40")
         # A and B at s = +-2, each free of cancellation; max f is B/A at one of them.  Below the far field's
         # |m| = 1e150 / (max B)^1.25, P Q and W (b W - kappa), about |m|^2 B(2) B(-2) and |b| times it, stay finite
         self.f, (a, b) = f, coeffs
@@ -464,6 +464,7 @@ class ExactARMALSD:
         T' = -1/m^2, exact to rounding: B/E = 1/(m + 1/f) leaves a relative error of at most
         E[1/f] / |m| <= 4 / (|1 - b^2| |m|), and O(|m|^(-1/2)) at |b| = 1, where f has a double zero.
         1/m is taken as conj(m) / |m| / |m|, as Python's 1/m overflows its denominator near |m| = 1e308.
+        W = 0 only at the real m = -1/f(+-2), at or below -1/top, where T is infinite: this raises there.
         """
         if not abs(m) < self._far:
             r = m.conjugate() / abs(m) / abs(m)
@@ -471,8 +472,6 @@ class ExactARMALSD:
         A2, Am2, B2, Bm2, a, b, b0, kappa = self._k1
         P, Q = A2 + m * B2, Am2 + m * Bm2
         W = cmath.sqrt(P * Q)
-        if W == 0.0:  # E's root at s = +-2, an end of [-2, 2]
-            return self.terms(_off_axis(m))
         e0, e1, dPQ = 0.5 * (P + Q), a + m * b, B2 * Q + P * Bm2
         if (e0.conjugate() * W).real < 0.0:
             W = -W
@@ -515,21 +514,32 @@ def atomic_lsd(density):
     return AtomicLSD(levels=levels, weights=weights)
 
 
+def _check_scale(*levels):
+    # at 2^+-500 two atoms take scale 1's sweeps (to one) at y from 1e-6 to 100; at 2^505 the y = 1e-6 edge is 0.7 % off
+    for level in levels:
+        if not 2.0**-500 <= level <= 2.0**500:
+            raise ModelSpecError(f"spectral level {level:.3g} outside the range [2^-500, 2^500] that specmp solves")
+
+
 def gamma_lsd(model):
     """Limit law of the autocovariance Toeplitz matrix of a model.
 
     A PiecewiseSpectralDensity gives an AtomicLSD.  An ARMAModel gives one atom
     when its SpectralDensity f is constant to within ``_level_atol(f)``; else
-    the ExactARMALSD of f for d = 0 and K = max(p, q) = 1 (``_exact_coeffs``),
-    which needs no nodes; else, K >= 2 or d != 0, the AbsContinuousLSD of f,
-    on its tanh-sinh rule, at AR roots however near the unit circle.
+    the ExactARMALSD of f for d = 0 and K = max(p, q) = 1 (``_exact_coeffs``,
+    which also bounds theta's zero), which needs no nodes; else the
+    AbsContinuousLSD of f, on its tanh-sinh rule, at AR roots however near
+    the unit circle.
     ModelSpecError refuses two cases.  For d > 0 (long memory) the limit law
     exists (Merlevède & Peligrad, Stoch. Process. Appl. 126, 2016), but f is
     unbounded at 0 and so is the law's support, which nothing here tabulates
-    yet.  And (max f)^2 must be finite.
+    yet.  And each piecewise level, or max f (at least 1), must lie in
+    [2^-500, 2^500].
     """
     if isinstance(model, PiecewiseSpectralDensity):
-        return atomic_lsd(model)
+        law = atomic_lsd(model)
+        _check_scale(law.levels[0], law.top)
+        return law
     f = SpectralDensity(model)
     if f.d > 0.0:
         raise ModelSpecError(
@@ -537,10 +547,8 @@ def gamma_lsd(model):
             "which specmp does not tabulate yet"
         )
     lo, hi = support_bounds(f)
-    if not math.isfinite(hi * hi):
-        raise ModelSpecError(f"spectral density too large: (max f)^2 overflows at max f = {hi:.3g}")
+    _check_scale(hi)
     if hi - lo <= _level_atol(f):
         level = 0.5 * (lo + hi)
         return AtomicLSD(levels=np.array([level]), weights=np.array([1.0]))
     return AbsContinuousLSD(f=f) if _exact_coeffs(f) is None else ExactARMALSD(f)
-

@@ -50,6 +50,9 @@ INFINITE_F = json.dumps({"type": "arma", "ar": [-0.8946377354927975, -0.89528002
 # AR zeros on the unit circle, at 1 and at +-i: no stationary process, refused
 UNIT_ROOT = '{"type":"arma","ar":[-1.0]}'
 UNIT_PAIR = '{"type":"arma","ar":[0.0,1.0]}'
+# spectral levels outside [2^-500, 2^500]: a piecewise level of 1e-200, and max f = 1e154
+TINY_LEVEL = json.dumps({"type": "piecewise", "pieces": [{"lo": 0.0, "hi": 2.0 * math.pi, "alpha": 1e-200}]})
+HUGE_MAX_F = '{"type":"arma","ma":[1e77]}'
 
 
 def run(args):
@@ -208,6 +211,12 @@ class TestLsdDensityCommand:
             # plans whose p * n exceeds what NumPy can index, refused before any solve
             ["simulate", "--model", WHITE, "--y", "1e300", "--p", "16"],
             ["compare", "--model", WHITE, "--y", "1e300", "--p", "2"],
+            # spectral levels outside [2^-500, 2^500]
+            ["gamma-density", "--model", TINY_LEVEL],
+            ["lsd-density", "--model", TINY_LEVEL, "--y", "0.5"],
+            ["gamma-density", "--model", HUGE_MAX_F],
+            ["lsd-density", "--model", HUGE_MAX_F, "--y", "3"],
+            ["lsd-density", "--model", HUGE_MAX_F, "--y", "0.5"],
         ],
     )
     def test_out_of_range_input_exits_2(self, argv, tmp_path, capsys):

@@ -403,19 +403,19 @@ class TestSolveFixedPoint:
         with pytest.raises(sp.ConvergenceError, match="left the upper half-plane") as err:
             sp.stieltjes._iterate(lambda m: (t, 0j), y, z, m0)
         assert err.value.m == m0 and err.value.iterations == 1
-        assert err.value.residual == abs(1.0 / m0 + z - y * t)
+        assert err.value.residual == abs(1.0 + m0 * z - y * m0 * t)
 
     def test_convergence_error_carries_the_defect(self, monkeypatch):
         # the cold ARMA(1,1) solve at y = 1, z = 2 + 0.1i takes 5 sweeps on
-        # its exact law; stopped after 2, the error reports the defect of the
-        # last m in the fixed-point equation on that rule, not the merit
+        # its exact law; stopped after 2, the error reports the residual
+        # |1 + m z - y m T(m)| of the last m on that law, not the merit
         lsd = sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 1.0))
         y, z = 1.0, 2.0 + 0.1j
         monkeypatch.setattr(sp.stieltjes, "MAX_ITER", 2)
         with pytest.raises(sp.ConvergenceError) as err:
             sp.solve_fixed_point(lsd, y, z)
         m = err.value.m
-        defect = abs(1.0 / m + z - y * lsd.terms(m)[0])
+        defect = abs(1.0 + m * z - y * m * lsd.terms(m)[0])
         assert err.value.iterations == 2
         assert err.value.residual == defect > 0.0
         assert f"residual={defect:.3e}" in str(err.value)
@@ -566,12 +566,12 @@ class TestSolveFixedPoint:
     )
     def test_residual_is_the_defect_on_the_law(self, lsd, y, z):
         # every law solves on itself, and the residual is the defect of m
-        # there; worst seen 1.7e-16 of |1/m|.  The Szegő law's m also meets the
+        # there times m; worst seen 1.7e-16.  The Szegő law's m also meets the
         # ARMA(1,1) quartic, to 3.9e-16 of |1/m| near zero, where the
         # sine-graded rules had to climb to 8192 nodes
         sol = sp.solve_fixed_point(lsd, y, z)
         t, _ = lsd.terms(sol.m)
-        assert sol.residual == abs(1.0 / sol.m + z - y * t) <= 1e-15 * abs(1.0 / sol.m)
+        assert sol.residual == abs(1.0 + sol.m * z - y * sol.m * t) <= 1e-15
         if lsd is not MP_ATOM:
             assert abs(sp.arma11_residual(0.5, 1.0, y, z, sol.m)) <= 2e-15 * abs(1.0 / sol.m)
 
@@ -594,7 +594,7 @@ class TestSolveFixedPoint:
                     sp.solve_fixed_point(lsd, y, z, initial=cold.m * (1.0 + 1e-3j)),
                     sp.solve_fixed_point(lsd, y, z, initial=cold.m),
                 ):
-                    assert sol.residual == abs(1.0 / sol.m + z - y * lsd.terms(sol.m)[0]), (y, z)
+                    assert sol.residual == abs(1.0 + sol.m * z - y * sol.m * lsd.terms(sol.m)[0]), (y, z)
 
     def test_evaluator_does_not_outlive_its_rule(self, monkeypatch):
         evals = count_evaluations(monkeypatch)
@@ -1069,8 +1069,11 @@ class TestInversion:
             return solved[-1]
 
         monkeypatch.setattr(sp.stieltjes, "solve_fixed_point", recorded)
-        sp.invert_to_density(sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta)), y)
+        dens = sp.invert_to_density(sp.gamma_lsd(sp.ARMAModel.arma11(phi, theta)), y)
         assert len(solved) == 512
+        # the residual |1 + m z - y m T(m)| is free of the law's scale: worst
+        # seen 1.3e-15, where the defect |1/m + z - y T(m)| it replaced read 9.1e-8
+        assert dens.max_residual <= 1e-10
         for sol in solved:
             assert abs(sp.arma11_residual(phi, theta, y, sol.z, sol.m)) <= 1e-14 * abs(1.0 / sol.m), sol.z
 
@@ -1100,8 +1103,11 @@ class TestInversion:
             return solved[-1]
 
         monkeypatch.setattr(sp.stieltjes, "solve_fixed_point", recorded)
-        sp.invert_to_density(sp.gamma_lsd(model), y)
+        dens = sp.invert_to_density(sp.gamma_lsd(model), y)
         assert len(solved) == 512
+        # worst seen 9.6e-12 (the AR(2), y = 0.5); the defect |1/m + z - y T(m)|
+        # it replaced read 4.3e-8 to 4.7e-6 here, with the law's scale
+        assert dens.max_residual <= 1e-10
         for sol in solved:
             residual = exact_defect(model, y, sol.z, sol.m)
             assert abs(residual) <= 1e-9 * abs(1.0 / sol.m), sol.z
@@ -1172,6 +1178,7 @@ class TestMoments:
         # k = 3 1.7e-4 and k = 4 2.2e-4 (ARMA(2,3), y = 0.5)
         dens = sp.invert_to_density(sp.gamma_lsd(model), y)
         exact = lsd_moments(model, y)
+        assert dens.max_residual <= 1e-10
         assert abs(dens.cdf[-1] - exact[0]) <= 2e-8
         for k in range(1, 5):
             table = trapezoid(dens.grid**k * dens.values, dens.grid)

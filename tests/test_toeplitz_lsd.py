@@ -382,6 +382,26 @@ class TestAtomicLSD:
         with pytest.raises(sp.ModelSpecError, match=r"^d > 0 \(long memory"):
             sp.gamma_lsd(long_memory)
 
+    def test_gamma_lsd_scale_range(self):
+        # every law gamma_lsd builds lies at scales 2^-500 to 2^500, where two atoms
+        # take scale 1's sweeps (to one) at y from 1e-6 to 100.  Piecewise levels were
+        # unchecked (at 1e-200 the grid ended 1.8e14 times past the edge), and
+        # (max f)^2 finite let in MA(1) theta = 1e77, which failed at y = 3
+        def pieces(a, b):
+            return sp.PiecewiseSpectralDensity(((0.0, math.pi, a), (math.pi, TWO_PI, b)))
+
+        lo, hi, refused = 2.0**-500, 2.0**500, r"outside the range \[2\^-500, 2\^500\]"
+        for pw in (pieces(lo, 2.0 * lo), pieces(0.5 * hi, hi)):
+            assert isinstance(sp.gamma_lsd(pw), sp.AtomicLSD)
+        for pw in (pieces(np.nextafter(lo, 0.0), 1.0), pieces(1.0, np.nextafter(hi, math.inf)), pieces(1e-200, 1.0)):
+            with pytest.raises(sp.ModelSpecError, match=refused):
+                sp.gamma_lsd(pw)
+        # max f = 4 (1 + theta)^2 at phi = 0.5: 0.98 * 2^500, then 1.02 * 2^500
+        assert sp.gamma_lsd(sp.ARMAModel.arma11(0.5, 0.99 * 2.0**249)).top <= hi
+        for model in (sp.ARMAModel.arma11(0.5, 1.01 * 2.0**249), sp.ARMAModel(ma=(1e77,))):
+            with pytest.raises(sp.ModelSpecError, match=refused):
+                sp.gamma_lsd(model)
+
 
 class TestNormalizationAndSzego:
     def test_total_mass_sample(self):
@@ -831,8 +851,43 @@ class TestExactLaw:
         assert law.top == max((1.0 + b) ** 2 / (1.0 + a) ** 2, (1.0 - b) ** 2 / (1.0 - a) ** 2)
         t, tp = law.terms(-(1.0 - 2.0**-50) / law.top)
         assert math.isfinite(t.real) and math.isfinite(tp.real) and tp.real < 0.0
+        # at the pole itself E(+-2) = 0 and T is infinite: the law raises there, as nothing evaluates it
+        with pytest.raises(ZeroDivisionError):
+            law.terms(-1.0 / law.top)
 
-    def test_k1_terms_and_solves_at_extreme_m(self):
+    @pytest.mark.parametrize(
+        "model, kind, reflected",
+        [
+            (sp.ARMAModel(ma=(1e16, 1e16)), sp.AbsContinuousLSD, sp.ARMAModel(ma=(1.0,))),
+            (sp.ARMAModel.arma11(0.5, 1e16), sp.ExactARMALSD, None),
+            (sp.ARMAModel(ar=(-0.5,), ma=(1e20, 1e20)), sp.AbsContinuousLSD, sp.ARMAModel.arma11(0.5, 1.0)),
+            (sp.ARMAModel.arma11(0.5, 1e60), sp.AbsContinuousLSD, sp.ARMAModel(ar=(-0.5,))),
+        ],
+        ids=["ma2", "arma11", "arma12", "arma11-past-1e40"],
+    )
+    def test_k1_counts_a_huge_zero(self, model, kind, reflected):
+        # a zero rho of theta beyond about 4.5e15 leaves its factor 1 - rho s + rho^2
+        # flat on [-2, 2] to rounding, but scales f by rho^2.  K counted it out, and
+        # the exact law's top was 4 (16 for the third) against max f 4e32 (1.6e41).
+        # Past |rho| = 1e40 the closed form's T' overflows, so the Szegő law takes it.
+        # Tables against the Szegő law of the same f for the exact law, and for the
+        # Szegő laws against the law of the model with that zero at 1/rho, rho^2
+        # times smaller; worst seen 8.7e-10 of the peak (y = 0.5) and 4.4e-16 in F
+        f = sp.SpectralDensity(model)
+        law = sp.gamma_lsd(model)
+        assert type(law) is kind and law.top == sp.AbsContinuousLSD(f).top == sp.support_bounds(f)[1]
+        if reflected is None:
+            ref, scale = sp.AbsContinuousLSD(f), 1.0
+        else:
+            ref, scale = sp.gamma_lsd(reflected), abs(f.ma_roots).max() ** 2
+        for y in (0.5, 1.0, 3.0):
+            dens = sp.invert_to_density(law, y)
+            want = sp.invert_to_density(ref, y, dens.grid / scale)
+            assert abs(sp.estimate_support_upper(law, y) / sp.estimate_support_upper(ref, y) / scale - 1.0) <= 1e-15
+            assert np.max(np.abs(dens.values * scale - want.values)) <= 2e-9 * want.values.max(), y
+            assert np.max(np.abs(dens.cdf - want.cdf)) <= 1e-15, y
+
+    def test_k1_terms_and_solves_at_extreme_m(self, monkeypatch):
         # E(2) E(-2) overflows at large |m|, and past the far-field switch
         # T = 1/m to rounding.  These solves match the Szegő law of the same f;
         # with the switch at |m| = 1e150 for every law, the MA(1) theta = 1e7
@@ -871,6 +926,14 @@ class TestExactLaw:
                     assert abs(t - t_ref) <= 1e-15 * abs(t_ref), (model, size, angle)
                     assert abs(tp - tp_ref) <= 3e-15 * abs(tp_ref), (model, size, angle)
                     assert abs(law.potential(m) - cmath.phase(m)) <= 1e-15, (model, size, angle)
+        # the residual |M| = |1 + m z - y m T(m)| tells twice the transform from it at 1e-140i, where the
+        # defect |1/m + z - y T(m)|, |M| / |m|, read 5e-141 (and 0.0 at the m the old switch returned)
+        sol = sp.solve_fixed_point(ma_big, 0.5, 1e-140j)
+        assert sol.residual <= 1e-15
+        monkeypatch.setattr(sp.stieltjes, "MAX_ITER", 0)
+        with pytest.raises(sp.ConvergenceError) as err:
+            sp.solve_fixed_point(ma_big, 0.5, 1e-140j, initial=2.0 * sol.m)
+        assert err.value.residual == 0.5
 
     def test_terms_stay_finite_where_the_leading_coefficient_vanishes(self):
         # ARMA(1,1) phi = 0.5, theta = -1: E = A + m B = (1.25 + 2m) - (0.5 + m) s
@@ -890,8 +953,9 @@ class TestExactLaw:
             assert abs(edge / sp.estimate_support_upper(sp.AbsContinuousLSD(law.f), y) - 1.0) <= 1e-11
 
     def test_refuses_what_it_does_not_solve(self):
-        # K = 2 and 3, d != 0, and K = 0 (white noise, one atom in gamma_lsd)
-        for model in (MA2, ARMA23, sp.ARMAModel(d=-0.25), sp.ARMAModel()):
+        # K = 2 and 3, d != 0, K = 0 (white noise, one atom in gamma_lsd), and a
+        # zero of theta past 1e40, where the closed form's T' overflows
+        for model in (MA2, ARMA23, sp.ARMAModel(d=-0.25), sp.ARMAModel(), sp.ARMAModel.arma11(0.5, 1e60)):
             with pytest.raises(ValueError, match="the exact law needs d = 0") as refused:
                 sp.ExactARMALSD(sp.SpectralDensity(model))
             assert refused.type is ValueError, model
