@@ -7,11 +7,12 @@ Four subcommands produce CSV/JSON artifacts for external plotting:
   simulate        eigenvalues of simulated sample covariance matrices
   compare         simulation against F solved at its eigenvalues: KS, pass/fail
 
-Exit codes: 0 success, 2 validation failure (a UserWarning that ``-W error``
-raises included), 3 numerical failure.  All output is deterministic given the
-configuration and seed.  Replicates run one after another and each matrix is
-simulated on the calling thread (see ``simulate_matrix``); the eigensolve's
-BLAS threads are OpenBLAS's own.
+Exit codes: 0 success, 2 validation failure (a ValueError, the library's
+refusal of an input, or a UserWarning that ``-W error`` raises), 3 numerical
+failure (a ConvergenceError, LinAlgError or ArithmeticError).  All output is
+deterministic given the configuration and seed.  Replicates run one after
+another and each matrix is simulated on the calling thread (see
+``simulate_matrix``); the eigensolve's BLAS threads are OpenBLAS's own.
 
 Importing this module loads NumPy only, and no subcommand loads SciPy.
 """
@@ -20,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .linear_process import ModelSpecError, model_from_spec, model_to_spec
 from .simulator import INNOVATION_LAWS, SimulationPlan, ks_distance, sample_cov_eigenvalues, simulate_matrix
-from .stieltjes import GRID_MIN_SIZE, ConvergenceError, default_grid, estimate_support_upper, invert_to_density, lsd_cdf
+from .stieltjes import ConvergenceError, default_grid, estimate_support_upper, invert_to_density, lsd_cdf
 from .toeplitz_lsd import AtomicLSD, gamma_density, gamma_lsd, support_bounds
 
 __all__ = ["main", "entry"]
@@ -38,7 +38,6 @@ EXIT_NUMERICAL = 3
 
 _KS_THRESHOLD = 0.05
 _SCALE_AWARE_MIN_P = 500
-_ZERO_EIGENVALUE = 1e-9  # eigenvalues up to this meet the law's atom 1 - y at zero
 
 
 def _fmt(x):
@@ -69,21 +68,11 @@ def _load_model(args):
     raise ModelSpecError("a model is required (--model or --model-file)")
 
 
-def _require_y(args):
-    if not (args.y > 0.0 and math.isfinite(args.y)):
-        raise ModelSpecError("--y must be positive and finite")
-    return args.y
-
-
-def _require_grid(args, least):
-    if args.grid < least:
-        raise ModelSpecError(f"--grid must be at least {least}")
-    return args.grid
-
-
 def cmd_gamma_density(args):
     model = _load_model(args)
-    n = _require_grid(args, 1)
+    n = args.grid
+    if n < 1:
+        raise ModelSpecError("--grid must be at least 1")
     lsd = gamma_lsd(model)
     if isinstance(lsd, AtomicLSD):
         atoms = list(zip(lsd.levels, lsd.weights))
@@ -99,11 +88,9 @@ def cmd_gamma_density(args):
 
 
 def cmd_lsd_density(args):
-    model = _load_model(args)
-    y = _require_y(args)
-    size = _require_grid(args, GRID_MIN_SIZE)
+    model, y = _load_model(args), args.y
     lsd = gamma_lsd(model)
-    grid = default_grid(lsd, y, size=size)
+    grid = default_grid(lsd, y, size=args.grid)
     density = invert_to_density(lsd, y, grid=grid)
     _write_csv(args.out + ".csv", ("x", "p_x"), zip(density.grid, density.values))
     _write_json(
@@ -135,19 +122,16 @@ def _run_replicates(plan):
 def _plan_from_args(args, model):
     if args.p < 2:
         raise ModelSpecError("--p must be at least 2")
-    try:
-        return SimulationPlan(
-            p=args.p,
-            y=_require_y(args),
-            model=model,
-            law=args.law,
-            mu=args.mu,
-            center=args.center,
-            seed=args.seed,
-            replicates=args.replicates,
-        )
-    except ValueError as exc:
-        raise ModelSpecError(str(exc)) from exc
+    return SimulationPlan(
+        p=args.p,
+        y=args.y,
+        model=model,
+        law=args.law,
+        mu=args.mu,
+        center=args.center,
+        seed=args.seed,
+        replicates=args.replicates,
+    )
 
 
 def cmd_simulate(args):
@@ -199,7 +183,7 @@ def cmd_compare(args):
     # one table at every positive eigenvalue, read where it is solved; the
     # support's upper edge keeps it nonempty when no eigenvalue is positive
     eigs = np.concatenate([spectrum.eigenvalues for spectrum in results])
-    grid = np.union1d(eigs[eigs > _ZERO_EIGENVALUE], estimate_support_upper(lsd, plan.y))
+    grid = np.union1d(eigs[eigs > 0.0], estimate_support_upper(lsd, plan.y))
     density = invert_to_density(lsd, plan.y, grid=grid)
     theory = lambda x: lsd_cdf(density, x)
     per_replicate = [{"ks": ks_distance(s, theory), "trace": s.trace} for s in results]
@@ -280,12 +264,13 @@ def main(argv=None):
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ModelSpecError, OSError, UserWarning, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # LinAlgError is a ValueError, so the numerical failures are caught first
     except (ConvergenceError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError, UserWarning, MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entry():

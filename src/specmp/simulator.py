@@ -51,8 +51,9 @@ _SQRT3 = math.sqrt(3.0)
 # holds about 3x its bytes (draws, spectrum, filtered rows): simulate_matrix
 # of ARMA(1,1) at p = 1000, y = 3 peaked at 61 MB RSS with 2^16-sample blocks,
 # 67 MB with 2^18 and 91 MB with 2^20, for no measurable change in its time.
-# The three-model `specmp simulate` cycle at p = 1000 peaks at 77.5 MB, in the
-# eigensolve, with any block of 2^14 to 2^18 samples
+# A simulate-and-eigensolve cycle's traced peak (tracemalloc, ARMA(1,1) at
+# p = 1000, y = 3) is at the Gram matrix: 32.0 MB, with X and X X^T alive
+# together, against 8.0 MB inside the eigensolve
 _BLOCK_SAMPLES = 1 << 16
 # u^2, u = 2^-53: a kernel tail with at most this share of the energy is cut
 _TAIL_ENERGY = 2.0**-106
@@ -240,7 +241,8 @@ def sample_cov_eigenvalues(X, center=False):
     Gram matrix of a contiguous X with a symmetric rank-k update, so it is
     exactly symmetric, and the eigensolver reads only its lower triangle.
     Roundoff-negative eigenvalues within 1e-9 of zero are clamped; anything
-    lower is surfaced as an eigensolver failure.
+    lower is surfaced as an eigensolver failure.  A Gram matrix, or a column
+    mean, that overflows is refused with ArithmeticError before the eigensolve.
 
     The result's ``trace`` sums the diagonal of X X^T / p (finite wherever the
     Gram matrix is) of the (centred) X before the Helmert step, so a caller
@@ -251,14 +253,20 @@ def sample_cov_eigenvalues(X, center=False):
     """
     X = np.ascontiguousarray(X, dtype=float)
     p = X.shape[0]
-    if center:
-        X = X - X.mean(axis=1, keepdims=True)
-    trace = float((np.einsum("ij,ij->i", X, X) / p).sum())
-    if center:
-        X = _helmert(X)
-    m = X.shape[1]
-    S = X.T @ X if m < p else X @ X.T
+    # an overflow, in the column mean or the Gram matrix, shows on the diagonal, whose sums of squares
+    # bound every entry (Cauchy-Schwarz), and not reliably in the floating-point flags, which a
+    # threaded BLAS sets on its own threads
+    with np.errstate(over="ignore", invalid="ignore"):
+        if center:
+            X = X - X.mean(axis=1, keepdims=True)
+        trace = float((np.einsum("ij,ij->i", X, X) / p).sum())
+        if center:
+            X = _helmert(X)
+        m = X.shape[1]
+        S = X.T @ X if m < p else X @ X.T
     del X
+    if not np.isfinite(S.diagonal()).all():
+        raise ArithmeticError(f"the Gram matrix of p={p} rows overflows: a sum of squares is not finite")
     S /= p
     try:
         vals = np.linalg.eigvalsh(S)

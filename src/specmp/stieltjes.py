@@ -347,22 +347,21 @@ def invert_to_density(lsd, y, grid=None):
 
     delta = OFFSET * float(grid[-1])
     atom = max(0.0, 1.0 - y)
+    z = grid + 1j * delta
     ms = np.empty(grid.size, dtype=complex)
     m, iterations, max_residual = None, 0, 0.0
     with np.errstate(all="ignore"):
-        for i, x in enumerate(grid):
-            z = complex(x, delta)
+        for i, zi in enumerate(z.tolist()):
             try:
-                sol = solve_fixed_point(lsd, y, z, initial=m)
+                sol = solve_fixed_point(lsd, y, zi, initial=m)
             except ConvergenceError as exc:
                 raise ConvergenceError(
-                    f"inversion failed at x={float(x)}", z, exc.m, exc.residual, exc.iterations
+                    f"inversion failed at x={zi.real}", zi, exc.m, exc.residual, exc.iterations
                 ) from exc
             m = ms[i] = sol.m
             iterations += sol.iterations
             max_residual = max(max_residual, sol.residual)
-        vals = [(m + atom / complex(x, delta)).imag / math.pi for x, m in zip(grid, ms.tolist())]
-        z = grid + 1j * delta
+        vals = [(m + atom / zi).imag / math.pi for zi, m in zip(z.tolist(), ms.tolist())]
         args = np.array([lsd.potential(m) for m in ms])
         cdf = (np.angle(ms) - y * args + (z * ms).imag + atom * np.angle(-z)) / math.pi + atom
     return LimitingDensity(grid=grid, values=np.clip(vals, 0.0, None), cdf=cdf, mass_at_zero=atom, y=y,

@@ -42,7 +42,7 @@ import warnings
 
 import numpy as np
 
-from .linear_process import ModelSpecError, PiecewiseSpectralDensity, SpectralDensity
+from .linear_process import TWO_PI, ModelSpecError, PiecewiseSpectralDensity, SpectralDensity
 
 __all__ = [
     "TangentialRootWarning",
@@ -55,8 +55,6 @@ __all__ = [
     "atomic_lsd",
     "gamma_lsd",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 # a level within LEVEL_RTOL * max(1, max |f|) of f at a breakpoint equals it
 LEVEL_RTOL = 1e-12
@@ -301,7 +299,7 @@ class AbsContinuousLSD(Rule):
             k2 = jac * jac * aa + bend * ra
             c2 = jac * jac * (2.0 * ra * fl + values * (curve + slope * slope)) + bend * fl
         x = np.where(logs, np.log(u), x)
-        starts = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, bound, R, near, logs, x))))
+        starts = list(zip(*(a.tolist() for a in (values, k1, c1, k2, c2, R, near, logs, x, bound))))
         # each monotone branch of f, the run of nodes between its stationary points in (0, pi), by
         # rising f: (f, search starts, sign of df/ds, starts at its stationary ends); f at the
         # breakpoints 0, those points and pi says which way it runs
@@ -340,9 +338,9 @@ class AbsContinuousLSD(Rule):
                 i -= 1
             for start in (starts[i], *ends):
                 # none where f = 0, and none where the quadratic model of log(f/lam) has no root within reach
-                if not start[0] or abs(cmath.log(start[0] / lam)) > start[5]:
+                if not start[0] or abs(cmath.log(start[0] / lam)) > start[-1]:
                     continue
-                pole = self._root(lam, sign, *start)
+                pole = self._root(lam, sign, *start[:-1])
                 if pole:
                     # a search may reach another branch's root, on the same side, in u or in v
                     if not any(abs(q[1] - pole[1]) <= 1e-9 * abs(pole[2]) + 1e-14 for q in out):
@@ -350,7 +348,7 @@ class AbsContinuousLSD(Rule):
                     break
         return out
 
-    def _root(self, lam, sign, fk, k1, c1, k2, c2, bound, reach, near, logs, x):
+    def _root(self, lam, sign, fk, k1, c1, k2, c2, reach, near, logs, x):
         """The pole of ``_poles`` from one start, or None: none near, or the search failed."""
         d, kappa = self.f.d, (-1.0 if near else 1.0)  # the sign of ds/dx
         try:

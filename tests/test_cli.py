@@ -238,11 +238,13 @@ class TestModelFile:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--model", ARMA11, "--model-file", "model.json"], [], ["--model-file", "missing.json"]],
-        ids=["both", "neither", "missing-file"],
+        [["--model", ARMA11, "--model-file", "model.json"], [], ["--model-file", "missing.json"],
+         ["--model-file", "utf16.json"]],
+        ids=["both", "neither", "missing-file", "not-utf8"],
     )
     def test_misused_flags_exit_2(self, flags, tmp_path, capsys):
         (tmp_path / "model.json").write_text(ARMA11)
+        (tmp_path / "utf16.json").write_bytes(ARMA11.encode("utf-16"))  # not UTF-8 from its byte-order mark on
         out = tmp_path / "out"
         out.mkdir()
         flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
@@ -301,8 +303,14 @@ def _mostly(valid, invalid):
     return st.integers(0, 4).flatmap(lambda k: invalid if k == 4 else valid)
 
 
+# a mean shift whose squares, summed over a row, overflow from 1e154 on
+_mu = st.sampled_from(["0", "5", "1e100", "1e154", "1e300"])
+
+
 def _sim(p, seed):
-    return st.builds(lambda p, seed, y: ["--p", str(p), "--seed", str(seed), "--y", y], p, seed, _y)
+    return st.builds(
+        lambda p, seed, y, mu: ["--p", str(p), "--seed", str(seed), "--y", y, "--mu", mu], p, seed, _y, _mu
+    )
 
 
 # stationary models and valid plans in most examples, so that most simulate
@@ -522,10 +530,10 @@ class TestCompareCommand:
         assert len(spectra) == len(report["replicates"]) == 2
         eigs = np.concatenate([spectrum.eigenvalues for spectrum in spectra])
         edge = specmp.estimate_support_upper(specmp.gamma_lsd(specmp.model_from_spec(ARMA11)), float(y))
-        assert np.array_equal(density.grid, np.union1d(eigs[eigs > 1e-9], edge))
+        assert np.array_equal(density.grid, np.union1d(eigs[eigs > 0.0], edge))
         for spectrum, replicate in zip(spectra, report["replicates"]):
             assert set(replicate) == {"ks", "trace"}
-            eigs = spectrum.eigenvalues[spectrum.eigenvalues > 1e-9]
+            eigs = spectrum.eigenvalues[spectrum.eigenvalues > 0.0]
             at = np.searchsorted(density.grid, eigs)
             assert np.array_equal(density.grid[at], eigs)
             assert np.array_equal(specmp.lsd_cdf(density, eigs), density.cdf[at])
@@ -609,13 +617,18 @@ class TestEntryPoint:
         [
             ["lsd-density", "--model", WHITE, "--y", "1.79e308", "--grid", "16"],
             ["lsd-density", "--model", ARMA11, "--y", "5e307", "--grid", "16"],
+            ["simulate", "--model", WHITE, "--y", "1", "--p", "200", "--mu", "1e154"],
+            ["compare", "--model", WHITE, "--y", "1", "--p", "200", "--mu", "1e154"],
+            ["simulate", "--model", WHITE, "--y", "1", "--p", "50", "--mu", "1e307", "--center"],
         ],
-        ids=["lsd-density-white", "lsd-density-arma11"],
+        ids=["lsd-density-white", "lsd-density-arma11", "simulate-gram", "compare-gram", "simulate-centred-mean"],
     )
     def test_extreme_y_exits_3_under_warnings_as_errors(self, argv, tmp_path):
-        # where the grid's end (white noise: 1.05 x the edge) or the edge
-        # itself (ARMA(1,1): about 4 y) overflows, the run fails typed, not
-        # with a RuntimeWarning that -W error turns into exit 1
+        # where the grid's end (white noise: 1.05 x the edge), the edge itself
+        # (ARMA(1,1): about 4 y), each sum of squares in the Gram matrix (mu =
+        # 1e154) or a row's sum for its mean (mu = 1e307) overflows, the run
+        # fails typed and writes nothing, not with a RuntimeWarning that
+        # -W error turns into exit 1
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "specmp.cli", *argv, "--out", str(tmp_path / "x")],
             capture_output=True,
@@ -625,7 +638,8 @@ class TestEntryPoint:
         )
         assert proc.returncode == 3, proc.stderr
         assert "numerical failure" in proc.stderr and "overflows" in proc.stderr
-        assert "RuntimeWarning" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("model", [WHITE, ARMA11], ids=["white", "arma11"])
     @pytest.mark.parametrize("y", ["1e-300", "1e300", "3e306"])
