@@ -2,13 +2,12 @@
 
 A causal linear process X_t = sum_{j>=0} c_j Z_{t-j} is described by an ARMA
 difference equation of fractional order d (``ARMAModel``; FARIMA when d != 0).
-This module exposes the truncated moving-average expansion c_0..c_J and the
-autocovariances gamma(h) = sum_j c_j c_{j+h} it gives.  ``SpectralDensity``
-evaluates the closed-form density of a model, and its slopes, from the
-reciprocal zeros of its AR and MA polynomials; a piecewise-constant density is
-a model in its own right.  Models take numbers, not text or booleans, as
-coefficients, orders, piece bounds and levels, with (1 + sum |c_k|)^2 finite;
-nothing here is estimated from data or fitted.
+This module exposes the truncated moving-average expansion c_0..c_J.
+``SpectralDensity`` evaluates the closed-form density of a model, and its
+slopes, from the reciprocal zeros of its AR and MA polynomials; a
+piecewise-constant density is a model in its own right.  Models take numbers,
+not text or booleans, as coefficients, orders, piece bounds and levels, with
+(1 + sum |c_k|)^2 finite; nothing here is estimated from data or fitted.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "SpectralDensity",
     "PiecewiseSpectralDensity",
     "ma_coefficients",
-    "autocovariances",
     "model_from_spec",
     "model_to_spec",
 ]
@@ -135,9 +133,8 @@ def _arma_expansion(model, horizon):
 def _fractional_coeffs(d, horizon):
     # series of (1 - z)^(-d); stable product recursion avoids Gamma overflow
     psi = np.ones(horizon + 1)
-    if horizon >= 1:
-        k = np.arange(1.0, horizon + 1.0)
-        psi[1:] = np.cumprod((k - 1.0 + d) / k)
+    k = np.arange(1.0, horizon + 1.0)
+    psi[1:] = np.cumprod((k - 1.0 + d) / k)
     return psi
 
 
@@ -159,16 +156,8 @@ def ma_coefficients(model, horizon):
     return coeffs
 
 
-def autocovariances(coeffs, max_lag):
-    """gamma(0..max_lag), gamma(h) = sum_{j=0}^{J-h} c_j c_{j+h}, from c_0..c_J."""
-    c = np.asarray(coeffs, dtype=float)
-    if max_lag > c.size - 1:
-        raise ValueError(f"lag {max_lag} exceeds stored horizon {c.size - 1}")
-    return np.correlate(c, c, "full")[c.size - 1 : c.size + int(max_lag)]
-
-
 class SpectralDensity:
-    """Spectral density f of an ARMA or FARIMA model on [0, 2*pi], in one root form.
+    """Spectral density f of an ARMA or FARIMA model, periodic in w, in one root form.
 
     f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 * u^(-d), u = 2 - 2 cos w.  The read-only complex arrays
     ``ma_roots`` and ``ar_roots`` hold the reciprocal zeros rho of theta and phi, theta(z) = prod (1 - rho z),
@@ -176,7 +165,8 @@ class SpectralDensity:
     u where w < pi/2 and in v elsewhere.  So f cannot come out negative, is exact at rho = 0 and at a zero of
     theta at w = 0 or pi, and at a sharp AR peak loses about eps / |1 - |rho||, where a cosine sum loses
     eps / (1 - |rho|)^2.  f, its slopes and the poles of f / (f - lam) all come from this form (``_slopes``).
-    The read-only ``breakpoints`` split [0, 2*pi] into branches on which f is monotone, and
+    f is even about pi, so its level sets are taken on [0, pi] alone: the read-only ``breakpoints``, 0,
+    the stationary points inside (0, pi) and pi, split it into branches on which f is monotone, and
     ``breakpoint_values`` is f there.  Instances are immutable in practice and safe to share across threads.
     """
 
@@ -191,8 +181,8 @@ class SpectralDensity:
         self._factors = {True: [((1.0 - r) ** 2, r, r, ar) for r, ar in rhos],
                          False: [((1.0 + r) ** 2, -r, r, ar) for r, ar in rhos]}
         # f'(w) = -2 sin(w) f L', L' = B'/B - A'/A + d/u in s for B and A the products of theta's and phi's
-        # factors (scaled by (1 + |rho|)^2, which their zeros ignore).  So the breakpoints are 0, pi and 2*pi
-        # (f is even about pi), and w and 2*pi - w at each real zero in (-2, 2) of
+        # factors (scaled by (1 + |rho|)^2, which their zeros ignore).  So the breakpoints on [0, pi] (f is even
+        # about pi) are 0, pi and w at each real zero in (-2, 2) of
         # Q = (B'A - BA') u^[d != 0] + d BA, polished by two Newton steps on L' in u (s >= 0) or v
         P = np.polynomial.Polynomial
         B, A = (np.prod([P([1.0 + r * r, -r]) / (1.0 + abs(r)) ** 2 for r, a in rhos if a == ar] + [P([1.0])])
@@ -211,7 +201,7 @@ class SpectralDensity:
         t = 2.0 * np.arcsin(np.sqrt(np.clip(x, 0.0, 4.0)) / 2.0)
         t = np.where(near, t, math.pi - t)
         t = t[(0.0 < t) & (t < math.pi)]
-        self.breakpoints = np.sort(np.concatenate([[0.0, math.pi, TWO_PI], t, TWO_PI - t]))
+        self.breakpoints = np.sort(np.concatenate([[0.0, math.pi], t]))
         self.breakpoint_values = np.asarray(self(self.breakpoints), dtype=float)
         for arr in (self.ma_roots, self.ar_roots, self.breakpoints, self.breakpoint_values):
             arr.setflags(write=False)

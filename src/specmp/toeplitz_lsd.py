@@ -4,18 +4,19 @@ For a linear process with spectral density f, the eigenvalue distribution of
 the n x n Toeplitz matrix (gamma(i-j)) converges to a deterministic limit: an
 absolutely continuous law with density
 
-    g(lam) = (1/2*pi) * sum_{w: f(w) = lam} 1 / |f'(w)|
+    g(lam) = (1/pi) * sum_{w in (0, pi): f(w) = lam} 1 / |f'(w)|
 
-and distribution function Leb{w : f(w) <= lam} / (2*pi) on the range of f when
-f is smooth with almost-everywhere nonvanishing derivative, and a purely atomic
-law with weights |A_j| / (2*pi) when f is piecewise constant.
+and distribution function Leb{w in [0, pi] : f(w) <= lam} / pi on the range of
+f when f is smooth with almost-everywhere nonvanishing derivative (f is even
+about pi, so the half period holds the whole law), and a purely atomic law
+with weights |A_j| / (2*pi) when f is piecewise constant.
 
-The density comes from the level sets of f.  Its breakpoints (its stationary
-points, and 0, pi and 2*pi), which the density computes once, split
-[0, 2*pi] into monotone branches; one vectorised bisection then finds the
-root of f(w) = lam on every branch for a whole array of levels.  A level is
-tangential when it equals f at a stationary point inside the support; the
-density diverges there.  Integrals against the continuous law of a FARIMA
+The density comes from the level sets of f on [0, pi].  Its breakpoints (0,
+its stationary points inside (0, pi), and pi), which the density computes
+once, split [0, pi] into monotone branches; one vectorised bisection then
+finds the root of f(w) = lam on every branch for a whole array of levels.  A
+level is tangential when it equals f at a stationary point inside the support;
+the density diverges there.  Integrals against the continuous law of a FARIMA
 model (d != 0), or of an ARMA model with K = max(p, q) >= 2, come from Szegő's
 theorem on one tanh-sinh rule in w, with the poles of the integrand that the
 rule does not resolve subtracted; f, its slopes and those poles all come from
@@ -42,7 +43,7 @@ import warnings
 
 import numpy as np
 
-from .linear_process import TWO_PI, ModelSpecError, PiecewiseSpectralDensity, SpectralDensity
+from .linear_process import ModelSpecError, PiecewiseSpectralDensity, SpectralDensity
 
 __all__ = [
     "TangentialRootWarning",
@@ -99,12 +100,12 @@ def _level_atol(f):
 
 
 def support_bounds(f):
-    """Range (min f, max f) of the spectral density over [0, 2*pi]."""
+    """Range (min f, max f) of the spectral density, which f takes on [0, pi]."""
     return float(np.min(f.breakpoint_values)), float(np.max(f.breakpoint_values))
 
 
 def _branch_roots(f, levels):
-    """Roots of f(w) = level on each monotone branch of f (the last axis).
+    """Roots of f(w) = level on each monotone branch of f on [0, pi] (the last axis).
 
     The root of each level on each branch whose open range holds it, NaN on
     the others.
@@ -121,25 +122,25 @@ def _branch_roots(f, levels):
 
 
 def _density(f, levels):
-    """(1/2*pi) sum of 1/|f'| over the branch roots of each level."""
+    """(1/pi) sum of 1/|f'| over the branch roots of each level."""
     roots = _branch_roots(f, levels)
     inside = ~np.isnan(roots)
     terms = np.zeros(roots.shape)
     with np.errstate(divide="ignore"):
         terms[inside] = 1.0 / np.abs(np.asarray(f.derivative(roots[inside]), dtype=float))
-    return terms.sum(axis=-1) / TWO_PI
+    return terms.sum(axis=-1) / math.pi
 
 
 def gamma_density(f, levels):
     """Density of the Toeplitz eigenvalue limit at a level or array of levels.
 
-    (1/2*pi) times the sum of 1/|f'| over the roots on the monotone branches
-    whose open range holds the level.  Levels within ``_level_atol(f)`` of f
-    at a stationary point inside the support are tangential: g diverges there
-    (integrably), the stationary point is left out of the sum, and one
-    TangentialRootWarning per call counts them.  Levels outside the open
-    support, densities that are not finite, and densities constant to within
-    that tolerance (whose law is atomic), raise ValueError.
+    (1/pi) times the sum of 1/|f'| over the roots on the monotone branches of
+    f on [0, pi] whose open range holds the level.  Levels within
+    ``_level_atol(f)`` of f at a stationary point inside the support are
+    tangential: g diverges there (integrably), the stationary point is left out
+    of the sum, and one TangentialRootWarning per call counts them.  Levels
+    outside the open support, densities that are not finite, and densities
+    constant to within that tolerance (whose law is atomic), raise ValueError.
     """
     lo, hi = support_bounds(f)
     if not math.isfinite(hi):
@@ -267,10 +268,11 @@ class AbsContinuousLSD(Rule):
         self.f, h, n = f, 3.2 / RULE_STEPS, 2 * RULE_STEPS + 1
         t = np.arange(-RULE_STEPS, RULE_STEPS + 1) * h
         e = np.exp(math.pi * np.sinh(t))
-        # the pole search starts at the nodes and at the stationary points of f inside (0, pi):
-        # w and pi - w there, each to full relative accuracy, u = 2 - s, v = 2 + s
+        # the pole search starts at the nodes and at the stationary points of f inside (0, pi): w and pi - w
+        # there, u = 2 - s, v = 2 + s, each to full relative accuracy at a node, but pi - w cancels at a
+        # stationary point near pi, which only seeds a search
         bps, vals = f.breakpoints, f.breakpoint_values
-        inner = bps[(0.0 < bps) & (bps < math.pi)]
+        inner = bps[1:-1]
         w = np.concatenate([math.pi * e / (1.0 + e), inner])
         rest = np.concatenate([math.pi / (1.0 + e), math.pi - inner])
         u, v, near = 4.0 * np.sin(0.5 * w) ** 2, 4.0 * np.sin(0.5 * rest) ** 2, w < 0.5 * math.pi

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_legendre
 
-from specmp import Rule, autocovariances, ma_coefficients, support_bounds
+from specmp import Rule, support_bounds
 from specmp.toeplitz_lsd import _branch_roots, _density, _level_atol
 
 TWO_PI = 2.0 * math.pi
@@ -61,6 +61,14 @@ def szego_rule(f, size):
     return Rule(np.asarray(f(u - np.sin(u)), dtype=float), weights)
 
 
+def autocovariances(coeffs, max_lag):
+    """gamma(0..max_lag), gamma(h) = sum_{j=0}^{J-h} c_j c_{j+h}, from c_0..c_J."""
+    c = np.asarray(coeffs, dtype=float)
+    if max_lag > c.size - 1:
+        raise ValueError(f"lag {max_lag} exceeds stored horizon {c.size - 1}")
+    return np.correlate(c, c, "full")[c.size - 1 : c.size + int(max_lag)]
+
+
 def autocovariance_toeplitz(coeffs, size):
     """The n x n matrix (gamma(i - j)) from an MA expansion c_0..c_J, J >= n - 1."""
     if size < 1:
@@ -72,10 +80,10 @@ def autocovariance_toeplitz(coeffs, size):
 def gamma_cdf(f, levels):
     """Distribution function of the Toeplitz limit at a level or array of levels.
 
-    Leb({w : f(w) <= level}) / (2*pi), summed over the monotone branches
-    between consecutive breakpoints of f: |root - low end| on a branch that
-    holds the level, the whole branch on one below it; exactly 0 below the
-    support and exactly 1 above it.
+    Leb({w in [0, pi] : f(w) <= level}) / pi, summed over the monotone
+    branches between consecutive breakpoints of f: |root - low end| on a
+    branch that holds the level, the whole branch on one below it; exactly 0
+    below the support and exactly 1 above it.
     """
     lo, hi = support_bounds(f)
     bps, vals = f.breakpoints, f.breakpoint_values
@@ -85,7 +93,7 @@ def gamma_cdf(f, levels):
     lam = np.asarray(levels, dtype=float)
     roots = _branch_roots(f, lam)
     whole = np.where(top <= lam[..., None], np.abs(high - low), 0.0)
-    measure = np.where(np.isnan(roots), whole, np.abs(roots - low)).sum(axis=-1) / TWO_PI
+    measure = np.where(np.isnan(roots), whole, np.abs(roots - low)).sum(axis=-1) / math.pi
     out = np.where(lam >= hi, 1.0, np.where(lam <= lo, 0.0, measure))
     return float(out) if lam.ndim == 0 else out
 
@@ -208,7 +216,7 @@ def szego_quad(f, m):
     """
     m = complex(m)
     roots = _branch_roots(f, (-1.0 / m).real)
-    points = sorted(r for r in roots[~np.isnan(roots)] if r < math.pi) or None
+    points = sorted(roots[~np.isnan(roots)].tolist()) or None
 
     def mean(g):
         with warnings.catch_warnings():

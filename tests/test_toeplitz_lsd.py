@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import specmp as sp
-from oracles import arma11_gamma_density, arma_terms, gamma_cdf, szego_quad, szego_rule, total_mass
+from oracles import arma11_gamma_density, arma_terms, autocovariances, gamma_cdf, szego_quad, szego_rule, total_mass
 from specmp import toeplitz_lsd
 from specmp.toeplitz_lsd import _branch_roots
 
@@ -85,20 +85,21 @@ class TestSupportBounds:
 
 class TestLevelSetRoots:
     def test_sharp_ar2_breakpoints(self):
-        # f = 1 / A(cos w) with A quadratic: one stationary point inside (0, pi)
+        # f = 1 / A(cos w) with A quadratic: one stationary point inside (0, pi),
+        # and the level sets stop at pi, about which f is even
         f = sp.SpectralDensity(SHARP_AR2)
         bps, vals = f.breakpoints, f.breakpoint_values
-        assert bps.size == 5
-        assert bps[0] == 0.0 and bps[2] == math.pi and bps[4] == TWO_PI
-        assert bps[3] == TWO_PI - bps[1]
-        assert min(vals[1], vals[3]) > 1e6 > max(vals[0], vals[2])
+        assert bps.size == 3
+        assert bps[0] == 0.0 and 0.0 < bps[1] < math.pi and bps[2] == math.pi
+        assert vals[1] > 1e6 > max(vals[0], vals[2])
 
     def test_complex_roots_are_not_breakpoints(self):
         # Q has the real roots -0.1226 and 0.5544 and a complex pair with real
-        # part -0.2159 in (-1, 1): f has an extremum at each breakpoint only
+        # part -0.2159 in (-1, 1): f has an extremum at each breakpoint only,
+        # two of them inside (0, pi)
         f = sp.SpectralDensity(sp.ARMAModel(ar=(0.0, 0.5), ma=(0.0, 0.0, 0.5)))
         bps = f.breakpoints
-        assert bps.size == 7
+        assert bps.size == 4 and bps[-1] == math.pi
         inner = bps[1:-1]
         assert np.all(f.derivative(inner - 1e-6) * f.derivative(inner + 1e-6) < 0.0)
 
@@ -127,8 +128,8 @@ class TestLevelSetRoots:
     def test_ma1_interior_level(self):
         f = sp.SpectralDensity(sp.ARMAModel(ma=[1.0]))  # f = 2 + 2 cos w
         roots = branch_roots(f, 2.0)
-        np.testing.assert_allclose(roots, [math.pi / 2.0, 3.0 * math.pi / 2.0], atol=1e-10)
-        np.testing.assert_allclose(np.abs(f.derivative(roots)), [2.0, 2.0], rtol=1e-12)
+        np.testing.assert_allclose(roots, [math.pi / 2.0], atol=1e-10)
+        np.testing.assert_allclose(np.abs(f.derivative(roots)), [2.0], rtol=1e-12)
 
     def test_ma1_boundary_extremum(self):
         # the maximum 4 is f at the breakpoint w = 0, a stationary point that
@@ -144,7 +145,7 @@ class TestLevelSetRoots:
         f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 0.0))
         # f(w) = 1 at cos w = 1/4
         w0 = math.acos(0.25)
-        np.testing.assert_allclose(branch_roots(f, 1.0), [w0, TWO_PI - w0], atol=1e-10)
+        np.testing.assert_allclose(branch_roots(f, 1.0), [w0], atol=1e-10)
 
     def test_roots_satisfy_level_equation(self):
         f = sp.SpectralDensity(sp.ARMAModel.arma11(0.5, 1.0))
@@ -229,12 +230,27 @@ class TestGammaDensity:
             assert np.max(np.abs(sp.gamma_density(lsd.f, lam) / closed - 1.0)) <= 1e-12
 
     def test_farima_closed_form(self):
-        # pure FARIMA d = -0.25: f = sqrt(2 |sin(w/2)|), so H(lam) is
-        # (2/pi) asin(lam^2/2) and g(lam) = 2 lam / (pi sqrt(1 - lam^4/4))
-        lsd = sp.gamma_lsd(sp.ARMAModel(d=-0.25))
-        lam = cli_grid(lsd)
-        exact = 2.0 * lam / (math.pi * np.sqrt(1.0 - lam**4 / 4.0))
-        assert np.max(np.abs(sp.gamma_density(lsd.f, lam) / exact - 1.0)) <= 1e-9
+        # pure FARIMA: f = u^(-d), u = 2 - 2 cos w, so lam = f(w) has
+        # u = lam^(-1/d) and g(lam) = u^(d + 1/2) / (pi |d| sqrt(4 - u)), on the
+        # CLI grid and far down the cusp at w = 0, where the roots keep their
+        # relative precision (a mirror root beside w = 2 pi would keep only
+        # absolute precision); worst seen 5.3e-14
+        for d in (-0.1, -0.25, -0.45):
+            lsd = sp.gamma_lsd(sp.ARMAModel(d=d))
+            top = sp.support_bounds(lsd.f)[1]
+            lam = np.concatenate([cli_grid(lsd), top * np.array([1e-6, 1e-4, 1e-2])])
+            u = lam ** (-1.0 / d)
+            exact = u ** (d + 0.5) / (math.pi * abs(d) * np.sqrt(4.0 - u))
+            assert np.max(np.abs(sp.gamma_density(lsd.f, lam) / exact - 1.0)) <= 1e-13, d
+
+    def test_ma1_zero_at_the_origin(self):
+        # MA(1) theta = -1: f = u, zero at w = 0, so g = 1 / (pi sqrt(u (4 - u)))
+        # at u = lam; the roots of low levels sit beside w = 0, where w keeps its
+        # relative precision.  Worst seen 2.2e-16
+        f = sp.SpectralDensity(sp.ARMAModel(ma=(-1.0,)))
+        lam = sp.support_bounds(f)[1] * np.array([1e-12, 1e-9, 1e-6])
+        exact = 1.0 / (math.pi * np.sqrt(lam * (4.0 - lam)))
+        assert np.max(np.abs(sp.gamma_density(f, lam) / exact - 1.0)) <= 1e-13
 
     def test_closed_form_agreement_random_models(self):
         rng = np.random.default_rng(5)
@@ -425,7 +441,7 @@ class TestNormalizationAndSzego:
             model = sp.ARMAModel.arma11(phi, theta)
             lsd = sp.AbsContinuousLSD(sp.SpectralDensity(model))
             lam, W = lsd.nodes, lsd.weights
-            gam = sp.autocovariances(sp.ma_coefficients(model, 1000), 400)
+            gam = autocovariances(sp.ma_coefficients(model, 1000), 400)
             assert abs(W.sum() - 1.0) <= 1e-10
             assert abs(W @ lam - gam[0]) <= 1e-10
             assert abs(W @ lam**2 - (gam[0] ** 2 + 2.0 * np.sum(gam[1:] ** 2))) <= 1e-10
@@ -761,14 +777,15 @@ class TestExactARMALevelSets:
         poly = pad(theta) - lam * pad(phi)
         zeros = np.polynomial.polynomial.polyroots(poly)
         on_circle = zeros[np.abs(np.abs(zeros) - 1.0) < 1e-6]
-        exact = np.sort(np.mod(np.angle(on_circle), TWO_PI))
+        # the level set on [0, pi], about which f is even: one of each conjugate pair
+        exact = np.sort(np.angle(on_circle[on_circle.imag > 0.0]))
 
         roots = branch_roots(f, lam)
         assert roots.size == exact.size > 0
         np.testing.assert_allclose(roots, exact, rtol=0.0, atol=1e-9)
-        cuts = np.concatenate([[0.0], exact, [TWO_PI]])
+        cuts = np.concatenate([[0.0], exact, [math.pi]])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
-        measure = np.sum(np.diff(cuts)[f(mids) <= lam]) / TWO_PI
+        measure = np.sum(np.diff(cuts)[f(mids) <= lam]) / math.pi
         assert abs(gamma_cdf(f, lam) - measure) <= 1e-10
 
 
