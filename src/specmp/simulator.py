@@ -63,16 +63,22 @@ _TAIL_ENERGY = 2.0**-106
 _EIG_CLAMP = -1e-9
 
 
+def _integer(value, name):
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SimulationPlan:
     """One simulation configuration; n = round(y * p) columns.
 
     ``model`` is an ARMAModel, FARIMA when d != 0.  Innovations have mean 0,
     unit variance and finite fourth moment under all three laws.  ``mu``
-    shifts every entry; ``center`` subtracts the empirical column mean before
-    forming the covariance; ``p``, ``seed`` and ``replicates`` are integers.
-    Each replicate draws the one stream defined in the module docstring, so
-    results are deterministic given (seed, replicate).
+    shifts every entry; ``center``, a boolean, subtracts the empirical column
+    mean before forming the covariance; ``p``, ``seed`` and ``replicates`` are
+    integers, not booleans.  Each replicate draws the one stream defined in
+    the module docstring, so results are deterministic given (seed, replicate).
     """
 
     p: int
@@ -88,10 +94,9 @@ class SimulationPlan:
         if not isinstance(self.model, ARMAModel):
             raise ValueError("plan model must be an ARMAModel")
         for name in ("p", "seed", "replicates"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+            _integer(getattr(self, name), name)
+        if not isinstance(self.center, (bool, np.bool_)):
+            raise ValueError("center must be a boolean")
         if self.p < 1:
             raise ValueError("p must be at least 1")
         if not (self.y > 0.0 and math.isfinite(self.y)):
@@ -194,12 +199,9 @@ def simulate_matrix(plan, replicate=0):
     filtered arrays are never built.  Every row keeps its own draws and its
     own arithmetic, so the result is deterministic given (seed, replicate)
     and does not depend on the block size.  ``replicate`` is a nonnegative
-    integer.  A simulation loads NumPy only.
+    integer, not a boolean.  A simulation loads NumPy only.
     """
-    try:
-        replicate = operator.index(replicate)
-    except TypeError:
-        raise ValueError("replicate must be an integer") from None
+    replicate = _integer(replicate, "replicate")
     if replicate < 0:
         raise ValueError("replicate must be nonnegative")
     p, n = plan.p, plan.n

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toeplitz_lsd import ExactARMALSD, Rule
+from .toeplitz_lsd import ExactARMALSD, Rule, _bisect
 
 __all__ = [
     "StieltjesSolution",
@@ -383,19 +383,15 @@ def estimate_support_upper(lsd, y):
 
     On real m in (-1/max lam, 0) the inverse x(m) = -1/m + y T(m) of the
     transform has the edge as its minimum.  There x'(m) = 1/m^2 + y T'(m)
-    rises from -inf to +inf, so one bisection on the law's ``terms`` finds it,
-    with max lam the law's ``top``: the largest atom, or max f.
+    rises from -inf to +inf, so ``toeplitz_lsd._bisect`` on the law's ``terms``
+    finds it, with max lam the law's ``top``: the largest atom, or max f.
     """
     if not (y > 0.0 and math.isfinite(y)):
         raise ValueError("aspect ratio y must be positive and finite")
-    # from 4 ulps in from -1/top, where 1 + top m rounds to 0 (an edge closer than that is x there), halve
+    # from 4 ulps in from -1/top, where 1 + top m rounds to 0 (an edge closer than that is x there), bisect
     # to adjacent floats on the sign of m^2 x'(m) in Python floats, which do not overflow to a wrong sign
-    lo, hi = -(1.0 - 2.0**-50) / lsd.top, 0.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if 1.0 + y * (mid * mid) * lsd.terms(mid)[1].real < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    hi = float(_bisect(lambda ms: [1.0 + y * (m * m) * lsd.terms(m)[1].real for m in ms.tolist()],
+                       [-(1.0 - 2.0**-50) / lsd.top], [0.0], np.zeros(1))[0])
     edge = -1.0 / hi + y * lsd.terms(hi)[0].real
     if not math.isfinite(edge):
         raise ArithmeticError(f"the support's upper edge overflows at y={y}")

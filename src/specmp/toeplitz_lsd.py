@@ -13,10 +13,11 @@ with weights |A_j| / (2*pi) when f is piecewise constant.
 
 The density comes from the level sets of f on [0, pi].  Its breakpoints (0,
 its stationary points inside (0, pi), and pi), which the density computes
-once, split [0, pi] into monotone branches; one vectorised bisection then
-finds the root of f(w) = lam on every branch for a whole array of levels.  A
-level is tangential when it equals f at a stationary point inside the support;
-the density diverges there.  Integrals against the continuous law of a FARIMA
+once, split [0, pi] into monotone branches; one vectorised bisection, which
+also finds the support's upper edge for ``stieltjes``, then finds the root of
+f(w) = lam on every branch for a whole array of levels.  A level is
+tangential when it equals f at a stationary point inside the support; the
+density diverges there.  Integrals against the continuous law of a FARIMA
 model (d != 0), or of an ARMA model with K = max(p, q) >= 2, come from Szegő's
 theorem on one tanh-sinh rule in w, with the poles of the integrand that the
 rule does not resolve subtracted; f, its slopes and those poles all come from
@@ -74,11 +75,11 @@ class TangentialRootWarning(UserWarning):
 
 
 def _bisect(fun, a, b, target):
-    """Solve fun(w) = target on aligned 1-d arrays of monotone brackets [a, b].
+    """Solve fun(x) = target on aligned 1-d arrays of monotone brackets [a, b].
 
-    fun lies below the target at ``a`` and above it at ``b`` (so a > b on a
-    falling branch), and is only called at midpoints: once per step on every
-    bracket still open, until each has collapsed to adjacent floats.  Returns b.
+    fun lies below the target at ``a`` and above it at ``b`` (so a > b where
+    it falls), and is only called at midpoints: once per step on every bracket
+    still open, until each has collapsed to adjacent floats.  Returns b.
     """
     a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     live = np.arange(a.size)

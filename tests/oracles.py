@@ -10,7 +10,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import roots_legendre
 
-from specmp import Rule, support_bounds
+from specmp import Rule, SpectralDensity, support_bounds
 from specmp.toeplitz_lsd import _branch_roots, _density, _level_atol
 
 TWO_PI = 2.0 * math.pi
@@ -280,3 +280,36 @@ def arma_terms(model, m, dps=50):
             t += b / e1 * g
             tp += (db * ds * e1 - b * (P(ddE, s) * ds + db)) / e1**2 * g + b / e1 * gp * ds
         return complex(t), complex(tp)
+
+
+def farima_terms(model, m, dps=30):
+    """(T(m), T'(m), Im of the log potential) of the Toeplitz limit law of a FARIMA model, by mpmath quadrature.
+
+    f = |theta(e^{iw})|^2 / |phi(e^{iw})|^2 (4 sin^2(w/2))^(-d) is built here in
+    mpmath from ``model.ar``, ``model.ma`` and ``model.d``.  T, T' and the
+    potential are the means over w in [0, pi] of f / (1 + f m), -(f / (1 + f m))^2
+    and arg(1 + f m), in (0, pi) for Im m > 0.  Each is one ``mp.quad``
+    (tanh-sinh) on 8 equal pieces of [0, pi], split again at the real roots of
+    f = Re(-1/m) (``_branch_roots``), beside which the pole of 1 / (1 + f m)
+    sits, and ArithmeticError is raised where quad's error estimate exceeds
+    10^(10 - dps) of the value.  f is evaluated once per node.  Independent of
+    specmp's laws and of SciPy; Python numbers out.
+    """
+    roots = _branch_roots(SpectralDensity(model), (-1.0 / complex(m)).real)
+    with mp.workdps(dps):
+        ar, ma = ([mp.mpf(c) for c in (*cs[::-1], 1.0)] for cs in (model.ar, model.ma))
+        d, m = mp.mpf(model.d), mp.mpc(m)
+        points = sorted({mp.pi * k / 8 for k in range(9)} | {mp.mpf(r) for r in roots[~np.isnan(roots)].tolist()})
+
+        @functools.cache
+        def f(w):
+            z = mp.expj(w)
+            return abs(mp.polyval(ma, z) / mp.polyval(ar, z)) ** 2 * (4 * mp.sin(w / 2) ** 2) ** -d
+
+        out = []
+        for g in (lambda w: f(w) / (1 + f(w) * m), lambda w: -((f(w) / (1 + f(w) * m)) ** 2), lambda w: mp.arg(1 + f(w) * m)):
+            v, err = mp.quad(g, points, error=True)
+            if not err <= mp.mpf(10) ** (10 - dps) * abs(v):
+                raise ArithmeticError(f"mp.quad's error estimate {mp.nstr(err, 3)} exceeds 10^{10 - dps} of {mp.nstr(v, 3)}")
+            out.append(v / mp.pi)
+        return complex(out[0]), complex(out[1]), float(out[2])

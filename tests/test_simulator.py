@@ -255,8 +255,9 @@ class TestSimulateMatrix:
 
     def test_replicate_validation(self):
         plan = sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel())
-        with pytest.raises(ValueError, match="replicate must be an integer"):
-            sp.simulate_matrix(plan, replicate=1.5)
+        for replicate in (1.5, True):
+            with pytest.raises(ValueError, match="replicate must be an integer"):
+                sp.simulate_matrix(plan, replicate=replicate)
         with pytest.raises(ValueError, match="replicate must be nonnegative"):
             sp.simulate_matrix(plan, replicate=-1)
         assert np.array_equal(sp.simulate_matrix(plan, replicate=np.int64(2)), sp.simulate_matrix(plan, replicate=2))
@@ -272,9 +273,18 @@ class TestSimulateMatrix:
             sp.SimulationPlan(p=4, y=1.0, model="not a model")
         with pytest.raises(ValueError, match="replicates must be at least 1"):
             sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), replicates=0)
-        for field in ({"p": 4.5}, {"p": 4, "seed": 1.5}, {"p": 4, "replicates": 2.5}):
+        # operator.index reads True as 1, so each boolean would build as p = 1, seed 1 or one replicate
+        for field in ({"p": 4.5}, {"p": 4, "seed": 1.5}, {"p": 4, "replicates": 2.5},
+                      {"p": True}, {"p": 4, "seed": True}, {"p": 4, "replicates": True}):
             with pytest.raises(ValueError, match="must be an integer"):
                 sp.SimulationPlan(y=1.0, model=sp.ARMAModel(), **field)
+
+    @pytest.mark.parametrize("center", ["no", "", 1, None])
+    def test_plan_center_is_a_boolean(self, center):
+        # "no" is truthy and would centre
+        with pytest.raises(ValueError, match="center must be a boolean"):
+            sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), center=center)
+        assert sp.SimulationPlan(p=4, y=1.0, model=sp.ARMAModel(), center=np.True_).center
 
     def test_plan_refuses_more_entries_than_numpy_can_index(self):
         # p * n against the largest np.intp: the refusal builds no array

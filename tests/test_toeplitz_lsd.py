@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 import specmp as sp
-from oracles import arma11_gamma_density, arma_terms, autocovariances, gamma_cdf, szego_quad, szego_rule, total_mass
+from oracles import (
+    arma11_gamma_density,
+    arma_terms,
+    autocovariances,
+    farima_terms,
+    gamma_cdf,
+    szego_quad,
+    szego_rule,
+    total_mass,
+)
 from specmp import toeplitz_lsd
 from specmp.toeplitz_lsd import _branch_roots
 
@@ -689,7 +698,8 @@ def near_unit_root_corpus(seed=20261020, size=40):
 
 
 class TestSzegoLawMeetsTheOracle:
-    """The Szegő law of d = 0 models against the 50-digit partial-fraction oracle (oracles.arma_terms)."""
+    """The Szegő law against the 50-digit partial-fraction oracle of d = 0 models (oracles.arma_terms), and
+    against the 30-digit quadrature of FARIMA models (oracles.farima_terms)."""
 
     @pytest.mark.parametrize(
         "model", [sp.ARMAModel(ar=(-0.995,)), sp.ARMAModel.arma11(0.5, -1.0), ARMA23], ids=["ar1", "arma11", "arma23"]
@@ -732,6 +742,26 @@ class TestSzegoLawMeetsTheOracle:
             for lam, gate in [(lam, top_gates[band]) for lam in tops] + [(lam, mid_gates[band]) for lam in mids]:
                 (t, tp), (t_ref, tp_ref) = law.terms(-1.0 / lam), arma_terms(model, -1.0 / lam)
                 assert abs(t / t_ref - 1.0) <= gate and abs(tp / tp_ref - 1.0) <= 1e-4, (model, lam)
+
+    @pytest.mark.parametrize(
+        "model", [sp.ARMAModel(d=-0.25), sp.ARMAModel(d=-0.45), sp.ARMAModel(ar=(-0.3,), d=-0.25)],
+        ids=["d-0.25", "d-0.45", "ar1-d-0.25"],
+    )
+    def test_farima_laws_meet_the_quadrature_oracle(self, model):
+        # against 30-digit mp.quad split at the roots of f = Re(-1/m)
+        # (oracles.farima_terms).  Only the last point, -1/m = 0.02 top
+        # (1 + 1e-3 i), puts a pole of the integrand beside the axis, where the
+        # law without its subtracted poles is 3.3e-4 to 3.1e-2 off.  Worst seen
+        # 3.5e-16 in T, 4.4e-16 in the potential, and 3.5e-16 in T' but 7.2e-15
+        # beside the pole (ROADMAP item 7)
+        law = sp.gamma_lsd(model)
+        pole = -1.0 / (0.02 * law.top * (1.0 + 1e-3j))
+        for m, tp_gate in [(0.3 + 0.7j, 1e-14), (-0.5 + 1e-3j, 1e-14), (2.0 + 0.01j, 1e-14), (-0.2 + 0.05j, 1e-14),
+                           (pole, 1e-13)]:
+            t, tp, potential = farima_terms(model, m)
+            t_law, tp_law = law.terms(m)
+            assert abs(t_law / t - 1.0) <= 1e-14 and abs(tp_law / tp - 1.0) <= tp_gate, m
+            assert abs(law.potential(m) - potential) <= 1e-14, m
 
 
 def _cos_poly(coeffs):
