@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .linear_process import ModelSpecError, model_from_spec, model_to_spec
+from .linear_process import ModelSpecError, _integer, model_from_spec, model_to_spec
 from .simulator import INNOVATION_LAWS, SimulationPlan, ks_distance, sample_cov_eigenvalues, simulate_matrix
 from .stieltjes import ConvergenceError, default_grid, estimate_support_upper, invert_to_density, lsd_cdf
 from .toeplitz_lsd import AtomicLSD, gamma_density, gamma_lsd, support_bounds
@@ -70,9 +70,7 @@ def _load_model(args):
 
 def cmd_gamma_density(args):
     model = _load_model(args)
-    n = args.grid
-    if n < 1:
-        raise ModelSpecError("--grid must be at least 1")
+    n = _integer(args.grid, "--grid", 1)
     lsd = gamma_lsd(model)
     if isinstance(lsd, AtomicLSD):
         atoms = list(zip(lsd.levels, lsd.weights))
@@ -120,18 +118,8 @@ def _run_replicates(plan):
 
 
 def _plan_from_args(args, model):
-    if args.p < 2:
-        raise ModelSpecError("--p must be at least 2")
-    return SimulationPlan(
-        p=args.p,
-        y=args.y,
-        model=model,
-        law=args.law,
-        mu=args.mu,
-        center=args.center,
-        seed=args.seed,
-        replicates=args.replicates,
-    )
+    flags = ("y", "law", "mu", "center", "seed", "replicates")
+    return SimulationPlan(p=_integer(args.p, "--p", 2), model=model, **{name: getattr(args, name) for name in flags})
 
 
 def cmd_simulate(args):

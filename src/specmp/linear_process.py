@@ -5,15 +5,16 @@ difference equation of fractional order d (``ARMAModel``; FARIMA when d != 0).
 This module exposes the truncated moving-average expansion c_0..c_J.
 ``SpectralDensity`` evaluates the closed-form density of a model, and its
 slopes, from the reciprocal zeros of its AR and MA polynomials; a
-piecewise-constant density is a model in its own right.  Models take numbers,
-not text or booleans, as coefficients, orders, piece bounds and levels, with
-(1 + sum |c_k|)^2 finite; nothing here is estimated from data or fitted.
+piecewise-constant density is a model in its own right.  Models take reals,
+not text, booleans or complex numbers, as coefficients, orders, piece bounds
+and levels, with (1 + sum |c_k|)^2 finite; nothing here is fitted to data.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# what float() reads but is no real: text ("0.5"), booleans (True) and complex numbers, cut to their real part
+_NOT_REAL = (str, bytes, bool, complex, np.bool_, np.complexfloating)
 
 
 class ModelSpecError(ValueError):
@@ -37,15 +40,35 @@ class ModelSpecError(ValueError):
 
 
 def _reals(values, name):
-    # text and booleans are refused: float() would read "0.5" and True, and
-    # "12" would iterate as 1, 2
+    # a number, or numbers, none of them _NOT_REAL
     try:
-        values = (values,) if isinstance(values, (str, bytes)) else tuple(values)
-        if any(isinstance(v, (str, bytes, bool, np.bool_)) for v in values):
-            raise TypeError(f"got text or a boolean in {values!r}")
+        values = (values,) if isinstance(values, (str, bytes)) else tuple(values)  # "12" is not 1, 2
+        if any(isinstance(v, _NOT_REAL) for v in values):
+            raise TypeError(f"got text, a boolean or a complex number in {values!r}")
         return tuple(map(float, values))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelSpecError(f"{name} must be numeric: {exc}") from exc
+
+
+def _integer(value, name, least=0):
+    # an int or NumPy integer of at least ``least``, not a boolean, which operator.index reads as 1
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer")
+    if operator.index(value) < least:
+        raise ValueError(f"{name} must be " + (f"at least {least}" if least else "nonnegative"))
+    return operator.index(value)
+
+
+def _real(value, name, positive=False):
+    # value as a finite float, above 0 with ``positive``, and not _NOT_REAL
+    if type(value) is not float:
+        try:
+            value = math.nan if isinstance(value, _NOT_REAL) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite")
+    return value
 
 
 def _newton_step(poly, z):
@@ -109,9 +132,8 @@ class ARMAModel:
     @classmethod
     def arma11(cls, phi=0.0, theta=0.0):
         """ARMA(1,1) process X_t = phi X_{t-1} + Z_t + theta Z_{t-1}."""
-        ar = (-float(phi),) if phi else ()
-        ma = (float(theta),) if theta else ()
-        return cls(ar=ar, ma=ma)
+        phi, theta = _reals((phi, theta), "(phi, theta)")
+        return cls(ar=(-phi,) if phi else (), ma=(theta,) if theta else ())
 
 
 def _arma_expansion(model, horizon):
@@ -144,9 +166,7 @@ def ma_coefficients(model, horizon):
     Returns the J + 1 coefficients as a read-only array.  When d != 0 the ARMA
     expansion is convolved with the series of (1-z)^(-d).
     """
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = _integer(horizon, "horizon", 1)
     if not isinstance(model, ARMAModel):
         raise TypeError(f"unsupported model type {type(model).__name__}")
     coeffs = _arma_expansion(model, horizon)

@@ -27,12 +27,11 @@ the limit law.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_process import ARMAModel, ma_coefficients
+from .linear_process import ARMAModel, _integer, _real, ma_coefficients
 
 __all__ = [
     "INNOVATION_LAWS",
@@ -63,12 +62,6 @@ _TAIL_ENERGY = 2.0**-106
 _EIG_CLAMP = -1e-9
 
 
-def _integer(value, name):
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class SimulationPlan:
     """One simulation configuration; n = round(y * p) columns.
@@ -77,8 +70,9 @@ class SimulationPlan:
     unit variance and finite fourth moment under all three laws.  ``mu``
     shifts every entry; ``center``, a boolean, subtracts the empirical column
     mean before forming the covariance; ``p``, ``seed`` and ``replicates`` are
-    integers, not booleans.  Each replicate draws the one stream defined in
-    the module docstring, so results are deterministic given (seed, replicate).
+    integers and ``y`` and ``mu`` reals, not booleans or text, each kept as
+    given.  Each replicate draws the one stream of the module docstring, so
+    results are deterministic given (seed, replicate).
     """
 
     p: int
@@ -93,22 +87,14 @@ class SimulationPlan:
     def __post_init__(self):
         if not isinstance(self.model, ARMAModel):
             raise ValueError("plan model must be an ARMAModel")
-        for name in ("p", "seed", "replicates"):
-            _integer(getattr(self, name), name)
+        for name, least in (("p", 1), ("seed", 0), ("replicates", 1)):
+            _integer(getattr(self, name), name, least)
         if not isinstance(self.center, (bool, np.bool_)):
             raise ValueError("center must be a boolean")
-        if self.p < 1:
-            raise ValueError("p must be at least 1")
-        if not (self.y > 0.0 and math.isfinite(self.y)):
-            raise ValueError("y must be positive and finite")
-        if not math.isfinite(self.mu):
-            raise ValueError("mu must be finite")
+        _real(self.y, "aspect ratio y", positive=True)
+        _real(self.mu, "mu")
         if self.law not in INNOVATION_LAWS:
             raise ValueError(f"law must be one of {INNOVATION_LAWS}")
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if self.n < 1:
             raise ValueError("y * p rounds below one column")
         if self.p * self.n > np.iinfo(np.intp).max:
@@ -125,7 +111,7 @@ class EmpiricalSpectrum:
 
     ``trace`` is tr(X X^T) / p of the (centred) X the eigenvalues came from,
     as ``sample_cov_eigenvalues`` measured it; None when the spectrum was
-    built from eigenvalues alone.
+    built from eigenvalues alone.  It holds at least one eigenvalue, all finite.
     """
 
     eigenvalues: np.ndarray
@@ -133,6 +119,8 @@ class EmpiricalSpectrum:
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.eigenvalues, dtype=float))
+        if not (vals.size and np.isfinite(vals).all()):
+            raise ValueError("a spectrum needs at least one eigenvalue, and every eigenvalue finite")
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
 
@@ -202,8 +190,6 @@ def simulate_matrix(plan, replicate=0):
     integer, not a boolean.  A simulation loads NumPy only.
     """
     replicate = _integer(replicate, "replicate")
-    if replicate < 0:
-        raise ValueError("replicate must be nonnegative")
     p, n = plan.p, plan.n
     c = _truncated_kernel(plan.model, n)
     K = c.size - 1
@@ -294,11 +280,14 @@ def ks_distance(spectrum, cdf):
     The supremum is attained at eigenvalue jump points; both one-sided gaps
     are examined: the ESD after each jump against F there, and the ESD before
     it against F's left limit, taken one ulp below, so that an atom of F (the
-    mass 1 - y at zero when y < 1) meets the jump that matches it.
+    mass 1 - y at zero when y < 1) meets the jump that matches it.  A CDF
+    that is not finite there is refused with ValueError.
     """
     lam = spectrum.eigenvalues
     F = np.asarray(cdf(lam), dtype=float)
     F_left = np.asarray(cdf(np.nextafter(lam, -np.inf)), dtype=float)
+    if not (np.isfinite(F).all() and np.isfinite(F_left).all()):
+        raise ValueError("the CDF must be finite at the eigenvalues and one ulp below them")
     k = np.arange(1, lam.size + 1, dtype=float)
     upper = np.max(k / lam.size - F)
     lower = np.max(F_left - (k - 1.0) / lam.size)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linear_process import _integer, _real
 from .toeplitz_lsd import ExactARMALSD, Rule, _bisect
 
 __all__ = [
@@ -174,7 +175,8 @@ def _iterate(TTp, y, z, m, refit=False):
             if damped:
                 g = 1.0 / e
                 if not (g.imag > 0.0 and cmath.isfinite(g)):
-                    # analytically impossible; reachable only through quadrature noise
+                    # analytically impossible; known only at m = 0.10013513489810107 + 3.008113572318269e-22i, where
+                    # the Szegő law of ar = (-1.069798565618917, 0.9801), d = -0.05 has Im T > 0 beside its pole pair
                     raise ConvergenceError("iterate left the upper half-plane", z, m, abs(M), it)
                 nxt = 0.5 * (m + g)
             t2, tp2 = TTp(nxt)
@@ -216,55 +218,59 @@ def _one_atom(y, z, a, b):
     return root
 
 
+def _point(value, name, start=False):
+    """``value`` as a finite complex with Im > 0, else ValueError or, as a ``start``, None; not text or a boolean."""
+    if type(value) is not complex:
+        try:
+            if isinstance(value, (str, bytes, bool, np.bool_)):
+                raise TypeError(f"got {value!r}")
+            value = complex(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{name} must be a number: {exc}") from None
+    if value.imag > 0.0 and cmath.isfinite(value):
+        return value
+    if start:
+        return None
+    raise ValueError(f"{name} must be finite and lie in the upper half-plane")
+
+
 def solve_fixed_point(lsd, y, z, initial=None):
     """Stieltjes transform m(z) of the limit law of p^{-1} X X^T.
 
     ``lsd`` is the Toeplitz eigenvalue limit (AtomicLSD, ExactARMALSD or
-    AbsContinuousLSD), ``y`` the limiting n/p ratio, and z a finite point
-    with Im z > 0 (ValueError otherwise, as for a y that is not positive and
-    finite).  Every law's ``terms`` is exact, so the solve is one ``_iterate``
-    on it, which evaluated the returned m: the residual is |M| from that T,
-    M = 1 + m z - y m T(m) the equation times m that its sweeps step on, which
-    is free of the law's scale.  Without a usable ``initial`` the solve
-    starts from the law with all its mass at its ``mean`` level, which need
-    not be exact (the Szegő law's is the nodes' plain mean), as the first
-    sweep refits it (``_one_atom``: ArithmeticError where its Im m
-    underflows).  Keeping each candidate, it makes sweeps + 1 evaluations, or
-    sweeps where its last step was within rounding.  MAX_ITER caps the
-    sweeps.  ``m`` is a Python complex, ``residual`` a Python float.
+    AbsContinuousLSD), ``y`` the limiting n/p ratio, positive and finite, and
+    z a finite point with Im z > 0, each a number but not a boolean
+    (ValueError otherwise).  Every law's ``terms`` is exact, so the solve is
+    one ``_iterate`` on it, which evaluated the returned m: the residual is
+    |M| from that T, M = 1 + m z - y m T(m) the equation times m that its
+    sweeps step on, which is free of the law's scale.  Without a usable
+    ``initial``, a number like z, the solve starts from the law with all its
+    mass at its ``mean`` level, which need not be exact (the Szegő law's is
+    the nodes' plain mean), as the first sweep refits it (``_one_atom``:
+    ArithmeticError where its Im m underflows).  Keeping each candidate, it
+    makes sweeps + 1 evaluations, or sweeps where its last step was within
+    rounding.  MAX_ITER caps the sweeps.  ``m`` is a Python complex,
+    ``residual`` a Python float.
     """
-    z = complex(z)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("aspect ratio y must be positive and finite")
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        raise ValueError("z must be finite and lie in the upper half-plane")
+    y, z = _real(y, "aspect ratio y", positive=True), _point(z, "z")
+    m = None if initial is None else _point(initial, "initial", start=True)
     if not isinstance(lsd, (Rule, ExactARMALSD)):
         raise TypeError(f"unsupported limit-law type {type(lsd).__name__}")
-    y = float(y)
-    refit = initial is None or not initial.imag > 0.0
-    # -1/z sits among the law's real poles -1/lam when z is near the real axis
-    m = _one_atom(y, z, lsd.mean, lsd.mean) if refit else complex(initial)
-    m, iterations, M = _iterate(lsd.terms, y, z, m, refit)
+    refit = m is None  # a cold start: -1/z sits among the law's real poles -1/lam when z is near the real axis
+    m, iterations, M = _iterate(lsd.terms, y, z, _one_atom(y, z, lsd.mean, lsd.mean) if refit else m, refit)
     return StieltjesSolution(z, m, abs(M), iterations)
 
 
 def mp_support(y):
     """Support endpoints (1 -+ sqrt(y))^2 of the Marchenko-Pastur bulk."""
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("aspect ratio y must be positive and finite")
-    r = math.sqrt(y)
+    r = math.sqrt(_real(y, "aspect ratio y", positive=True))
     return (1.0 - r) ** 2, (1.0 + r) ** 2
 
 
 def mp_stieltjes(y, z):
     """Closed-form Marchenko-Pastur transform, the one-atom law at level 1: the
     upper-half-plane root of z m^2 + (z + 1 - y) m + 1 = 0 (``_one_atom``)."""
-    z = complex(z)
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("aspect ratio y must be positive and finite")
-    if not (z.imag > 0.0 and cmath.isfinite(z)):
-        raise ValueError("z must be finite and lie in the upper half-plane")
-    return _one_atom(y, z, 1.0, 1.0)
+    return _one_atom(_real(y, "aspect ratio y", positive=True), _point(z, "z"), 1.0, 1.0)
 
 
 def mp_density(y, x):
@@ -346,7 +352,6 @@ def invert_to_density(lsd, y, grid=None):
         raise ValueError("grid must be nonempty, finite and strictly increasing with positive entries")
 
     delta = OFFSET * float(grid[-1])
-    atom = max(0.0, 1.0 - y)
     z = grid + 1j * delta
     ms = np.empty(grid.size, dtype=complex)
     m, iterations, max_residual = None, 0, 0.0
@@ -361,6 +366,7 @@ def invert_to_density(lsd, y, grid=None):
             m = ms[i] = sol.m
             iterations += sol.iterations
             max_residual = max(max_residual, sol.residual)
+        atom = max(0.0, 1.0 - y)  # after the solves, which read y
         vals = [(m + atom / zi).imag / math.pi for zi, m in zip(z.tolist(), ms.tolist())]
         args = np.array([lsd.potential(m) for m in ms])
         cdf = (np.angle(ms) - y * args + (z * ms).imag + atom * np.angle(-z)) / math.pi + atom
@@ -386,8 +392,7 @@ def estimate_support_upper(lsd, y):
     rises from -inf to +inf, so ``toeplitz_lsd._bisect`` on the law's ``terms``
     finds it, with max lam the law's ``top``: the largest atom, or max f.
     """
-    if not (y > 0.0 and math.isfinite(y)):
-        raise ValueError("aspect ratio y must be positive and finite")
+    y = _real(y, "aspect ratio y", positive=True)
     # from 4 ulps in from -1/top, where 1 + top m rounds to 0 (an edge closer than that is x there), bisect
     # to adjacent floats on the sign of m^2 x'(m) in Python floats, which do not overflow to a wrong sign
     hi = float(_bisect(lambda ms: [1.0 + y * (m * m) * lsd.terms(m)[1].real for m in ms.tolist()],
@@ -407,9 +412,7 @@ def default_grid(lsd, y, size=512):
     the mass below the grid is negligible.  The grid ends 5% past the upper
     edge of the support.
     """
-    size = int(size)
-    if size < GRID_MIN_SIZE:
-        raise ValueError(f"grid size must be at least {GRID_MIN_SIZE}")
+    size = _integer(size, "grid size", GRID_MIN_SIZE)
     hi = 1.05 * estimate_support_upper(lsd, y)
     if not math.isfinite(hi):
         raise ArithmeticError(f"the density grid's end, 5% past the support's upper edge, overflows at y={y}")

@@ -361,6 +361,7 @@ class TestModelSpecJSON:
             {"ma": [True]},
             {"ar": [np.bool_(False)]},
             {"ma": np.array([True, False])},
+            {"ma": [np.complex128(0.5 + 0.5j)]},  # float() would keep 0.5
         ):
             with pytest.raises(sp.ModelSpecError):
                 sp.ARMAModel(**kwargs)

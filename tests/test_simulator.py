@@ -498,6 +498,24 @@ class TestECDFAndKS:
         cdf = lambda x: np.where(x < 0.0, 0.0, 0.5 + 0.5 * np.clip(x, 0.0, 1.0))
         assert sp.ks_distance(s, cdf) <= 0.5 / p + 1e-12
 
+    @pytest.mark.parametrize("eigenvalues", [[], [0.5, math.nan], [0.5, math.inf], [-math.inf, 0.5]],
+                             ids=["empty", "nan", "inf", "-inf"])
+    def test_spectrum_refuses_empty_or_nonfinite(self, eigenvalues):
+        # ks_distance of an empty spectrum failed inside NumPy's max, a NaN gave KS = nan and an inf 0.5
+        with pytest.raises(ValueError, match="at least one eigenvalue, and every eigenvalue finite"):
+            sp.EmpiricalSpectrum(np.array(eigenvalues))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["at", "below"])
+    def test_ks_refuses_a_cdf_not_finite_at_the_eigenvalues(self, bad, side):
+        # the CDF is read at each eigenvalue and one ulp below it; a NaN there gave KS = nan
+        lam = np.array([0.25, 0.5, 0.75])
+        spectrum = sp.EmpiricalSpectrum(lam)
+        cdf = lambda x: np.where(x == (lam[1] if side == "at" else np.nextafter(lam[1], 0.0)), bad, x)
+        with pytest.raises(ValueError, match="the CDF must be finite at the eigenvalues"):
+            sp.ks_distance(spectrum, cdf)
+        assert sp.ks_distance(spectrum, lambda x: x) == 0.25
+
     def test_law_invariance(self):
         model = sp.ARMAModel(ma=[0.5])
         dens = sp.invert_to_density(sp.gamma_lsd(model), 1.0)

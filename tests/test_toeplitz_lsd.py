@@ -261,6 +261,15 @@ class TestGammaDensity:
         exact = 1.0 / (math.pi * np.sqrt(lam * (4.0 - lam)))
         assert np.max(np.abs(sp.gamma_density(f, lam) / exact - 1.0)) <= 1e-13
 
+    def test_ma1_zero_at_pi(self):
+        # MA(1) theta = 1: f = v = 2 + 2 cos w, zero at w = pi, so g = 1 / (pi sqrt(v (4 - v))) at v = lam.
+        # A root beside w = pi keeps only absolute precision in w: 2.0e-10, 5.5e-12 and 1.1e-13 are seen at
+        # these levels, gated a little above so they cannot grow, until the roots there are bisected in v
+        f = sp.SpectralDensity(sp.ARMAModel(ma=(1.0,)))
+        lam = sp.support_bounds(f)[1] * np.array([1e-12, 1e-9, 1e-6])
+        exact = 1.0 / (math.pi * np.sqrt(lam * (4.0 - lam)))
+        assert np.all(np.abs(sp.gamma_density(f, lam) / exact - 1.0) <= [5e-10, 2e-11, 1e-12])
+
     def test_closed_form_agreement_random_models(self):
         rng = np.random.default_rng(5)
         checked = 0
